@@ -3,7 +3,7 @@ unit square, with stability and limit-behavior study harnesses."""
 
 __version__ = "0.1.0"
 
-from .mesh import Mesh, build_structured_mesh, uniform_refine
+from .mesh import Mesh, build_structured_mesh
 from .spaces import SpaceCase, build_space_triple
 from .assembly import (
     CoefficientField,

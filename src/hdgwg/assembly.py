@@ -1,8 +1,13 @@
 """Assembly of the HDG/WG systems, their conforming limits, and norm Grams.
 
-All matrices are accumulated symmetrically from per-cell dense blocks in
-deterministic cell-then-local-index order, so A == A.T exactly and repeated
-runs are bit-identical.
+Every form is evaluated for all cells at once on the batched tables below
+and scattered as stacked per-cell blocks.  Triplets are summed in a fixed
+order with exact symmetric insertion, so A == A.T exactly and repeated runs
+are bit-identical.
+
+Subscripts in the ``einsum`` calls: ``c`` cell, ``l`` local edge, ``q``
+quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
+functions, ``k`` vector component.
 """
 
 from __future__ import annotations
@@ -15,7 +20,13 @@ import scipy.sparse as sp
 
 from . import basis
 from .mesh import Mesh
-from .spaces import SpaceCase, DofMap
+from .spaces import SpaceCase, cell_block_dofs
+
+
+def at_points(fn, xy):
+    """Evaluate a callable of (n, 2) points at points of shape (..., 2)."""
+    out = np.asarray(fn(xy.reshape(-1, 2)), dtype=float)
+    return out.reshape(xy.shape[:-1] + out.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -29,7 +40,7 @@ class CoefficientField:
         return CoefficientField(alpha=lambda xy: np.ones(len(xy)))
 
     def c_at(self, xy):
-        a = np.asarray(self.alpha(xy), dtype=float)
+        a = at_points(self.alpha, xy)
         if np.any(a <= 0.0):
             raise ValueError("coefficient alpha must be strictly positive")
         return 1.0 / a
@@ -44,12 +55,105 @@ class LinearSystem:
     blocks: dict
 
 
-class ElementTables:
-    """Per-mesh cache of mapped basis values at quadrature points.
+def _point_shape(pts):
+    """Leading shape of basis data at reference points: (1, n) for points
+    (n, 2) shared by all cells, else the (C, ...) of per-cell points."""
+    return (1,) + pts.shape[:-1] if pts.ndim == 2 else pts.shape[:-1]
 
-    Volume quadrature points are shared by all cells; edge quadrature points
-    are parametrized along the global edge (lower to higher vertex index) so
-    the two sides of an interior edge see identical physical points.
+
+def _per_cell(values, shape):
+    """Per-cell (C, ...) values reshaped to broadcast against ``shape``."""
+    return values.reshape((len(values),) + (1,) * (len(shape) - 1)
+                          + values.shape[1:])
+
+
+def scalar_basis(mesh, degree, pts):
+    """Lagrange P_degree basis on every cell at reference points ``pts``,
+    (n, 2) shared or (C, ..., 2) per cell.
+
+    Returns values (C, ..., nb) and physical gradients (C, ..., nb, 2).
+    """
+    shape = _point_shape(pts)
+    vals, grads = basis.eval_scalar_basis(degree, pts.reshape(-1, 2))
+    grads = (grads.reshape(shape + grads.shape[1:])
+             @ _per_cell(mesh.cell_jac_inv, shape))
+    vals = vals.reshape(shape + vals.shape[1:])
+    return np.broadcast_to(vals, grads.shape[:-1]), grads
+
+
+def flux_basis(mesh, family, degree, pts):
+    """Flux basis on every cell at reference points ``pts`` (as above).
+
+    ``family`` "rt" is RT_degree under the contravariant Piola map; "vec" is
+    (P_degree)^2, x-components first.  Returns physical values
+    (C, ..., nb, 2) and divergences (C, ..., nb).
+    """
+    if family == "vec":
+        sval, sgrad = scalar_basis(mesh, degree, pts)
+        nbs = sval.shape[-1]
+        vals = np.zeros(sval.shape[:-1] + (2 * nbs, 2))
+        vals[..., :nbs, 0] = sval
+        vals[..., nbs:, 1] = sval
+        return vals, np.concatenate([sgrad[..., 0], sgrad[..., 1]], axis=-1)
+    shape = _point_shape(pts)
+    vals, divs = basis.eval_rt_basis(degree, pts.reshape(-1, 2))
+    det = mesh.cell_det[:, None]
+    piola = np.swapaxes(mesh.cell_jac, 1, 2) / det[:, :, None]
+    vals = vals.reshape(shape + vals.shape[1:]) @ _per_cell(piola, shape)
+    divs = divs.reshape(shape + divs.shape[1:]) / _per_cell(det, shape)
+    return vals, divs
+
+
+def volume_rule(mesh, quad):
+    """Weights (C, nq) and physical points (C, nq, 2) of a reference rule."""
+    origin = mesh.vertices[mesh.cells[:, 0]]
+    xy = quad.xy @ np.swapaxes(mesh.cell_jac, 1, 2) + origin[:, None]
+    return quad.weights * mesh.cell_det[:, None], xy
+
+
+def edge_points(mesh, s):
+    """Physical points (E, ns, 2) of edge parameters ``s`` on every edge."""
+    pa = mesh.vertices[mesh.edge_vertices[:, 0]]
+    pb = mesh.vertices[mesh.edge_vertices[:, 1]]
+    return pa[:, None] + s[:, None] * (pb - pa)[:, None]
+
+
+def side_points(mesh, s):
+    """Reference points (C, 3, ns, 2) of edge parameters ``s`` on every cell
+    side, following the global edge parameter."""
+    ref = np.array([[a + np.multiply.outer(t, b - a) for t in (s, 1.0 - s)]
+                    for a, b, _, _ in basis.REF_EDGES])
+    return ref[np.arange(3), mesh.cell_edge_flip.astype(int)]
+
+
+def edge_sides(mesh, side_values, edges=slice(None)):
+    """Per-side values (C, 3, ...) gathered on both sides of ``edges``:
+    (E', 2, ...) with the owner first and zeros for a missing neighbour."""
+    cells = mesh.edge_cells[edges]
+    vals = side_values[cells, mesh.edge_local[edges]]
+    vals[cells < 0] = 0.0
+    return vals
+
+
+class ElementTables:
+    """Basis values at quadrature points, mapped to all C cells at once.
+
+    Built for one ``SpaceCase`` with nf flux, nu scalar and nt trace basis
+    functions, a volume rule of nq points and an edge rule of ns points, both
+    of degree ``quad_degree`` (default 2k + 2).
+
+    Volume tables: weights ``w`` (C,nq), points ``xy`` (C,nq,2), scalar
+    values ``sval`` (C,nq,nu) and gradients ``sgrad`` (C,nq,nu,2), flux
+    values ``fval`` (C,nq,nf,2) and divergences ``fdiv`` (C,nq,nf).
+
+    Edge tables, per cell side: arclength weights ``edge_w`` (C,3,ns), points
+    ``edge_xy`` (C,3,ns,2), ``edge_sval`` (C,3,ns,nu), ``edge_fval``
+    (C,3,ns,nf,2), the cell-outward normals ``normal`` (C,3,2) and the flux
+    normal traces ``flux_n`` (C,3,ns,nf) against them.  Edge points follow
+    the global edge parameter (lower to higher vertex), so the two sides of
+    an interior edge see identical physical points; each side's reference
+    points are picked by ``Mesh.cell_edge_flip``.  ``trace`` (ns,nt) is the
+    orthonormal trace basis in that parameter, shared by all edges.
     """
 
     def __init__(self, mesh: Mesh, case: SpaceCase, quad_degree=None):
@@ -58,112 +162,38 @@ class ElementTables:
         qd = quad_degree if quad_degree is not None else 2 * case.k + 2
         self.vol = basis.tri_quadrature(qd)
         self.edge = basis.edge_quadrature(qd)
+        family, fdeg, sdeg = case.flux_family, case.flux_degree, case.scalar_degree
 
-        xy = self.vol.xy
-        self.sval, self.sgrad_ref = basis.eval_scalar_basis(case.scalar_degree, xy)
-        if case.flux_family == "rt":
-            self.rtval_ref, self.rtdiv_ref = basis.eval_rt_basis(case.flux_degree, xy)
-        else:
-            fval, fgrad = basis.eval_scalar_basis(case.flux_degree, xy)
-            self.fval_ref, self.fgrad_ref = fval, fgrad
-            nq, nbs = fval.shape
-            vec = np.zeros((nq, 2 * nbs, 2))
-            vec[:, :nbs, 0] = fval
-            vec[:, nbs:, 1] = fval
-            self.vec_values = vec
+        self.w, self.xy = volume_rule(mesh, self.vol)
+        self.sval, self.sgrad = scalar_basis(mesh, sdeg, self.vol.xy)
+        self.fval, self.fdiv = flux_basis(mesh, family, fdeg, self.vol.xy)
 
-        # reference coordinates of the edge quadrature points, one set per
-        # (local edge, flipped) pair
-        self._edge_ref = {}
-        for li in range(3):
-            a, b, _, _ = basis.REF_EDGES[li]
-            for flip in (False, True):
-                s = 1.0 - self.edge.points if flip else self.edge.points
-                pts = a[None, :] + s[:, None] * (b - a)[None, :]
-                sv, _ = basis.eval_scalar_basis(case.scalar_degree, pts)
-                if case.flux_family == "rt":
-                    fv, _ = basis.eval_rt_basis(case.flux_degree, pts)
-                else:
-                    fsv, _ = basis.eval_scalar_basis(case.flux_degree, pts)
-                    nq, nbs = fsv.shape
-                    fv = np.zeros((nq, 2 * nbs, 2))
-                    fv[:, :nbs, 0] = fsv
-                    fv[:, nbs:, 1] = fsv
-                self._edge_ref[(li, flip)] = (sv, fv)
-        self.trace_values = basis.eval_edge_basis(case.trace_deg, self.edge.points)
+        pts = side_points(mesh, self.edge.points)
+        self.edge_w = (self.edge.weights
+                       * mesh.edge_length[mesh.cell_edges][..., None])
+        self.edge_xy = edge_points(mesh, self.edge.points)[mesh.cell_edges]
+        self.edge_sval, _ = scalar_basis(mesh, sdeg, pts)
+        self.edge_fval, _ = flux_basis(mesh, family, fdeg, pts)
+        self.normal = (mesh.cell_edge_sign[..., None]
+                       * mesh.edge_normal[mesh.cell_edges])
+        self.flux_n = np.einsum("clqak,clk->clqa", self.edge_fval, self.normal)
+        self.trace = basis.eval_edge_basis(case.trace_deg, self.edge.points)
 
-        self._geom = {}
-        self._cell_cache = {}
+    def edge_mass(self, values):
+        """Arclength pairings with the trace basis, per side: (C,3,...,nt)
+        for values (C,3,ns,...)."""
+        return np.einsum("clq,clq...,qt->cl...t", self.edge_w, values,
+                         self.trace)
 
-    def geometry(self, ci):
-        g = self._geom.get(ci)
-        if g is None:
-            p = self.mesh.vertices[self.mesh.cells[ci]]
-            A = np.column_stack([p[1] - p[0], p[2] - p[0]])
-            det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-            g = (A, p[0], det, np.linalg.inv(A))
-            self._geom[ci] = g
-        return g
+    def trace_mass(self):
+        """Arclength trace-basis Gram per side: (C,3,nt,nt)."""
+        return np.einsum("clq,qs,qt->clst", self.edge_w, self.trace, self.trace)
 
-    def cell(self, ci):
-        """Volume tables: weights, points, scalar/flux values and derivatives."""
-        t = self._cell_cache.get(ci)
-        if t is not None:
-            return t
-        A, b0, det, invA = self.geometry(ci)
-        w = self.vol.weights * det
-        xy = self.vol.xy @ A.T + b0
-        sgrad = self.sgrad_ref @ invA
-        if self.case.flux_family == "rt":
-            fval = self.rtval_ref @ (A.T / det)
-            fdiv = self.rtdiv_ref / det
-        else:
-            fval = self.vec_values
-            fg = self.fgrad_ref @ invA
-            nbs = fg.shape[1]
-            fdiv = np.concatenate([fg[:, :, 0], fg[:, :, 1]], axis=1)
-            assert fdiv.shape[1] == 2 * nbs
-        t = {"w": w, "xy": xy, "sval": self.sval, "sgrad": sgrad,
-             "fval": fval, "fdiv": fdiv}
-        self._cell_cache[ci] = t
-        return t
-
-    def cell_edge(self, ci, li):
-        """Edge tables on the cell side: traces against the outward normal."""
-        key = (ci, "e", li)
-        t = self._cell_cache.get(key)
-        if t is not None:
-            return t
-        mesh = self.mesh
-        ei = mesh.cell_edges[ci, li]
-        edge = mesh.edges[ei]
-        local_start = int(mesh.cells[ci][(li + 1) % 3])
-        flip = local_start != edge.vertices[0]
-        sign = mesh.cell_edge_sign(ci, li)
-        n_K = sign * edge.normal
-        sv, fv = self._edge_ref[(li, flip)]
-        A, b0, det, _ = self.geometry(ci)
-        if self.case.flux_family == "rt":
-            fphys = fv @ (A.T / det)
-        else:
-            fphys = fv
-        fn = fphys @ n_K
-        pa = mesh.vertices[edge.vertices[0]]
-        pb = mesh.vertices[edge.vertices[1]]
-        xy = pa[None, :] + self.edge.points[:, None] * (pb - pa)[None, :]
-        t = {
-            "edge": ei,
-            "w": self.edge.weights * edge.length,
-            "w_param": self.edge.weights,
-            "xy": xy,
-            "sval": sv,
-            "flux_n": fn,
-            "sign": sign,
-            "trace": self.trace_values,
-            "h_e": edge.length,
-        }
-        self._cell_cache[key] = t
-        return t
+    def moments(self, values):
+        """Parametric trace-basis moments, per side: (C,3,nt,...) for values
+        (C,3,ns,...)."""
+        return np.einsum("q,qt,clq...->clt...", self.edge.weights, self.trace,
+                         values)
 
 
 class _Accumulator:
@@ -176,13 +206,17 @@ class _Accumulator:
         self.vals = []
 
     def add(self, rdofs, cdofs, block, mirror=False, sym=False):
+        """Add blocks (..., a, b) at row DOFs (..., a) and column DOFs
+        (..., b), broadcast over the leading axes.  Entries with a negative
+        DOF are dropped."""
         block = np.asarray(block, dtype=float)
         if sym:
             # quadrature blocks are symmetric up to rounding; make it exact
-            block = 0.5 * (block + block.T)
-        r = np.repeat(rdofs, len(cdofs))
-        c = np.tile(cdofs, len(rdofs))
-        v = block.ravel()
+            block = 0.5 * (block + np.swapaxes(block, -1, -2))
+        r, c, v = np.broadcast_arrays(rdofs[..., :, None], cdofs[..., None, :],
+                                      block)
+        keep = (r >= 0) & (c >= 0)
+        r, c, v = r[keep], c[keep], v[keep]
         self.rows.append(r)
         self.cols.append(c)
         self.vals.append(v)
@@ -197,6 +231,7 @@ class _Accumulator:
         r = np.concatenate(self.rows)
         c = np.concatenate(self.cols)
         v = np.concatenate(self.vals)
+        self.rows, self.cols, self.vals = [], [], []  # free before sorting
         # sum duplicates ourselves with a stable sort: mirrored triplets then
         # reduce in the same order on both sides of the diagonal, keeping the
         # assembled matrix bit-exactly symmetric
@@ -220,42 +255,41 @@ def _check(mesh, dofs, case):
         raise ValueError("DofMap does not match the mesh")
 
 
+def _local_dofs(mesh, dofs):
+    """Flux (C,nf), scalar (C,nu) and per-side trace (C,3,nt) DOFs."""
+    return (dofs.cell_flux_dofs(), dofs.cell_scalar_dofs(),
+            dofs.edge_trace_dofs(mesh.cell_edges))
+
+
+def _flux_mass(t, weights):
+    return np.einsum("cq,cqak,cqbk->cab", weights, t.fval, t.fval)
+
+
+def _load(t, f):
+    """Load vector -(f, v) per cell: (C, nu)."""
+    return -np.einsum("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval)
+
+
 def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat)."""
     if case.method != "hdg":
         raise ValueError("case.method must be 'hdg'")
     _check(mesh, dofs, case)
-    et = tables or ElementTables(mesh, case)
+    t = tables or ElementTables(mesh, case)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        w, xy = t["w"], t["xy"]
-        cvals = coeff.c_at(xy)
-        pd = dofs.cell_flux_dofs(ci)
-        ud = dofs.cell_scalar_dofs(ci)
-        acc.add(pd, pd, np.einsum("q,qac,qbc->ab", w * cvals, t["fval"], t["fval"]),
-                sym=True)
-        acc.add(pd, ud, -np.einsum("q,qa,qb->ab", w, t["fdiv"], t["sval"]),
-                mirror=True)
-        rhs[ud] -= (w * f(xy)) @ t["sval"]
-        tau = case.stabilization(mesh.cell_size[ci])
-        for li in range(3):
-            e = et.cell_edge(ci, li)
-            we = e["w"]
-            td = dofs.edge_trace_dofs(e["edge"])
-            if td is not None:
-                acc.add(pd, td, np.einsum("q,qa,qt->at", we, e["flux_n"], e["trace"]),
-                        mirror=True)
-            acc.add(ud, ud, -tau * np.einsum("q,qa,qb->ab", we, e["sval"], e["sval"]),
-                    sym=True)
-            if td is not None:
-                acc.add(ud, td,
-                        tau * np.einsum("q,qa,qt->at", we, e["sval"], e["trace"]),
-                        mirror=True)
-                acc.add(td, td,
-                        -tau * np.einsum("q,qs,qt->st", we, e["trace"], e["trace"]),
-                        sym=True)
+    pd, ud, td = _local_dofs(mesh, dofs)
+    tau = case.stabilization(mesh.cell_size)[:, None, None]
+    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
+    acc.add(pd, ud, -np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval),
+            mirror=True)
+    rhs[ud] += _load(t, f)
+    acc.add(pd[:, None], td, t.edge_mass(t.flux_n), mirror=True)
+    acc.add(ud, ud, -tau * np.einsum("clq,clqa,clqb->cab", t.edge_w,
+                                     t.edge_sval, t.edge_sval), sym=True)
+    acc.add(ud[:, None], td, tau[..., None] * t.edge_mass(t.edge_sval),
+            mirror=True)
+    acc.add(td, td, -tau[..., None] * t.trace_mass(), sym=True)
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks)
 
 
@@ -264,47 +298,33 @@ def assemble_wg(mesh, dofs, case, coeff, f, tables=None):
     if case.method != "wg":
         raise ValueError("case.method must be 'wg'")
     _check(mesh, dofs, case)
-    et = tables or ElementTables(mesh, case)
+    t = tables or ElementTables(mesh, case)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        w, xy = t["w"], t["xy"]
-        cvals = coeff.c_at(xy)
-        pd = dofs.cell_flux_dofs(ci)
-        ud = dofs.cell_scalar_dofs(ci)
-        acc.add(pd, pd, np.einsum("q,qac,qbc->ab", w * cvals, t["fval"], t["fval"]),
-                sym=True)
-        # b_w volume part (q, grad v)
-        acc.add(pd, ud, np.einsum("q,qac,qbc->ab", w, t["fval"], t["sgrad"]),
-                mirror=True)
-        rhs[ud] -= (w * f(xy)) @ t["sval"]
-        eta = case.stabilization(mesh.cell_size[ci])
-        for li in range(3):
-            e = et.cell_edge(ci, li)
-            we, sign = e["w"], e["sign"]
-            td = dofs.edge_trace_dofs(e["edge"])
-            # b_w edge part -<sigma q-hat, v>
-            acc.add(td, ud,
-                    -sign * np.einsum("q,qt,qb->tb", we, e["trace"], e["sval"]),
-                    mirror=True)
-            # stabilization eta <(p - p-hat n_e).n_K, (q - q-hat n_e).n_K>
-            acc.add(pd, pd, eta * np.einsum("q,qa,qb->ab", we, e["flux_n"],
-                                            e["flux_n"]), sym=True)
-            acc.add(pd, td,
-                    -eta * sign * np.einsum("q,qa,qt->at", we, e["flux_n"],
-                                            e["trace"]),
-                    mirror=True)
-            acc.add(td, td, eta * np.einsum("q,qs,qt->st", we, e["trace"],
-                                            e["trace"]), sym=True)
+    pd, ud, td = _local_dofs(mesh, dofs)
+    eta = case.stabilization(mesh.cell_size)[:, None, None]
+    sign = mesh.cell_edge_sign[..., None, None]
+    # mass plus stabilization eta <(p - p-hat n_e).n_K, (q - q-hat n_e).n_K>
+    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy))
+            + eta * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
+                              t.flux_n), sym=True)
+    # b_w volume part (q, grad v)
+    acc.add(pd, ud, np.einsum("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
+            mirror=True)
+    rhs[ud] += _load(t, f)
+    # b_w edge part -<sigma q-hat, v>
+    acc.add(ud[:, None], td, -sign * t.edge_mass(t.edge_sval), mirror=True)
+    acc.add(pd[:, None], td, -eta[..., None] * sign * t.edge_mass(t.flux_n),
+            mirror=True)
+    acc.add(td, td, eta[..., None] * t.trace_mass(), sym=True)
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks)
 
 
 class PrimalDofMap:
     """Broken vector P_k flux plus continuous P_{k+1} scalar with zero trace.
 
-    Scalar local-to-global follows the lattice node ordering of the basis;
-    boundary nodes are eliminated (entry -1).
+    ``scalar_l2g`` (C, nb) maps the local lattice nodes of the basis to
+    global scalar DOFs; boundary nodes are eliminated (entry -1).
     """
 
     def __init__(self, mesh, k):
@@ -312,103 +332,79 @@ class PrimalDofMap:
             raise ValueError("polynomial degree k must be >= 0")
         self.k = k
         self.degree = k + 1
+        self.num_cells = mesh.num_cells
         self.flux_per_cell = 2 * basis.scalar_dim(k)
         self.flux_total = mesh.num_cells * self.flux_per_cell
         d = self.degree
-        boundary_vertices = set()
-        for ei in mesh.boundary_edges:
-            boundary_vertices.update(mesh.edges[ei].vertices)
+        boundary = np.zeros(mesh.num_vertices, dtype=bool)
+        boundary[mesh.edge_vertices[mesh.boundary_edges]] = True
         vmap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        nxt = 0
-        for v in range(mesh.num_vertices):
-            if v not in boundary_vertices:
-                vmap[v] = nxt
-                nxt += 1
+        vmap[~boundary] = np.arange(np.count_nonzero(~boundary))
+        nxt = np.count_nonzero(~boundary)
         per_edge = d - 1
         emap = np.full(mesh.num_edges, -1, dtype=np.int64)
-        for ei in mesh.interior_edges:
-            emap[ei] = nxt
-            nxt += per_edge
+        emap[mesh.interior_edges] = nxt + per_edge * np.arange(
+            len(mesh.interior_edges))
+        nxt += per_edge * len(mesh.interior_edges)
         per_cell_int = basis.scalar_dim(d) - 3 - 3 * per_edge
         cell_int_start = nxt
-        nxt += mesh.num_cells * per_cell_int
-        self.scalar_total = nxt
+        self.scalar_total = nxt + mesh.num_cells * per_cell_int
 
-        nb = basis.scalar_dim(d)
-        l2g = np.full((mesh.num_cells, nb), -1, dtype=np.int64)
-        for ci in range(mesh.num_cells):
-            cell = mesh.cells[ci]
-            for lv in range(3):
-                l2g[ci, lv] = vmap[cell[lv]]
-            pos = 3
-            for li in range(3):
-                ei = mesh.cell_edges[ci, li]
-                base = emap[ei]
-                local_start = int(cell[(li + 1) % 3])
-                flip = local_start != mesh.edges[ei].vertices[0]
-                for j in range(per_edge):
-                    if base >= 0:
-                        idx = (per_edge - 1 - j) if flip else j
-                        l2g[ci, pos] = base + idx
-                    pos += 1
-            for j in range(per_cell_int):
-                l2g[ci, pos] = cell_int_start + ci * per_cell_int + j
-                pos += 1
-        self.scalar_l2g = l2g
+        # edge nodes walk from the cell's start vertex of each local edge
+        j = np.arange(per_edge)
+        along = np.where(mesh.cell_edge_flip[..., None], per_edge - 1 - j, j)
+        base = emap[mesh.cell_edges][..., None]
+        edge_nodes = np.where(base >= 0, base + along, -1)
+        self.scalar_l2g = np.concatenate([
+            vmap[mesh.cells],
+            edge_nodes.reshape(mesh.num_cells, -1),
+            cell_block_dofs(cell_int_start, per_cell_int, mesh.num_cells),
+        ], axis=1)
         self.total = self.flux_total + self.scalar_total
         self.blocks = {
             "flux": slice(0, self.flux_total),
             "scalar": slice(self.flux_total, self.total),
         }
 
-    def cell_flux_dofs(self, ci):
-        start = ci * self.flux_per_cell
-        return np.arange(start, start + self.flux_per_cell)
+    def cell_flux_dofs(self, ci=None):
+        return cell_block_dofs(0, self.flux_per_cell, self.num_cells, ci)
 
 
 def assemble_primal_conforming(mesh, k, coeff, f):
     """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v)."""
     dofs = PrimalDofMap(mesh, k)
-    d = dofs.degree
-    quad = basis.tri_quadrature(2 * d + 1)
-    sval, sgrad_ref = basis.eval_scalar_basis(d, quad.xy)
-    fval_ref, _ = basis.eval_scalar_basis(k, quad.xy)
-    nbs = fval_ref.shape[1]
+    quad = basis.tri_quadrature(2 * dofs.degree + 1)
+    w, xy = volume_rule(mesh, quad)
+    sval, sgrad = scalar_basis(mesh, dofs.degree, quad.xy)
+    fval, _ = scalar_basis(mesh, k, quad.xy)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        p = mesh.vertices[mesh.cells[ci]]
-        A = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        invA = np.linalg.inv(A)
-        w = quad.weights * det
-        xy = quad.xy @ A.T + p[0]
-        cvals = coeff.c_at(xy)
-        sgrad = sgrad_ref @ invA
-        pd = dofs.cell_flux_dofs(ci)
-        # flux mass: component-major vector P_k basis
-        mass = np.einsum("q,qa,qb->ab", w * cvals, fval_ref, fval_ref)
-        for comp in range(2):
-            acc.add(pd[comp * nbs:(comp + 1) * nbs],
-                    pd[comp * nbs:(comp + 1) * nbs], mass, sym=True)
-        g = dofs.scalar_l2g[ci]
-        keep = g >= 0
-        gd = dofs.flux_total + g[keep]
-        for comp in range(2):
-            block = np.einsum("q,qa,qb->ab", w, fval_ref, sgrad[:, :, comp])
-            acc.add(pd[comp * nbs:(comp + 1) * nbs], gd, block[:, keep],
-                    mirror=True)
-        rhs[gd] -= (w * f(xy)) @ sval[:, keep]
+    # flux DOFs per component (C, 2, nbs): component-major vector P_k basis
+    pd = dofs.cell_flux_dofs().reshape(mesh.num_cells, 2, -1)
+    g = dofs.scalar_l2g
+    gd = np.where(g >= 0, dofs.flux_total + g, -1)
+    mass = np.einsum("cq,cqa,cqb->cab", w * coeff.c_at(xy), fval, fval)
+    acc.add(pd, pd, mass[:, None], sym=True)
+    acc.add(pd, gd[:, None], np.einsum("cq,cqa,cqbk->ckab", w, fval, sgrad),
+            mirror=True)
+    load = np.einsum("cq,cqb->cb", w * at_points(f, xy), sval)
+    np.subtract.at(rhs, gd[g >= 0], load[g >= 0])
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks), dofs
 
 
 class MixedDofMap:
-    """H(div)-conforming RT_k flux (shared edge moments) plus broken P_k scalar."""
+    """H(div)-conforming RT_k flux (shared edge moments) plus broken P_k scalar.
+
+    ``flux_l2g`` (C, nf) maps the local RT basis to global flux DOFs and
+    ``flux_sign`` (C, nf) orients it: the edge moments are signed by
+    ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.
+    """
 
     def __init__(self, mesh, k):
         if k not in (0, 1):
             raise ValueError("mixed conforming method supports k in {0, 1}")
         self.k = k
+        self.num_cells = mesh.num_cells
         self.per_edge = k + 1
         self.per_cell_int = k * (k + 1)
         self.flux_edge_total = mesh.num_edges * self.per_edge
@@ -419,59 +415,39 @@ class MixedDofMap:
             "flux": slice(0, self.flux_total),
             "scalar": slice(self.flux_total, self.total),
         }
+        m = np.arange(self.per_edge)
+        edge_dofs = mesh.cell_edges[..., None] * self.per_edge + m
+        edge_sign = mesh.cell_edge_sign[..., None] * np.where(
+            mesh.cell_edge_flip[..., None], (-1.0) ** m, 1.0)
+        interior = cell_block_dofs(self.flux_edge_total, self.per_cell_int,
+                                   mesh.num_cells)
+        self.flux_l2g = np.concatenate(
+            [edge_dofs.reshape(mesh.num_cells, -1), interior], axis=1)
+        self.flux_sign = np.concatenate(
+            [edge_sign.reshape(mesh.num_cells, -1), np.ones(interior.shape)],
+            axis=1)
 
-    def cell_flux_map(self, mesh, ci):
-        """Global flux DOFs and orientation signs for the local RT basis."""
-        idx = np.empty(3 * self.per_edge + self.per_cell_int, dtype=np.int64)
-        sgn = np.empty_like(idx, dtype=float)
-        pos = 0
-        cell = mesh.cells[ci]
-        for li in range(3):
-            ei = mesh.cell_edges[ci, li]
-            edge = mesh.edges[ei]
-            sigma = mesh.cell_edge_sign(ci, li)
-            local_start = int(cell[(li + 1) % 3])
-            flip = local_start != edge.vertices[0]
-            for m in range(self.per_edge):
-                idx[pos] = ei * self.per_edge + m
-                sgn[pos] = sigma * ((-1.0) ** m if flip else 1.0)
-                pos += 1
-        base = self.flux_edge_total + ci * self.per_cell_int
-        for j in range(self.per_cell_int):
-            idx[pos] = base + j
-            sgn[pos] = 1.0
-            pos += 1
-        return idx, sgn
-
-    def cell_scalar_dofs(self, ci):
-        start = self.flux_total + ci * self.scalar_per_cell
-        return np.arange(start, start + self.scalar_per_cell)
+    def cell_scalar_dofs(self, ci=None):
+        return cell_block_dofs(self.flux_total, self.scalar_per_cell,
+                               self.num_cells, ci)
 
 
 def assemble_mixed_conforming(mesh, k, coeff, f):
     """Mixed conforming method: (c p, q) - (u, div q) = 0, (div p, v) = (f, v)."""
     dofs = MixedDofMap(mesh, k)
     quad = basis.tri_quadrature(2 * k + 2)
-    rtval_ref, rtdiv_ref = basis.eval_rt_basis(k, quad.xy)
-    sval, _ = basis.eval_scalar_basis(k, quad.xy)
+    w, xy = volume_rule(mesh, quad)
+    fval, fdiv = flux_basis(mesh, "rt", k, quad.xy)
+    sval, _ = scalar_basis(mesh, k, quad.xy)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        p = mesh.vertices[mesh.cells[ci]]
-        A = np.column_stack([p[1] - p[0], p[2] - p[0]])
-        det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-        w = quad.weights * det
-        xy = quad.xy @ A.T + p[0]
-        cvals = coeff.c_at(xy)
-        fval = rtval_ref @ (A.T / det)
-        fdiv = rtdiv_ref / det
-        idx, sgn = dofs.cell_flux_map(mesh, ci)
-        mass = np.einsum("q,qac,qbc->ab", w * cvals, fval, fval)
-        acc.add(idx, idx, sgn[:, None] * mass * sgn[None, :], sym=True)
-        div_block = np.einsum("q,qa,qb->ab", w, fdiv, sval)
-        ud = dofs.cell_scalar_dofs(ci)
-        acc.add(idx, ud, -sgn[:, None] * div_block, mirror=True)
-        rhs[ud] -= (w * f(xy)) @ sval
+    idx, sgn = dofs.flux_l2g, dofs.flux_sign
+    mass = np.einsum("cq,cqak,cqbk->cab", w * coeff.c_at(xy), fval, fval)
+    acc.add(idx, idx, sgn[:, :, None] * mass * sgn[:, None, :], sym=True)
+    div_block = np.einsum("cq,cqa,cqb->cab", w, fdiv, sval)
+    ud = dofs.cell_scalar_dofs()
+    acc.add(idx, ud, -sgn[:, :, None] * div_block, mirror=True)
+    rhs[ud] -= np.einsum("cq,cqb->cb", w * at_points(f, xy), sval)
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks), dofs
 
 
@@ -497,113 +473,62 @@ def assemble_norm_gram(mesh, dofs, norm_kind, rho, coeff=None, tables=None):
             )
         )
     coeff = coeff or CoefficientField.unit()
-    et = tables or ElementTables(mesh, case)
+    t = tables or ElementTables(mesh, case)
     acc = _Accumulator(dofs.total)
-    nq_edge = len(et.edge.points)
-    ntr = case.trace_deg + 1
+    pd, ud, td = _local_dofs(mesh, dofs)
+    h = mesh.cell_size[:, None, None]
+    div = norm_kind in ("hdg_div", "wg_div")
 
-    for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        w, xy = t["w"], t["xy"]
-        cvals = coeff.c_at(xy)
-        pd = dofs.cell_flux_dofs(ci)
-        ud = dofs.cell_scalar_dofs(ci)
-        h_K = mesh.cell_size[ci]
-        acc.add(pd, pd, np.einsum("q,qac,qbc->ab", w * cvals, t["fval"], t["fval"]),
-                sym=True)
-        if norm_kind in ("hdg_div", "wg_div"):
-            acc.add(pd, pd, np.einsum("q,qa,qb->ab", w, t["fdiv"], t["fdiv"]),
-                    sym=True)
-        if norm_kind in ("hdg_div", "wg_div"):
-            acc.add(ud, ud, np.einsum("q,qa,qb->ab", w, t["sval"], t["sval"]),
-                    sym=True)
-        else:
-            acc.add(ud, ud,
-                    np.einsum("q,qac,qbc->ab", w, t["sgrad"], t["sgrad"]),
-                    sym=True)
-        if norm_kind == "hdg_grad":
-            coef = 1.0 / (rho * h_K)
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                we = e["w"]
-                td = dofs.edge_trace_dofs(e["edge"])
-                acc.add(ud, ud,
-                        coef * np.einsum("q,qa,qb->ab", we, e["sval"], e["sval"]),
-                        sym=True)
-                if td is not None:
-                    acc.add(ud, td,
-                            -coef * np.einsum("q,qa,qt->at", we, e["sval"],
-                                              e["trace"]),
-                            mirror=True)
-                    acc.add(td, td,
-                            coef * np.einsum("q,qs,qt->st", we, e["trace"],
-                                             e["trace"]), sym=True)
-        if norm_kind in ("wg_grad", "wg_div"):
-            coef = rho * h_K if norm_kind == "wg_grad" else 1.0 / (rho * h_K)
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                we, sign = e["w"], e["sign"]
-                td = dofs.edge_trace_dofs(e["edge"])
-                acc.add(pd, pd,
-                        coef * np.einsum("q,qa,qb->ab", we, e["flux_n"],
-                                         e["flux_n"]), sym=True)
-                acc.add(pd, td,
-                        -coef * sign * np.einsum("q,qa,qt->at", we, e["flux_n"],
-                                                 e["trace"]),
-                        mirror=True)
-                acc.add(td, td,
-                        coef * np.einsum("q,qs,qt->st", we, e["trace"],
-                                         e["trace"]), sym=True)
+    pp = _flux_mass(t, t.w * coeff.c_at(t.xy))
+    if div:
+        pp = pp + np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.fdiv)
+        uu = np.einsum("cq,cqa,cqb->cab", t.w, t.sval, t.sval)
+    else:
+        uu = np.einsum("cq,cqak,cqbk->cab", t.w, t.sgrad, t.sgrad)
+    if norm_kind == "hdg_grad":
+        coef = 1.0 / (rho * h)
+        uu = uu + coef * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.edge_sval,
+                                   t.edge_sval)
+        acc.add(ud[:, None], td, -coef[..., None] * t.edge_mass(t.edge_sval),
+                mirror=True)
+        acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
+    if norm_kind in ("wg_grad", "wg_div"):
+        coef = rho * h if norm_kind == "wg_grad" else 1.0 / (rho * h)
+        sign = mesh.cell_edge_sign[..., None, None]
+        pp = pp + coef * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
+                                   t.flux_n)
+        acc.add(pd[:, None], td, -coef[..., None] * sign * t.edge_mass(t.flux_n),
+                mirror=True)
+        acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
+    acc.add(pd, pd, pp, sym=True)
+    acc.add(ud, ud, uu, sym=True)
 
     if norm_kind == "hdg_div":
         # scalar trace term rho h_e <v-hat, v-hat>_e = rho h_e^2 (coefficients)
-        for ei in dofs.trace_edges:
-            td = dofs.edge_trace_dofs(ei)
-            h_e = mesh.edges[ei].length
-            acc.add(td, td, rho * h_e * h_e * np.eye(ntr))
+        trace_dofs = dofs.edge_trace_dofs(dofs.trace_edges)
+        h_e = mesh.edge_length[dofs.trace_edges][:, None, None]
+        acc.add(trace_dofs, trace_dofs,
+                rho * h_e * h_e * np.eye(case.trace_deg + 1))
         # projected normal-jump term rho^{-1} h_e^{-1} <P[q], P[q]>
-        _add_flux_jump_gram(acc, mesh, dofs, et, 1.0 / rho)
+        _add_jump_gram(acc, mesh, t.moments(t.flux_n), pd, mesh.interior_edges,
+                       1.0 / rho)
     if norm_kind == "wg_grad":
-        _add_scalar_jump_gram(acc, mesh, dofs, et, 1.0 / rho)
+        # same moment construction for the scalar jump [v] (all edges)
+        moments = mesh.cell_edge_sign[..., None, None] * t.moments(t.edge_sval)
+        _add_jump_gram(acc, mesh, moments, ud, slice(None), 1.0 / rho)
     return acc.tocsr()
 
 
-def _edge_sides(mesh, ei):
-    edge = mesh.edges[ei]
-    return list(zip(edge.cells, edge.local_index))
+def _add_jump_gram(acc, mesh, moments, cell_dofs, edges, coef):
+    """Accumulate coef * sum_m mu_m^2 per edge, with mu the moments of the
+    jump: the sum of the (signed) side ``moments`` over the edge's cells.
 
-
-def _add_flux_jump_gram(acc, mesh, dofs, et, coef):
-    """Accumulate coef * sum_m mu_m^2 with mu_m the parametric moments of [q].
-
-    Equals coef * h_e^{-1} <P_e[q], P_e[q]>_e for the L^2(e) projection onto
-    the trace space.
+    For the orthonormal trace basis this equals coef * h_e^{-1}
+    <P_e[.], P_e[.]>_e with P_e the L^2(e) projection onto the trace space.
     """
-    for ei in mesh.interior_edges:
-        rows = []
-        dof_list = []
-        for ci, li in _edge_sides(mesh, ei):
-            e = et.cell_edge(ci, li)
-            # moments of q.n_K against the orthonormal trace basis
-            rows.append(np.einsum("q,qt,qa->ta", e["w_param"], e["trace"],
-                                  e["flux_n"]))
-            dof_list.append(dofs.cell_flux_dofs(ci))
-        J = np.concatenate(rows, axis=1)
-        gd = np.concatenate(dof_list)
-        acc.add(gd, gd, coef * (J.T @ J), sym=True)
-
-
-def _add_scalar_jump_gram(acc, mesh, dofs, et, coef):
-    """Same moment construction for the scalar jump [v] (all edges)."""
-    for ei in range(mesh.num_edges):
-        rows = []
-        dof_list = []
-        for side, (ci, li) in enumerate(_edge_sides(mesh, ei)):
-            e = et.cell_edge(ci, li)
-            jump_sign = 1.0 if side == 0 else -1.0
-            rows.append(jump_sign * np.einsum("q,qt,qa->ta", e["w_param"],
-                                              e["trace"], e["sval"]))
-            dof_list.append(dofs.cell_scalar_dofs(ci))
-        J = np.concatenate(rows, axis=1)
-        gd = np.concatenate(dof_list)
-        acc.add(gd, gd, coef * (J.T @ J), sym=True)
+    J = edge_sides(mesh, moments, edges)
+    J = np.concatenate([J[:, 0], J[:, 1]], axis=-1)
+    cells = mesh.edge_cells[edges]
+    gd = np.where(cells[..., None] >= 0, cell_dofs[cells], -1)
+    gd = gd.reshape(len(gd), -1)
+    acc.add(gd, gd, coef * np.einsum("eta,etb->eab", J, J), sym=True)

@@ -91,31 +91,6 @@ def _load_config(path):
     return values
 
 
-def _merge_config(args, parser_defaults):
-    """Fill argparse values from the config file where flags were not given."""
-    if not getattr(args, "config", None):
-        return
-    cfg = _load_config(args.config)
-    for key, raw in cfg.items():
-        if not hasattr(args, key):
-            raise ValueError("unknown config key {!r}".format(key))
-        if getattr(args, key) is not None and getattr(args, key) != parser_defaults.get(key):
-            continue  # explicit flag wins
-        default = parser_defaults.get(key)
-        if getattr(args, key) == default:
-            setattr(args, key, _coerce(raw, key))
-
-
-def _coerce(raw, key):
-    if key in ("k", "levels", "level", "seed", "trace_degree", "first_level"):
-        return int(raw)
-    if key == "rho":
-        return float(raw)
-    if key in ("rhos", "level_list"):
-        return raw
-    return raw
-
-
 def _parse_rhos(text):
     return [float(v) for v in text.split(",") if v.strip()]
 
@@ -283,10 +258,18 @@ def _cmd_check(args):
 def main(argv=None):
     parser, subparsers = _build_parser()
     args = parser.parse_args(argv)
-    defaults = {a.dest: a.default
-                for a in subparsers[args.command]._actions}
     try:
-        _merge_config(args, defaults)
+        if args.config:
+            # config values become the subcommand's defaults: argparse then
+            # applies the types, and any flag given on the command line wins
+            sub = subparsers[args.command]
+            cfg = _load_config(args.config)
+            known = {action.dest for action in sub._actions}
+            for key in cfg:
+                if key not in known:
+                    raise ValueError("unknown config key {!r}".format(key))
+            sub.set_defaults(**cfg)
+            args = parser.parse_args(argv)
         if args.command in ("converge", "limit", "infsup"):
             os.makedirs(args.outdir, exist_ok=True)
         if args.command in ("converge", "infsup"):

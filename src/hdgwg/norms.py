@@ -2,7 +2,9 @@
 
 Exact solutions are duck-typed objects exposing vectorized callables
 ``u(xy)``, ``grad_u(xy)``, ``p(xy)`` (flux, equal to -alpha grad u) and
-``f(xy)`` (equal to div p).
+``f(xy)`` (equal to div p).  Every quantity is evaluated for all cells at
+once on the batched tables of ``hdgwg.assembly``; einsum subscripts follow
+that module.
 """
 
 from __future__ import annotations
@@ -10,87 +12,80 @@ from __future__ import annotations
 import numpy as np
 
 from . import basis
-from .assembly import CoefficientField, ElementTables, MixedDofMap, PrimalDofMap
-from .mesh import Mesh
+from .assembly import (
+    CoefficientField,
+    ElementTables,
+    MixedDofMap,
+    PrimalDofMap,
+    at_points,
+    edge_points,
+    edge_sides,
+    flux_basis,
+    norm_kind_for_case,
+    scalar_basis,
+    side_points,
+    volume_rule,
+)
 from .spaces import DofMap
 
 NORM_KINDS = ("hdg_div", "hdg_grad", "wg_grad", "wg_div")
 
 
-def _geometry(mesh, ci):
-    p = mesh.vertices[mesh.cells[ci]]
-    A = np.column_stack([p[1] - p[0], p[2] - p[0]])
-    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    return A, p[0], det, np.linalg.inv(A)
-
-
-def _side_flip(mesh, ci, li):
-    ei = mesh.cell_edges[ci, li]
-    local_start = int(mesh.cells[ci][(li + 1) % 3])
-    return local_start != mesh.edges[ei].vertices[0]
-
-
-def _edge_ref_points(li, flip, s):
-    a, b, _, _ = basis.REF_EDGES[li]
-    t = 1.0 - s if flip else s
-    return a[None, :] + t[:, None] * (b - a)[None, :]
-
-
-def _scalar_on_cell(mesh, dofs, x, ci, ref_pts):
-    """Scalar field of a solution vector on cell ``ci``: (values, gradients)."""
+def _scalar_part(dofs, x):
+    """Degree and per-cell basis coefficients (C, nb) of the scalar field."""
     if isinstance(dofs, DofMap):
-        degree = dofs.case.scalar_degree
-        coeffs = x[dofs.cell_scalar_dofs(ci)]
-    elif isinstance(dofs, PrimalDofMap):
-        degree = dofs.degree
-        g = dofs.scalar_l2g[ci]
-        coeffs = np.where(g >= 0, x[dofs.flux_total + np.maximum(g, 0)], 0.0)
-    elif isinstance(dofs, MixedDofMap):
-        degree = dofs.k
-        coeffs = x[dofs.cell_scalar_dofs(ci)]
-    else:
-        raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
-    vals, grads = basis.eval_scalar_basis(degree, ref_pts)
-    _, _, _, invA = _geometry(mesh, ci)
-    phys_grads = np.einsum("qbd,dc->qbc", grads, invA)
-    return vals @ coeffs, np.einsum("qbc,b->qc", phys_grads, coeffs)
+        return dofs.case.scalar_degree, x[dofs.cell_scalar_dofs()]
+    if isinstance(dofs, PrimalDofMap):
+        g = dofs.scalar_l2g
+        return dofs.degree, np.where(g >= 0, x[dofs.flux_total + np.maximum(g, 0)],
+                                     0.0)
+    if isinstance(dofs, MixedDofMap):
+        return dofs.k, x[dofs.cell_scalar_dofs()]
+    raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
 
 
-def _flux_on_cell(mesh, dofs, x, ci, ref_pts):
-    """Flux field of a solution vector on cell ``ci``: (values, divergences)."""
-    A, _, det, invA = _geometry(mesh, ci)
+def _flux_part(dofs, x):
+    """Family, degree and per-cell coefficients (C, nb) of the flux field."""
     if isinstance(dofs, DofMap):
         case = dofs.case
-        coeffs = x[dofs.cell_flux_dofs(ci)]
-        if case.flux_family == "rt":
-            rv, rd = basis.eval_rt_basis(case.flux_degree, ref_pts)
-            vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
-            divs = (rd / det) @ coeffs
-            return vals, divs
-        sval, sgrad = basis.eval_scalar_basis(case.flux_degree, ref_pts)
-        nbs = sval.shape[1]
-        cx, cy = coeffs[:nbs], coeffs[nbs:]
-        vals = np.column_stack([sval @ cx, sval @ cy])
-        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
-        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
-        return vals, divs
+        return case.flux_family, case.flux_degree, x[dofs.cell_flux_dofs()]
     if isinstance(dofs, MixedDofMap):
-        idx, sgn = dofs.cell_flux_map(mesh, ci)
-        coeffs = sgn * x[idx]
-        rv, rd = basis.eval_rt_basis(dofs.k, ref_pts)
-        vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
-        divs = (rd / det) @ coeffs
-        return vals, divs
+        return "rt", dofs.k, dofs.flux_sign * x[dofs.flux_l2g]
     if isinstance(dofs, PrimalDofMap):
-        coeffs = x[dofs.cell_flux_dofs(ci)]
-        sval, sgrad = basis.eval_scalar_basis(dofs.k, ref_pts)
-        nbs = sval.shape[1]
-        cx, cy = coeffs[:nbs], coeffs[nbs:]
-        vals = np.column_stack([sval @ cx, sval @ cy])
-        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
-        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
-        return vals, divs
+        return "vec", dofs.k, x[dofs.cell_flux_dofs()]
     raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
+
+
+def _scalar_field(mesh, dofs, x, pts):
+    """Scalar field of a solution vector at reference points ``pts`` of every
+    cell (see ``scalar_basis``): values (C, ...) and gradients (C, ..., 2)."""
+    degree, coeffs = _scalar_part(dofs, x)
+    vals, grads = scalar_basis(mesh, degree, pts)
+    return (np.einsum("c...b,cb->c...", vals, coeffs),
+            np.einsum("c...bk,cb->c...k", grads, coeffs))
+
+
+def _flux_field(mesh, dofs, x, pts):
+    """Flux field of a solution vector at reference points ``pts`` of every
+    cell: values (C, ..., 2) and divergences (C, ...)."""
+    family, degree, coeffs = _flux_part(dofs, x)
+    vals, divs = flux_basis(mesh, family, degree, pts)
+    return (np.einsum("c...bk,cb->c...k", vals, coeffs),
+            np.einsum("c...b,cb->c...", divs, coeffs))
+
+
+def _default_degree(case, quad_degree):
+    if quad_degree is not None:
+        return quad_degree
+    return min(2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE)
+
+
+def _coefficients(mesh, dofs, x):
+    """Flux (C,nf), scalar (C,nu) and per-side trace (C,3,nt) coefficients of
+    ``x``; zero traces where an edge carries none."""
+    td = dofs.edge_trace_dofs(mesh.cell_edges)
+    return (x[dofs.cell_flux_dofs()], x[dofs.cell_scalar_dofs()],
+            np.where(td >= 0, x[td], 0.0))
 
 
 def compute_error_norm(mesh, dofs, x, exact, rho, coeff=None, quad_degree=None):
@@ -99,89 +94,56 @@ def compute_error_norm(mesh, dofs, x, exact, rho, coeff=None, quad_degree=None):
     Returns ``(err_flux, err_scalar)``.
     """
     case = dofs.case
-    from .assembly import norm_kind_for_case
-
     kind = norm_kind_for_case(case)
     coeff = coeff or CoefficientField.unit()
-    qd = quad_degree if quad_degree is not None else min(
-        2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE
-    )
-    et = ElementTables(mesh, case, qd)
-    flux2 = 0.0
-    scal2 = 0.0
-    for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        w, xy = t["w"], t["xy"]
-        cvals = coeff.c_at(xy)
-        ph = np.einsum("qbc,b->qc", t["fval"], x[dofs.cell_flux_dofs(ci)])
-        dph = t["fdiv"] @ x[dofs.cell_flux_dofs(ci)]
-        uh = t["sval"] @ x[dofs.cell_scalar_dofs(ci)]
-        guh = np.einsum("qbc,b->qc", t["sgrad"], x[dofs.cell_scalar_dofs(ci)])
-        ep = exact.p(xy) - ph
-        eu = exact.u(xy) - uh
-        flux2 += np.einsum("q,qc,qc->", w * cvals, ep, ep)
-        if kind in ("hdg_div", "wg_div"):
-            edp = exact.f(xy) - dph
-            flux2 += w @ (edp * edp)
-        if kind in ("hdg_div", "wg_div"):
-            scal2 += w @ (eu * eu)
-        else:
-            egu = exact.grad_u(xy) - guh
-            scal2 += np.einsum("q,qc,qc->", w, egu, egu)
+    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
+    xp, xu, xt = _coefficients(mesh, dofs, x)
+    ep = at_points(exact.p, t.xy) - np.einsum("cqbk,cb->cqk", t.fval, xp)
+    flux2 = np.einsum("cq,cqk,cqk->", t.w * coeff.c_at(t.xy), ep, ep)
+    if kind in ("hdg_div", "wg_div"):
+        edp = at_points(exact.f, t.xy) - np.einsum("cqb,cb->cq", t.fdiv, xp)
+        flux2 += np.einsum("cq,cq,cq->", t.w, edp, edp)
+        eu = at_points(exact.u, t.xy) - np.einsum("cqb,cb->cq", t.sval, xu)
+        scal2 = np.einsum("cq,cq,cq->", t.w, eu, eu)
+    else:
+        egu = (at_points(exact.grad_u, t.xy)
+               - np.einsum("cqbk,cb->cqk", t.sgrad, xu))
+        scal2 = np.einsum("cq,cqk,cqk->", t.w, egu, egu)
 
-        h_K = mesh.cell_size[ci]
-        if kind == "hdg_grad":
-            coef = 1.0 / (rho * h_K)
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                uh_e = e["sval"] @ x[dofs.cell_scalar_dofs(ci)]
-                td = dofs.edge_trace_dofs(e["edge"])
-                hat = e["trace"] @ x[td] if td is not None else 0.0
-                d = hat - uh_e
-                scal2 += coef * (e["w"] @ (d * d))
-        if kind in ("wg_grad", "wg_div"):
-            coef = rho * h_K if kind == "wg_grad" else 1.0 / (rho * h_K)
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                sign = e["sign"]
-                n_K = sign * mesh.edges[e["edge"]].normal
-                n_e = mesh.edges[e["edge"]].normal
-                ph_n = e["flux_n"] @ x[dofs.cell_flux_dofs(ci)]
-                td = dofs.edge_trace_dofs(e["edge"])
-                hat = e["trace"] @ x[td]
-                pex = exact.p(e["xy"])
-                d = (pex @ n_K - ph_n) - sign * (pex @ n_e - hat)
-                flux2 += coef * (e["w"] @ (d * d))
+    h = mesh.cell_size[:, None, None]
+    hat = np.einsum("qt,clt->clq", t.trace, xt)
+    if kind == "hdg_grad":
+        d = hat - np.einsum("clqb,cb->clq", t.edge_sval, xu)
+        scal2 += np.einsum("clq,clq,clq->", t.edge_w / (rho * h), d, d)
+    if kind in ("wg_grad", "wg_div"):
+        coef = rho * h if kind == "wg_grad" else 1.0 / (rho * h)
+        sign = mesh.cell_edge_sign[..., None]
+        pex = at_points(exact.p, t.edge_xy)
+        pn_e = np.einsum("clqk,clk->clq", pex, mesh.edge_normal[mesh.cell_edges])
+        pn_K = np.einsum("clqk,clk->clq", pex, t.normal)
+        ph_n = np.einsum("clqa,ca->clq", t.flux_n, xp)
+        d = (pn_K - ph_n) - sign * (pn_e - hat)
+        flux2 += np.einsum("clq,clq,clq->", coef * t.edge_w, d, d)
 
     if kind == "hdg_div":
         # scalar trace error rho h_e <u - u_hat, u - u_hat>
-        for ei in dofs.trace_edges:
-            edge = mesh.edges[ei]
-            ci, li = edge.cells[0], edge.local_index[0]
-            e = et.cell_edge(ci, li)
-            hat = e["trace"] @ x[dofs.edge_trace_dofs(ei)]
-            d = exact.u(e["xy"]) - hat
-            scal2 += rho * edge.length * (e["w"] @ (d * d))
+        te = dofs.trace_edges
+        h_e = mesh.edge_length[te][:, None]
+        d = (at_points(exact.u, edge_points(mesh, t.edge.points)[te])
+             - x[dofs.edge_trace_dofs(te)] @ t.trace.T)
+        scal2 += rho * np.einsum("eq,eq,eq->", h_e * h_e * t.edge.weights, d, d)
         # projected normal-jump error rho^{-1} h_e^{-1} <P[p - p_h], P[p - p_h]>
-        for ei in mesh.interior_edges:
-            mu = 0.0
-            for ci, li in zip(mesh.edges[ei].cells, mesh.edges[ei].local_index):
-                e = et.cell_edge(ci, li)
-                n_K = e["sign"] * mesh.edges[ei].normal
-                d = exact.p(e["xy"]) @ n_K - e["flux_n"] @ x[dofs.cell_flux_dofs(ci)]
-                mu = mu + np.einsum("q,qt->t", e["w_param"] * d, e["trace"])
-            flux2 += (mu @ mu) / rho
+        d = (np.einsum("clqk,clk->clq", at_points(exact.p, t.edge_xy), t.normal)
+             - np.einsum("clqa,ca->clq", t.flux_n, xp))
+        mu = edge_sides(mesh, t.moments(d), mesh.interior_edges).sum(axis=1)
+        flux2 += np.sum(mu * mu) / rho
     if kind == "wg_grad":
         # projected scalar-jump error rho^{-1} h_e^{-1} |Q[u - u_h]|^2
-        for ei in range(mesh.num_edges):
-            mu = 0.0
-            edge = mesh.edges[ei]
-            for side, (ci, li) in enumerate(zip(edge.cells, edge.local_index)):
-                e = et.cell_edge(ci, li)
-                d = exact.u(e["xy"]) - e["sval"] @ x[dofs.cell_scalar_dofs(ci)]
-                js = 1.0 if side == 0 else -1.0
-                mu = mu + js * np.einsum("q,qt->t", e["w_param"] * d, e["trace"])
-            scal2 += (mu @ mu) / rho
+        d = (at_points(exact.u, t.edge_xy)
+             - np.einsum("clqb,cb->clq", t.edge_sval, xu))
+        moments = mesh.cell_edge_sign[..., None] * t.moments(d)
+        mu = edge_sides(mesh, moments).sum(axis=1)
+        scal2 += np.sum(mu * mu) / rho
     return float(np.sqrt(flux2)), float(np.sqrt(scal2))
 
 
@@ -194,23 +156,15 @@ def broken_h1_distance(mesh, dofs_a, xa, dofs_b, xb, quad_degree=None):
     qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
     tri = basis.tri_quadrature(qd)
     eq = basis.edge_quadrature(qd)
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        _, _, det, _ = _geometry(mesh, ci)
-        _, ga = _scalar_on_cell(mesh, dofs_a, xa, ci, tri.xy)
-        _, gb = _scalar_on_cell(mesh, dofs_b, xb, ci, tri.xy)
-        d = ga - gb
-        total += np.einsum("q,qc,qc->", tri.weights * det, d, d)
-    for ei in range(mesh.num_edges):
-        edge = mesh.edges[ei]
-        jump = 0.0
-        for side, (ci, li) in enumerate(zip(edge.cells, edge.local_index)):
-            pts = _edge_ref_points(li, _side_flip(mesh, ci, li), eq.points)
-            va, _ = _scalar_on_cell(mesh, dofs_a, xa, ci, pts)
-            vb, _ = _scalar_on_cell(mesh, dofs_b, xb, ci, pts)
-            js = 1.0 if side == 0 else -1.0
-            jump = jump + js * (va - vb)
-        total += eq.weights @ (jump * jump)  # 1/h_e cancels ds = h_e ds_param
+    _, ga = _scalar_field(mesh, dofs_a, xa, tri.xy)
+    _, gb = _scalar_field(mesh, dofs_b, xb, tri.xy)
+    d = ga - gb
+    total = np.einsum("cq,cqk,cqk->", volume_rule(mesh, tri)[0], d, d)
+    pts = side_points(mesh, eq.points)
+    va, _ = _scalar_field(mesh, dofs_a, xa, pts)
+    vb, _ = _scalar_field(mesh, dofs_b, xb, pts)
+    jump = edge_sides(mesh, mesh.cell_edge_sign[..., None] * (va - vb)).sum(axis=1)
+    total += np.einsum("q,eq,eq->", eq.weights, jump, jump)  # 1/h_e cancels ds = h_e ds_param
     return float(np.sqrt(total))
 
 
@@ -218,17 +172,14 @@ def flux_distance(mesh, dofs_a, xa, dofs_b, xb, hdiv=False, quad_degree=None):
     """L2 (or broken H(div)) distance of two discrete flux fields."""
     qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
     tri = basis.tri_quadrature(qd)
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        _, _, det, _ = _geometry(mesh, ci)
-        va, da = _flux_on_cell(mesh, dofs_a, xa, ci, tri.xy)
-        vb, db = _flux_on_cell(mesh, dofs_b, xb, ci, tri.xy)
-        w = tri.weights * det
-        d = va - vb
-        total += np.einsum("q,qc,qc->", w, d, d)
-        if hdiv:
-            dd = da - db
-            total += w @ (dd * dd)
+    w = volume_rule(mesh, tri)[0]
+    va, da = _flux_field(mesh, dofs_a, xa, tri.xy)
+    vb, db = _flux_field(mesh, dofs_b, xb, tri.xy)
+    d = va - vb
+    total = np.einsum("cq,cqk,cqk->", w, d, d)
+    if hdiv:
+        dd = da - db
+        total += np.einsum("cq,cq,cq->", w, dd, dd)
     return float(np.sqrt(total))
 
 
@@ -236,14 +187,16 @@ def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, quad_degree=None):
     """L2 distance of two discrete scalar fields."""
     qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
     tri = basis.tri_quadrature(qd)
-    total = 0.0
-    for ci in range(mesh.num_cells):
-        _, _, det, _ = _geometry(mesh, ci)
-        va, _ = _scalar_on_cell(mesh, dofs_a, xa, ci, tri.xy)
-        vb, _ = _scalar_on_cell(mesh, dofs_b, xb, ci, tri.xy)
-        d = va - vb
-        total += (tri.weights * det) @ (d * d)
-    return float(np.sqrt(total))
+    va, _ = _scalar_field(mesh, dofs_a, xa, tri.xy)
+    vb, _ = _scalar_field(mesh, dofs_b, xb, tri.xy)
+    d = va - vb
+    return float(np.sqrt(np.einsum("cq,cq,cq->", volume_rule(mesh, tri)[0], d, d)))
+
+
+def _scatter(r, dofs, values):
+    """r[dofs] += values, summing repeated DOFs and skipping negative ones."""
+    keep = dofs >= 0
+    np.add.at(r, dofs[keep], values[keep])
 
 
 def consistency_residual(mesh, dofs, exact, coeff=None, quad_degree=None):
@@ -257,60 +210,42 @@ def consistency_residual(mesh, dofs, exact, coeff=None, quad_degree=None):
     """
     case = dofs.case
     coeff = coeff or CoefficientField.unit()
-    qd = quad_degree if quad_degree is not None else min(
-        2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE
-    )
-    et = ElementTables(mesh, case, qd)
+    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
+    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
+    td = dofs.edge_trace_dofs(mesh.cell_edges)
     r = np.zeros(dofs.total)
     scale = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        w, xy = t["w"], t["xy"]
-        cvals = coeff.c_at(xy)
-        pd = dofs.cell_flux_dofs(ci)
-        ud = dofs.cell_scalar_dofs(ci)
-        pex = exact.p(xy)
-        uex = exact.u(xy)
-        fex = exact.f(xy)
-        scale[pd] += np.einsum("q,qac,qac->a", w, t["fval"], t["fval"])
-        scale[ud] += np.einsum("q,qa,qa->a", w, t["sval"], t["sval"])
-        if case.method == "hdg":
-            r[pd] += np.einsum("q,qc,qac->a", w * cvals, pex, t["fval"])
-            r[pd] -= np.einsum("q,qa->a", w * uex, t["fdiv"])
-            # rows v reduce to ((f - div p), v) which vanishes pointwise
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                uhat = exact.u(e["xy"])
-                r[pd] += np.einsum("q,qa->a", e["w"] * uhat, e["flux_n"])
-                # c_h rows with exact u - u_hat = 0 on every edge
-                td = dofs.edge_trace_dofs(e["edge"])
-                if td is not None:
-                    pn = exact.p(e["xy"]) @ (e["sign"] * mesh.edges[e["edge"]].normal)
-                    r[td] += np.einsum("q,qt->t", e["w"] * pn, e["trace"])
-                    scale[td] = e["h_e"]
-        else:
-            gux = exact.grad_u(xy)
-            r[pd] += np.einsum("q,qc,qac->a", w * cvals, pex, t["fval"])
-            r[pd] += np.einsum("q,qc,qac->a", w, gux, t["fval"])
-            r[ud] += np.einsum("q,qc,qbc->b", w, pex, t["sgrad"])
-            r[ud] += (w * fex) @ t["sval"]
-            eta = case.stabilization(mesh.cell_size[ci])
-            for li in range(3):
-                e = et.cell_edge(ci, li)
-                sign = e["sign"]
-                n_e = mesh.edges[e["edge"]].normal
-                pex_e = exact.p(e["xy"])
-                # stabilization with exact p-hat = p.n_e vanishes pointwise
-                stab = pex_e @ (sign * n_e) - sign * (pex_e @ n_e)
-                r[pd] += eta * np.einsum("q,qa->a", e["w"] * stab, e["flux_n"])
-                uex_e = exact.u(e["xy"])
-                r[ud] -= np.einsum("q,qb->b", e["w"] * (sign * pex_e @ n_e),
-                                   e["sval"])
-                td = dofs.edge_trace_dofs(e["edge"])
-                r[td] -= sign * np.einsum("q,qt->t", e["w"] * uex_e, e["trace"])
-                r[td] -= eta * sign * np.einsum("q,qt->t", e["w"] * stab,
-                                                e["trace"])
-                scale[td] = e["h_e"]
+    w = t.w
+    pex = at_points(exact.p, t.xy)
+    scale[pd] += np.einsum("cq,cqak,cqak->ca", w, t.fval, t.fval)
+    scale[ud] += np.einsum("cq,cqa,cqa->ca", w, t.sval, t.sval)
+    scale[dofs.edge_trace_dofs(dofs.trace_edges)] = (
+        mesh.edge_length[dofs.trace_edges][:, None])
+    pex_e = at_points(exact.p, t.edge_xy)
+    pn_K = np.einsum("clqk,clk->clq", pex_e, t.normal)
+    uex_e = at_points(exact.u, t.edge_xy)
+    r[pd] += np.einsum("cq,cqk,cqak->ca", w * coeff.c_at(t.xy), pex, t.fval)
+    if case.method == "hdg":
+        r[pd] -= np.einsum("cq,cqa->ca", w * at_points(exact.u, t.xy), t.fdiv)
+        # rows v reduce to ((f - div p), v) which vanishes pointwise
+        r[pd] += np.einsum("clq,clqa->ca", t.edge_w * uex_e, t.flux_n)
+        # c_h rows with exact u - u_hat = 0 on every edge
+        _scatter(r, td, t.edge_mass(pn_K))
+    else:
+        r[pd] += np.einsum("cq,cqk,cqak->ca", w, at_points(exact.grad_u, t.xy),
+                           t.fval)
+        r[ud] += np.einsum("cq,cqk,cqbk->cb", w, pex, t.sgrad)
+        r[ud] += np.einsum("cq,cqb->cb", w * at_points(exact.f, t.xy), t.sval)
+        eta = case.stabilization(mesh.cell_size)[:, None, None]
+        sign = mesh.cell_edge_sign[..., None]
+        pn_e = np.einsum("clqk,clk->clq", pex_e,
+                         mesh.edge_normal[mesh.cell_edges])
+        # stabilization with exact p-hat = p.n_e vanishes pointwise
+        stab = pn_K - sign * pn_e
+        r[pd] += np.einsum("clq,clqa->ca", eta * t.edge_w * stab, t.flux_n)
+        r[ud] -= np.einsum("clq,clqb->cb", t.edge_w * (sign * pn_e), t.edge_sval)
+        _scatter(r, td, -sign * t.edge_mass(uex_e))
+        _scatter(r, td, -eta * sign * t.edge_mass(stab))
     return float(np.max(np.abs(r) / np.sqrt(scale)))
 
 
@@ -320,44 +255,23 @@ def dg_identity_residual(mesh, dofs, x, quad_degree=None):
     Checks sum_K <v, q.n_K> = <avg q, jump v> + <jump q, avg v> for the
     discrete scalar and flux parts of ``x``, where the scalar jump is
     vector-valued, the flux jump scalar-valued, and boundary edges carry
-    the one-sided convention.
+    the one-sided convention (the missing side counts as zero).
     """
     case = dofs.case
-    qd = quad_degree if quad_degree is not None else min(
-        2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE
-    )
-    et = ElementTables(mesh, case, qd)
-    lhs = 0.0
-    for ci in range(mesh.num_cells):
-        for li in range(3):
-            e = et.cell_edge(ci, li)
-            v = e["sval"] @ x[dofs.cell_scalar_dofs(ci)]
-            qn = e["flux_n"] @ x[dofs.cell_flux_dofs(ci)]
-            lhs += e["w"] @ (v * qn)
-    rhs = 0.0
-    for ei in range(mesh.num_edges):
-        edge = mesh.edges[ei]
-        sides = list(zip(edge.cells, edge.local_index))
-        vals = []
-        for ci, li in sides:
-            e = et.cell_edge(ci, li)
-            v = e["sval"] @ x[dofs.cell_scalar_dofs(ci)]
-            q, _ = _flux_on_cell(
-                mesh, dofs, x, ci,
-                _edge_ref_points(li, _side_flip(mesh, ci, li),
-                                 et.edge.points),
-            )
-            n_K = e["sign"] * edge.normal
-            vals.append((v, q, n_K, e["w"]))
-        if edge.boundary:
-            v, q, n_K, w = vals[0]
-            rhs += w @ (v * (q @ n_K))
-        else:
-            (v1, q1, n1, w), (v2, q2, n2, _) = vals
-            avg_q = 0.5 * (q1 + q2)
-            jump_v = v1[:, None] * n1[None, :] + v2[:, None] * n2[None, :]
-            jump_q = q1 @ n1 + q2 @ n2
-            avg_v = 0.5 * (v1 + v2)
-            rhs += w @ np.einsum("qc,qc->q", avg_q, jump_v)
-            rhs += w @ (jump_q * avg_v)
+    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
+    xp, xu, _ = _coefficients(mesh, dofs, x)
+    v = np.einsum("clqb,cb->clq", t.edge_sval, xu)
+    lhs = np.einsum("clq,clq,clqa,ca->", t.edge_w, v, t.flux_n, xp)
+    q = edge_sides(mesh, np.einsum("clqbk,cb->clqk", t.edge_fval, xp))
+    v = edge_sides(mesh, v)
+    n = edge_sides(mesh, t.normal)
+    w = edge_sides(mesh, t.edge_w)[:, 0]
+    avg_q = 0.5 * (q[:, 0] + q[:, 1])
+    jump_v = (v[:, 0, :, None] * n[:, 0, None, :]
+              + v[:, 1, :, None] * n[:, 1, None, :])
+    jump_q = (np.einsum("eqk,ek->eq", q[:, 0], n[:, 0])
+              + np.einsum("eqk,ek->eq", q[:, 1], n[:, 1]))
+    avg_v = 0.5 * (v[:, 0] + v[:, 1])
+    rhs = (np.einsum("eq,eqk,eqk->", w, avg_q, jump_v)
+           + np.einsum("eq,eq,eq->", w, jump_q, avg_v))
     return abs(lhs - rhs)

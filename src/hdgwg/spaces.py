@@ -109,7 +109,7 @@ class DofMap:
 
     case: SpaceCase
     num_cells: int
-    trace_edges: list
+    trace_edges: np.ndarray
     flux_per_cell: int
     scalar_per_cell: int
     trace_per_edge: int
@@ -141,32 +141,38 @@ class DofMap:
             "trace": self.trace_slice,
         }
 
-    def cell_flux_dofs(self, ci):
-        start = self.flux_offset + ci * self.flux_per_cell
-        return np.arange(start, start + self.flux_per_cell)
+    def cell_flux_dofs(self, ci=None):
+        """Flux DOFs of cell(s) ``ci`` (default all cells): (..., flux_per_cell)."""
+        return cell_block_dofs(self.flux_offset, self.flux_per_cell,
+                               self.num_cells, ci)
 
-    def cell_scalar_dofs(self, ci):
-        start = self.scalar_offset + ci * self.scalar_per_cell
-        return np.arange(start, start + self.scalar_per_cell)
+    def cell_scalar_dofs(self, ci=None):
+        """Scalar DOFs of cell(s) ``ci`` (default all cells)."""
+        return cell_block_dofs(self.scalar_offset, self.scalar_per_cell,
+                               self.num_cells, ci)
 
     def edge_trace_dofs(self, ei):
-        """Trace DOFs of global edge ``ei`` or None if the edge carries none."""
-        pos = self.edge_offset[ei]
-        if pos < 0:
-            return None
-        start = self.trace_offset + pos * self.trace_per_edge
-        return np.arange(start, start + self.trace_per_edge)
+        """Trace DOFs of edge(s) ``ei``: (..., trace_per_edge), -1 on edges
+        that carry none."""
+        pos = self.edge_offset[ei][..., None]
+        dofs = self.trace_offset + pos * self.trace_per_edge
+        return np.where(pos >= 0, dofs + np.arange(self.trace_per_edge), -1)
+
+
+def cell_block_dofs(offset, per_cell, num_cells, ci=None):
+    """DOFs ``offset + ci * per_cell + [0, per_cell)`` of cell(s) ``ci``."""
+    cells = np.arange(num_cells) if ci is None else np.asarray(ci)
+    return offset + cells[..., None] * per_cell + np.arange(per_cell)
 
 
 def build_space_triple(mesh, case):
     """DofMap for ``case`` on ``mesh`` with deterministic ordering."""
     if case.method == "hdg":
-        trace_edges = list(mesh.interior_edges)
+        trace_edges = mesh.interior_edges
     else:
-        trace_edges = list(range(mesh.num_edges))
+        trace_edges = np.arange(mesh.num_edges)
     edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    for pos, ei in enumerate(trace_edges):
-        edge_offset[ei] = pos
+    edge_offset[trace_edges] = np.arange(len(trace_edges))
     return DofMap(
         case=case,
         num_cells=mesh.num_cells,

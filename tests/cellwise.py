@@ -1,0 +1,102 @@
+"""Unbatched per-cell evaluators, the independent side of the form oracles.
+
+Each function works on one cell at a time with its own affine geometry, so
+the tests compare the batched kernels of ``hdgwg`` against code that shares
+nothing with them but the reference bases and the mesh arrays.
+"""
+
+import numpy as np
+
+from hdgwg import basis
+from hdgwg.assembly import MixedDofMap, PrimalDofMap
+from hdgwg.mesh import Mesh, build_structured_mesh
+from hdgwg.spaces import DofMap
+
+
+def jittered_mesh():
+    """``build_structured_mesh(4)`` with each interior vertex moved by at
+    most 0.15 h, deterministically; every cell stays counterclockwise."""
+    base = build_structured_mesh(4)
+    h = 0.25
+    rng = np.random.default_rng(0)
+    v = base.vertices
+    interior = np.all((v > 0.0) & (v < 1.0), axis=1)
+    # each component within 0.15 h / sqrt(2), so the move is at most 0.15 h
+    shift = rng.uniform(-1.0, 1.0, v.shape) * 0.15 * h / np.sqrt(2.0)
+    return Mesh(v + interior[:, None] * shift, base.cells)
+
+
+def _geometry(mesh, ci):
+    p = mesh.vertices[mesh.cells[ci]]
+    A = np.column_stack([p[1] - p[0], p[2] - p[0]])
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return A, p[0], det, np.linalg.inv(A)
+
+
+def _side_flip(mesh, ci, li):
+    ei = mesh.cell_edges[ci, li]
+    local_start = int(mesh.cells[ci][(li + 1) % 3])
+    return local_start != mesh.edge_vertices[ei, 0]
+
+
+def _edge_ref_points(li, flip, s):
+    a, b, _, _ = basis.REF_EDGES[li]
+    t = 1.0 - s if flip else s
+    return a[None, :] + t[:, None] * (b - a)[None, :]
+
+
+def _scalar_on_cell(mesh, dofs, x, ci, ref_pts):
+    """Scalar field of a solution vector on cell ``ci``: (values, gradients)."""
+    if isinstance(dofs, DofMap):
+        degree = dofs.case.scalar_degree
+        coeffs = x[dofs.cell_scalar_dofs(ci)]
+    elif isinstance(dofs, PrimalDofMap):
+        degree = dofs.degree
+        g = dofs.scalar_l2g[ci]
+        coeffs = np.where(g >= 0, x[dofs.flux_total + np.maximum(g, 0)], 0.0)
+    elif isinstance(dofs, MixedDofMap):
+        degree = dofs.k
+        coeffs = x[dofs.cell_scalar_dofs(ci)]
+    else:
+        raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
+    vals, grads = basis.eval_scalar_basis(degree, ref_pts)
+    _, _, _, invA = _geometry(mesh, ci)
+    phys_grads = np.einsum("qbd,dc->qbc", grads, invA)
+    return vals @ coeffs, np.einsum("qbc,b->qc", phys_grads, coeffs)
+
+
+def _flux_on_cell(mesh, dofs, x, ci, ref_pts):
+    """Flux field of a solution vector on cell ``ci``: (values, divergences)."""
+    A, _, det, invA = _geometry(mesh, ci)
+    if isinstance(dofs, DofMap):
+        case = dofs.case
+        coeffs = x[dofs.cell_flux_dofs(ci)]
+        if case.flux_family == "rt":
+            rv, rd = basis.eval_rt_basis(case.flux_degree, ref_pts)
+            vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
+            divs = (rd / det) @ coeffs
+            return vals, divs
+        sval, sgrad = basis.eval_scalar_basis(case.flux_degree, ref_pts)
+        nbs = sval.shape[1]
+        cx, cy = coeffs[:nbs], coeffs[nbs:]
+        vals = np.column_stack([sval @ cx, sval @ cy])
+        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
+        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
+        return vals, divs
+    if isinstance(dofs, MixedDofMap):
+        idx, sgn = dofs.flux_l2g[ci], dofs.flux_sign[ci]
+        coeffs = sgn * x[idx]
+        rv, rd = basis.eval_rt_basis(dofs.k, ref_pts)
+        vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
+        divs = (rd / det) @ coeffs
+        return vals, divs
+    if isinstance(dofs, PrimalDofMap):
+        coeffs = x[dofs.cell_flux_dofs(ci)]
+        sval, sgrad = basis.eval_scalar_basis(dofs.k, ref_pts)
+        nbs = sval.shape[1]
+        cx, cy = coeffs[:nbs], coeffs[nbs:]
+        vals = np.column_stack([sval @ cx, sval @ cy])
+        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
+        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
+        return vals, divs
+    raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))

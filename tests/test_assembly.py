@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from hdgwg import basis, norms
+from hdgwg import basis
 from hdgwg.assembly import (
     CoefficientField,
     assemble_hdg,
@@ -19,16 +19,18 @@ from hdgwg.linalg import solve_symmetric_indefinite
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.spaces import SpaceCase, build_space_triple
 
+import cellwise
+from cellwise import jittered_mesh
+
 ZERO = lambda xy: np.zeros(len(xy))
 ONE = lambda xy: np.ones(len(xy))
 
 
 def _edge_data(mesh, ci, li, s):
     ei = mesh.cell_edges[ci, li]
-    edge = mesh.edges[ei]
-    pts = norms._edge_ref_points(li, norms._side_flip(mesh, ci, li), s)
-    sign = mesh.cell_edge_sign(ci, li)
-    return ei, edge, pts, sign
+    pts = cellwise._edge_ref_points(li, cellwise._side_flip(mesh, ci, li), s)
+    sign = mesh.cell_edge_sign[ci, li]
+    return ei, mesh.edge_normal[ei], mesh.edge_length[ei], pts, sign
 
 
 def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
@@ -41,29 +43,29 @@ def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
     eq = basis.edge_quadrature(2 * case.k + 2)
     total = 0.0
     for ci in range(mesh.num_cells):
-        A, b0, det, _ = norms._geometry(mesh, ci)
+        A, b0, det, _ = cellwise._geometry(mesh, ci)
         w = tri.weights * det
         xy = tri.xy @ A.T + b0
-        pa, dpa = norms._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-        pb, dpb = norms._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-        ua, _ = norms._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-        ub, _ = norms._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
+        pa, dpa = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
+        pb, dpb = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
+        ua, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
+        ub, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
         c = coeff.c_at(xy)
         total += np.einsum("q,qc,qc->", w * c, pa, pb)
         total -= w @ (ua * dpb) + w @ (ub * dpa)
         tau = case.stabilization(mesh.cell_size[ci])
         for li in range(3):
-            ei, edge, pts, sign = _edge_data(mesh, ci, li, eq.points)
-            n_K = sign * edge.normal
-            qa, _ = norms._flux_on_cell(mesh, dofs, xa, ci, pts)
-            qb, _ = norms._flux_on_cell(mesh, dofs, xb, ci, pts)
-            va, _ = norms._scalar_on_cell(mesh, dofs, xa, ci, pts)
-            vb, _ = norms._scalar_on_cell(mesh, dofs, xb, ci, pts)
+            ei, normal, length, pts, sign = _edge_data(mesh, ci, li, eq.points)
+            n_K = sign * normal
+            qa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, pts)
+            qb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, pts)
+            va, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, pts)
+            vb, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, pts)
             td = dofs.edge_trace_dofs(ei)
             tv = basis.eval_edge_basis(case.trace_deg, eq.points)
-            hata = tv @ xa[td] if td is not None else np.zeros(len(eq.points))
-            hatb = tv @ xb[td] if td is not None else np.zeros(len(eq.points))
-            we = eq.weights * edge.length
+            hata = tv @ np.where(td >= 0, xa[td], 0.0)
+            hatb = tv @ np.where(td >= 0, xb[td], 0.0)
+            we = eq.weights * length
             total += we @ (hata * (qb @ n_K)) + we @ (hatb * (qa @ n_K))
             total -= tau * (we @ ((va - hata) * (vb - hatb)))
     return total
@@ -75,29 +77,29 @@ def wg_form_oracle(mesh, dofs, case, coeff, xa, xb):
     eq = basis.edge_quadrature(2 * case.k + 2)
     total = 0.0
     for ci in range(mesh.num_cells):
-        A, b0, det, _ = norms._geometry(mesh, ci)
+        A, b0, det, _ = cellwise._geometry(mesh, ci)
         w = tri.weights * det
         xy = tri.xy @ A.T + b0
-        pa, _ = norms._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-        pb, _ = norms._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-        _, gua = norms._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-        _, gub = norms._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
+        pa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
+        pb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
+        _, gua = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
+        _, gub = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
         c = coeff.c_at(xy)
         total += np.einsum("q,qc,qc->", w * c, pa, pb)
         total += np.einsum("q,qc,qc->", w, pa, gub)
         total += np.einsum("q,qc,qc->", w, pb, gua)
         eta = case.stabilization(mesh.cell_size[ci])
         for li in range(3):
-            ei, edge, pts, sign = _edge_data(mesh, ci, li, eq.points)
-            n_K = sign * edge.normal
-            qa, _ = norms._flux_on_cell(mesh, dofs, xa, ci, pts)
-            qb, _ = norms._flux_on_cell(mesh, dofs, xb, ci, pts)
-            va, _ = norms._scalar_on_cell(mesh, dofs, xa, ci, pts)
-            vb, _ = norms._scalar_on_cell(mesh, dofs, xb, ci, pts)
+            ei, normal, length, pts, sign = _edge_data(mesh, ci, li, eq.points)
+            n_K = sign * normal
+            qa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, pts)
+            qb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, pts)
+            va, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, pts)
+            vb, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, pts)
             tv = basis.eval_edge_basis(case.trace_deg, eq.points)
             hata = tv @ xa[dofs.edge_trace_dofs(ei)]
             hatb = tv @ xb[dofs.edge_trace_dofs(ei)]
-            we = eq.weights * edge.length
+            we = eq.weights * length
             total -= sign * (we @ (hata * vb) + we @ (hatb * va))
             da = qa @ n_K - sign * hata
             db = qb @ n_K - sign * hatb
@@ -109,44 +111,62 @@ def rhs_oracle(mesh, dofs, f, x, quad_degree=8):
     tri = basis.tri_quadrature(quad_degree)
     total = 0.0
     for ci in range(mesh.num_cells):
-        A, b0, det, _ = norms._geometry(mesh, ci)
+        A, b0, det, _ = cellwise._geometry(mesh, ci)
         xy = tri.xy @ A.T + b0
-        v, _ = norms._scalar_on_cell(mesh, dofs, x, ci, tri.xy)
+        v, _ = cellwise._scalar_on_cell(mesh, dofs, x, ci, tri.xy)
         total -= (tri.weights * det) @ (f(xy) * v)
     return total
 
 
-@pytest.mark.parametrize("method,regime", [("hdg", "rho_h"), ("hdg", "inv")])
-def test_hdg_matrix_against_oracle(method, regime):
-    mesh = build_structured_mesh(1)
+MESHES = {"unit": lambda: build_structured_mesh(1), "jittered": jittered_mesh}
+
+
+def _with_meshes(method):
+    """(method, regime, mesh) inputs; the unit-mesh ids stay "method-regime"."""
+    return pytest.mark.parametrize("method,regime,mesh_name", [
+        pytest.param(method, regime, name, id="-".join(
+            [method, regime] + ([name] if name != "unit" else [])))
+        for name in MESHES for regime in ("rho_h", "inv")])
+
+
+def _probe_vectors(n):
+    """Unit vectors, so x_a' A x_b is an entry of A; for systems too large to
+    probe entrywise, 8 random unit-norm vectors."""
+    if n <= 20:
+        return np.eye(n)
+    x = np.random.default_rng(n).standard_normal((8, n))
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+@_with_meshes("hdg")
+def test_hdg_matrix_against_oracle(method, regime, mesh_name):
+    mesh = MESHES[mesh_name]()
     case = SpaceCase(method, regime, 0, 0.7)
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + 0.5 * xy[:, 0])
     f = lambda xy: xy[:, 0] + 2.0 * xy[:, 1]
     sys = assemble_hdg(mesh, dofs, case, coeff, f)
-    dense = sys.matrix.toarray()
-    eye = np.eye(dofs.total)
-    for i in range(dofs.total):
-        assert abs(rhs_oracle(mesh, dofs, f, eye[i]) - sys.rhs[i]) < 1e-12
-        for j in range(i, dofs.total):
-            ref = hdg_form_oracle(mesh, dofs, case, coeff, eye[i], eye[j])
-            assert abs(dense[i, j] - ref) < 1e-12
+    probes = _probe_vectors(dofs.total)
+    for i, xa in enumerate(probes):
+        assert abs(rhs_oracle(mesh, dofs, f, xa) - sys.rhs @ xa) < 1e-12
+        for xb in probes[i:]:
+            ref = hdg_form_oracle(mesh, dofs, case, coeff, xa, xb)
+            assert abs(xa @ (sys.matrix @ xb) - ref) < 1e-12
 
 
-@pytest.mark.parametrize("method,regime", [("wg", "rho_h"), ("wg", "inv")])
-def test_wg_matrix_against_oracle(method, regime):
-    mesh = build_structured_mesh(1)
+@_with_meshes("wg")
+def test_wg_matrix_against_oracle(method, regime, mesh_name):
+    mesh = MESHES[mesh_name]()
     case = SpaceCase(method, regime, 0, 0.4)
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 1])
     f = lambda xy: np.sin(xy[:, 0])
     sys = assemble_wg(mesh, dofs, case, coeff, f)
-    dense = sys.matrix.toarray()
-    eye = np.eye(dofs.total)
-    for i in range(dofs.total):
-        for j in range(i, dofs.total):
-            ref = wg_form_oracle(mesh, dofs, case, coeff, eye[i], eye[j])
-            assert abs(dense[i, j] - ref) < 1e-10
+    probes = _probe_vectors(dofs.total)
+    for i, xa in enumerate(probes):
+        for xb in probes[i:]:
+            ref = wg_form_oracle(mesh, dofs, case, coeff, xa, xb)
+            assert abs(xa @ (sys.matrix @ xb) - ref) < 1e-10
 
 
 def test_wg_rhs_against_oracle():
@@ -214,13 +234,13 @@ def test_primal_conforming_against_oracle():
     def form(xa, xb):
         total = 0.0
         for ci in range(mesh.num_cells):
-            A, b0, det, _ = norms._geometry(mesh, ci)
+            A, b0, det, _ = cellwise._geometry(mesh, ci)
             w = tri.weights * det
             xy = tri.xy @ A.T + b0
-            pa, _ = norms._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-            pb, _ = norms._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-            _, ga = norms._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-            _, gb = norms._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
+            pa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
+            pb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
+            _, ga = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
+            _, gb = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
             c = coeff.c_at(xy)
             total += np.einsum("q,qc,qc->", w * c, pa, pb)
             total += np.einsum("q,qc,qc->", w, pa, gb)
@@ -247,13 +267,13 @@ def test_mixed_conforming_against_oracle():
     def form(xa, xb):
         total = 0.0
         for ci in range(mesh.num_cells):
-            A, b0, det, _ = norms._geometry(mesh, ci)
+            A, b0, det, _ = cellwise._geometry(mesh, ci)
             w = tri.weights * det
             xy = tri.xy @ A.T + b0
-            pa, dpa = norms._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-            pb, dpb = norms._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-            ua, _ = norms._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-            ub, _ = norms._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
+            pa, dpa = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
+            pb, dpb = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
+            ua, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
+            ub, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
             c = coeff.c_at(xy)
             total += np.einsum("q,qc,qc->", w * c, pa, pb)
             total -= w @ (ua * dpb) + w @ (ub * dpa)
@@ -272,7 +292,7 @@ def test_mixed_conforming_divergence_identity():
     x = solve_symmetric_indefinite(sys.matrix, sys.rhs)
     tri = basis.tri_quadrature(2)
     for ci in range(mesh.num_cells):
-        _, divs = norms._flux_on_cell(mesh, dofs, x, ci, tri.xy)
+        _, divs = cellwise._flux_on_cell(mesh, dofs, x, ci, tri.xy)
         assert np.max(np.abs(divs - 1.0)) < 1e-9
 
 
@@ -284,12 +304,11 @@ def test_mixed_normal_trace_is_single_valued():
     x = rng.standard_normal(dofs.total)
     s = np.linspace(0.1, 0.9, 5)
     for ei in mesh.interior_edges:
-        edge = mesh.edges[ei]
         traces = []
-        for ci, li in zip(edge.cells, edge.local_index):
-            pts = norms._edge_ref_points(li, norms._side_flip(mesh, ci, li), s)
-            vals, _ = norms._flux_on_cell(mesh, dofs, x, ci, pts)
-            traces.append(vals @ edge.normal)
+        for ci, li in zip(mesh.edge_cells[ei], mesh.edge_local[ei]):
+            pts = cellwise._edge_ref_points(li, cellwise._side_flip(mesh, ci, li), s)
+            vals, _ = cellwise._flux_on_cell(mesh, dofs, x, ci, pts)
+            traces.append(vals @ mesh.edge_normal[ei])
         assert np.max(np.abs(traces[0] - traces[1])) < 1e-11
 
 
@@ -300,13 +319,14 @@ def test_primal_scalar_is_continuous_and_zero_on_boundary():
     x = rng.standard_normal(dofs.total)
     s = np.linspace(0.0, 1.0, 7)
     for ei in range(mesh.num_edges):
-        edge = mesh.edges[ei]
         vals = []
-        for ci, li in zip(edge.cells, edge.local_index):
-            pts = norms._edge_ref_points(li, norms._side_flip(mesh, ci, li), s)
-            v, _ = norms._scalar_on_cell(mesh, dofs, x, ci, pts)
+        for ci, li in zip(mesh.edge_cells[ei], mesh.edge_local[ei]):
+            if ci < 0:
+                continue
+            pts = cellwise._edge_ref_points(li, cellwise._side_flip(mesh, ci, li), s)
+            v, _ = cellwise._scalar_on_cell(mesh, dofs, x, ci, pts)
             vals.append(v)
-        if edge.boundary:
+        if len(vals) == 1:
             assert np.max(np.abs(vals[0])) < 1e-12
         else:
             assert np.max(np.abs(vals[0] - vals[1])) < 1e-12
@@ -353,9 +373,7 @@ def test_conforming_flux_has_no_projected_jump():
     mixed = MixedDofMap(mesh, 0)
     xc = rng.standard_normal(mixed.flux_total)
     x = np.zeros(dofs.total)
-    for ci in range(mesh.num_cells):
-        idx, sgn = mixed.cell_flux_map(mesh, ci)
-        x[dofs.cell_flux_dofs(ci)] = sgn * xc[idx]
+    x[dofs.cell_flux_dofs()] = mixed.flux_sign * xc[mixed.flux_l2g]
     n1 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1.0) @ x)
     n2 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1e-3) @ x)
     # rho only multiplies the (zero) jump and (zero) trace contributions

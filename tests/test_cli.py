@@ -50,21 +50,22 @@ def test_config_file_supplies_values(tmp_path):
 
 
 def test_flag_overrides_config(tmp_path):
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text("rho = 0.125\nlevels = 3\nfirst-level = 1\n")
-    d1 = tmp_path / "d1"
-    d2 = tmp_path / "d2"
-    d1.mkdir()
-    d2.mkdir()
-    # explicit --rho 0.5 must beat the config value
-    rc = cli.main(["converge", "--method", "hdg", "--regime", "rho-h",
-                   "--rho", "0.5", "--config", str(cfg), "--outdir", str(d1)])
-    assert rc == 0
-    rc = cli.main(["converge", "--method", "hdg", "--regime", "rho-h",
-                   "--rho", "0.5", "--levels", "3", "--first-level", "1",
-                   "--outdir", str(d2)])
-    assert rc == 0
-    assert (d1 / "convergence.csv").read_text() == (d2 / "convergence.csv").read_text()
+    base = ["converge", "--method", "hdg", "--regime", "rho-h"]
+    # an explicit flag beats the config value, also when it equals the
+    # flag's default (--k 0)
+    cases = [("rho = 0.125\n", ["--rho", "0.5"]), ("k = 1\n", ["--k", "0"])]
+    for n, (line, flag) in enumerate(cases):
+        cfg = tmp_path / "study{}.cfg".format(n)
+        cfg.write_text(line + "levels = 3\nfirst-level = 1\n")
+        d1 = tmp_path / "d1-{}".format(n)
+        d2 = tmp_path / "d2-{}".format(n)
+        rc = cli.main(base + flag + ["--config", str(cfg), "--outdir", str(d1)])
+        assert rc == 0
+        rc = cli.main(base + flag + ["--levels", "3", "--first-level", "1",
+                                     "--outdir", str(d2)])
+        assert rc == 0
+        assert ((d1 / "convergence.csv").read_text()
+                == (d2 / "convergence.csv").read_text())
 
 
 def test_bad_config_lines(tmp_path, capsys):

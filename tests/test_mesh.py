@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from hdgwg.mesh import (
-    Mesh,
-    build_structured_mesh,
-    dump_mesh,
-    edge_normal,
-    uniform_refine,
-)
+from hdgwg.basis import REF_VERTICES
+from hdgwg.mesh import Mesh, build_structured_mesh
+
+from cellwise import jittered_mesh
 
 
 def test_unit_counts():
@@ -46,51 +43,53 @@ def test_rejects_bad_input():
         # clockwise cell
         Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 2, 1]]))
+    with pytest.raises(ValueError):
+        # edge 0-1 shared by three cells
+        Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, -1.0],
+                       [0.5, 0.5]]), np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]))
 
 
 def test_edge_normals_unit_and_boundary_outward():
     m = build_structured_mesh(1)
     for ei in range(m.num_edges):
-        n = edge_normal(m, ei)
+        n = m.edge_normal[ei]
         assert abs(np.linalg.norm(n) - 1.0) < 1e-14
     # bottom boundary edge (0,0)-(1,0)
     for ei in m.boundary_edges:
-        e = m.edges[ei]
-        pa, pb = m.vertices[e.vertices[0]], m.vertices[e.vertices[1]]
+        pa, pb = m.vertices[m.edge_vertices[ei]]
         if np.allclose([pa[1], pb[1]], 0.0):
-            assert np.allclose(e.normal, [0.0, -1.0])
+            assert np.allclose(m.edge_normal[ei], [0.0, -1.0])
     with pytest.raises(IndexError):
-        edge_normal(m, m.num_edges)
+        m.edge_normal[m.num_edges]
 
 
 def test_normal_is_first_cell_outward():
     m = build_structured_mesh(3)
     for ei in m.interior_edges:
-        e = m.edges[ei]
-        assert len(e.cells) == 2
-        ci = e.cells[0]
-        li = e.local_index[0]
-        assert m.cell_edge_sign(ci, li) == 1.0
-        assert m.cell_edge_sign(e.cells[1], e.local_index[1]) == -1.0
+        cells, local = m.edge_cells[ei], m.edge_local[ei]
+        assert np.all(cells >= 0)
+        assert m.cell_edge_sign[cells[0], local[0]] == 1.0
+        assert m.cell_edge_sign[cells[1], local[1]] == -1.0
     for ei in m.boundary_edges:
-        assert len(m.edges[ei].cells) == 1
+        assert m.edge_cells[ei, 0] >= 0 and m.edge_cells[ei, 1] == -1
 
 
 def test_outward_normal_geometry():
     # the stored normal points away from the owning cell's centroid
     m = build_structured_mesh(2)
-    for ei, e in enumerate(m.edges):
-        ci = e.cells[0]
+    for ei in range(m.num_edges):
+        ci = m.edge_cells[ei, 0]
         centroid = m.vertices[m.cells[ci]].mean(axis=0)
-        midpoint = 0.5 * (m.vertices[e.vertices[0]] + m.vertices[e.vertices[1]])
-        assert (midpoint - centroid) @ e.normal > 0.0
+        midpoint = m.vertices[m.edge_vertices[ei]].mean(axis=0)
+        assert (midpoint - centroid) @ m.edge_normal[ei] > 0.0
 
 
 def test_edge_length_bound():
     m = build_structured_mesh(3)
-    for e in m.edges:
-        hmax = max(m.cell_diam[c] for c in e.cells)
-        assert e.length <= hmax + 1e-14
+    for ei in range(m.num_edges):
+        cells = m.edge_cells[ei][m.edge_cells[ei] >= 0]
+        hmax = max(m.cell_diam[c] for c in cells)
+        assert m.edge_length[ei] <= hmax + 1e-14
 
 
 def test_shape_regularity():
@@ -104,25 +103,25 @@ def test_shape_regularity():
         assert m.cell_diam[ci] / inradius <= 2.0 * (1.0 + np.sqrt(2.0)) + 1e-12
 
 
-def test_uniform_refine_matches_build():
-    r = uniform_refine(build_structured_mesh(1))
-    b = build_structured_mesh(2)
-    assert (r.num_cells, r.num_edges, r.num_vertices) == (8, 16, 9)
-    assert abs(r.h_max - build_structured_mesh(1).h_max / 2.0) < 1e-14
-    assert r.num_vertices - r.num_edges + r.num_cells == 1
-    # same vertex sets up to renumbering
-    rv = set(map(tuple, np.round(r.vertices, 12)))
-    bv = set(map(tuple, np.round(b.vertices, 12)))
-    assert rv == bv
-
-
-def test_dump_mesh_format():
-    m = build_structured_mesh(1)
-    text = dump_mesh(m)
-    lines = text.strip().split("\n")
-    assert sum(1 for ln in lines if ln.startswith("v ")) == 4
-    assert sum(1 for ln in lines if ln.startswith("c ")) == 2
-    assert sum(1 for ln in lines if ln.startswith("e ")) == 5
+def test_arrays_on_jittered_mesh():
+    m = jittered_mesh()
+    # edges are numbered by first appearance in cell-then-local-edge order
+    _, first = np.unique(m.cell_edges.ravel(), return_index=True)
+    assert np.all(np.diff(first) > 0)
+    # the affine maps send the reference vertices to the cell vertices
+    mapped = (REF_VERTICES @ np.swapaxes(m.cell_jac, 1, 2)
+              + m.vertices[m.cells[:, 0]][:, None])
+    assert np.max(np.abs(mapped - m.vertices[m.cells])) < 1e-15
+    assert np.allclose(m.cell_jac_inv @ m.cell_jac, np.eye(2), atol=1e-14)
+    assert np.allclose(m.cell_det, np.linalg.det(m.cell_jac), rtol=1e-14)
+    # a flipped side starts at the edge's higher vertex
+    start = m.cells[:, [1, 2, 0]]
+    ev = m.edge_vertices[m.cell_edges]
+    assert np.array_equal(np.where(m.cell_edge_flip, ev[..., 1], ev[..., 0]),
+                          start)
+    # a side is positive exactly where its cell owns the edge
+    owner = m.edge_cells[m.cell_edges, 0] == np.arange(m.num_cells)[:, None]
+    assert np.array_equal(owner, m.cell_edge_sign > 0)
 
 
 def test_mesh_is_immutable():

@@ -20,6 +20,8 @@ from hdgwg.norms import (
 )
 from hdgwg.spaces import SpaceCase, build_space_triple, project_to_edge_space
 
+from cellwise import jittered_mesh
+
 ALL_REGIMES = [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")]
 
 
@@ -55,10 +57,13 @@ def test_error_norm_matches_gram_quadratic_form(method, regime):
         assert abs(lhs - ref) <= 1e-11 * ref
 
 
-@pytest.mark.parametrize("method,regime", ALL_REGIMES)
-def test_dg_boundary_pairing_identity(method, regime):
+@pytest.mark.parametrize("method,regime,mesh", [
+    pytest.param(m, r, mesh, id="-".join([m, r] + ([name] if name else [])))
+    for name, mesh in (("", build_structured_mesh(2)),
+                       ("jittered", jittered_mesh()))
+    for m, r in ALL_REGIMES])
+def test_dg_boundary_pairing_identity(method, regime, mesh):
     rng = np.random.default_rng(3)
-    mesh = build_structured_mesh(2)
     case = SpaceCase(method, regime, 1, 0.5)
     dofs = build_space_triple(mesh, case)
     for _ in range(25):
@@ -116,23 +121,22 @@ def _interpolate(mesh, dofs, case, exact):
     x = np.zeros(dofs.total)
     et = ElementTables(mesh, case, quad_degree=2 * case.k + 4)
     for ci in range(mesh.num_cells):
-        t = et.cell(ci)
-        target = exact.p(t["xy"]).T.ravel()  # component-major stacking
-        A = np.concatenate([t["fval"][:, :, 0], t["fval"][:, :, 1]], axis=0)
+        xy = et.xy[ci]
+        target = exact.p(xy).T.ravel()  # component-major stacking
+        A = np.concatenate([et.fval[ci, :, :, 0], et.fval[ci, :, :, 1]], axis=0)
         x[dofs.cell_flux_dofs(ci)] = np.linalg.lstsq(A, target, rcond=None)[0]
         x[dofs.cell_scalar_dofs(ci)] = np.linalg.lstsq(
-            t["sval"], exact.u(t["xy"]), rcond=None
+            et.sval[ci], exact.u(xy), rcond=None
         )[0]
     for ei in dofs.trace_edges:
-        edge = mesh.edges[ei]
-        pa = mesh.vertices[edge.vertices[0]]
-        pb = mesh.vertices[edge.vertices[1]]
+        pa, pb = mesh.vertices[mesh.edge_vertices[ei]]
+        normal = mesh.edge_normal[ei]
         if case.method == "hdg":
             trace = lambda s: exact.u(pa[None, :] + s[:, None] * (pb - pa))
         else:
             trace = lambda s: exact.p(
                 pa[None, :] + s[:, None] * (pb - pa)
-            ) @ edge.normal
+            ) @ normal
         x[dofs.edge_trace_dofs(ei)] = project_to_edge_space(
             trace, case.trace_deg
         )
@@ -166,14 +170,12 @@ def test_in_space_hdg_inv_boundary_penalty():
     eq = basis.edge_quadrature(6)
     expected = 0.0
     for ei in mesh.boundary_edges:
-        edge = mesh.edges[ei]
-        ci = edge.cells[0]
-        pa = mesh.vertices[edge.vertices[0]]
-        pb = mesh.vertices[edge.vertices[1]]
+        ci = mesh.edge_cells[ei, 0]
+        pa, pb = mesh.vertices[mesh.edge_vertices[ei]]
         pts = pa[None, :] + eq.points[:, None] * (pb - pa)
         vals = exact.u(pts)
         coef = 1.0 / (case.rho * mesh.cell_size[ci])
-        expected += coef * edge.length * (eq.weights @ vals**2)
+        expected += coef * mesh.edge_length[ei] * (eq.weights @ vals**2)
     assert abs(es - np.sqrt(expected)) < 1e-10
 
 
