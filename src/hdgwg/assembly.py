@@ -369,6 +369,11 @@ class PrimalDofMap:
     def cell_flux_dofs(self, ci=None):
         return cell_block_dofs(0, self.flux_per_cell, self.num_cells, ci)
 
+    def cell_local_dofs(self):
+        """The broken flux, (C, 2 dim P_k): its cell block is the SPD flux
+        mass, so condensing it leaves the scalar stiffness system."""
+        return self.cell_flux_dofs()
+
 
 def assemble_primal_conforming(mesh, k, coeff, f):
     """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v)."""
@@ -430,6 +435,12 @@ class MixedDofMap:
     def cell_scalar_dofs(self, ci=None):
         return cell_block_dofs(self.flux_total, self.scalar_per_cell,
                                self.num_cells, ci)
+
+    def cell_local_dofs(self):
+        """No DOF is cell-local, so (C, 0): the flux is shared across edges
+        and the scalar block is zero, so everything stays in the sparse
+        factorization."""
+        return np.empty((self.num_cells, 0), dtype=np.int64)
 
 
 def assemble_mixed_conforming(mesh, k, coeff, f):

@@ -107,7 +107,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
         p.add_argument("--outdir", default=".")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--svg", action="store_true",
                        help="also write a log-log SVG plot")
 
@@ -143,6 +142,8 @@ def _build_parser():
 
     pk = sub.add_parser("check", help="identity / consistency / Gram self checks")
     common(pk)
+    pk.add_argument("--seed", type=int, default=0,
+                    help="seed of the random solution vectors")
     subparsers.update(converge=pc, limit=pl, infsup=pi, check=pk)
     return parser, subparsers
 

@@ -147,7 +147,8 @@ def _solve_case(mesh, case, prob, quad_degree=None):
     tables = ElementTables(mesh, case, qd)
     assemble = assemble_hdg if case.method == "hdg" else assemble_wg
     system = assemble(mesh, dofs, case, coeff, prob.f, tables=tables)
-    x = solve_symmetric_indefinite(system.matrix, system.rhs)
+    x = solve_symmetric_indefinite(system.matrix, system.rhs,
+                                   cell_dofs=dofs.cell_local_dofs())
     return dofs, x, coeff
 
 
@@ -186,7 +187,8 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
         ref_sys, ref_dofs = assemble_mixed_conforming(mesh, k, coeff, prob.f)
     else:
         raise ValueError("unknown method {!r}".format(method))
-    y = solve_symmetric_indefinite(ref_sys.matrix, ref_sys.rhs)
+    y = solve_symmetric_indefinite(ref_sys.matrix, ref_sys.rhs,
+                                   cell_dofs=ref_dofs.cell_local_dofs())
     table = LimitTable()
     dists = []
     for rho in rhos:
@@ -231,22 +233,3 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
             beta = min_generalized_singular_value(system.matrix, gram)
             table.rows.append((mesh.h_max, rho, beta))
     return table
-
-
-def empirical_rho0(table, finest_h=None):
-    """Largest swept rho whose beta stays within 2x of the small-rho plateau.
-
-    Evaluated on the finest mesh in the table (or a given h).  Returns None
-    if even the smallest rho fails its own plateau, which cannot happen by
-    construction.
-    """
-    rows = table.rows
-    if finest_h is None:
-        finest_h = min(r[0] for r in rows)
-    sweep = sorted((r[1], r[2]) for r in rows if r[0] == finest_h)
-    if not sweep:
-        raise ValueError("no rows at h = {}".format(finest_h))
-    plateau = sweep[0][1]
-    admitted = [rho for rho, beta in sweep
-                if beta >= 0.5 * plateau and beta <= 2.0 * plateau]
-    return max(admitted) if admitted else None

@@ -9,43 +9,151 @@ import scipy.sparse.linalg as spla
 
 
 class SingularMatrixError(RuntimeError):
-    """Raised when a solve does not meet the requested residual tolerance."""
+    """Raised when a solve cannot meet its accuracy contract.  The message
+    names the failing stage (local elimination, reduced factorization or
+    refinement) and its numbers."""
 
 
-def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10):
+# smallest accepted reciprocal 1-norm condition number of an equilibrated
+# cell block; below it the block is singular to working precision
+CELL_RCOND_MIN = 1e-13
+
+REFINEMENT_STEPS = 5
+
+
+def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
 
-    The solution is refined iteratively until ||A x - b|| <= rtol ||b||
-    when the matrix is well scaled; in general the acceptance criterion is
-    the normwise backward error ||A x - b|| <= rtol (||A||_F ||x|| + ||b||),
-    which is attainable in double precision even when the stabilization
-    weights inflate the matrix scale.  Failure raises SingularMatrixError.
+    ``cell_dofs`` (C, m) lists DOFs that couple only within their own cell:
+    A restricted to them is block diagonal with C blocks of size m.  They
+    are eliminated first (static condensation): the blocks B are inverted
+    by batched dense LU, the reduced matrix A_gg - A_gl B^-1 A_lg on the
+    remaining (global) DOFs is factored with a sparse LU, and the cell
+    unknowns are recovered by back-substitution.  Without cell DOFs the
+    reduced matrix is A itself.  The DOF maps' ``cell_local_dofs()`` give the sets: flux
+    and scalar for HDG, leaving the trace; the flux alone for WG, leaving
+    scalar and trace, because the WG (p, u) cell block is singular on cell
+    constants ((q, grad v) = 0 for constant v); the broken flux for the
+    primal conforming method; none for the mixed conforming method.
+
+    The solution is refined iteratively against the full A until
+    ||A x - b|| <= rtol ||b|| when the matrix is well scaled; in general the
+    acceptance criterion is the normwise backward error
+    ||A x - b|| <= rtol (||A||_F ||x|| + ||b||), which is attainable in
+    double precision even when the stabilization weights inflate the matrix
+    scale.  Failure raises SingularMatrixError naming its stage; cell_dofs
+    that couple across cells raise ValueError.
     """
     A = sp.csr_matrix(matrix)
+    A.sum_duplicates()
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    try:
-        factor = spla.splu(A.tocsc())
-        x = factor.solve(b)
-    except Exception as exc:
-        raise SingularMatrixError("sparse factorization failed") from exc
+    solve = _condensed_factor(A, cell_dofs)
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solution contains non-finite entries")
     strict = rtol * max(np.linalg.norm(b), 1e-300)
     anorm = np.sqrt(np.sum(A.data**2))
-    for _ in range(5):
+    for _ in range(REFINEMENT_STEPS):
         r = b - A @ x
         if np.linalg.norm(r) <= strict:
             return x
-        x = x + factor.solve(r)
+        x = x + solve(r)
     residual = np.linalg.norm(b - A @ x)
     bound = rtol * max(anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
     if residual > bound:
         raise SingularMatrixError(
-            "residual {:.3e} exceeds tolerance {:.3e}".format(residual, bound)
+            "refinement: residual {:.3e} exceeds tolerance {:.3e} after {} "
+            "steps".format(residual, bound, REFINEMENT_STEPS)
         )
     return x
+
+
+def _condensed_factor(A, cell_dofs):
+    """Factor A by static condensation of ``cell_dofs``; returns r -> A^-1 r."""
+    n = A.shape[0]
+    local = np.asarray(np.empty((0, 0)) if cell_dofs is None else cell_dofs,
+                       dtype=np.int64)
+    if local.ndim != 2:
+        raise ValueError("cell_dofs must be a (cells, dofs per cell) array")
+    num_cells, m = local.shape
+    flat = local.ravel()
+    if flat.size and (flat.min() < 0 or flat.max() >= n):
+        raise ValueError("cell_dofs out of range for {} DOFs".format(n))
+    is_global = np.ones(n, dtype=bool)
+    is_global[flat] = False
+    if n - np.count_nonzero(is_global) != flat.size:
+        raise ValueError("cell_dofs list a DOF more than once")
+    glob = np.flatnonzero(is_global)
+
+    rows_l, rows_g = A[flat], A[glob]
+    A_ll = rows_l[:, flat].tocoo()
+    cell_r, a = np.divmod(A_ll.row, m)
+    cell_c, b = np.divmod(A_ll.col, m)
+    outside = np.count_nonzero(A_ll.data[cell_r != cell_c])
+    if outside:
+        raise ValueError(
+            "cell_dofs couple across cells: {} nonzeros of A[local, local] "
+            "lie outside the {} diagonal {}x{} blocks".format(
+                outside, num_cells, m, m))
+    blocks = np.zeros((num_cells, m, m))
+    blocks[cell_r, a, b] = A_ll.data
+    inv = _invert_cell_blocks(blocks)
+    # block-diagonal B^-1 in local order: row (c, a) holds columns (c, :)
+    cols = np.arange(flat.size).reshape(num_cells, 1, m)
+    B_inv = sp.csr_matrix(
+        (inv.ravel(), np.broadcast_to(cols, inv.shape).ravel(),
+         np.arange(flat.size + 1) * m), shape=(flat.size, flat.size))
+    A_gl, A_lg = rows_g[:, flat], rows_l[:, glob]
+    reduced = (rows_g[:, glob] - A_gl @ (B_inv @ A_lg)).tocsc()
+    try:
+        lu = spla.splu(reduced)
+    except Exception as exc:
+        raise SingularMatrixError(
+            "reduced factorization of {} DOFs failed: {}".format(
+                len(glob), exc)) from exc
+
+    def solve(r):
+        y = B_inv @ r[flat]
+        x = np.empty_like(r)
+        x[glob] = x_g = lu.solve(r[glob] - A_gl @ y)
+        x[flat] = y - B_inv @ (A_lg @ x_g)
+        return x
+
+    return solve
+
+
+def _invert_cell_blocks(blocks):
+    """Inverses of a (C, m, m) block stack by batched dense LU after
+    symmetric equilibration; a singular or non-finite block raises."""
+    num_cells, m, _ = blocks.shape
+    finite = np.isfinite(blocks).all(axis=(1, 2))
+    blocks = np.where(finite[:, None, None], blocks, np.eye(m))
+    row_max = np.abs(blocks).max(axis=2, initial=0.0)
+    scale = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
+    scaled = blocks * scale[:, :, None] * scale[:, None, :]
+    norm1 = lambda M: np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            inv = np.linalg.inv(scaled)
+            rcond = 1.0 / (norm1(scaled) * norm1(inv))
+        except np.linalg.LinAlgError:
+            # an exactly singular block: rank all blocks by singular values
+            sv = np.linalg.svd(scaled, compute_uv=False)
+            rcond = sv[:, -1] / sv[:, 0]
+    bad = np.flatnonzero(~finite | ~(rcond >= CELL_RCOND_MIN))
+    if bad.size:
+        c = bad[0]
+        raise SingularMatrixError(
+            "local elimination: the {}x{} block of cell {} is {} ({} of {} "
+            "cell blocks fail)".format(
+                m, m, c,
+                "non-finite" if not finite[c]
+                else "singular (reciprocal condition {:.1e} < {:.0e})".format(
+                    rcond[c], CELL_RCOND_MIN),
+                bad.size, num_cells))
+    return inv * scale[:, :, None] * scale[:, None, :]
 
 
 def min_generalized_singular_value(A, N):
@@ -78,17 +186,3 @@ def write_matrix(matrix, fh):
     order = np.lexsort((coo.col, coo.row))
     for i in order:
         fh.write("{} {} {:.17g}\n".format(coo.row[i], coo.col[i], coo.data[i]))
-
-
-def read_matrix(fh):
-    """Read the square coordinate text format produced by write_matrix."""
-    rows, cols, vals = [], [], []
-    for line in fh:
-        if not line.strip():
-            continue
-        r, c, v = line.split()
-        rows.append(int(r))
-        cols.append(int(c))
-        vals.append(float(v))
-    n = max(max(rows), max(cols)) + 1 if rows else 0
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

@@ -151,6 +151,21 @@ class DofMap:
         return cell_block_dofs(self.scalar_offset, self.scalar_per_cell,
                                self.num_cells, ci)
 
+    def cell_local_dofs(self):
+        """DOFs that couple only within their own cell, (C, m), for static
+        condensation in ``linalg.solve_symmetric_indefinite``.
+
+        HDG: flux and scalar.  Their cell block is quasi-definite, because
+        the flux mass is SPD and the stabilization tau > 0 makes the scalar
+        block -tau <u, v> negative definite.  WG: the flux alone.  Its
+        (p, u) block is singular on cell constants, since (q, grad v) = 0
+        for constant v, so the scalar stays global with the trace.
+        """
+        if self.case.method == "hdg":
+            return np.concatenate([self.cell_flux_dofs(),
+                                   self.cell_scalar_dofs()], axis=1)
+        return self.cell_flux_dofs()
+
     def edge_trace_dofs(self, ei):
         """Trace DOFs of edge(s) ``ei``: (..., trace_per_edge), -1 on edges
         that carry none."""
@@ -182,23 +197,3 @@ def build_space_triple(mesh, case):
         trace_per_edge=case.trace_dim_per_edge(),
         edge_offset=edge_offset,
     )
-
-
-def project_to_edge_space(f, degree, quad_degree=None):
-    """L^2(0,1) projection coefficients of ``f`` in the orthonormal edge basis.
-
-    ``f`` is a callable of the edge parameter s in [0, 1] (vectorized) or an
-    array of values at the quadrature nodes.
-    """
-    if quad_degree is None:
-        quad_degree = 2 * degree + 9
-    quad = basis.edge_quadrature(quad_degree)
-    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
-    leg = basis.eval_edge_basis(degree, quad.points)
-    return (quad.weights * values) @ leg
-
-
-def eval_edge_function(coeffs, s):
-    """Evaluate an edge function from its orthonormal-basis coefficients."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    return basis.eval_edge_basis(len(coeffs) - 1, s) @ coeffs

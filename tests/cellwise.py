@@ -2,10 +2,13 @@
 
 Each function works on one cell at a time with its own affine geometry, so
 the tests compare the batched kernels of ``hdgwg`` against code that shares
-nothing with them but the reference bases and the mesh arrays.
+nothing with them but the reference bases and the mesh arrays.  Edge L2
+projections and a reader for ``linalg.write_matrix`` text serve as oracles
+too.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from hdgwg import basis
 from hdgwg.assembly import MixedDofMap, PrimalDofMap
@@ -100,3 +103,37 @@ def _flux_on_cell(mesh, dofs, x, ci, ref_pts):
         divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
         return vals, divs
     raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
+
+
+def project_to_edge_space(f, degree, quad_degree=None):
+    """L^2(0,1) projection coefficients of ``f`` in the orthonormal edge basis.
+
+    ``f`` is a callable of the edge parameter s in [0, 1] (vectorized) or an
+    array of values at the quadrature nodes.
+    """
+    if quad_degree is None:
+        quad_degree = 2 * degree + 9
+    quad = basis.edge_quadrature(quad_degree)
+    values = f(quad.points) if callable(f) else np.asarray(f, dtype=float)
+    leg = basis.eval_edge_basis(degree, quad.points)
+    return (quad.weights * values) @ leg
+
+
+def eval_edge_function(coeffs, s):
+    """Evaluate an edge function from its orthonormal-basis coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    return basis.eval_edge_basis(len(coeffs) - 1, s) @ coeffs
+
+
+def read_matrix(fh):
+    """Read the square coordinate text format produced by write_matrix."""
+    rows, cols, vals = [], [], []
+    for line in fh:
+        if not line.strip():
+            continue
+        r, c, v = line.split()
+        rows.append(int(r))
+        cols.append(int(c))
+        vals.append(float(v))
+    n = max(max(rows), max(cols)) + 1 if rows else 0
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()

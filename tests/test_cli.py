@@ -1,11 +1,13 @@
 import numpy as np
+import pytest
 
 from hdgwg import cli
 from hdgwg.assembly import CoefficientField, assemble_hdg
 from hdgwg.experiments import manufactured_case
-from hdgwg.linalg import read_matrix
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.spaces import SpaceCase, build_space_triple
+
+from cellwise import read_matrix
 
 CONVERGE = ["converge", "--method", "hdg", "--regime", "rho-h",
             "--k", "0", "--rho", "1", "--levels", "3", "--first-level", "1"]
@@ -92,6 +94,18 @@ def test_missing_method_exits(tmp_path, capsys):
     rc = cli.main(["converge", "--regime", "rho-h", "--outdir", str(tmp_path)])
     assert rc == 2
     assert "required" in capsys.readouterr().err
+
+
+def test_seed_is_a_check_flag(tmp_path, capsys):
+    # only check draws random vectors; the studies reject --seed
+    for argv in (CONVERGE, ["limit", "--method", "wg"],
+                 ["infsup", "--method", "hdg", "--regime", "inv"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--seed", "1", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    parser, _ = cli._build_parser()
+    assert parser.parse_args(["check", "--seed", "1"]).seed == 1
 
 
 def test_limit_command(tmp_path):

@@ -5,8 +5,6 @@ import pytest
 
 from hdgwg.experiments import (
     INFSUP_DOF_LIMIT,
-    empirical_rho0,
-    InfSupTable,
     manufactured_case,
     run_convergence_study,
     run_infsup_study,
@@ -126,22 +124,3 @@ def test_infsup_dof_limit():
     with pytest.raises(ValueError):
         run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(5,))
     assert INFSUP_DOF_LIMIT == 2000
-
-
-def test_empirical_rho0():
-    table = InfSupTable()
-    table.rows = [
-        (0.5, 1.0, 10.0),
-        (0.5, 1e-2, 1.1),
-        (0.5, 1e-4, 1.0),
-        (1.0, 1e-4, 3.0),  # coarser mesh, ignored
-    ]
-    assert empirical_rho0(table) == 1e-2
-    with pytest.raises(ValueError):
-        empirical_rho0(table, finest_h=0.125)
-
-
-def test_empirical_rho0_flat_sweep_admits_everything():
-    table = InfSupTable()
-    table.rows = [(0.25, rho, 0.7) for rho in (1.0, 1e-2, 1e-4)]
-    assert empirical_rho0(table) == 1.0

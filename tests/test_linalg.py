@@ -4,13 +4,27 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from hdgwg.assembly import (
+    CoefficientField,
+    assemble_hdg,
+    assemble_primal_conforming,
+    assemble_wg,
+)
+from hdgwg import linalg
+from hdgwg.experiments import manufactured_case
 from hdgwg.linalg import (
     SingularMatrixError,
     min_generalized_singular_value,
-    read_matrix,
     solve_symmetric_indefinite,
     write_matrix,
 )
+from hdgwg.mesh import build_structured_mesh
+from hdgwg.spaces import SpaceCase, build_space_triple
+
+from cellwise import jittered_mesh, read_matrix
+
+MESHES = {"structured": lambda: build_structured_mesh(4),
+          "jittered": jittered_mesh}
 
 
 def test_identity_solve():
@@ -51,6 +65,97 @@ def test_singular_matrix_raises():
 def test_shape_mismatch_raises():
     with pytest.raises(ValueError):
         solve_symmetric_indefinite(sp.eye(3, format="csr"), np.zeros(4))
+
+
+def _varcoef_system(method, regime, k, rho, mesh_name):
+    """Assembled varcoef system, rhs and cell-local DOFs of one input."""
+    mesh = MESHES[mesh_name]()
+    prob = manufactured_case("varcoef")
+    coeff = CoefficientField(alpha=prob.alpha)
+    if method == "primal":
+        system, dofs = assemble_primal_conforming(mesh, k, coeff, prob.f)
+    else:
+        case = SpaceCase(method, regime, k, rho)
+        dofs = build_space_triple(mesh, case)
+        assemble = assemble_hdg if method == "hdg" else assemble_wg
+        system = assemble(mesh, dofs, case, coeff, prob.f)
+    return system.matrix, system.rhs, dofs
+
+
+CONDENSED_INPUTS = [
+    (method, regime, k, rho, mesh_name)
+    for mesh_name in MESHES
+    for method, regime in (("hdg", "rho_h"), ("hdg", "inv"),
+                           ("wg", "rho_h"), ("wg", "inv"))
+    for k in (0, 1)
+    for rho in (1.0, 1e-2)
+] + [("primal", None, k, None, mesh_name) for mesh_name in MESHES
+     for k in (0, 1)]
+
+
+@pytest.mark.parametrize("method,regime,k,rho,mesh_name", CONDENSED_INPUTS)
+def test_condensation_matches_plain_factorization(method, regime, k, rho,
+                                                  mesh_name, monkeypatch):
+    A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
+    cell_dofs = dofs.cell_local_dofs()
+    assert cell_dofs.size > 0
+    x_plain = solve_symmetric_indefinite(A, b)
+    x_cond = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
+    assert np.linalg.norm(x_cond - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
+    # refinement would hide a wrong elimination: the factor alone must pass
+    monkeypatch.setattr(linalg, "REFINEMENT_STEPS", 0)
+    x_once = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
+    assert np.linalg.norm(x_once - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
+
+
+@pytest.mark.parametrize("regime", ["rho_h", "inv"])
+@pytest.mark.parametrize("k", [0, 1])
+def test_wg_scalar_is_not_cell_local(regime, k):
+    # the WG (p, u) cell block is singular on cell constants
+    A, b, dofs = _varcoef_system("wg", regime, k, 1.0, "structured")
+    pu = np.concatenate([dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()],
+                        axis=1)
+    m = pu.shape[1]
+    with pytest.raises(SingularMatrixError,
+                       match=r"local elimination: the {0}x{0} block of cell 0 "
+                             r"is singular".format(m)):
+        solve_symmetric_indefinite(A, b, cell_dofs=pu)
+
+
+def test_cell_dofs_must_be_cell_local():
+    A, b, dofs = _varcoef_system("hdg", "rho_h", 0, 1.0, "structured")
+    local = dofs.cell_local_dofs()
+    # cells 0 and 1 swap a flux DOF: each block now reaches into the other
+    swapped = local.copy()
+    swapped[[0, 1], 0] = local[[1, 0], 0]
+    with pytest.raises(ValueError, match="couple across cells"):
+        solve_symmetric_indefinite(A, b, cell_dofs=swapped)
+    with pytest.raises(ValueError, match="more than once"):
+        solve_symmetric_indefinite(A, b, cell_dofs=np.vstack([local, local]))
+    with pytest.raises(ValueError, match="out of range"):
+        solve_symmetric_indefinite(A, b, cell_dofs=local + dofs.total)
+
+
+def test_failures_name_their_stage():
+    b = np.ones(3)
+    A = np.diag([np.nan, 1.0, 1.0])
+    with pytest.raises(SingularMatrixError,
+                       match="local elimination: the 1x1 block of cell 0 "
+                             "is non-finite"):
+        solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_dofs=[[0]])
+    A = sp.csr_matrix(np.array([[2.0, 0.0, 0.0],
+                                [0.0, 1.0, 1.0],
+                                [0.0, 1.0, 1.0]]))
+    with pytest.raises(SingularMatrixError,
+                       match="reduced factorization of 2 DOFs failed"):
+        solve_symmetric_indefinite(A, b, cell_dofs=[[0]])
+    rng = np.random.default_rng(5)
+    B = rng.standard_normal((20, 20))
+    with pytest.raises(SingularMatrixError,
+                       match=r"refinement: residual .* exceeds tolerance .* "
+                             r"after 5 steps"):
+        solve_symmetric_indefinite(sp.csr_matrix(B + B.T),
+                                   rng.standard_normal(20), rtol=1e-30)
 
 
 def test_beta_of_identity_pencil():

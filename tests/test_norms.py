@@ -18,9 +18,9 @@ from hdgwg.norms import (
     flux_distance,
     scalar_l2_distance,
 )
-from hdgwg.spaces import SpaceCase, build_space_triple, project_to_edge_space
+from hdgwg.spaces import SpaceCase, build_space_triple
 
-from cellwise import jittered_mesh
+from cellwise import jittered_mesh, project_to_edge_space
 
 ALL_REGIMES = [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")]
 

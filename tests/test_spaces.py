@@ -2,12 +2,9 @@ import numpy as np
 import pytest
 
 from hdgwg.mesh import build_structured_mesh
-from hdgwg.spaces import (
-    SpaceCase,
-    build_space_triple,
-    eval_edge_function,
-    project_to_edge_space,
-)
+from hdgwg.spaces import SpaceCase, build_space_triple
+
+from cellwise import eval_edge_function, project_to_edge_space
 
 
 def test_case_validation():
