@@ -138,13 +138,16 @@ class InfSupTable:
     rows: list = field(default_factory=list)
 
 
-def _solve_case(mesh, case, prob, quad_degree=None):
+def _solve_tables(mesh, case):
+    """Element tables for ``_solve_case``; they do not depend on rho."""
+    return ElementTables(mesh, case, min(2 * case.scalar_degree + 3,
+                                         basis.MAX_QUADRATURE_DEGREE))
+
+
+def _solve_case(mesh, case, prob, tables=None):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=prob.alpha)
-    qd = quad_degree if quad_degree is not None else min(
-        2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE
-    )
-    tables = ElementTables(mesh, case, qd)
+    tables = tables or _solve_tables(mesh, case)
     assemble = assemble_hdg if case.method == "hdg" else assemble_wg
     system = assemble(mesh, dofs, case, coeff, prob.f, tables=tables)
     x = solve_symmetric_indefinite(system.matrix, system.rhs,
@@ -191,9 +194,11 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
                                    cell_dofs=ref_dofs.cell_local_dofs())
     table = LimitTable()
     dists = []
+    tables = None
     for rho in rhos:
         case = SpaceCase(method=method, regime="inv", k=k, rho=rho)
-        dofs, x, _ = _solve_case(mesh, case, prob)
+        tables = tables or _solve_tables(mesh, case)
+        dofs, x, _ = _solve_case(mesh, case, prob, tables)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y)
@@ -210,26 +215,37 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
 def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
                      trace_degree=None, coeff=None):
-    """Discrete inf-sup constants beta(h, rho) via dense eigensolves."""
+    """Discrete inf-sup constants beta(h, rho) via dense eigensolves.
+
+    Every instance is checked against ``INFSUP_DOF_LIMIT`` before the first
+    assembly, so an oversized level fails before any eigensolve runs.
+    """
     coeff = coeff or CoefficientField.unit()
-    table = InfSupTable()
     zero = lambda xy: np.zeros(len(xy))
+    assemble = assemble_hdg if method == "hdg" else assemble_wg
+    runs = []
     for level in levels:
         mesh = build_structured_mesh(2**level)
+        instances = []
         for rho in rhos:
             case = SpaceCase(method=method, regime=regime, k=k, rho=rho,
                              trace_degree=trace_degree)
             dofs = build_space_triple(mesh, case)
             if dofs.total > INFSUP_DOF_LIMIT:
                 raise ValueError(
-                    "inf-sup instance has {} DOFs, over the dense limit {}".format(
-                        dofs.total, INFSUP_DOF_LIMIT
-                    )
-                )
-            assemble = assemble_hdg if method == "hdg" else assemble_wg
-            system = assemble(mesh, dofs, case, coeff, zero)
-            gram = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case), rho,
-                                      coeff=coeff)
+                    "inf-sup instance at level {} has {} DOFs, over the dense "
+                    "limit {}".format(level, dofs.total, INFSUP_DOF_LIMIT))
+            instances.append((case, dofs))
+        runs.append((mesh, instances))
+    table = InfSupTable()
+    for mesh, instances in runs:
+        tables = None
+        for case, dofs in instances:
+            # rho enters through the weights only: one set of tables per mesh
+            tables = tables or ElementTables(mesh, case)
+            system = assemble(mesh, dofs, case, coeff, zero, tables=tables)
+            gram = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case),
+                                      case.rho, coeff=coeff, tables=tables)
             beta = min_generalized_singular_value(system.matrix, gram)
-            table.rows.append((mesh.h_max, rho, beta))
+            table.rows.append((mesh.h_max, case.rho, beta))
     return table

@@ -161,23 +161,33 @@ def min_generalized_singular_value(A, N):
 
     Equals min_x max_y (x' A y) / (|x|_N |y|_N), the discrete inf-sup
     constant of A measured in the norm induced by N.
+
+    One dense generalized eigensolve with LAPACK's QR-based ``sygv``, which
+    also factors N by Cholesky, so a non-SPD N raises ValueError from that
+    factorization.  It works in place on fresh Fortran-ordered copies of A
+    and N; the arguments are never modified.
     """
     Ad = _densify(A)
     Nd = _densify(N)
     if Ad.shape != Nd.shape or Ad.shape[0] != Ad.shape[1]:
         raise ValueError("A and N must be square with equal shapes")
     try:
-        scipy.linalg.cholesky(Nd)
+        eigvals = scipy.linalg.eigh(Ad, Nd, eigvals_only=True, driver="gv",
+                                    overwrite_a=True, overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:
+        # only a failed Cholesky factorization of N ("... of B is not
+        # positive definite") is a bad input; a QR failure propagates
+        if "positive definite" not in str(exc):
+            raise
         raise ValueError("norm matrix N must be symmetric positive definite") from exc
-    eigvals = scipy.linalg.eigh(Ad, Nd, eigvals_only=True)
     return float(np.min(np.abs(eigvals)))
 
 
 def _densify(M):
+    """A fresh Fortran-ordered float64 copy, for LAPACK to overwrite."""
     if sp.issparse(M):
-        return M.toarray()
-    return np.asarray(M, dtype=float)
+        return M.toarray(order="F")
+    return np.array(M, dtype=float, order="F")
 
 
 def write_matrix(matrix, fh):

@@ -3,11 +3,12 @@
 Each function works on one cell at a time with its own affine geometry, so
 the tests compare the batched kernels of ``hdgwg`` against code that shares
 nothing with them but the reference bases and the mesh arrays.  Edge L2
-projections and a reader for ``linalg.write_matrix`` text serve as oracles
-too.
+projections, a reader for ``linalg.write_matrix`` text and a second inf-sup
+eigensolve serve as oracles too.
 """
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from hdgwg import basis
@@ -137,3 +138,18 @@ def read_matrix(fh):
         vals.append(float(v))
     n = max(max(rows), max(cols)) + 1 if rows else 0
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def min_generalized_singular_value(A, N):
+    """Smallest |lambda| of the pencil (A, N) by a Cholesky SPD check of N
+    and the default divide-and-conquer ``eigh`` on C-ordered copies."""
+    Ad = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
+    Nd = N.toarray() if sp.issparse(N) else np.asarray(N, dtype=float)
+    if Ad.shape != Nd.shape or Ad.shape[0] != Ad.shape[1]:
+        raise ValueError("A and N must be square with equal shapes")
+    try:
+        scipy.linalg.cholesky(Nd)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError("norm matrix N must be symmetric positive definite") from exc
+    eigvals = scipy.linalg.eigh(Ad, Nd, eigvals_only=True)
+    return float(np.min(np.abs(eigvals)))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hdgwg import experiments
 from hdgwg.experiments import (
     INFSUP_DOF_LIMIT,
     manufactured_case,
@@ -124,3 +125,17 @@ def test_infsup_dof_limit():
     with pytest.raises(ValueError):
         run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(5,))
     assert INFSUP_DOF_LIMIT == 2000
+
+
+def test_infsup_dof_limit_checked_before_any_eigensolve(monkeypatch):
+    calls = []
+
+    def counting(A, N):
+        calls.append(A.shape[0])
+        return 1.0
+
+    monkeypatch.setattr(experiments, "min_generalized_singular_value",
+                        counting)
+    with pytest.raises(ValueError, match="level 5 has"):
+        run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(1, 2, 5))
+    assert calls == []

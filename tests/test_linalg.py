@@ -7,8 +7,10 @@ import scipy.sparse as sp
 from hdgwg.assembly import (
     CoefficientField,
     assemble_hdg,
+    assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
+    norm_kind_for_case,
 )
 from hdgwg import linalg
 from hdgwg.experiments import manufactured_case
@@ -21,6 +23,7 @@ from hdgwg.linalg import (
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.spaces import SpaceCase, build_space_triple
 
+import cellwise
 from cellwise import jittered_mesh, read_matrix
 
 MESHES = {"structured": lambda: build_structured_mesh(4),
@@ -210,6 +213,59 @@ def test_beta_requires_spd_norm():
         min_generalized_singular_value(A, np.diag([1.0, -1.0, 1.0]))
     with pytest.raises(ValueError):
         min_generalized_singular_value(np.eye(3), np.eye(4))
+
+
+INFSUP_INPUTS = [
+    (method, regime, k, rho, mesh_name)
+    for mesh_name in MESHES
+    for method, regime in (("hdg", "rho_h"), ("hdg", "inv"),
+                           ("wg", "rho_h"), ("wg", "inv"))
+    for k in (0, 1)
+    for rho in (1.0, 1e-4)
+]
+
+
+@pytest.mark.parametrize("method,regime,k,rho,mesh_name", INFSUP_INPUTS)
+def test_beta_matches_cholesky_eigh_oracle(method, regime, k, rho, mesh_name):
+    A, _, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
+    mesh = MESHES[mesh_name]()
+    coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
+    N = assemble_norm_gram(mesh, dofs, norm_kind_for_case(dofs.case), rho,
+                           coeff=coeff)
+    beta = min_generalized_singular_value(A, N)
+    ref = cellwise.min_generalized_singular_value(A, N)
+    assert beta > 0.0
+    assert abs(beta - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_beta_leaves_its_inputs_unchanged(order):
+    # the eigensolve overwrites its own copies, never the caller's arrays
+    rng = np.random.default_rng(9)
+    B = rng.standard_normal((8, 8))
+    C = rng.standard_normal((8, 8))
+    A = np.array(B + B.T, order=order)
+    N = np.array(C @ C.T + 8.0 * np.eye(8), order=order)
+    A0, N0 = A.copy(), N.copy()
+    b1 = min_generalized_singular_value(A, N)
+    assert np.array_equal(A, A0) and np.array_equal(N, N0)
+    assert min_generalized_singular_value(A, N) == b1
+    As, Ns = sp.csr_matrix(A), sp.csr_matrix(N)
+    As0, Ns0 = As.copy(), Ns.copy()
+    assert min_generalized_singular_value(As, Ns) == pytest.approx(b1,
+                                                                   rel=1e-12)
+    assert (As != As0).nnz == 0 and (Ns != Ns0).nnz == 0
+
+
+@pytest.mark.parametrize("which", ["A", "N"])
+def test_beta_rejects_non_finite_input(which):
+    A, N = np.eye(3), np.eye(3)
+    (A if which == "A" else N)[1, 1] = np.nan
+    # rejected by the finiteness check, before LAPACK sees the NaN
+    with pytest.raises(ValueError, match="NaN"):
+        min_generalized_singular_value(A, N)
+    with pytest.raises(ValueError, match="NaN"):
+        min_generalized_singular_value(sp.csr_matrix(A), sp.csr_matrix(N))
 
 
 def test_matrix_io_round_trip():
