@@ -48,11 +48,10 @@ class CoefficientField:
 
 @dataclass
 class LinearSystem:
-    """Symmetric sparse system with labeled field blocks."""
+    """Symmetric sparse system and its right-hand side."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    blocks: dict
 
 
 def _point_shape(pts):
@@ -65,50 +64,6 @@ def _per_cell(values, shape):
     """Per-cell (C, ...) values reshaped to broadcast against ``shape``."""
     return values.reshape((len(values),) + (1,) * (len(shape) - 1)
                           + values.shape[1:])
-
-
-def scalar_basis(mesh, degree, pts):
-    """Lagrange P_degree basis on every cell at reference points ``pts``,
-    (n, 2) shared or (C, ..., 2) per cell.
-
-    Returns values (C, ..., nb) and physical gradients (C, ..., nb, 2).
-    """
-    shape = _point_shape(pts)
-    vals, grads = basis.eval_scalar_basis(degree, pts.reshape(-1, 2))
-    grads = (grads.reshape(shape + grads.shape[1:])
-             @ _per_cell(mesh.cell_jac_inv, shape))
-    vals = vals.reshape(shape + vals.shape[1:])
-    return np.broadcast_to(vals, grads.shape[:-1]), grads
-
-
-def flux_basis(mesh, family, degree, pts):
-    """Flux basis on every cell at reference points ``pts`` (as above).
-
-    ``family`` "rt" is RT_degree under the contravariant Piola map; "vec" is
-    (P_degree)^2, x-components first.  Returns physical values
-    (C, ..., nb, 2) and divergences (C, ..., nb).
-    """
-    if family == "vec":
-        sval, sgrad = scalar_basis(mesh, degree, pts)
-        nbs = sval.shape[-1]
-        vals = np.zeros(sval.shape[:-1] + (2 * nbs, 2))
-        vals[..., :nbs, 0] = sval
-        vals[..., nbs:, 1] = sval
-        return vals, np.concatenate([sgrad[..., 0], sgrad[..., 1]], axis=-1)
-    shape = _point_shape(pts)
-    vals, divs = basis.eval_rt_basis(degree, pts.reshape(-1, 2))
-    det = mesh.cell_det[:, None]
-    piola = np.swapaxes(mesh.cell_jac, 1, 2) / det[:, :, None]
-    vals = vals.reshape(shape + vals.shape[1:]) @ _per_cell(piola, shape)
-    divs = divs.reshape(shape + divs.shape[1:]) / _per_cell(det, shape)
-    return vals, divs
-
-
-def volume_rule(mesh, quad):
-    """Weights (C, nq) and physical points (C, nq, 2) of a reference rule."""
-    origin = mesh.vertices[mesh.cells[:, 0]]
-    xy = quad.xy @ np.swapaxes(mesh.cell_jac, 1, 2) + origin[:, None]
-    return quad.weights * mesh.cell_det[:, None], xy
 
 
 def edge_points(mesh, s):
@@ -138,13 +93,20 @@ def edge_sides(mesh, side_values, edges=slice(None)):
 class ElementTables:
     """Basis values at quadrature points, mapped to all C cells at once.
 
-    Built for one ``SpaceCase`` with nf flux, nu scalar and nt trace basis
-    functions, a volume rule of nq points and an edge rule of ns points, both
-    of degree ``quad_degree`` (default 2k + 2).
+    Built for the local spaces of one ``SpaceCase``: nf flux, nu scalar and
+    nt trace basis functions.  The volume rule of nq points and the edge
+    rule of ns points are both of degree ``quad_degree``, by default
+    min(2 scalar_degree + 3, ``basis.MAX_QUADRATURE_DEGREE``).  That default
+    is the one rule of the studies: each builds one set of tables per mesh
+    and space and passes it to the assembler, the conforming limit method
+    on the same local spaces, the Gram matrix, the error norm and the limit
+    distances.  The tables do not depend on rho.
 
     Volume tables: weights ``w`` (C,nq), points ``xy`` (C,nq,2), scalar
-    values ``sval`` (C,nq,nu) and gradients ``sgrad`` (C,nq,nu,2), flux
-    values ``fval`` (C,nq,nf,2) and divergences ``fdiv`` (C,nq,nf).
+    values ``sval`` (C,nq,nu) and physical gradients ``sgrad`` (C,nq,nu,2),
+    flux values ``fval`` (C,nq,nf,2) and divergences ``fdiv`` (C,nq,nf).
+    The flux family "rt" is RT_k under the contravariant Piola map; "vec"
+    is (P_k)^2, x-components first.
 
     Edge tables, per cell side: arclength weights ``edge_w`` (C,3,ns), points
     ``edge_xy`` (C,3,ns,2), ``edge_sval`` (C,3,ns,nu), ``edge_fval``
@@ -159,25 +121,73 @@ class ElementTables:
     def __init__(self, mesh: Mesh, case: SpaceCase, quad_degree=None):
         self.mesh = mesh
         self.case = case
-        qd = quad_degree if quad_degree is not None else 2 * case.k + 2
+        self.local_spaces = case.local_spaces
+        qd = (quad_degree if quad_degree is not None
+              else min(2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE))
         self.vol = basis.tri_quadrature(qd)
         self.edge = basis.edge_quadrature(qd)
-        family, fdeg, sdeg = case.flux_family, case.flux_degree, case.scalar_degree
+        family, fdeg, sdeg = self.local_spaces
 
-        self.w, self.xy = volume_rule(mesh, self.vol)
-        self.sval, self.sgrad = scalar_basis(mesh, sdeg, self.vol.xy)
-        self.fval, self.fdiv = flux_basis(mesh, family, fdeg, self.vol.xy)
+        origin = mesh.vertices[mesh.cells[:, 0]]
+        self.xy = (self.vol.xy @ np.swapaxes(mesh.cell_jac, 1, 2)
+                   + origin[:, None])
+        self.w = self.vol.weights * mesh.cell_det[:, None]
+        self.sval, self.sgrad = self._scalar_basis(sdeg, self.vol.xy)
+        self.fval, self.fdiv = self._flux_basis(family, fdeg, self.vol.xy)
 
         pts = side_points(mesh, self.edge.points)
         self.edge_w = (self.edge.weights
                        * mesh.edge_length[mesh.cell_edges][..., None])
         self.edge_xy = edge_points(mesh, self.edge.points)[mesh.cell_edges]
-        self.edge_sval, _ = scalar_basis(mesh, sdeg, pts)
-        self.edge_fval, _ = flux_basis(mesh, family, fdeg, pts)
+        self.edge_sval, _ = self._scalar_basis(sdeg, pts)
+        self.edge_fval, _ = self._flux_basis(family, fdeg, pts)
         self.normal = (mesh.cell_edge_sign[..., None]
                        * mesh.edge_normal[mesh.cell_edges])
         self.flux_n = np.einsum("clqak,clk->clqa", self.edge_fval, self.normal)
         self.trace = basis.eval_edge_basis(case.trace_deg, self.edge.points)
+
+    def _scalar_basis(self, degree, pts):
+        """Lagrange P_degree values (C, ..., nb) and physical gradients
+        (C, ..., nb, 2) at reference points ``pts``, (n, 2) shared by all
+        cells or (C, ..., 2) per cell."""
+        shape = _point_shape(pts)
+        vals, grads = basis.eval_scalar_basis(degree, pts.reshape(-1, 2))
+        grads = (grads.reshape(shape + grads.shape[1:])
+                 @ _per_cell(self.mesh.cell_jac_inv, shape))
+        vals = vals.reshape(shape + vals.shape[1:])
+        return np.broadcast_to(vals, grads.shape[:-1]), grads
+
+    def _flux_basis(self, family, degree, pts):
+        """Flux values (C, ..., nb, 2) and divergences (C, ..., nb) at
+        reference points ``pts`` (as above)."""
+        if family == "vec":
+            sval, sgrad = self._scalar_basis(degree, pts)
+            nbs = sval.shape[-1]
+            vals = np.zeros(sval.shape[:-1] + (2 * nbs, 2))
+            vals[..., :nbs, 0] = sval
+            vals[..., nbs:, 1] = sval
+            return vals, np.concatenate([sgrad[..., 0], sgrad[..., 1]], axis=-1)
+        mesh = self.mesh
+        shape = _point_shape(pts)
+        vals, divs = basis.eval_rt_basis(degree, pts.reshape(-1, 2))
+        det = mesh.cell_det[:, None]
+        piola = np.swapaxes(mesh.cell_jac, 1, 2) / det[:, :, None]
+        vals = vals.reshape(shape + vals.shape[1:]) @ _per_cell(piola, shape)
+        divs = divs.reshape(shape + divs.shape[1:]) / _per_cell(det, shape)
+        return vals, divs
+
+    def check(self, mesh, *dof_maps):
+        """Raise ValueError unless these tables were built on ``mesh`` and
+        every DOF map has their mesh size and local spaces."""
+        if mesh is not self.mesh:
+            raise ValueError("element tables were built on another mesh")
+        for dofs in dof_maps:
+            if dofs.num_cells != mesh.num_cells:
+                raise ValueError("DOF map does not match the mesh")
+            if dofs.local_spaces != self.local_spaces:
+                raise ValueError(
+                    "DOF map spaces {} do not match the element tables' {}"
+                    .format(dofs.local_spaces, self.local_spaces))
 
     def edge_mass(self, values):
         """Arclength pairings with the trace basis, per side: (C,3,...,nt)
@@ -197,12 +207,12 @@ class ElementTables:
 
 
 class _Accumulator:
-    """COO triplet accumulator with exact symmetric insertion."""
+    """Triplet accumulator with exact symmetric insertion.  Each triplet is
+    kept as its int64 key row * n + col and its value."""
 
     def __init__(self, n):
         self.n = n
-        self.rows = []
-        self.cols = []
+        self.keys = []
         self.vals = []
 
     def add(self, rdofs, cdofs, block, mirror=False, sym=False):
@@ -216,43 +226,54 @@ class _Accumulator:
         r, c, v = np.broadcast_arrays(rdofs[..., :, None], cdofs[..., None, :],
                                       block)
         keep = (r >= 0) & (c >= 0)
-        r, c, v = r[keep], c[keep], v[keep]
-        self.rows.append(r)
-        self.cols.append(c)
+        r = r[keep].astype(np.int64, copy=False)
+        c = c[keep].astype(np.int64, copy=False)
+        v = v[keep]
+        self.keys.append(r * self.n + c)
         self.vals.append(v)
         if mirror:
-            self.rows.append(c)
-            self.cols.append(r)
+            self.keys.append(c * self.n + r)
             self.vals.append(v)
 
     def tocsr(self):
-        if not self.rows:
-            return sp.csr_matrix((self.n, self.n))
-        r = np.concatenate(self.rows)
-        c = np.concatenate(self.cols)
+        n = self.n
+        if not self.keys:
+            return sp.csr_matrix((n, n))
+        key = np.concatenate(self.keys)
         v = np.concatenate(self.vals)
-        self.rows, self.cols, self.vals = [], [], []  # free before sorting
+        self.keys, self.vals = [], []  # free before sorting
         # sum duplicates ourselves with a stable sort: mirrored triplets then
         # reduce in the same order on both sides of the diagonal, keeping the
         # assembled matrix bit-exactly symmetric
-        order = np.lexsort((c, r))
-        r, c, v = r[order], c[order], v[order]
-        first = np.empty(len(r), dtype=bool)
+        order = np.argsort(key, kind="stable")
+        key, v = key[order], v[order]
+        first = np.empty(len(key), dtype=bool)
         first[0] = True
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        first[1:] = key[1:] != key[:-1]
         starts = np.flatnonzero(first)
+        # reduceat, not bincount: bincount sums each run in sequence and
+        # reduceat long runs pairwise, so their sums differ in the last bit
         sums = np.add.reduceat(v, starts)
-        mat = sp.coo_matrix(
-            (sums, (r[starts], c[starts])), shape=(self.n, self.n)
-        )
-        return mat.tocsr()
+        key = key[starts]
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        return sp.csr_matrix((sums, key % n, indptr), shape=(n, n))
 
 
-def _check(mesh, dofs, case):
+def checked_tables(mesh, dofs, tables):
+    """``tables``, or new ones for ``dofs.case``, checked against the mesh
+    and against the local and trace spaces of ``dofs``."""
+    t = tables or ElementTables(mesh, dofs.case)
+    t.check(mesh, dofs)
+    if t.case.trace_deg != dofs.case.trace_deg:
+        raise ValueError("element tables were built for another trace space")
+    return t
+
+
+def _check(dofs, case, method):
+    if case.method != method:
+        raise ValueError("case.method must be {!r}".format(method))
     if dofs.case != case:
         raise ValueError("DofMap was built for a different SpaceCase")
-    if dofs.num_cells != mesh.num_cells:
-        raise ValueError("DofMap does not match the mesh")
 
 
 def _local_dofs(mesh, dofs):
@@ -272,10 +293,8 @@ def _load(t, f):
 
 def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat)."""
-    if case.method != "hdg":
-        raise ValueError("case.method must be 'hdg'")
-    _check(mesh, dofs, case)
-    t = tables or ElementTables(mesh, case)
+    _check(dofs, case, "hdg")
+    t = checked_tables(mesh, dofs, tables)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
     pd, ud, td = _local_dofs(mesh, dofs)
@@ -290,15 +309,13 @@ def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
     acc.add(ud[:, None], td, tau[..., None] * t.edge_mass(t.edge_sval),
             mirror=True)
     acc.add(td, td, -tau[..., None] * t.trace_mass(), sym=True)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks)
+    return LinearSystem(matrix=acc.tocsr(), rhs=rhs)
 
 
 def assemble_wg(mesh, dofs, case, coeff, f, tables=None):
     """WG saddle system for unknowns (flux p, scalar u, trace p-hat)."""
-    if case.method != "wg":
-        raise ValueError("case.method must be 'wg'")
-    _check(mesh, dofs, case)
-    t = tables or ElementTables(mesh, case)
+    _check(dofs, case, "wg")
+    t = checked_tables(mesh, dofs, tables)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
     pd, ud, td = _local_dofs(mesh, dofs)
@@ -317,7 +334,7 @@ def assemble_wg(mesh, dofs, case, coeff, f, tables=None):
     acc.add(pd[:, None], td, -eta[..., None] * sign * t.edge_mass(t.flux_n),
             mirror=True)
     acc.add(td, td, eta[..., None] * t.trace_mass(), sym=True)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks)
+    return LinearSystem(matrix=acc.tocsr(), rhs=rhs)
 
 
 class PrimalDofMap:
@@ -332,6 +349,7 @@ class PrimalDofMap:
             raise ValueError("polynomial degree k must be >= 0")
         self.k = k
         self.degree = k + 1
+        self.local_spaces = ("vec", k, k + 1)
         self.num_cells = mesh.num_cells
         self.flux_per_cell = 2 * basis.scalar_dim(k)
         self.flux_total = mesh.num_cells * self.flux_per_cell
@@ -361,13 +379,16 @@ class PrimalDofMap:
             cell_block_dofs(cell_int_start, per_cell_int, mesh.num_cells),
         ], axis=1)
         self.total = self.flux_total + self.scalar_total
-        self.blocks = {
-            "flux": slice(0, self.flux_total),
-            "scalar": slice(self.flux_total, self.total),
-        }
 
     def cell_flux_dofs(self, ci=None):
         return cell_block_dofs(0, self.flux_per_cell, self.num_cells, ci)
+
+    def cell_coefficients(self, x):
+        """Per-cell flux (C, nf) and scalar (C, nb) basis coefficients of
+        ``x``; eliminated boundary nodes read zero."""
+        g = self.scalar_l2g
+        return (x[self.cell_flux_dofs()],
+                np.where(g >= 0, x[self.flux_total + np.maximum(g, 0)], 0.0))
 
     def cell_local_dofs(self):
         """The broken flux, (C, 2 dim P_k): its cell block is the SPD flux
@@ -375,26 +396,25 @@ class PrimalDofMap:
         return self.cell_flux_dofs()
 
 
-def assemble_primal_conforming(mesh, k, coeff, f):
-    """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v)."""
+def assemble_primal_conforming(mesh, k, coeff, f, tables=None):
+    """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
+
+    Its local spaces are those of hdg/inv, whose rho -> 0 limit it is, so it
+    runs on that case's ``tables`` (built here by default).
+    """
     dofs = PrimalDofMap(mesh, k)
-    quad = basis.tri_quadrature(2 * dofs.degree + 1)
-    w, xy = volume_rule(mesh, quad)
-    sval, sgrad = scalar_basis(mesh, dofs.degree, quad.xy)
-    fval, _ = scalar_basis(mesh, k, quad.xy)
+    t = tables or ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0))
+    t.check(mesh, dofs)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
-    # flux DOFs per component (C, 2, nbs): component-major vector P_k basis
-    pd = dofs.cell_flux_dofs().reshape(mesh.num_cells, 2, -1)
+    pd = dofs.cell_flux_dofs()
     g = dofs.scalar_l2g
     gd = np.where(g >= 0, dofs.flux_total + g, -1)
-    mass = np.einsum("cq,cqa,cqb->cab", w * coeff.c_at(xy), fval, fval)
-    acc.add(pd, pd, mass[:, None], sym=True)
-    acc.add(pd, gd[:, None], np.einsum("cq,cqa,cqbk->ckab", w, fval, sgrad),
+    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
+    acc.add(pd, gd, np.einsum("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
             mirror=True)
-    load = np.einsum("cq,cqb->cb", w * at_points(f, xy), sval)
-    np.subtract.at(rhs, gd[g >= 0], load[g >= 0])
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks), dofs
+    np.add.at(rhs, gd[g >= 0], _load(t, f)[g >= 0])
+    return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
 
 
 class MixedDofMap:
@@ -409,6 +429,7 @@ class MixedDofMap:
         if k not in (0, 1):
             raise ValueError("mixed conforming method supports k in {0, 1}")
         self.k = k
+        self.local_spaces = ("rt", k, k)
         self.num_cells = mesh.num_cells
         self.per_edge = k + 1
         self.per_cell_int = k * (k + 1)
@@ -416,10 +437,6 @@ class MixedDofMap:
         self.flux_total = self.flux_edge_total + mesh.num_cells * self.per_cell_int
         self.scalar_per_cell = basis.scalar_dim(k)
         self.total = self.flux_total + mesh.num_cells * self.scalar_per_cell
-        self.blocks = {
-            "flux": slice(0, self.flux_total),
-            "scalar": slice(self.flux_total, self.total),
-        }
         m = np.arange(self.per_edge)
         edge_dofs = mesh.cell_edges[..., None] * self.per_edge + m
         edge_sign = mesh.cell_edge_sign[..., None] * np.where(
@@ -436,6 +453,11 @@ class MixedDofMap:
         return cell_block_dofs(self.flux_total, self.scalar_per_cell,
                                self.num_cells, ci)
 
+    def cell_coefficients(self, x):
+        """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of
+        ``x``, the flux oriented by ``flux_sign``."""
+        return self.flux_sign * x[self.flux_l2g], x[self.cell_scalar_dofs()]
+
     def cell_local_dofs(self):
         """No DOF is cell-local, so (C, 0): the flux is shared across edges
         and the scalar block is zero, so everything stays in the sparse
@@ -443,23 +465,25 @@ class MixedDofMap:
         return np.empty((self.num_cells, 0), dtype=np.int64)
 
 
-def assemble_mixed_conforming(mesh, k, coeff, f):
-    """Mixed conforming method: (c p, q) - (u, div q) = 0, (div p, v) = (f, v)."""
+def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
+    """Mixed conforming method: (c p, q) - (u, div q) = 0, (div p, v) = (f, v).
+
+    Its local spaces are those of wg/inv, whose rho -> 0 limit it is, so it
+    runs on that case's ``tables`` (built here by default).
+    """
     dofs = MixedDofMap(mesh, k)
-    quad = basis.tri_quadrature(2 * k + 2)
-    w, xy = volume_rule(mesh, quad)
-    fval, fdiv = flux_basis(mesh, "rt", k, quad.xy)
-    sval, _ = scalar_basis(mesh, k, quad.xy)
+    t = tables or ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0))
+    t.check(mesh, dofs)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
     idx, sgn = dofs.flux_l2g, dofs.flux_sign
-    mass = np.einsum("cq,cqak,cqbk->cab", w * coeff.c_at(xy), fval, fval)
+    mass = _flux_mass(t, t.w * coeff.c_at(t.xy))
     acc.add(idx, idx, sgn[:, :, None] * mass * sgn[:, None, :], sym=True)
-    div_block = np.einsum("cq,cqa,cqb->cab", w, fdiv, sval)
+    div_block = np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval)
     ud = dofs.cell_scalar_dofs()
     acc.add(idx, ud, -sgn[:, :, None] * div_block, mirror=True)
-    rhs[ud] -= np.einsum("cq,cqb->cb", w * at_points(f, xy), sval)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs, blocks=dofs.blocks), dofs
+    rhs[ud] += _load(t, f)
+    return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
 
 
 _KIND_FOR_CASE = {
@@ -474,17 +498,15 @@ def norm_kind_for_case(case):
     return _KIND_FOR_CASE[(case.method, case.regime)]
 
 
-def assemble_norm_gram(mesh, dofs, norm_kind, rho, coeff=None, tables=None):
-    """Gram matrix N of the parameter-dependent norm pair: x'Nx = |x|^2."""
+def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
+    """Gram matrix N of the parameter-dependent norm pair: x'Nx = |x|^2.
+
+    The norm kind and rho are those of ``dofs.case``.
+    """
     case = dofs.case
-    if norm_kind != norm_kind_for_case(case):
-        raise ValueError(
-            "norm kind {!r} does not match the {}/{} space triple".format(
-                norm_kind, case.method, case.regime
-            )
-        )
+    norm_kind, rho = norm_kind_for_case(case), case.rho
     coeff = coeff or CoefficientField.unit()
-    t = tables or ElementTables(mesh, case)
+    t = checked_tables(mesh, dofs, tables)
     acc = _Accumulator(dofs.total)
     pd, ud, td = _local_dofs(mesh, dofs)
     h = mesh.cell_size[:, None, None]

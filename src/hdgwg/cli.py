@@ -16,10 +16,10 @@ import numpy as np
 
 from .assembly import (
     CoefficientField,
+    ElementTables,
     assemble_hdg,
     assemble_norm_gram,
     assemble_wg,
-    norm_kind_for_case,
 )
 from .experiments import (
     manufactured_case,
@@ -237,16 +237,19 @@ def _cmd_check(args):
         for regime in ("rho_h", "inv"):
             case = SpaceCase(method=method, regime=regime, k=1, rho=0.5)
             dofs = build_space_triple(mesh, case)
+            tables = ElementTables(mesh, case)
             x = rng.standard_normal(dofs.total)
             scale = max(1.0, np.linalg.norm(x) ** 2)
             report("dg identity {}/{}".format(method, regime),
-                   dg_identity_residual(mesh, dofs, x) / scale, 1e-12)
+                   dg_identity_residual(mesh, dofs, x, tables) / scale, 1e-12)
+            # degree 9 integrates the polynomial exact solution's terms exactly
             report("consistency {}/{}".format(method, regime),
-                   consistency_residual(mesh, dofs, prob, quad_degree=9),
+                   consistency_residual(mesh, dofs, prob,
+                                        tables=ElementTables(mesh, case, 9)),
                    1e-10)
-            gram = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case),
-                                      case.rho)
-            quad_ef, quad_es = compute_error_norm(mesh, dofs, x, zero, case.rho)
+            gram = assemble_norm_gram(mesh, dofs, tables=tables)
+            quad_ef, quad_es = compute_error_norm(mesh, dofs, x, zero,
+                                                  tables=tables)
             via_quad = math.hypot(quad_ef, quad_es)
             via_gram = math.sqrt(x @ (gram @ x))
             report("gram cross-check {}/{}".format(method, regime),

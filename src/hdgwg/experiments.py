@@ -8,7 +8,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import basis
 from .assembly import (
     CoefficientField,
     ElementTables,
@@ -17,7 +16,6 @@ from .assembly import (
     assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
-    norm_kind_for_case,
 )
 from .linalg import min_generalized_singular_value, solve_symmetric_indefinite
 from .mesh import build_structured_mesh
@@ -138,16 +136,9 @@ class InfSupTable:
     rows: list = field(default_factory=list)
 
 
-def _solve_tables(mesh, case):
-    """Element tables for ``_solve_case``; they do not depend on rho."""
-    return ElementTables(mesh, case, min(2 * case.scalar_degree + 3,
-                                         basis.MAX_QUADRATURE_DEGREE))
-
-
-def _solve_case(mesh, case, prob, tables=None):
+def _solve_case(mesh, case, prob, tables):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=prob.alpha)
-    tables = tables or _solve_tables(mesh, case)
     assemble = assemble_hdg if case.method == "hdg" else assemble_wg
     system = assemble(mesh, dofs, case, coeff, prob.f, tables=tables)
     x = solve_symmetric_indefinite(system.matrix, system.rhs,
@@ -161,14 +152,16 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
     if levels < first_level + 1:
         raise ValueError("need at least two levels for observed orders")
     prob = manufactured_case(case_name)
+    case = SpaceCase(method=method, regime=regime, k=k, rho=rho,
+                     trace_degree=trace_degree)
     table = ConvergenceTable()
     prev_total = None
     for level in range(first_level, levels + 1):
         mesh = build_structured_mesh(2**level)
-        case = SpaceCase(method=method, regime=regime, k=k, rho=rho,
-                         trace_degree=trace_degree)
-        dofs, x, coeff = _solve_case(mesh, case, prob)
-        ef, es = compute_error_norm(mesh, dofs, x, prob, rho, coeff=coeff)
+        tables = ElementTables(mesh, case)
+        dofs, x, coeff = _solve_case(mesh, case, prob, tables)
+        ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
+                                    tables=tables)
         total = ef + es
         order = (float("nan") if prev_total is None
                  else math.log2(prev_total / total))
@@ -178,35 +171,37 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
 
 
 def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
-    """Distance of the scaling_inv method to its conforming limit as rho -> 0."""
+    """Distance of the scaling_inv method to its conforming limit as rho -> 0.
+
+    The limit method (primal for hdg, mixed for wg) has the local spaces of
+    the inv regime, so one set of element tables serves both solves and
+    the distances for every rho.
+    """
     if rhos is None:
         rhos = [10.0**-j for j in range(1, 6)]
     prob = manufactured_case(case_name)
     mesh = build_structured_mesh(2**level)
     coeff = CoefficientField(alpha=prob.alpha)
-    if method == "hdg":
-        ref_sys, ref_dofs = assemble_primal_conforming(mesh, k, coeff, prob.f)
-    elif method == "wg":
-        ref_sys, ref_dofs = assemble_mixed_conforming(mesh, k, coeff, prob.f)
-    else:
-        raise ValueError("unknown method {!r}".format(method))
+    cases = [SpaceCase(method=method, regime="inv", k=k, rho=rho)
+             for rho in rhos]
+    tables = ElementTables(mesh, cases[0])
+    assemble_limit = (assemble_primal_conforming if method == "hdg"
+                      else assemble_mixed_conforming)
+    ref_sys, ref_dofs = assemble_limit(mesh, k, coeff, prob.f, tables=tables)
     y = solve_symmetric_indefinite(ref_sys.matrix, ref_sys.rhs,
                                    cell_dofs=ref_dofs.cell_local_dofs())
     table = LimitTable()
     dists = []
-    tables = None
-    for rho in rhos:
-        case = SpaceCase(method=method, regime="inv", k=k, rho=rho)
-        tables = tables or _solve_tables(mesh, case)
+    for case in cases:
         dofs, x, _ = _solve_case(mesh, case, prob, tables)
         if method == "hdg":
-            df = flux_distance(mesh, dofs, x, ref_dofs, y)
-            ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y)
+            df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
+            ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
         else:
-            df = flux_distance(mesh, dofs, x, ref_dofs, y, hdiv=True)
-            ds = scalar_l2_distance(mesh, dofs, x, ref_dofs, y)
+            df = flux_distance(mesh, dofs, x, ref_dofs, y, tables, hdiv=True)
+            ds = scalar_l2_distance(mesh, dofs, x, ref_dofs, y, tables)
         dists.append(df + ds)
-        table.rows.append([rho, df, ds, float("nan")])
+        table.rows.append([case.rho, df, ds, float("nan")])
     slope = float(np.polyfit(np.log(rhos), np.log(dists), 1)[0])
     table.slope = slope
     table.rows = [tuple(row[:3]) + (slope,) for row in table.rows]
@@ -244,8 +239,7 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
             # rho enters through the weights only: one set of tables per mesh
             tables = tables or ElementTables(mesh, case)
             system = assemble(mesh, dofs, case, coeff, zero, tables=tables)
-            gram = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case),
-                                      case.rho, coeff=coeff, tables=tables)
+            gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables)
             beta = min_generalized_singular_value(system.matrix, gram)
             table.rows.append((mesh.h_max, case.rho, beta))
     return table

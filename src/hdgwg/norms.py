@@ -3,101 +3,43 @@
 Exact solutions are duck-typed objects exposing vectorized callables
 ``u(xy)``, ``grad_u(xy)``, ``p(xy)`` (flux, equal to -alpha grad u) and
 ``f(xy)`` (equal to div p).  Every quantity is evaluated for all cells at
-once on the batched tables of ``hdgwg.assembly``; einsum subscripts follow
-that module.
+once on an ``ElementTables`` of ``hdgwg.assembly``, the same one the
+studies assemble with; einsum subscripts follow that module.  Functions
+that take ``tables=None`` build the tables of ``dofs.case`` under the one
+quadrature rule.
+
+The three distances compare two fields that share the local spaces of
+``tables``, such as an inv-regime solution and its conforming limit: they
+subtract the fields' per-cell coefficients (``cell_coefficients`` of each
+DOF map) and evaluate the difference once.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import basis
 from .assembly import (
     CoefficientField,
-    ElementTables,
-    MixedDofMap,
-    PrimalDofMap,
     at_points,
+    checked_tables,
     edge_points,
     edge_sides,
-    flux_basis,
     norm_kind_for_case,
-    scalar_basis,
-    side_points,
-    volume_rule,
 )
-from .spaces import DofMap
-
-NORM_KINDS = ("hdg_div", "hdg_grad", "wg_grad", "wg_div")
 
 
-def _scalar_part(dofs, x):
-    """Degree and per-cell basis coefficients (C, nb) of the scalar field."""
-    if isinstance(dofs, DofMap):
-        return dofs.case.scalar_degree, x[dofs.cell_scalar_dofs()]
-    if isinstance(dofs, PrimalDofMap):
-        g = dofs.scalar_l2g
-        return dofs.degree, np.where(g >= 0, x[dofs.flux_total + np.maximum(g, 0)],
-                                     0.0)
-    if isinstance(dofs, MixedDofMap):
-        return dofs.k, x[dofs.cell_scalar_dofs()]
-    raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
-
-
-def _flux_part(dofs, x):
-    """Family, degree and per-cell coefficients (C, nb) of the flux field."""
-    if isinstance(dofs, DofMap):
-        case = dofs.case
-        return case.flux_family, case.flux_degree, x[dofs.cell_flux_dofs()]
-    if isinstance(dofs, MixedDofMap):
-        return "rt", dofs.k, dofs.flux_sign * x[dofs.flux_l2g]
-    if isinstance(dofs, PrimalDofMap):
-        return "vec", dofs.k, x[dofs.cell_flux_dofs()]
-    raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
-
-
-def _scalar_field(mesh, dofs, x, pts):
-    """Scalar field of a solution vector at reference points ``pts`` of every
-    cell (see ``scalar_basis``): values (C, ...) and gradients (C, ..., 2)."""
-    degree, coeffs = _scalar_part(dofs, x)
-    vals, grads = scalar_basis(mesh, degree, pts)
-    return (np.einsum("c...b,cb->c...", vals, coeffs),
-            np.einsum("c...bk,cb->c...k", grads, coeffs))
-
-
-def _flux_field(mesh, dofs, x, pts):
-    """Flux field of a solution vector at reference points ``pts`` of every
-    cell: values (C, ..., 2) and divergences (C, ...)."""
-    family, degree, coeffs = _flux_part(dofs, x)
-    vals, divs = flux_basis(mesh, family, degree, pts)
-    return (np.einsum("c...bk,cb->c...k", vals, coeffs),
-            np.einsum("c...b,cb->c...", divs, coeffs))
-
-
-def _default_degree(case, quad_degree):
-    if quad_degree is not None:
-        return quad_degree
-    return min(2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE)
-
-
-def _coefficients(mesh, dofs, x):
-    """Flux (C,nf), scalar (C,nu) and per-side trace (C,3,nt) coefficients of
-    ``x``; zero traces where an edge carries none."""
-    td = dofs.edge_trace_dofs(mesh.cell_edges)
-    return (x[dofs.cell_flux_dofs()], x[dofs.cell_scalar_dofs()],
-            np.where(td >= 0, x[td], 0.0))
-
-
-def compute_error_norm(mesh, dofs, x, exact, rho, coeff=None, quad_degree=None):
-    """Errors of (flux, scalar) in the norm pair of the space regime.
+def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
+    """Errors of (flux, scalar) in the norm pair of ``dofs.case``: its
+    regime's norm kind at its rho.
 
     Returns ``(err_flux, err_scalar)``.
     """
-    case = dofs.case
-    kind = norm_kind_for_case(case)
+    kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
     coeff = coeff or CoefficientField.unit()
-    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
-    xp, xu, xt = _coefficients(mesh, dofs, x)
+    t = checked_tables(mesh, dofs, tables)
+    xp, xu = dofs.cell_coefficients(x)
+    td = dofs.edge_trace_dofs(mesh.cell_edges)
+    xt = np.where(td >= 0, x[td], 0.0)
     ep = at_points(exact.p, t.xy) - np.einsum("cqbk,cb->cqk", t.fval, xp)
     flux2 = np.einsum("cq,cqk,cqk->", t.w * coeff.c_at(t.xy), ep, ep)
     if kind in ("hdg_div", "wg_div"):
@@ -147,50 +89,49 @@ def compute_error_norm(mesh, dofs, x, exact, rho, coeff=None, quad_degree=None):
     return float(np.sqrt(flux2)), float(np.sqrt(scal2))
 
 
-def broken_h1_distance(mesh, dofs_a, xa, dofs_b, xb, quad_degree=None):
+def _difference(mesh, dofs_a, xa, dofs_b, xb, tables):
+    """Per-cell flux and scalar coefficients of field a minus field b, which
+    must share the local spaces of ``tables``."""
+    tables.check(mesh, dofs_a, dofs_b)
+    pa, ua = dofs_a.cell_coefficients(xa)
+    pb, ub = dofs_b.cell_coefficients(xb)
+    return pa - pb, ua - ub
+
+
+def broken_h1_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     """Mesh-dependent H1 distance of two discrete scalar fields.
 
     ||v||^2 = sum_K |grad v|^2 + sum_e h_e^{-1} ||jump(v)||^2 over all edges,
     with the full trace as the jump on boundary edges.
     """
-    qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
-    tri = basis.tri_quadrature(qd)
-    eq = basis.edge_quadrature(qd)
-    _, ga = _scalar_field(mesh, dofs_a, xa, tri.xy)
-    _, gb = _scalar_field(mesh, dofs_b, xb, tri.xy)
-    d = ga - gb
-    total = np.einsum("cq,cqk,cqk->", volume_rule(mesh, tri)[0], d, d)
-    pts = side_points(mesh, eq.points)
-    va, _ = _scalar_field(mesh, dofs_a, xa, pts)
-    vb, _ = _scalar_field(mesh, dofs_b, xb, pts)
-    jump = edge_sides(mesh, mesh.cell_edge_sign[..., None] * (va - vb)).sum(axis=1)
-    total += np.einsum("q,eq,eq->", eq.weights, jump, jump)  # 1/h_e cancels ds = h_e ds_param
+    t = tables
+    _, du = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
+    d = np.einsum("cqbk,cb->cqk", t.sgrad, du)
+    total = np.einsum("cq,cqk,cqk->", t.w, d, d)
+    v = np.einsum("clqb,cb->clq", t.edge_sval, du)
+    jump = edge_sides(mesh, mesh.cell_edge_sign[..., None] * v).sum(axis=1)
+    total += np.einsum("q,eq,eq->", t.edge.weights, jump, jump)  # 1/h_e cancels ds = h_e ds_param
     return float(np.sqrt(total))
 
 
-def flux_distance(mesh, dofs_a, xa, dofs_b, xb, hdiv=False, quad_degree=None):
+def flux_distance(mesh, dofs_a, xa, dofs_b, xb, tables, hdiv=False):
     """L2 (or broken H(div)) distance of two discrete flux fields."""
-    qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
-    tri = basis.tri_quadrature(qd)
-    w = volume_rule(mesh, tri)[0]
-    va, da = _flux_field(mesh, dofs_a, xa, tri.xy)
-    vb, db = _flux_field(mesh, dofs_b, xb, tri.xy)
-    d = va - vb
-    total = np.einsum("cq,cqk,cqk->", w, d, d)
+    t = tables
+    dp, _ = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
+    d = np.einsum("cqbk,cb->cqk", t.fval, dp)
+    total = np.einsum("cq,cqk,cqk->", t.w, d, d)
     if hdiv:
-        dd = da - db
-        total += np.einsum("cq,cq,cq->", w, dd, dd)
+        dd = np.einsum("cqb,cb->cq", t.fdiv, dp)
+        total += np.einsum("cq,cq,cq->", t.w, dd, dd)
     return float(np.sqrt(total))
 
 
-def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, quad_degree=None):
+def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     """L2 distance of two discrete scalar fields."""
-    qd = quad_degree if quad_degree is not None else basis.MAX_QUADRATURE_DEGREE
-    tri = basis.tri_quadrature(qd)
-    va, _ = _scalar_field(mesh, dofs_a, xa, tri.xy)
-    vb, _ = _scalar_field(mesh, dofs_b, xb, tri.xy)
-    d = va - vb
-    return float(np.sqrt(np.einsum("cq,cq,cq->", volume_rule(mesh, tri)[0], d, d)))
+    t = tables
+    _, du = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
+    d = np.einsum("cqb,cb->cq", t.sval, du)
+    return float(np.sqrt(np.einsum("cq,cq,cq->", t.w, d, d)))
 
 
 def _scatter(r, dofs, values):
@@ -199,7 +140,7 @@ def _scatter(r, dofs, values):
     np.add.at(r, dofs[keep], values[keep])
 
 
-def consistency_residual(mesh, dofs, exact, coeff=None, quad_degree=None):
+def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
     """Max row residual of the scheme applied to the exact solution fields.
 
     Each test basis function is paired by quadrature with the exact
@@ -210,7 +151,7 @@ def consistency_residual(mesh, dofs, exact, coeff=None, quad_degree=None):
     """
     case = dofs.case
     coeff = coeff or CoefficientField.unit()
-    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
+    t = checked_tables(mesh, dofs, tables)
     pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
     td = dofs.edge_trace_dofs(mesh.cell_edges)
     r = np.zeros(dofs.total)
@@ -249,7 +190,7 @@ def consistency_residual(mesh, dofs, exact, coeff=None, quad_degree=None):
     return float(np.max(np.abs(r) / np.sqrt(scale)))
 
 
-def dg_identity_residual(mesh, dofs, x, quad_degree=None):
+def dg_identity_residual(mesh, dofs, x, tables=None):
     """Residual of the element-boundary pairing rewritten in jumps/averages.
 
     Checks sum_K <v, q.n_K> = <avg q, jump v> + <jump q, avg v> for the
@@ -257,9 +198,8 @@ def dg_identity_residual(mesh, dofs, x, quad_degree=None):
     vector-valued, the flux jump scalar-valued, and boundary edges carry
     the one-sided convention (the missing side counts as zero).
     """
-    case = dofs.case
-    t = ElementTables(mesh, case, _default_degree(case, quad_degree))
-    xp, xu, _ = _coefficients(mesh, dofs, x)
+    t = checked_tables(mesh, dofs, tables)
+    xp, xu = dofs.cell_coefficients(x)
     v = np.einsum("clqb,cb->clq", t.edge_sval, xu)
     lhs = np.einsum("clq,clq,clqa,ca->", t.edge_w, v, t.flux_n, xp)
     q = edge_sides(mesh, np.einsum("clqbk,cb->clqk", t.edge_fval, xp))

@@ -81,6 +81,11 @@ class SpaceCase:
         return self.k
 
     @property
+    def local_spaces(self):
+        """(flux family, flux degree, scalar degree) of the cell spaces."""
+        return (self.flux_family, self.flux_degree, self.scalar_degree)
+
+    @property
     def stabilization(self):
         """Per-cell stabilization weight as a function of h_K."""
         if self.regime == "rho_h":
@@ -122,24 +127,8 @@ class DofMap:
         self.total = self.trace_offset + len(self.trace_edges) * self.trace_per_edge
 
     @property
-    def flux_slice(self):
-        return slice(self.flux_offset, self.scalar_offset)
-
-    @property
-    def scalar_slice(self):
-        return slice(self.scalar_offset, self.trace_offset)
-
-    @property
-    def trace_slice(self):
-        return slice(self.trace_offset, self.total)
-
-    @property
-    def blocks(self):
-        return {
-            "flux": self.flux_slice,
-            "scalar": self.scalar_slice,
-            "trace": self.trace_slice,
-        }
+    def local_spaces(self):
+        return self.case.local_spaces
 
     def cell_flux_dofs(self, ci=None):
         """Flux DOFs of cell(s) ``ci`` (default all cells): (..., flux_per_cell)."""
@@ -150,6 +139,11 @@ class DofMap:
         """Scalar DOFs of cell(s) ``ci`` (default all cells)."""
         return cell_block_dofs(self.scalar_offset, self.scalar_per_cell,
                                self.num_cells, ci)
+
+    def cell_coefficients(self, x):
+        """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of
+        ``x``."""
+        return x[self.cell_flux_dofs()], x[self.cell_scalar_dofs()]
 
     def cell_local_dofs(self):
         """DOFs that couple only within their own cell, (C, m), for static

@@ -9,10 +9,10 @@ import pytest
 
 from hdgwg.assembly import (
     CoefficientField,
+    ElementTables,
     assemble_hdg,
     assemble_norm_gram,
     assemble_wg,
-    norm_kind_for_case,
 )
 from hdgwg.experiments import (
     manufactured_case,
@@ -92,10 +92,12 @@ def test_criterion_5_rho_uniform_error_constants():
     ratios = []
     for (method, regime), rhos in sweeps.items():
         errs = []
+        tables = ElementTables(mesh, SpaceCase(method, regime, 0, rhos[0]))
         for rho in rhos:
             case = SpaceCase(method, regime, 0, rho)
-            dofs, x, coeff = _solve_case(mesh, case, prob)
-            ef, es = compute_error_norm(mesh, dofs, x, prob, rho, coeff=coeff)
+            dofs, x, coeff = _solve_case(mesh, case, prob, tables)
+            ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
+                                        tables=tables)
             errs.append(ef + es)
         ratios.append(max(errs) / min(errs))
     _report(5, all(r <= 5.0 for r in ratios),
@@ -167,8 +169,8 @@ def test_criterion_9_identity_consistency_oracle():
                            ("wg", "rho_h"), ("wg", "inv")]:
         case = SpaceCase(method, regime, 1, 0.5)
         dofs = build_space_triple(mesh4, case)
-        worst = max(worst, consistency_residual(mesh4, dofs, poly,
-                                                quad_degree=9))
+        worst = max(worst, consistency_residual(
+            mesh4, dofs, poly, tables=ElementTables(mesh4, case, 9)))
     ok = ok and worst <= 1e-10
     details.append("in-space consistency {:.1e} <= 1e-10".format(worst))
 
@@ -228,10 +230,10 @@ def test_criterion_10_gram_cross_check():
             [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")]):
         case = SpaceCase(method, regime, 1, 0.25)
         dofs = build_space_triple(mesh, case)
-        N = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case), case.rho)
+        N = assemble_norm_gram(mesh, dofs)
         for _ in range(50):
             x = rng.standard_normal(dofs.total)
-            ef, es = compute_error_norm(mesh, dofs, x, zero, case.rho)
+            ef, es = compute_error_norm(mesh, dofs, x, zero)
             via_quad = math.hypot(ef, es)
             via_gram = math.sqrt(x @ (N @ x))
             worst = max(worst, abs(via_quad - via_gram) / via_gram)

@@ -11,7 +11,6 @@ from hdgwg.assembly import (
     assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
-    norm_kind_for_case,
     MixedDofMap,
     PrimalDofMap,
 )
@@ -33,14 +32,19 @@ def _edge_data(mesh, ci, li, s):
     return ei, mesh.edge_normal[ei], mesh.edge_length[ei], pts, sign
 
 
+def one_rule(scalar_degree):
+    """Quadrature degree of every cell integral in hdgwg."""
+    return min(2 * scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE)
+
+
 def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
     """Pairwise evaluation of the HDG bilinear form by fresh quadrature.
 
-    The rule degree matches the assembler's default so non-polynomial
+    The rule degree follows the assembler's one rule so non-polynomial
     coefficients integrate to the identical quadrature sum.
     """
-    tri = basis.tri_quadrature(2 * case.k + 2)
-    eq = basis.edge_quadrature(2 * case.k + 2)
+    tri = basis.tri_quadrature(one_rule(case.scalar_degree))
+    eq = basis.edge_quadrature(one_rule(case.scalar_degree))
     total = 0.0
     for ci in range(mesh.num_cells):
         A, b0, det, _ = cellwise._geometry(mesh, ci)
@@ -73,8 +77,8 @@ def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
 
 def wg_form_oracle(mesh, dofs, case, coeff, xa, xb):
     """Pairwise evaluation of the WG bilinear form by fresh quadrature."""
-    tri = basis.tri_quadrature(2 * case.k + 2)
-    eq = basis.edge_quadrature(2 * case.k + 2)
+    tri = basis.tri_quadrature(one_rule(case.scalar_degree))
+    eq = basis.edge_quadrature(one_rule(case.scalar_degree))
     total = 0.0
     for ci in range(mesh.num_cells):
         A, b0, det, _ = cellwise._geometry(mesh, ci)
@@ -227,8 +231,8 @@ def test_primal_conforming_against_oracle():
     f = lambda xy: xy[:, 1]
     sys, dofs = assemble_primal_conforming(mesh, 0, coeff, f)
     dense = sys.matrix.toarray()
-    # same rule degree as the assembler (2 * degree + 1)
-    tri = basis.tri_quadrature(2 * dofs.degree + 1)
+    # the assembler's rule: that of hdg/inv, scalar degree k + 1
+    tri = basis.tri_quadrature(one_rule(dofs.degree))
     eye = np.eye(dofs.total)
 
     def form(xa, xb):
@@ -260,8 +264,8 @@ def test_mixed_conforming_against_oracle():
     f = lambda xy: np.cos(xy[:, 1])
     sys, dofs = assemble_mixed_conforming(mesh, 0, coeff, f)
     dense = sys.matrix.toarray()
-    # same rule degree as the assembler (2 k + 2)
-    tri = basis.tri_quadrature(2 * dofs.k + 2)
+    # the assembler's rule: that of wg/inv, scalar degree k
+    tri = basis.tri_quadrature(one_rule(dofs.k))
     eye = np.eye(dofs.total)
 
     def form(xa, xb):
@@ -338,7 +342,7 @@ def test_norm_gram_spd(method, regime):
     mesh = build_structured_mesh(2)
     case = SpaceCase(method, regime, 0, 0.3)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case), case.rho)
+    N = assemble_norm_gram(mesh, dofs)
     dense = N.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.min(scipy.linalg.eigvalsh(dense)) > 0.0
@@ -349,17 +353,10 @@ def test_norm_gram_quadratic_scaling():
     mesh = build_structured_mesh(2)
     case = SpaceCase("wg", "rho_h", 1, 0.5)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs, "wg_grad", case.rho)
+    N = assemble_norm_gram(mesh, dofs)
     x = rng.standard_normal(dofs.total)
     assert abs((2 * x) @ (N @ (2 * x)) - 4 * (x @ (N @ x))) < 1e-10
     assert np.zeros(dofs.total) @ (N @ np.zeros(dofs.total)) == 0.0
-
-
-def test_norm_gram_kind_mismatch():
-    mesh = build_structured_mesh(1)
-    dofs = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1.0))
-    with pytest.raises(ValueError):
-        assemble_norm_gram(mesh, dofs, "wg_grad", 1.0)
 
 
 def test_conforming_flux_has_no_projected_jump():
@@ -368,20 +365,20 @@ def test_conforming_flux_has_no_projected_jump():
     # with only flux entries set
     rng = np.random.default_rng(41)
     mesh = build_structured_mesh(2)
-    case = SpaceCase("hdg", "rho_h", 0, 1.0)
-    dofs = build_space_triple(mesh, case)
+    dofs = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1.0))
+    small = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1e-3))
     mixed = MixedDofMap(mesh, 0)
     xc = rng.standard_normal(mixed.flux_total)
     x = np.zeros(dofs.total)
     x[dofs.cell_flux_dofs()] = mixed.flux_sign * xc[mixed.flux_l2g]
-    n1 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1.0) @ x)
-    n2 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1e-3) @ x)
+    n1 = x @ (assemble_norm_gram(mesh, dofs) @ x)
+    n2 = x @ (assemble_norm_gram(mesh, small) @ x)
     # rho only multiplies the (zero) jump and (zero) trace contributions
     assert abs(n1 - n2) < 1e-9 * max(n1, 1.0)
     # breaking conformity reactivates the jump penalty
     x[dofs.cell_flux_dofs(0)] += rng.standard_normal(dofs.flux_per_cell)
-    j1 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1e-3) @ x)
-    j0 = x @ (assemble_norm_gram(mesh, dofs, "hdg_div", 1.0) @ x)
+    j1 = x @ (assemble_norm_gram(mesh, small) @ x)
+    j0 = x @ (assemble_norm_gram(mesh, dofs) @ x)
     assert j1 > 10.0 * j0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdgwg import experiments
+from hdgwg import assembly, experiments
 from hdgwg.experiments import (
     INFSUP_DOF_LIMIT,
     manufactured_case,
@@ -139,3 +139,25 @@ def test_infsup_dof_limit_checked_before_any_eigensolve(monkeypatch):
     with pytest.raises(ValueError, match="level 5 has"):
         run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(1, 2, 5))
     assert calls == []
+
+
+def test_one_element_tables_per_mesh_and_space(monkeypatch):
+    # the solve, the limit method, the Gram, the error norm and the
+    # distances all share the tables of their mesh
+    built = []
+    init = assembly.ElementTables.__init__
+
+    def counting(self, mesh, case, quad_degree=None):
+        built.append(mesh.num_cells)
+        init(self, mesh, case, quad_degree)
+
+    monkeypatch.setattr(assembly.ElementTables, "__init__", counting)
+    run_convergence_study("hdg", "inv", 1, 0.1, levels=4)
+    assert built == [32, 128, 512]
+    for method in ("hdg", "wg"):
+        built.clear()
+        run_rho_limit_study(method, 1, level=2)
+        assert built == [32]
+    built.clear()
+    run_infsup_study("wg", "rho_h", 0, rhos=[1.0, 1e-2], levels=(1, 2))
+    assert built == [8, 32]

@@ -10,7 +10,6 @@ from hdgwg.assembly import (
     assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
-    norm_kind_for_case,
 )
 from hdgwg import linalg
 from hdgwg.experiments import manufactured_case
@@ -230,8 +229,7 @@ def test_beta_matches_cholesky_eigh_oracle(method, regime, k, rho, mesh_name):
     A, _, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
     mesh = MESHES[mesh_name]()
     coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
-    N = assemble_norm_gram(mesh, dofs, norm_kind_for_case(dofs.case), rho,
-                           coeff=coeff)
+    N = assemble_norm_gram(mesh, dofs, coeff=coeff)
     beta = min_generalized_singular_value(A, N)
     ref = cellwise.min_generalized_singular_value(A, N)
     assert beta > 0.0

@@ -5,8 +5,13 @@ from hdgwg import basis
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
+    MixedDofMap,
+    PrimalDofMap,
+    assemble_hdg,
+    assemble_mixed_conforming,
     assemble_norm_gram,
-    norm_kind_for_case,
+    assemble_primal_conforming,
+    assemble_wg,
 )
 from hdgwg.experiments import manufactured_case
 from hdgwg.mesh import build_structured_mesh
@@ -20,6 +25,7 @@ from hdgwg.norms import (
 )
 from hdgwg.spaces import SpaceCase, build_space_triple
 
+import cellwise
 from cellwise import jittered_mesh, project_to_edge_space
 
 ALL_REGIMES = [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")]
@@ -47,11 +53,11 @@ def test_error_norm_matches_gram_quadratic_form(method, regime):
     mesh = build_structured_mesh(2)
     case = SpaceCase(method, regime, 1, 0.25)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs, norm_kind_for_case(case), case.rho)
+    N = assemble_norm_gram(mesh, dofs)
     zero = ZeroExact()
     for _ in range(10):
         x = rng.standard_normal(dofs.total)
-        ef, es = compute_error_norm(mesh, dofs, x, zero, case.rho)
+        ef, es = compute_error_norm(mesh, dofs, x, zero)
         lhs = np.hypot(ef, es)
         ref = np.sqrt(x @ (N @ x))
         assert abs(lhs - ref) <= 1e-11 * ref
@@ -95,7 +101,8 @@ def test_zero_solution_error_is_exact_solution_norm():
     dofs = build_space_triple(mesh, case)
     prob = manufactured_case("sine")
     _, es = compute_error_norm(
-        mesh, dofs, np.zeros(dofs.total), prob, case.rho, quad_degree=10
+        mesh, dofs, np.zeros(dofs.total), prob,
+        tables=ElementTables(mesh, case, 10)
     )
     assert abs(es - 0.5) < 1e-10
 
@@ -151,7 +158,7 @@ def test_in_space_solution_has_zero_error(method, regime):
     dofs = build_space_triple(mesh, case)
     exact = LinearExact()
     x = _interpolate(mesh, dofs, case, exact)
-    ef, es = compute_error_norm(mesh, dofs, x, exact, case.rho)
+    ef, es = compute_error_norm(mesh, dofs, x, exact)
     assert ef < 1e-10
     assert es < 1e-10
 
@@ -165,7 +172,7 @@ def test_in_space_hdg_inv_boundary_penalty():
     dofs = build_space_triple(mesh, case)
     exact = LinearExact()
     x = _interpolate(mesh, dofs, case, exact)
-    ef, es = compute_error_norm(mesh, dofs, x, exact, case.rho)
+    ef, es = compute_error_norm(mesh, dofs, x, exact)
     assert ef < 1e-10
     eq = basis.edge_quadrature(6)
     expected = 0.0
@@ -186,8 +193,8 @@ def test_error_norm_homogeneity():
     dofs = build_space_triple(mesh, case)
     x = rng.standard_normal(dofs.total)
     zero = ZeroExact()
-    ef1, es1 = compute_error_norm(mesh, dofs, x, zero, case.rho)
-    ef2, es2 = compute_error_norm(mesh, dofs, 2.0 * x, zero, case.rho)
+    ef1, es1 = compute_error_norm(mesh, dofs, x, zero)
+    ef2, es2 = compute_error_norm(mesh, dofs, 2.0 * x, zero)
     assert abs(ef2 - 2.0 * ef1) < 1e-11 * ef1
     assert abs(es2 - 2.0 * es1) < 1e-11 * es1
 
@@ -198,7 +205,8 @@ def test_consistency_residual_polynomial_in_space(method, regime):
     case = SpaceCase(method, regime, 1, 0.5)
     dofs = build_space_triple(mesh, case)
     prob = manufactured_case("poly")
-    res = consistency_residual(mesh, dofs, prob, quad_degree=9)
+    res = consistency_residual(mesh, dofs, prob,
+                               tables=ElementTables(mesh, case, 9))
     assert res < 1e-10
 
 
@@ -221,12 +229,13 @@ def test_distance_functions_metric_properties():
     xa = rng.standard_normal(dofs.total)
     xb = rng.standard_normal(dofs.total)
     xc = rng.standard_normal(dofs.total)
+    t = ElementTables(mesh, case)
     for dist in (broken_h1_distance, scalar_l2_distance, flux_distance):
-        assert dist(mesh, dofs, xa, dofs, xa) < 1e-13
-        dab = dist(mesh, dofs, xa, dofs, xb)
-        assert abs(dab - dist(mesh, dofs, xb, dofs, xa)) < 1e-12
-        dac = dist(mesh, dofs, xa, dofs, xc)
-        dcb = dist(mesh, dofs, xc, dofs, xb)
+        assert dist(mesh, dofs, xa, dofs, xa, t) < 1e-13
+        dab = dist(mesh, dofs, xa, dofs, xb, t)
+        assert abs(dab - dist(mesh, dofs, xb, dofs, xa, t)) < 1e-12
+        dac = dist(mesh, dofs, xa, dofs, xc, t)
+        dcb = dist(mesh, dofs, xc, dofs, xb, t)
         assert dab <= dac + dcb + 1e-12
 
 
@@ -238,8 +247,9 @@ def test_scalar_distance_cross_checks_error_norm():
     case = SpaceCase("wg", "inv", 1, 1.0)
     dofs = build_space_triple(mesh, case)
     x = rng.standard_normal(dofs.total)
-    _, es = compute_error_norm(mesh, dofs, x, ZeroExact(), case.rho)
-    d = scalar_l2_distance(mesh, dofs, x, dofs, np.zeros(dofs.total))
+    t = ElementTables(mesh, case)
+    _, es = compute_error_norm(mesh, dofs, x, ZeroExact(), tables=t)
+    d = scalar_l2_distance(mesh, dofs, x, dofs, np.zeros(dofs.total), t)
     assert abs(es - d) < 1e-12 * es
 
 
@@ -250,6 +260,101 @@ def test_hdiv_flux_distance_includes_divergence():
     dofs = build_space_triple(mesh, case)
     xa = rng.standard_normal(dofs.total)
     zb = np.zeros(dofs.total)
-    l2 = flux_distance(mesh, dofs, xa, dofs, zb, hdiv=False)
-    hdiv = flux_distance(mesh, dofs, xa, dofs, zb, hdiv=True)
+    t = ElementTables(mesh, case)
+    l2 = flux_distance(mesh, dofs, xa, dofs, zb, t, hdiv=False)
+    hdiv = flux_distance(mesh, dofs, xa, dofs, zb, t, hdiv=True)
     assert hdiv > l2
+
+
+def _distance_oracle(mesh, dofs_a, xa, dofs_b, xb):
+    """Flux L2, flux broken H(div), broken H1 and scalar L2 distances cell
+    by cell at degree 10, by the unbatched evaluators of ``cellwise``."""
+    tri = basis.tri_quadrature(10)
+    eq = basis.edge_quadrature(10)
+    flux = div = h1 = scalar = 0.0
+    for ci in range(mesh.num_cells):
+        w = tri.weights * cellwise._geometry(mesh, ci)[2]
+        pa, da = cellwise._flux_on_cell(mesh, dofs_a, xa, ci, tri.xy)
+        pb, db = cellwise._flux_on_cell(mesh, dofs_b, xb, ci, tri.xy)
+        ua, ga = cellwise._scalar_on_cell(mesh, dofs_a, xa, ci, tri.xy)
+        ub, gb = cellwise._scalar_on_cell(mesh, dofs_b, xb, ci, tri.xy)
+        flux += w @ np.sum((pa - pb) ** 2, axis=1)
+        div += w @ (da - db) ** 2
+        h1 += w @ np.sum((ga - gb) ** 2, axis=1)
+        scalar += w @ (ua - ub) ** 2
+    for ei in range(mesh.num_edges):
+        jump = 0.0
+        for ci, li in zip(mesh.edge_cells[ei], mesh.edge_local[ei]):
+            if ci < 0:
+                continue
+            pts = cellwise._edge_ref_points(
+                li, cellwise._side_flip(mesh, ci, li), eq.points)
+            va, _ = cellwise._scalar_on_cell(mesh, dofs_a, xa, ci, pts)
+            vb, _ = cellwise._scalar_on_cell(mesh, dofs_b, xb, ci, pts)
+            jump = jump + mesh.cell_edge_sign[ci, li] * (va - vb)
+        length = mesh.edge_length[ei]
+        h1 += (eq.weights * length) @ jump**2 / length
+    return np.sqrt([flux, flux + div, h1, scalar])
+
+
+@pytest.mark.parametrize("method,k,mesh", [
+    pytest.param(m, k, mesh, id="{}-k{}-{}".format(m, k, name))
+    for name, mesh in (("structured", build_structured_mesh(4)),
+                       ("jittered", jittered_mesh()))
+    for m in ("hdg", "wg") for k in (0, 1)])
+def test_limit_distances_match_cellwise_oracle(method, k, mesh):
+    # each inv method against its conforming limit, on the inv tables
+    rng = np.random.default_rng(k)
+    case = SpaceCase(method, "inv", k, 0.1)
+    dofs = build_space_triple(mesh, case)
+    limit = PrimalDofMap(mesh, k) if method == "hdg" else MixedDofMap(mesh, k)
+    x = rng.standard_normal(dofs.total)
+    y = rng.standard_normal(limit.total)
+    t = ElementTables(mesh, case)
+    got = [flux_distance(mesh, dofs, x, limit, y, t),
+           flux_distance(mesh, dofs, x, limit, y, t, hdiv=True),
+           broken_h1_distance(mesh, dofs, x, limit, y, t),
+           scalar_l2_distance(mesh, dofs, x, limit, y, t)]
+    ref = _distance_oracle(mesh, dofs, x, limit, y)
+    assert np.all(np.abs(np.array(got) - ref) <= 1e-12 * ref)
+
+
+def test_tables_must_match_mesh_and_spaces():
+    mesh = build_structured_mesh(2)
+    other = build_structured_mesh(2)
+    coeff = CoefficientField.unit()
+    one = lambda xy: np.ones(len(xy))
+    case = SpaceCase("hdg", "inv", 1, 0.5)
+    dofs = build_space_triple(mesh, case)
+    x = np.zeros(dofs.total)
+    t = ElementTables(mesh, case)
+    elsewhere = ElementTables(other, case)
+    with pytest.raises(ValueError, match="another mesh"):
+        assemble_hdg(mesh, dofs, case, coeff, one, tables=elsewhere)
+    with pytest.raises(ValueError, match="another mesh"):
+        compute_error_norm(mesh, dofs, x, ZeroExact(), tables=elsewhere)
+    with pytest.raises(ValueError, match="another mesh"):
+        flux_distance(mesh, dofs, x, dofs, x, elsewhere)
+    # a DOF map on a mesh of another size
+    coarse = build_space_triple(build_structured_mesh(1), case)
+    with pytest.raises(ValueError, match="does not match the mesh"):
+        assemble_norm_gram(mesh, coarse, tables=t)
+    # local spaces: P_{k+1} against P_k scalars, vec against RT fluxes
+    wg = SpaceCase("wg", "inv", 1, 0.5)
+    mixed = MixedDofMap(mesh, 1)
+    with pytest.raises(ValueError, match="do not match the element tables"):
+        scalar_l2_distance(mesh, dofs, x, mixed, np.zeros(mixed.total), t)
+    with pytest.raises(ValueError, match="do not match the element tables"):
+        assemble_primal_conforming(mesh, 1, coeff, one,
+                                   tables=ElementTables(mesh, wg))
+    with pytest.raises(ValueError, match="do not match the element tables"):
+        assemble_mixed_conforming(mesh, 0, coeff, one,
+                                  tables=ElementTables(mesh, wg))
+    with pytest.raises(ValueError, match="do not match the element tables"):
+        assemble_wg(mesh, build_space_triple(mesh, wg), wg, coeff, one,
+                    tables=t)
+    # the trace space
+    wide = SpaceCase("hdg", "inv", 1, 0.5, trace_degree=1)
+    with pytest.raises(ValueError, match="another trace space"):
+        dg_identity_residual(mesh, build_space_triple(mesh, wide),
+                             np.zeros(dofs.total), tables=t)

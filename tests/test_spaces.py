@@ -72,9 +72,13 @@ def test_dof_map_partition():
             tr = dofs.edge_trace_dofs(ei)
             seen[tr[tr >= 0]] += 1
         assert np.all(seen == 1)
-        blocks = dofs.blocks
-        assert blocks["flux"].start == 0
-        assert blocks["trace"].stop == dofs.total
+        # flux, then scalar, then trace
+        flux = dofs.cell_flux_dofs()
+        trace = dofs.edge_trace_dofs(dofs.trace_edges)
+        assert flux.min() == 0
+        assert flux.max() < dofs.cell_scalar_dofs().min()
+        assert dofs.cell_scalar_dofs().max() < trace.min()
+        assert trace.max() == dofs.total - 1
 
 
 def test_hdg_boundary_edges_carry_no_trace():
