@@ -5,7 +5,7 @@ and scattered as stacked per-cell blocks.  Triplets are summed in a fixed
 order with exact symmetric insertion, so A == A.T exactly and repeated runs
 are bit-identical.
 
-Subscripts in the ``einsum`` calls: ``c`` cell, ``l`` local edge, ``q``
+Subscripts in the ``contract`` calls: ``c`` cell, ``l`` local edge, ``q``
 quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
 functions, ``k`` vector component.
 """
@@ -21,6 +21,14 @@ import scipy.sparse as sp
 from . import basis
 from .mesh import Mesh
 from .spaces import SpaceCase, cell_block_dofs
+
+
+def contract(subscripts, *operands):
+    """``np.einsum`` on an optimized contraction order, so that pairwise
+    products run as BLAS matrix products where they can instead of one
+    nested loop over all indices.  Every cell kernel of the package
+    contracts through this one helper."""
+    return np.einsum(subscripts, *operands, optimize=True)
 
 
 def at_points(fn, xy):
@@ -143,7 +151,7 @@ class ElementTables:
         self.edge_fval, _ = self._flux_basis(family, fdeg, pts)
         self.normal = (mesh.cell_edge_sign[..., None]
                        * mesh.edge_normal[mesh.cell_edges])
-        self.flux_n = np.einsum("clqak,clk->clqa", self.edge_fval, self.normal)
+        self.flux_n = contract("clqak,clk->clqa", self.edge_fval, self.normal)
         self.trace = basis.eval_edge_basis(case.trace_deg, self.edge.points)
 
     def _scalar_basis(self, degree, pts):
@@ -192,18 +200,18 @@ class ElementTables:
     def edge_mass(self, values):
         """Arclength pairings with the trace basis, per side: (C,3,...,nt)
         for values (C,3,ns,...)."""
-        return np.einsum("clq,clq...,qt->cl...t", self.edge_w, values,
-                         self.trace)
+        return contract("clq,clq...,qt->cl...t", self.edge_w, values,
+                        self.trace)
 
     def trace_mass(self):
         """Arclength trace-basis Gram per side: (C,3,nt,nt)."""
-        return np.einsum("clq,qs,qt->clst", self.edge_w, self.trace, self.trace)
+        return contract("clq,qs,qt->clst", self.edge_w, self.trace, self.trace)
 
     def moments(self, values):
         """Parametric trace-basis moments, per side: (C,3,nt,...) for values
         (C,3,ns,...)."""
-        return np.einsum("q,qt,clq...->clt...", self.edge.weights, self.trace,
-                         values)
+        return contract("q,qt,clq...->clt...", self.edge.weights, self.trace,
+                        values)
 
 
 class _Accumulator:
@@ -283,12 +291,12 @@ def _local_dofs(mesh, dofs):
 
 
 def _flux_mass(t, weights):
-    return np.einsum("cq,cqak,cqbk->cab", weights, t.fval, t.fval)
+    return contract("cq,cqak,cqbk->cab", weights, t.fval, t.fval)
 
 
 def _load(t, f):
     """Load vector -(f, v) per cell: (C, nu)."""
-    return -np.einsum("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval)
+    return -contract("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval)
 
 
 def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
@@ -300,12 +308,12 @@ def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
     pd, ud, td = _local_dofs(mesh, dofs)
     tau = case.stabilization(mesh.cell_size)[:, None, None]
     acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
-    acc.add(pd, ud, -np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval),
+    acc.add(pd, ud, -contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval),
             mirror=True)
     rhs[ud] += _load(t, f)
     acc.add(pd[:, None], td, t.edge_mass(t.flux_n), mirror=True)
-    acc.add(ud, ud, -tau * np.einsum("clq,clqa,clqb->cab", t.edge_w,
-                                     t.edge_sval, t.edge_sval), sym=True)
+    acc.add(ud, ud, -tau * contract("clq,clqa,clqb->cab", t.edge_w,
+                                    t.edge_sval, t.edge_sval), sym=True)
     acc.add(ud[:, None], td, tau[..., None] * t.edge_mass(t.edge_sval),
             mirror=True)
     acc.add(td, td, -tau[..., None] * t.trace_mass(), sym=True)
@@ -323,10 +331,10 @@ def assemble_wg(mesh, dofs, case, coeff, f, tables=None):
     sign = mesh.cell_edge_sign[..., None, None]
     # mass plus stabilization eta <(p - p-hat n_e).n_K, (q - q-hat n_e).n_K>
     acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy))
-            + eta * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
-                              t.flux_n), sym=True)
+            + eta * contract("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
+                             t.flux_n), sym=True)
     # b_w volume part (q, grad v)
-    acc.add(pd, ud, np.einsum("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
+    acc.add(pd, ud, contract("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
             mirror=True)
     rhs[ud] += _load(t, f)
     # b_w edge part -<sigma q-hat, v>
@@ -411,7 +419,7 @@ def assemble_primal_conforming(mesh, k, coeff, f, tables=None):
     g = dofs.scalar_l2g
     gd = np.where(g >= 0, dofs.flux_total + g, -1)
     acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
-    acc.add(pd, gd, np.einsum("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
+    acc.add(pd, gd, contract("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
             mirror=True)
     np.add.at(rhs, gd[g >= 0], _load(t, f)[g >= 0])
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
@@ -479,7 +487,7 @@ def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
     idx, sgn = dofs.flux_l2g, dofs.flux_sign
     mass = _flux_mass(t, t.w * coeff.c_at(t.xy))
     acc.add(idx, idx, sgn[:, :, None] * mass * sgn[:, None, :], sym=True)
-    div_block = np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval)
+    div_block = contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval)
     ud = dofs.cell_scalar_dofs()
     acc.add(idx, ud, -sgn[:, :, None] * div_block, mirror=True)
     rhs[ud] += _load(t, f)
@@ -514,22 +522,22 @@ def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
 
     pp = _flux_mass(t, t.w * coeff.c_at(t.xy))
     if div:
-        pp = pp + np.einsum("cq,cqa,cqb->cab", t.w, t.fdiv, t.fdiv)
-        uu = np.einsum("cq,cqa,cqb->cab", t.w, t.sval, t.sval)
+        pp = pp + contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.fdiv)
+        uu = contract("cq,cqa,cqb->cab", t.w, t.sval, t.sval)
     else:
-        uu = np.einsum("cq,cqak,cqbk->cab", t.w, t.sgrad, t.sgrad)
+        uu = contract("cq,cqak,cqbk->cab", t.w, t.sgrad, t.sgrad)
     if norm_kind == "hdg_grad":
         coef = 1.0 / (rho * h)
-        uu = uu + coef * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.edge_sval,
-                                   t.edge_sval)
+        uu = uu + coef * contract("clq,clqa,clqb->cab", t.edge_w, t.edge_sval,
+                                  t.edge_sval)
         acc.add(ud[:, None], td, -coef[..., None] * t.edge_mass(t.edge_sval),
                 mirror=True)
         acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
     if norm_kind in ("wg_grad", "wg_div"):
         coef = rho * h if norm_kind == "wg_grad" else 1.0 / (rho * h)
         sign = mesh.cell_edge_sign[..., None, None]
-        pp = pp + coef * np.einsum("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
-                                   t.flux_n)
+        pp = pp + coef * contract("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
+                                  t.flux_n)
         acc.add(pd[:, None], td, -coef[..., None] * sign * t.edge_mass(t.flux_n),
                 mirror=True)
         acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
@@ -564,4 +572,4 @@ def _add_jump_gram(acc, mesh, moments, cell_dofs, edges, coef):
     cells = mesh.edge_cells[edges]
     gd = np.where(cells[..., None] >= 0, cell_dofs[cells], -1)
     gd = gd.reshape(len(gd), -1)
-    acc.add(gd, gd, coef * np.einsum("eta,etb->eab", J, J), sym=True)
+    acc.add(gd, gd, coef * contract("eta,etb->eab", J, J), sym=True)

@@ -216,6 +216,6 @@ def eval_rt_basis(k, points):
     """RT_k basis dual to the standard DOFs; returns (values, divergences)."""
     coeffs = _rt_coeffs(k)
     gen_vals, gen_divs = _rt_generators(k, np.atleast_2d(points))
-    values = np.einsum("qgc,gb->qbc", gen_vals, coeffs)
+    values = coeffs.T @ gen_vals
     divs = gen_divs @ coeffs
     return values, divs

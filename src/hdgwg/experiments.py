@@ -175,10 +175,15 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
     The limit method (primal for hdg, mixed for wg) has the local spaces of
     the inv regime, so one set of element tables serves both solves and
-    the distances for every rho.
+    the distances for every rho.  The slope is fitted to log-log distance
+    over rho, so ``rhos`` must hold at least two distinct positive values.
     """
-    if rhos is None:
-        rhos = [10.0**-j for j in range(1, 6)]
+    rhos = [10.0**-j for j in range(1, 6)] if rhos is None else list(rhos)
+    if not all(rho > 0.0 for rho in rhos):
+        raise ValueError("every rho must be positive, got {}".format(rhos))
+    if len(set(rhos)) < 2:
+        raise ValueError("the limit slope needs at least two distinct rhos, "
+                         "got {}".format(rhos))
     prob = manufactured_case(case_name)
     mesh = build_structured_mesh(2**level)
     coeff = CoefficientField(alpha=prob.alpha)

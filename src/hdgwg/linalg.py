@@ -20,6 +20,17 @@ CELL_RCOND_MIN = 1e-13
 
 REFINEMENT_STEPS = 5
 
+# splu keyword arguments of the reduced factorization.  A reduced matrix
+# whose diagonal has one strict sign is factored pivot-free in symmetric
+# mode: diagonal pivots on a minimum-degree ordering of A + A^T, i.e. an
+# LDL^T.  The HDG trace and primal systems are such (negative definite).
+# Any other, such as the indefinite WG and mixed systems, gets partial
+# pivoting on a COLAMD ordering.  The refinement contract below is the only
+# acceptance test of either: a one-sign diagonal does not prove definiteness.
+PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options=dict(SymmetricMode=True))
+PARTIAL_PIVOTING = {}
+
 
 def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
@@ -28,8 +39,9 @@ def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     A restricted to them is block diagonal with C blocks of size m.  They
     are eliminated first (static condensation): the blocks B are inverted
     by batched dense LU, the reduced matrix A_gg - A_gl B^-1 A_lg on the
-    remaining (global) DOFs is factored with a sparse LU, and the cell
-    unknowns are recovered by back-substitution.  Without cell DOFs the
+    remaining (global) DOFs is factored with a sparse LU (pivot-free when
+    its diagonal has one sign, see ``PIVOT_FREE``), and the cell unknowns
+    are recovered by back-substitution.  Without cell DOFs the
     reduced matrix is A itself.  The DOF maps' ``cell_local_dofs()`` give the sets: flux
     and scalar for HDG, leaving the trace; the flux alone for WG, leaving
     scalar and trace, because the WG (p, u) cell block is singular on cell
@@ -107,8 +119,10 @@ def _condensed_factor(A, cell_dofs):
          np.arange(flat.size + 1) * m), shape=(flat.size, flat.size))
     A_gl, A_lg = rows_g[:, flat], rows_l[:, glob]
     reduced = (rows_g[:, glob] - A_gl @ (B_inv @ A_lg)).tocsc()
+    diag = reduced.diagonal()
+    one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
     try:
-        lu = spla.splu(reduced)
+        lu = spla.splu(reduced, **(PIVOT_FREE if one_sign else PARTIAL_PIVOTING))
     except Exception as exc:
         raise SingularMatrixError(
             "reduced factorization of {} DOFs failed: {}".format(

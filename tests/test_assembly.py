@@ -390,3 +390,27 @@ def test_assembly_is_deterministic():
     b = assemble_wg(mesh, dofs, case, CoefficientField.unit(), ONE)
     assert (a.matrix != b.matrix).nnz == 0
     assert np.array_equal(a.rhs, b.rhs)
+
+
+def _bit_identical(a, b):
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
+
+
+@pytest.mark.parametrize("method,regime", [("hdg", "inv"), ("wg", "rho_h")])
+def test_level_5_assembly_is_deterministic(method, regime):
+    # at 2048 cells the cell kernels run as threaded BLAS products: two
+    # assemblies must still agree to the bit, and stay exactly symmetric
+    mesh = build_structured_mesh(32)
+    case = SpaceCase(method, regime, 1, 0.1)
+    dofs = build_space_triple(mesh, case)
+    coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
+    asm = assemble_hdg if method == "hdg" else assemble_wg
+    first, second = (asm(mesh, dofs, case, coeff, ONE) for _ in range(2))
+    assert _bit_identical(first.matrix, second.matrix)
+    assert np.array_equal(first.rhs, second.rhs)
+    grams = [assemble_norm_gram(mesh, dofs, coeff=coeff) for _ in range(2)]
+    assert _bit_identical(*grams)
+    for M in (first.matrix, grams[0]):
+        assert _bit_identical(M, M.T.tocsr())

@@ -113,6 +113,15 @@ def test_limit_command(tmp_path):
     assert float(rows[0][1]) + float(rows[0][2]) > float(rows[1][1]) + float(rows[1][2])
 
 
+@pytest.mark.parametrize("rhos", [",", "0.1", "0.1,0"])
+def test_limit_rejects_rhos_without_a_slope(tmp_path, capsys, rhos):
+    rc = cli.main(["limit", "--method", "wg", "--k", "0", "--level", "1",
+                   "--rhos", rhos, "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "limit.csv").exists()
+
+
 def test_infsup_command(tmp_path):
     rc = cli.main(["infsup", "--method", "hdg", "--regime", "inv",
                    "--k", "0", "--rhos", "1,1e-2", "--level-list", "1,2",

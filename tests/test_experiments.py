@@ -113,6 +113,20 @@ def test_limit_study_decreases_with_rho():
         run_rho_limit_study("dg", 0)
 
 
+@pytest.mark.parametrize("rhos,message", [
+    ([], "at least two distinct rhos"),
+    ([0.1], "at least two distinct rhos"),
+    ([0.1, 0.1], "at least two distinct rhos"),
+    ([0.1, 0.0], "must be positive"),
+    ([0.1, -1e-2], "must be positive"),
+    ([0.1, float("nan")], "must be positive"),
+])
+def test_limit_study_needs_two_positive_rhos(rhos, message):
+    # the slope is a log-log fit: it needs two distinct points, rho > 0
+    with pytest.raises(ValueError, match=message):
+        run_rho_limit_study("wg", 0, level=1, rhos=rhos)
+
+
 def test_infsup_study_positive_betas():
     table = run_infsup_study("hdg", "rho_h", 0, rhos=[1.0, 1e-2],
                              levels=(1, 2))

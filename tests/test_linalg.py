@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hdgwg.assembly import (
     CoefficientField,
     assemble_hdg,
+    assemble_mixed_conforming,
     assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
@@ -74,8 +75,10 @@ def _varcoef_system(method, regime, k, rho, mesh_name):
     mesh = MESHES[mesh_name]()
     prob = manufactured_case("varcoef")
     coeff = CoefficientField(alpha=prob.alpha)
-    if method == "primal":
-        system, dofs = assemble_primal_conforming(mesh, k, coeff, prob.f)
+    if method in ("primal", "mixed"):
+        assemble = (assemble_primal_conforming if method == "primal"
+                    else assemble_mixed_conforming)
+        system, dofs = assemble(mesh, k, coeff, prob.f)
     else:
         case = SpaceCase(method, regime, k, rho)
         dofs = build_space_triple(mesh, case)
@@ -108,6 +111,71 @@ def test_condensation_matches_plain_factorization(method, regime, k, rho,
     monkeypatch.setattr(linalg, "REFINEMENT_STEPS", 0)
     x_once = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
     assert np.linalg.norm(x_once - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
+
+
+def _record_splu(monkeypatch):
+    """Record the keyword arguments of every ``splu`` call of the solver."""
+    calls = []
+    splu = linalg.spla.splu
+
+    def recording(matrix, **kwargs):
+        calls.append(kwargs)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", recording)
+    return calls
+
+
+# the reduced HDG trace and primal systems are negative definite; the WG
+# (scalar plus trace) and mixed systems are indefinite
+FACTOR_CHOICE = (
+    [(method, regime, k, linalg.PIVOT_FREE)
+     for method, regime in (("hdg", "rho_h"), ("hdg", "inv"), ("primal", None))
+     for k in (0, 1)]
+    + [(method, regime, k, linalg.PARTIAL_PIVOTING)
+       for method, regime in (("wg", "rho_h"), ("wg", "inv"), ("mixed", None))
+       for k in (0, 1)])
+
+
+@pytest.mark.parametrize("method,regime,k,expected", FACTOR_CHOICE)
+def test_factorization_follows_the_reduced_system(method, regime, k, expected,
+                                                  monkeypatch):
+    calls = _record_splu(monkeypatch)
+    for mesh_name in MESHES:
+        for rho in (1.0, 1e-3):
+            A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
+            del calls[:]
+            solve_symmetric_indefinite(A, b, cell_dofs=dofs.cell_local_dofs())
+            assert calls == [expected], (mesh_name, rho)
+
+
+@pytest.mark.parametrize("matrix,stage", [
+    # indefinite, one-sign diagonal: the unpivoted factor still passes
+    ([[1e-8, 1.0], [1.0, 1e-8]], None),
+    # singular: the factorization meets an exact zero pivot
+    ([[1.0, 1.0], [1.0, 1.0]], "reduced factorization of 2 DOFs failed"),
+    # indefinite cycle: growth of 1e8 that refinement cannot repair
+    ([[1e-8, 1.0, 1.0, 0.0], [1.0, 1e-8, 0.0, 1.0],
+      [1.0, 0.0, 1e-8, 1.0], [0.0, 1.0, 1.0, 1e-8]],
+     r"refinement: residual .* exceeds tolerance"),
+])
+def test_pivot_free_factor_meets_the_contract_or_raises(matrix, stage,
+                                                        monkeypatch):
+    # a one-sign diagonal does not prove definiteness: the unpivoted factor
+    # of an indefinite matrix must pass the backward-error contract or
+    # raise, never return a degraded solution
+    calls = _record_splu(monkeypatch)
+    A = sp.csr_matrix(np.array(matrix))
+    b = np.random.default_rng(3).standard_normal(A.shape[0])
+    if stage is None:
+        x = solve_symmetric_indefinite(A, b)
+        bound = 1e-10 * (np.linalg.norm(A.toarray()) * np.linalg.norm(x)
+                         + np.linalg.norm(b))
+        assert np.linalg.norm(A @ x - b) <= bound
+    else:
+        with pytest.raises(SingularMatrixError, match=stage):
+            solve_symmetric_indefinite(A, b)
+    assert calls == [linalg.PIVOT_FREE]
 
 
 @pytest.mark.parametrize("regime", ["rho_h", "inv"])

@@ -1,0 +1,44 @@
+"""Guards on the source of ``hdgwg`` itself."""
+
+import ast
+from pathlib import Path
+
+import hdgwg
+
+SOURCE = Path(hdgwg.__file__).parent
+
+
+def _einsum_calls(tree):
+    """Line numbers of the calls to ``einsum`` in a module, except those in
+    the body of the contraction helper ``contract``."""
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "contract":
+            inside.update(id(n) for n in ast.walk(node))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            if name == "einsum":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_every_einsum_goes_through_the_contraction_helper():
+    # a bare einsum runs as one nested loop over all indices; the helper
+    # orders the contraction so that pairwise products run as BLAS
+    modules = sorted(SOURCE.glob("*.py"))
+    assert len(modules) > 1
+    offenders = {}
+    helpers = 0
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        helpers += sum(isinstance(n, ast.FunctionDef) and n.name == "contract"
+                       for n in ast.walk(tree))
+        lines = _einsum_calls(tree)
+        if lines:
+            offenders[path.name] = lines
+    assert helpers == 1
+    assert offenders == {}
