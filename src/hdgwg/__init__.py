@@ -9,12 +9,12 @@ from .assembly import (
     CoefficientField,
     assemble_hdg,
     assemble_mixed_conforming,
-    assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
 )
 from .linalg import min_generalized_singular_value, solve_symmetric_indefinite
-from .norms import compute_error_norm, consistency_residual, dg_identity_residual
+from .norms import assemble_norm_gram, compute_error_norm
+from .norms import consistency_residual, dg_identity_residual
 from .experiments import (
     manufactured_case,
     run_convergence_study,

@@ -1,4 +1,4 @@
-"""Assembly of the HDG/WG systems, their conforming limits, and norm Grams.
+"""Assembly of the HDG/WG systems and their conforming limits.
 
 Every form is evaluated for all cells at once on the batched tables below
 and scattered as stacked per-cell blocks.  Triplets are summed in a fixed
@@ -106,9 +106,8 @@ class ElementTables:
     rule of ns points are both of degree ``quad_degree``, by default
     min(2 scalar_degree + 3, ``basis.MAX_QUADRATURE_DEGREE``).  That default
     is the one rule of the studies: each builds one set of tables per mesh
-    and space and passes it to the assembler, the conforming limit method
-    on the same local spaces, the Gram matrix, the error norm and the limit
-    distances.  The tables do not depend on rho.
+    and space and shares it between its assemblers and ``hdgwg.norms``.
+    The tables do not depend on rho.
 
     Volume tables: weights ``w`` (C,nq), points ``xy`` (C,nq,2), scalar
     values ``sval`` (C,nq,nu) and physical gradients ``sgrad`` (C,nq,nu,2),
@@ -277,11 +276,10 @@ def checked_tables(mesh, dofs, tables):
     return t
 
 
-def _check(dofs, case, method):
-    if case.method != method:
-        raise ValueError("case.method must be {!r}".format(method))
-    if dofs.case != case:
-        raise ValueError("DofMap was built for a different SpaceCase")
+def _check(dofs, method):
+    if dofs.case.method != method:
+        raise ValueError("DofMap was built for method {!r}, not {!r}".format(
+            dofs.case.method, method))
 
 
 def _local_dofs(mesh, dofs):
@@ -299,14 +297,14 @@ def _load(t, f):
     return -contract("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval)
 
 
-def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
+def assemble_hdg(mesh, dofs, coeff, f, tables=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat)."""
-    _check(dofs, case, "hdg")
+    _check(dofs, "hdg")
     t = checked_tables(mesh, dofs, tables)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
     pd, ud, td = _local_dofs(mesh, dofs)
-    tau = case.stabilization(mesh.cell_size)[:, None, None]
+    tau = dofs.case.stabilization(mesh.cell_size)[:, None, None]
     acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
     acc.add(pd, ud, -contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval),
             mirror=True)
@@ -320,14 +318,14 @@ def assemble_hdg(mesh, dofs, case, coeff, f, tables=None):
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs)
 
 
-def assemble_wg(mesh, dofs, case, coeff, f, tables=None):
+def assemble_wg(mesh, dofs, coeff, f, tables=None):
     """WG saddle system for unknowns (flux p, scalar u, trace p-hat)."""
-    _check(dofs, case, "wg")
+    _check(dofs, "wg")
     t = checked_tables(mesh, dofs, tables)
     acc = _Accumulator(dofs.total)
     rhs = np.zeros(dofs.total)
     pd, ud, td = _local_dofs(mesh, dofs)
-    eta = case.stabilization(mesh.cell_size)[:, None, None]
+    eta = dofs.case.stabilization(mesh.cell_size)[:, None, None]
     sign = mesh.cell_edge_sign[..., None, None]
     # mass plus stabilization eta <(p - p-hat n_e).n_K, (q - q-hat n_e).n_K>
     acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy))
@@ -492,84 +490,3 @@ def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
     acc.add(idx, ud, -sgn[:, :, None] * div_block, mirror=True)
     rhs[ud] += _load(t, f)
     return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
-
-
-_KIND_FOR_CASE = {
-    ("hdg", "rho_h"): "hdg_div",
-    ("hdg", "inv"): "hdg_grad",
-    ("wg", "rho_h"): "wg_grad",
-    ("wg", "inv"): "wg_div",
-}
-
-
-def norm_kind_for_case(case):
-    return _KIND_FOR_CASE[(case.method, case.regime)]
-
-
-def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
-    """Gram matrix N of the parameter-dependent norm pair: x'Nx = |x|^2.
-
-    The norm kind and rho are those of ``dofs.case``.
-    """
-    case = dofs.case
-    norm_kind, rho = norm_kind_for_case(case), case.rho
-    coeff = coeff or CoefficientField.unit()
-    t = checked_tables(mesh, dofs, tables)
-    acc = _Accumulator(dofs.total)
-    pd, ud, td = _local_dofs(mesh, dofs)
-    h = mesh.cell_size[:, None, None]
-    div = norm_kind in ("hdg_div", "wg_div")
-
-    pp = _flux_mass(t, t.w * coeff.c_at(t.xy))
-    if div:
-        pp = pp + contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.fdiv)
-        uu = contract("cq,cqa,cqb->cab", t.w, t.sval, t.sval)
-    else:
-        uu = contract("cq,cqak,cqbk->cab", t.w, t.sgrad, t.sgrad)
-    if norm_kind == "hdg_grad":
-        coef = 1.0 / (rho * h)
-        uu = uu + coef * contract("clq,clqa,clqb->cab", t.edge_w, t.edge_sval,
-                                  t.edge_sval)
-        acc.add(ud[:, None], td, -coef[..., None] * t.edge_mass(t.edge_sval),
-                mirror=True)
-        acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
-    if norm_kind in ("wg_grad", "wg_div"):
-        coef = rho * h if norm_kind == "wg_grad" else 1.0 / (rho * h)
-        sign = mesh.cell_edge_sign[..., None, None]
-        pp = pp + coef * contract("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
-                                  t.flux_n)
-        acc.add(pd[:, None], td, -coef[..., None] * sign * t.edge_mass(t.flux_n),
-                mirror=True)
-        acc.add(td, td, coef[..., None] * t.trace_mass(), sym=True)
-    acc.add(pd, pd, pp, sym=True)
-    acc.add(ud, ud, uu, sym=True)
-
-    if norm_kind == "hdg_div":
-        # scalar trace term rho h_e <v-hat, v-hat>_e = rho h_e^2 (coefficients)
-        trace_dofs = dofs.edge_trace_dofs(dofs.trace_edges)
-        h_e = mesh.edge_length[dofs.trace_edges][:, None, None]
-        acc.add(trace_dofs, trace_dofs,
-                rho * h_e * h_e * np.eye(case.trace_deg + 1))
-        # projected normal-jump term rho^{-1} h_e^{-1} <P[q], P[q]>
-        _add_jump_gram(acc, mesh, t.moments(t.flux_n), pd, mesh.interior_edges,
-                       1.0 / rho)
-    if norm_kind == "wg_grad":
-        # same moment construction for the scalar jump [v] (all edges)
-        moments = mesh.cell_edge_sign[..., None, None] * t.moments(t.edge_sval)
-        _add_jump_gram(acc, mesh, moments, ud, slice(None), 1.0 / rho)
-    return acc.tocsr()
-
-
-def _add_jump_gram(acc, mesh, moments, cell_dofs, edges, coef):
-    """Accumulate coef * sum_m mu_m^2 per edge, with mu the moments of the
-    jump: the sum of the (signed) side ``moments`` over the edge's cells.
-
-    For the orthonormal trace basis this equals coef * h_e^{-1}
-    <P_e[.], P_e[.]>_e with P_e the L^2(e) projection onto the trace space.
-    """
-    J = edge_sides(mesh, moments, edges)
-    J = np.concatenate([J[:, 0], J[:, 1]], axis=-1)
-    cells = mesh.edge_cells[edges]
-    gd = np.where(cells[..., None] >= 0, cell_dofs[cells], -1)
-    gd = gd.reshape(len(gd), -1)
-    acc.add(gd, gd, coef * contract("eta,etb->eab", J, J), sym=True)

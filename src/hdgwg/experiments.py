@@ -13,13 +13,13 @@ from .assembly import (
     ElementTables,
     assemble_hdg,
     assemble_mixed_conforming,
-    assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
 )
 from .linalg import min_generalized_singular_value, solve_symmetric_indefinite
 from .mesh import build_structured_mesh
 from .norms import (
+    assemble_norm_gram,
     broken_h1_distance,
     compute_error_norm,
     flux_distance,
@@ -140,7 +140,7 @@ def _solve_case(mesh, case, prob, tables):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=prob.alpha)
     assemble = assemble_hdg if case.method == "hdg" else assemble_wg
-    system = assemble(mesh, dofs, case, coeff, prob.f, tables=tables)
+    system = assemble(mesh, dofs, coeff, prob.f, tables=tables)
     x = solve_symmetric_indefinite(system.matrix, system.rhs,
                                    cell_dofs=dofs.cell_local_dofs())
     return dofs, x, coeff
@@ -243,7 +243,7 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         for case, dofs in instances:
             # rho enters through the weights only: one set of tables per mesh
             tables = tables or ElementTables(mesh, case)
-            system = assemble(mesh, dofs, case, coeff, zero, tables=tables)
+            system = assemble(mesh, dofs, coeff, zero, tables=tables)
             gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables)
             beta = min_generalized_singular_value(system.matrix, gram)
             table.rows.append((mesh.h_max, case.rho, beta))

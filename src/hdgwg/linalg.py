@@ -26,7 +26,8 @@ REFINEMENT_STEPS = 5
 # LDL^T.  The HDG trace and primal systems are such (negative definite).
 # Any other, such as the indefinite WG and mixed systems, gets partial
 # pivoting on a COLAMD ordering.  The refinement contract below is the only
-# acceptance test of either: a one-sign diagonal does not prove definiteness.
+# acceptance test of either: a one-sign diagonal does not prove definiteness,
+# so a pivot-free factor that misses it is redone once with partial pivoting.
 PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
 PARTIAL_PIVOTING = {}
@@ -61,7 +62,17 @@ def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    solve = _condensed_factor(A, cell_dofs)
+    factor, first = _condensed_factor(A, cell_dofs)
+    try:
+        return _refine(A, b, factor(first), rtol)
+    except SingularMatrixError:
+        if first is PARTIAL_PIVOTING:
+            raise
+    return _refine(A, b, factor(PARTIAL_PIVOTING), rtol)
+
+
+def _refine(A, b, solve, rtol):
+    """x = solve(b), refined against A to the contract above."""
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solution contains non-finite entries")
@@ -83,7 +94,8 @@ def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
 
 
 def _condensed_factor(A, cell_dofs):
-    """Factor A by static condensation of ``cell_dofs``; returns r -> A^-1 r."""
+    """Condense ``cell_dofs`` out of A.  Returns ``factor``, which maps splu
+    options to a solver r -> A^-1 r, and the options to try first."""
     n = A.shape[0]
     local = np.asarray(np.empty((0, 0)) if cell_dofs is None else cell_dofs,
                        dtype=np.int64)
@@ -121,21 +133,25 @@ def _condensed_factor(A, cell_dofs):
     reduced = (rows_g[:, glob] - A_gl @ (B_inv @ A_lg)).tocsc()
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
-    try:
-        lu = spla.splu(reduced, **(PIVOT_FREE if one_sign else PARTIAL_PIVOTING))
-    except Exception as exc:
-        raise SingularMatrixError(
-            "reduced factorization of {} DOFs failed: {}".format(
-                len(glob), exc)) from exc
 
-    def solve(r):
-        y = B_inv @ r[flat]
-        x = np.empty_like(r)
-        x[glob] = x_g = lu.solve(r[glob] - A_gl @ y)
-        x[flat] = y - B_inv @ (A_lg @ x_g)
-        return x
+    def factor(options):
+        try:
+            lu = spla.splu(reduced, **options)
+        except Exception as exc:
+            raise SingularMatrixError(
+                "reduced factorization of {} DOFs failed: {}".format(
+                    len(glob), exc)) from exc
 
-    return solve
+        def solve(r):
+            y = B_inv @ r[flat]
+            x = np.empty_like(r)
+            x[glob] = x_g = lu.solve(r[glob] - A_gl @ y)
+            x[flat] = y - B_inv @ (A_lg @ x_g)
+            return x
+
+        return solve
+
+    return factor, PIVOT_FREE if one_sign else PARTIAL_PIVOTING
 
 
 def _invert_cell_blocks(blocks):

@@ -1,12 +1,14 @@
-"""Parameter-dependent error norms, limit distances, and consistency checks.
+"""The norm pairs, limit distances, and consistency checks.
+
+The four parameter-dependent norm pairs, one per method and regime, are
+defined once, by the terms of ``_norm_terms``: ``assemble_norm_gram`` (the
+Gram of the inf-sup study) and ``compute_error_norm`` both evaluate them.
 
 Exact solutions are duck-typed objects exposing vectorized callables
 ``u(xy)``, ``grad_u(xy)``, ``p(xy)`` (flux, equal to -alpha grad u) and
-``f(xy)`` (equal to div p).  Every quantity is evaluated for all cells at
-once on an ``ElementTables`` of ``hdgwg.assembly``, the same one the
-studies assemble with; ``contract`` subscripts follow that module.  Functions
-that take ``tables=None`` build the tables of ``dofs.case`` under the one
-quadrature rule.
+``f(xy)`` (equal to div p).  Everything is evaluated for all cells at once
+on the ``ElementTables`` the studies assemble with (built for ``dofs.case``
+if ``tables=None``); ``contract`` subscripts follow ``hdgwg.assembly``.
 
 The three distances compare two fields that share the local spaces of
 ``tables``, such as an inv-regime solution and its conforming limit: they
@@ -16,78 +18,157 @@ DOF map) and evaluate the difference once.
 
 from __future__ import annotations
 
+from itertools import combinations_with_replacement
+
 import numpy as np
 
 from .assembly import (
     CoefficientField,
+    _Accumulator,
     at_points,
     checked_tables,
     contract,
     edge_points,
     edge_sides,
-    norm_kind_for_case,
 )
 
+_KIND_FOR_CASE = {("hdg", "rho_h"): "hdg_div", ("hdg", "inv"): "hdg_grad",
+                  ("wg", "rho_h"): "wg_grad", ("wg", "inv"): "wg_div"}
 
-def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
-    """Errors of (flux, scalar) in the norm pair of ``dofs.case``: its
-    regime's norm kind at its rho.
+FLUX, SCALAR = 0, 1  # the parts of a norm pair
 
-    Returns ``(err_flux, err_scalar)``.
+
+def norm_kind_for_case(case):
+    return _KIND_FOR_CASE[(case.method, case.regime)]
+
+
+class _ZeroField:
+    """Exact fields that all vanish: errors against them are norms."""
+
+    u = f = staticmethod(lambda xy: np.zeros(len(xy)))
+    grad_u = p = staticmethod(lambda xy: np.zeros((len(xy), 2)))
+
+
+ZERO_FIELD = _ZeroField()
+
+
+def _sum_of_squares(w, d):
+    """sum w |d|^2 over the points of ``w``; d has a component axis last."""
+    return float(np.sum(w * np.sum(d * d, axis=-1)))
+
+
+def _norm_terms(mesh, dofs, tables, coeff, exact):
+    """The terms of the norm pair of ``dofs.case`` at its rho.
+
+    A term ``(part, w, samples, linear, scale)`` adds
+    sum scale w |samples - sum_i B_i x[D_i]|^2 to the square of ``part``.
+    Its leading group axes G are cells, cell sides or edges.  ``w`` is
+    (G, q) and ``samples`` (G, q, k), with k = 1 for a scalar field.  Each
+    (D, B) of ``linear`` holds DOFs D (G', a), negative ones reading zero,
+    and basis samples B (G'', q, a, k); G' and G'' are leading axes of G,
+    and a cell part comes before a per-side part.  ``scale`` is a number or
+    one value per entry of G's first axis.  Per-side terms vanish on the
+    exact solution.  Jump terms sum over trace-basis moments in place of
+    points: sum_m mu_m^2 = h_e^{-1} |P_e[.]|^2_e, with P_e the L^2(e)
+    projection onto the trace space.
     """
     kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
     coeff = coeff or CoefficientField.unit()
     t = checked_tables(mesh, dofs, tables)
-    xp, xu = dofs.cell_coefficients(x)
+    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
     td = dofs.edge_trace_dofs(mesh.cell_edges)
-    xt = np.where(td >= 0, x[td], 0.0)
-    ep = at_points(exact.p, t.xy) - contract("cqbk,cb->cqk", t.fval, xp)
-    flux2 = contract("cq,cqk,cqk->", t.w * coeff.c_at(t.xy), ep, ep)
+    trace, h = t.trace[..., None], mesh.cell_size
+    sign = mesh.cell_edge_sign[..., None]  # sigma = n_K . n_e per side
+
+    # c |p|^2, plus |div p|^2 and |u|^2, or |grad u|^2
+    yield (FLUX, t.w * coeff.c_at(t.xy), at_points(exact.p, t.xy),
+           [(pd, t.fval)], 1.0)
     if kind in ("hdg_div", "wg_div"):
-        edp = at_points(exact.f, t.xy) - contract("cqb,cb->cq", t.fdiv, xp)
-        flux2 += contract("cq,cq,cq->", t.w, edp, edp)
-        eu = at_points(exact.u, t.xy) - contract("cqb,cb->cq", t.sval, xu)
-        scal2 = contract("cq,cq,cq->", t.w, eu, eu)
+        yield (FLUX, t.w, at_points(exact.f, t.xy)[..., None],
+               [(pd, t.fdiv[..., None])], 1.0)
+        yield (SCALAR, t.w, at_points(exact.u, t.xy)[..., None],
+               [(ud, t.sval[..., None])], 1.0)
     else:
-        egu = (at_points(exact.grad_u, t.xy)
-               - contract("cqbk,cb->cqk", t.sgrad, xu))
-        scal2 = contract("cq,cqk,cqk->", t.w, egu, egu)
-
-    h = mesh.cell_size[:, None, None]
-    hat = contract("qt,clt->clq", t.trace, xt)
+        yield SCALAR, t.w, at_points(exact.grad_u, t.xy), [(ud, t.sgrad)], 1.0
     if kind == "hdg_grad":
-        d = hat - contract("clqb,cb->clq", t.edge_sval, xu)
-        scal2 += contract("clq,clq,clq->", t.edge_w / (rho * h), d, d)
+        # (rho h_K)^{-1} |u - u-hat|^2 on each side
+        yield (SCALAR, t.edge_w, 0.0,
+               [(ud, t.edge_sval[..., None]), (td, -trace)], 1.0 / (rho * h))
     if kind in ("wg_grad", "wg_div"):
-        coef = rho * h if kind == "wg_grad" else 1.0 / (rho * h)
-        sign = mesh.cell_edge_sign[..., None]
-        pex = at_points(exact.p, t.edge_xy)
-        pn_e = contract("clqk,clk->clq", pex, mesh.edge_normal[mesh.cell_edges])
-        pn_K = contract("clqk,clk->clq", pex, t.normal)
-        ph_n = contract("clqa,ca->clq", t.flux_n, xp)
-        d = (pn_K - ph_n) - sign * (pn_e - hat)
-        flux2 += contract("clq,clq,clq->", coef * t.edge_w, d, d)
-
+        # (rho h_K)^{+-1} |p.n_K - sigma p-hat|^2 = |p.n_e - p-hat|^2 per side
+        yield (FLUX, t.edge_w, 0.0,
+               [(pd, (sign[..., None] * t.flux_n)[..., None]), (td, -trace)],
+               rho * h if kind == "wg_grad" else 1.0 / (rho * h))
     if kind == "hdg_div":
-        # scalar trace error rho h_e <u - u_hat, u - u_hat>
+        # rho h_e |u-hat|^2_e, and rho^{-1} h_e^{-1} |P_e[p.n]|^2_e inside
         te = dofs.trace_edges
-        h_e = mesh.edge_length[te][:, None]
-        d = (at_points(exact.u, edge_points(mesh, t.edge.points)[te])
-             - x[dofs.edge_trace_dofs(te)] @ t.trace.T)
-        scal2 += rho * contract("eq,eq,eq->", h_e * h_e * t.edge.weights, d, d)
-        # projected normal-jump error rho^{-1} h_e^{-1} <P[p - p_h], P[p - p_h]>
-        d = (contract("clqk,clk->clq", at_points(exact.p, t.edge_xy), t.normal)
-             - contract("clqa,ca->clq", t.flux_n, xp))
-        mu = edge_sides(mesh, t.moments(d), mesh.interior_edges).sum(axis=1)
-        flux2 += np.sum(mu * mu) / rho
+        h_e = mesh.edge_length[te]
+        u_e = at_points(exact.u, edge_points(mesh, t.edge.points)[te])
+        yield (SCALAR, np.broadcast_to(t.edge.weights, u_e.shape),
+               u_e[..., None], [(dofs.edge_trace_dofs(te), trace)],
+               rho * h_e * h_e)
+        pn = contract("clqk,clk->clq", at_points(exact.p, t.edge_xy),
+                      t.normal)
+        yield _jump_term(mesh, FLUX, t.moments(pn), t.moments(t.flux_n), pd,
+                         mesh.interior_edges, rho)
     if kind == "wg_grad":
-        # projected scalar-jump error rho^{-1} h_e^{-1} |Q[u - u_h]|^2
-        d = (at_points(exact.u, t.edge_xy)
-             - contract("clqb,cb->clq", t.edge_sval, xu))
-        moments = mesh.cell_edge_sign[..., None] * t.moments(d)
-        mu = edge_sides(mesh, moments).sum(axis=1)
-        scal2 += np.sum(mu * mu) / rho
-    return float(np.sqrt(flux2)), float(np.sqrt(scal2))
+        # rho^{-1} h_e^{-1} |Q_e[u]|^2_e, one-sided on the boundary
+        yield _jump_term(mesh, SCALAR,
+                         sign * t.moments(at_points(exact.u, t.edge_xy)),
+                         sign[..., None] * t.moments(t.edge_sval), ud,
+                         slice(None), rho)
+
+
+def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges, rho):
+    """rho^{-1} sum_m mu_m^2 over ``edges``: mu sums the side ``moments``
+    (C, 3, m) of the exact field minus those of ``basis_moments``
+    (C, 3, m, a) on ``cell_dofs``, over both sides of each edge."""
+    sides = edge_sides(mesh, basis_moments, edges)
+    cells = mesh.edge_cells[edges]
+    dofs = np.where(cells[..., None] >= 0, cell_dofs[cells], -1)
+    samples = edge_sides(mesh, moments, edges).sum(axis=1)[..., None]
+    basis = np.concatenate([sides[:, 0], sides[:, 1]], axis=-1)[..., None]
+    return (part, np.ones(samples.shape[:-1]), samples,
+            [(dofs.reshape(len(dofs), -1), basis)], 1.0 / rho)
+
+
+def _per_group(scale, ndim):
+    """A term's ``scale`` shaped to broadcast over ``ndim`` axes."""
+    return np.reshape(scale, np.shape(scale) + (1,) * (ndim - np.ndim(scale)))
+
+
+def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
+    """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2.
+
+    Each pair of a term's linear parts adds the block scale sum w B_i B_j,
+    over the group axes of its DOFs, exactly symmetric."""
+    acc = _Accumulator(dofs.total)
+    for _, w, _, linear, scale in _norm_terms(mesh, dofs, tables, coeff,
+                                              ZERO_FIELD):
+        g = "ABCD"[:w.ndim - 1]
+        for (rows, bi), (cols, bj) in combinations_with_replacement(linear, 2):
+            out = g[:max(rows.ndim, cols.ndim) - 1]
+            # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
+            block = _per_group(scale, len(out) + 2) * contract(
+                "{}q,{}qak,{}qbk->{}ab".format(
+                    g, g[:bi.ndim - 3], g[:bj.ndim - 3], out), w, bi, bj)
+            acc.add(rows[:, None] if rows.ndim < cols.ndim else rows, cols,
+                    block, sym=rows is cols, mirror=rows is not cols)
+    return acc.tocsr()
+
+
+def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
+    """Errors ``(err_flux, err_scalar)`` in the norm pair of ``dofs.case``."""
+    squares = [0.0, 0.0]
+    for part, w, err, linear, scale in _norm_terms(mesh, dofs, tables, coeff,
+                                                   exact):
+        for d, b in linear:
+            # x on d, broadcast over the group axes that d lacks
+            xd = np.where(d >= 0, x[d], 0.0).reshape(
+                d.shape[:-1] + (1,) * (w.ndim - d.ndim) + d.shape[-1:])
+            err = err - contract("...qak,...a->...qk", b, xd)
+        squares[part] += _sum_of_squares(_per_group(scale, w.ndim) * w, err)
+    return float(np.sqrt(squares[FLUX])), float(np.sqrt(squares[SCALAR]))
 
 
 def _difference(mesh, dofs_a, xa, dofs_b, xb, tables):
@@ -107,11 +188,10 @@ def broken_h1_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     """
     t = tables
     _, du = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
-    d = contract("cqbk,cb->cqk", t.sgrad, du)
-    total = contract("cq,cqk,cqk->", t.w, d, d)
+    total = _sum_of_squares(t.w, contract("cqbk,cb->cqk", t.sgrad, du))
     v = contract("clqb,cb->clq", t.edge_sval, du)
     jump = edge_sides(mesh, mesh.cell_edge_sign[..., None] * v).sum(axis=1)
-    total += contract("q,eq,eq->", t.edge.weights, jump, jump)  # 1/h_e cancels ds = h_e ds_param
+    total += _sum_of_squares(t.edge.weights, jump[..., None])  # 1/h_e ds
     return float(np.sqrt(total))
 
 
@@ -119,11 +199,10 @@ def flux_distance(mesh, dofs_a, xa, dofs_b, xb, tables, hdiv=False):
     """L2 (or broken H(div)) distance of two discrete flux fields."""
     t = tables
     dp, _ = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
-    d = contract("cqbk,cb->cqk", t.fval, dp)
-    total = contract("cq,cqk,cqk->", t.w, d, d)
+    total = _sum_of_squares(t.w, contract("cqbk,cb->cqk", t.fval, dp))
     if hdiv:
-        dd = contract("cqb,cb->cq", t.fdiv, dp)
-        total += contract("cq,cq,cq->", t.w, dd, dd)
+        div = contract("cqb,cb->cq", t.fdiv, dp)
+        total += _sum_of_squares(t.w, div[..., None])
     return float(np.sqrt(total))
 
 
@@ -132,7 +211,7 @@ def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     t = tables
     _, du = _difference(mesh, dofs_a, xa, dofs_b, xb, t)
     d = contract("cqb,cb->cq", t.sval, du)
-    return float(np.sqrt(contract("cq,cq,cq->", t.w, d, d)))
+    return float(np.sqrt(_sum_of_squares(t.w, d[..., None])))
 
 
 def _scatter(r, dofs, values):

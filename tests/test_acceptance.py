@@ -11,7 +11,6 @@ from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
     assemble_hdg,
-    assemble_norm_gram,
     assemble_wg,
 )
 from hdgwg.experiments import (
@@ -22,6 +21,7 @@ from hdgwg.experiments import (
 )
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.norms import (
+    assemble_norm_gram,
     compute_error_norm,
     consistency_residual,
     dg_identity_residual,
@@ -195,7 +195,7 @@ def test_criterion_9_identity_consistency_oracle():
         case = SpaceCase(method, regime, 0, 0.5)
         dofs = build_space_triple(mesh1, case)
         asm = assemble_hdg if method == "hdg" else assemble_wg
-        sys_ = asm(mesh1, dofs, case, coeff, sine.f)
+        sys_ = asm(mesh1, dofs, coeff, sine.f)
         dense = sys_.matrix.toarray()
         oracle = hdg_form_oracle if method == "hdg" else wg_form_oracle
         eye = np.eye(dofs.total)

@@ -8,7 +8,6 @@ from hdgwg.assembly import (
     CoefficientField,
     assemble_hdg,
     assemble_mixed_conforming,
-    assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
     MixedDofMap,
@@ -16,10 +15,11 @@ from hdgwg.assembly import (
 )
 from hdgwg.linalg import solve_symmetric_indefinite
 from hdgwg.mesh import build_structured_mesh
+from hdgwg.norms import assemble_norm_gram
 from hdgwg.spaces import SpaceCase, build_space_triple
 
 import cellwise
-from cellwise import jittered_mesh
+from cellwise import jittered_mesh, one_rule
 
 ZERO = lambda xy: np.zeros(len(xy))
 ONE = lambda xy: np.ones(len(xy))
@@ -30,11 +30,6 @@ def _edge_data(mesh, ci, li, s):
     pts = cellwise._edge_ref_points(li, cellwise._side_flip(mesh, ci, li), s)
     sign = mesh.cell_edge_sign[ci, li]
     return ei, mesh.edge_normal[ei], mesh.edge_length[ei], pts, sign
-
-
-def one_rule(scalar_degree):
-    """Quadrature degree of every cell integral in hdgwg."""
-    return min(2 * scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE)
 
 
 def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
@@ -149,7 +144,7 @@ def test_hdg_matrix_against_oracle(method, regime, mesh_name):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + 0.5 * xy[:, 0])
     f = lambda xy: xy[:, 0] + 2.0 * xy[:, 1]
-    sys = assemble_hdg(mesh, dofs, case, coeff, f)
+    sys = assemble_hdg(mesh, dofs, coeff, f)
     probes = _probe_vectors(dofs.total)
     for i, xa in enumerate(probes):
         assert abs(rhs_oracle(mesh, dofs, f, xa) - sys.rhs @ xa) < 1e-12
@@ -165,7 +160,7 @@ def test_wg_matrix_against_oracle(method, regime, mesh_name):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 1])
     f = lambda xy: np.sin(xy[:, 0])
-    sys = assemble_wg(mesh, dofs, case, coeff, f)
+    sys = assemble_wg(mesh, dofs, coeff, f)
     probes = _probe_vectors(dofs.total)
     for i, xa in enumerate(probes):
         for xb in probes[i:]:
@@ -178,7 +173,7 @@ def test_wg_rhs_against_oracle():
     case = SpaceCase("wg", "rho_h", 1, 1.0)
     dofs = build_space_triple(mesh, case)
     f = lambda xy: xy[:, 0] ** 2 - xy[:, 1]
-    sys = assemble_wg(mesh, dofs, case, CoefficientField.unit(), f)
+    sys = assemble_wg(mesh, dofs, CoefficientField.unit(), f)
     eye = np.eye(dofs.total)
     for j in range(dofs.total):
         assert abs(rhs_oracle(mesh, dofs, f, eye[j]) - sys.rhs[j]) < 1e-12
@@ -191,7 +186,7 @@ def test_assembled_matrices_exactly_symmetric():
         case = SpaceCase(method, regime, 1, 0.2)
         dofs = build_space_triple(mesh, case)
         asm = assemble_hdg if method == "hdg" else assemble_wg
-        sys = asm(mesh, dofs, case, CoefficientField.unit(), ONE)
+        sys = asm(mesh, dofs, CoefficientField.unit(), ONE)
         assert (sys.matrix - sys.matrix.T).nnz == 0
 
 
@@ -199,7 +194,7 @@ def test_zero_load_gives_zero_solution():
     mesh = build_structured_mesh(2)
     case = SpaceCase("hdg", "rho_h", 1, 0.5)
     dofs = build_space_triple(mesh, case)
-    sys = assemble_hdg(mesh, dofs, case, CoefficientField.unit(), ZERO)
+    sys = assemble_hdg(mesh, dofs, CoefficientField.unit(), ZERO)
     x = solve_symmetric_indefinite(sys.matrix, sys.rhs)
     assert np.max(np.abs(x)) < 1e-12
 
@@ -208,14 +203,11 @@ def test_assembly_case_mismatch():
     mesh = build_structured_mesh(1)
     case = SpaceCase("hdg", "rho_h", 0, 1.0)
     dofs = build_space_triple(mesh, case)
-    with pytest.raises(ValueError):
-        assemble_wg(mesh, dofs, case, CoefficientField.unit(), ZERO)
+    with pytest.raises(ValueError, match="built for method 'hdg', not 'wg'"):
+        assemble_wg(mesh, dofs, CoefficientField.unit(), ZERO)
     other = build_space_triple(build_structured_mesh(2), case)
-    with pytest.raises(ValueError):
-        assemble_hdg(mesh, other, case, CoefficientField.unit(), ZERO)
-    wrong = build_space_triple(mesh, SpaceCase("hdg", "inv", 0, 1.0))
-    with pytest.raises(ValueError):
-        assemble_hdg(mesh, wrong, case, CoefficientField.unit(), ZERO)
+    with pytest.raises(ValueError, match="does not match the mesh"):
+        assemble_hdg(mesh, other, CoefficientField.unit(), ZERO)
 
 
 def test_coefficient_must_be_positive():
@@ -386,8 +378,8 @@ def test_assembly_is_deterministic():
     mesh = build_structured_mesh(2)
     case = SpaceCase("wg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
-    a = assemble_wg(mesh, dofs, case, CoefficientField.unit(), ONE)
-    b = assemble_wg(mesh, dofs, case, CoefficientField.unit(), ONE)
+    a = assemble_wg(mesh, dofs, CoefficientField.unit(), ONE)
+    b = assemble_wg(mesh, dofs, CoefficientField.unit(), ONE)
     assert (a.matrix != b.matrix).nnz == 0
     assert np.array_equal(a.rhs, b.rhs)
 
@@ -407,7 +399,7 @@ def test_level_5_assembly_is_deterministic(method, regime):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     asm = assemble_hdg if method == "hdg" else assemble_wg
-    first, second = (asm(mesh, dofs, case, coeff, ONE) for _ in range(2))
+    first, second = (asm(mesh, dofs, coeff, ONE) for _ in range(2))
     assert _bit_identical(first.matrix, second.matrix)
     assert np.array_equal(first.rhs, second.rhs)
     grams = [assemble_norm_gram(mesh, dofs, coeff=coeff) for _ in range(2)]

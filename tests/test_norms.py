@@ -9,13 +9,13 @@ from hdgwg.assembly import (
     PrimalDofMap,
     assemble_hdg,
     assemble_mixed_conforming,
-    assemble_norm_gram,
     assemble_primal_conforming,
     assemble_wg,
 )
 from hdgwg.experiments import manufactured_case
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.norms import (
+    assemble_norm_gram,
     broken_h1_distance,
     compute_error_norm,
     consistency_residual,
@@ -61,6 +61,28 @@ def test_error_norm_matches_gram_quadratic_form(method, regime):
         lhs = np.hypot(ef, es)
         ref = np.sqrt(x @ (N @ x))
         assert abs(lhs - ref) <= 1e-11 * ref
+
+
+@pytest.mark.parametrize("method,regime,k,rho,mesh", [
+    pytest.param(m, r, k, rho, mesh,
+                 id="{}-{}-k{}-rho{:g}-{}".format(m, r, k, rho, name))
+    for name, mesh in (("structured", build_structured_mesh(2)),
+                       ("jittered", jittered_mesh()))
+    for m, r in ALL_REGIMES for k in (0, 1) for rho in (1.0, 1e-3)])
+def test_norm_pair_matches_cellwise_oracle(method, regime, k, rho, mesh):
+    # the Gram and the error norm against the four pairs written out from
+    # their definitions, cell by cell, with a non-polynomial coefficient
+    rng = np.random.default_rng(7)
+    coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
+    dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
+    N = assemble_norm_gram(mesh, dofs, coeff=coeff)
+    for _ in range(3):
+        x = rng.standard_normal(dofs.total)
+        ref = np.array(cellwise.norm_pair(mesh, dofs, x, coeff))
+        got = compute_error_norm(mesh, dofs, x, ZeroExact(), coeff=coeff)
+        assert np.all(np.abs(np.array(got) - ref) <= 1e-12 * ref)
+        total = np.hypot(*ref)
+        assert abs(np.sqrt(x @ (N @ x)) - total) <= 1e-12 * total
 
 
 @pytest.mark.parametrize("method,regime,mesh", [
@@ -330,7 +352,7 @@ def test_tables_must_match_mesh_and_spaces():
     t = ElementTables(mesh, case)
     elsewhere = ElementTables(other, case)
     with pytest.raises(ValueError, match="another mesh"):
-        assemble_hdg(mesh, dofs, case, coeff, one, tables=elsewhere)
+        assemble_hdg(mesh, dofs, coeff, one, tables=elsewhere)
     with pytest.raises(ValueError, match="another mesh"):
         compute_error_norm(mesh, dofs, x, ZeroExact(), tables=elsewhere)
     with pytest.raises(ValueError, match="another mesh"):
@@ -351,7 +373,7 @@ def test_tables_must_match_mesh_and_spaces():
         assemble_mixed_conforming(mesh, 0, coeff, one,
                                   tables=ElementTables(mesh, wg))
     with pytest.raises(ValueError, match="do not match the element tables"):
-        assemble_wg(mesh, build_space_triple(mesh, wg), wg, coeff, one,
+        assemble_wg(mesh, build_space_triple(mesh, wg), coeff, one,
                     tables=t)
     # the trace space
     wide = SpaceCase("hdg", "inv", 1, 0.5, trace_degree=1)

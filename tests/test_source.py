@@ -42,3 +42,18 @@ def test_every_einsum_goes_through_the_contraction_helper():
             offenders[path.name] = lines
     assert helpers == 1
     assert offenders == {}
+
+
+NORM_NAMES = ("hdg_div", "hdg_grad", "wg_grad", "wg_div",
+              "norm_kind_for_case")
+
+
+def test_norm_pairs_are_named_in_one_module():
+    # the four norm pairs are defined once, in hdgwg.norms: no other module
+    # may name a pair or ask which pair a case has
+    texts = {path.name: path.read_text() for path in SOURCE.glob("*.py")}
+    norms = texts.pop("norms.py")
+    assert all(name in norms for name in NORM_NAMES)
+    offenders = {(module, name) for module, text in texts.items()
+                 for name in NORM_NAMES if name in text}
+    assert offenders == set()
