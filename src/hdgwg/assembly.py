@@ -1,9 +1,10 @@
 """Assembly of the HDG/WG systems and their conforming limits.
 
-Every form is evaluated for all cells at once on the batched tables below
-and scattered as stacked per-cell blocks.  Triplets are summed in a fixed
-order with exact symmetric insertion, so A == A.T exactly and repeated runs
-are bit-identical.
+Each method's bilinear form is written once, as the terms of
+``_form_terms``; ``assemble_terms`` evaluates them, and the norm-pair terms
+of ``hdgwg.norms``, as stacked per-cell blocks on the batched tables below.
+Triplets are summed in a fixed order with exact symmetric insertion, so
+A == A.T exactly and repeated runs are bit-identical.
 
 Subscripts in the ``contract`` calls: ``c`` cell, ``l`` local edge, ``q``
 quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
@@ -196,16 +197,6 @@ class ElementTables:
                     "DOF map spaces {} do not match the element tables' {}"
                     .format(dofs.local_spaces, self.local_spaces))
 
-    def edge_mass(self, values):
-        """Arclength pairings with the trace basis, per side: (C,3,...,nt)
-        for values (C,3,ns,...)."""
-        return contract("clq,clq...,qt->cl...t", self.edge_w, values,
-                        self.trace)
-
-    def trace_mass(self):
-        """Arclength trace-basis Gram per side: (C,3,nt,nt)."""
-        return contract("clq,qs,qt->clst", self.edge_w, self.trace, self.trace)
-
     def moments(self, values):
         """Parametric trace-basis moments, per side: (C,3,nt,...) for values
         (C,3,ns,...)."""
@@ -276,71 +267,119 @@ def checked_tables(mesh, dofs, tables):
     return t
 
 
-def _check(dofs, method):
-    if dofs.case.method != method:
+def _check(mesh, dofs, tables, method):
+    if dofs.method != method:
         raise ValueError("DofMap was built for method {!r}, not {!r}".format(
-            dofs.case.method, method))
+            dofs.method, method))
+    return checked_tables(mesh, dofs, tables)
 
 
-def _local_dofs(mesh, dofs):
-    """Flux (C,nf), scalar (C,nu) and per-side trace (C,3,nt) DOFs."""
-    return (dofs.cell_flux_dofs(), dofs.cell_scalar_dofs(),
-            dofs.edge_trace_dofs(mesh.cell_edges))
+def per_group(scale, ndim):
+    """A term's ``scale`` shaped to broadcast over ``ndim`` group axes."""
+    return np.reshape(scale, np.shape(scale) + (1,) * (ndim - np.ndim(scale)))
 
 
-def _flux_mass(t, weights):
-    return contract("cq,cqak,cqbk->cab", weights, t.fval, t.fval)
+def scatter(r, dofs, values):
+    """r[dofs] += values, summing repeated DOFs and skipping negative ones."""
+    np.add.at(r, dofs[dofs >= 0], values[dofs >= 0])
 
 
-def _load(t, f):
-    """Load vector -(f, v) per cell: (C, nu)."""
-    return -contract("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval)
+def _form_terms(mesh, dofs, t, coeff, exact=None):
+    """The bilinear terms of the method of ``dofs`` on tables ``t``.
+
+    A term ``(w, scale, test, trial)`` adds scale sum w B_test . B_trial over
+    its group axes G (cells or cell sides) and points: ``w`` is (G, q),
+    ``scale`` a number or one value per cell.  A side ``(D, B, S)`` holds
+    DOFs D (G', a), negative ones eliminated, basis samples B (G'', q, a, k),
+    G' and G'' leading axes of G, and the samples S (G, q, k) of ``exact``'s
+    field, or None.  The test side has the fewer DOF axes.  A term whose
+    test side is its trial side is a diagonal block; any other adds its
+    transpose too.
+
+    Every method has the flux mass (c p, q) and one coupling: -(u, div q)
+    for hdg and mixed, (q, grad u) for wg and primal.  HDG adds
+    <u-hat, q.n_K> - tau <u - u-hat, v - v-hat>; WG adds -<sigma p-hat, v>
+    + eta <p.n_K - sigma p-hat, q.n_K - sigma q-hat>, sigma = n_K . n_e.
+    """
+    def sample(name, xy):
+        return None if exact is None else at_points(
+            getattr(exact, name), xy).reshape(xy.shape[:-1] + (-1,))
+
+    fval, fdiv = t.fval, t.fdiv[..., None]
+    if dofs.flux_sign is not None:
+        fval, fdiv = (dofs.flux_sign[:, None, :, None] * b for b in (fval, fdiv))
+    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
+    p = (pd, fval, sample("p", t.xy))
+    yield t.w * coeff.c_at(t.xy), 1.0, p, p
+    if dofs.method in ("hdg", "mixed"):
+        yield (t.w, -1.0, (pd, fdiv, sample("f", t.xy)),
+               (ud, t.sval[..., None], sample("u", t.xy)))
+    else:
+        yield t.w, 1.0, p, (ud, t.sgrad, sample("grad_u", t.xy))
+    if dofs.method not in ("hdg", "wg"):
+        return
+    stab = dofs.case.stabilization(mesh.cell_size)
+    td, trace = dofs.edge_trace_dofs(mesh.cell_edges), t.trace[..., None]
+    u_e = sample("u", t.edge_xy)
+    pn = None if exact is None else contract(
+        "clqk,clk->clq", at_points(exact.p, t.edge_xy), t.normal)[..., None]
+    qn = (pd, t.flux_n[..., None], pn)
+    v = (ud, t.edge_sval[..., None], u_e)
+    if dofs.method == "hdg":
+        uhat = (td, trace, u_e)
+        yield t.edge_w, 1.0, qn, uhat
+        yield t.edge_w, -stab, v, v
+        yield t.edge_w, stab, v, uhat
+        yield t.edge_w, -stab, uhat, uhat
+    else:
+        # sigma goes into the weights, so the trace basis stays shared
+        sign = mesh.cell_edge_sign[..., None]
+        phat = (td, trace, None if exact is None else sign[..., None] * pn)
+        yield sign * t.edge_w, -1.0, v, phat
+        yield t.edge_w, stab, qn, qn
+        yield sign * t.edge_w, -stab, qn, phat
+        yield t.edge_w, stab, phat, phat
+
+
+def assemble_terms(n, terms):
+    """Sparse (n, n) matrix of bilinear ``terms`` (see ``_form_terms``),
+    each block summed over the group axes its DOFs lack."""
+    acc = _Accumulator(n)
+    for w, scale, test, trial in terms:
+        (rows, bi, _), (cols, bj, _) = test, trial
+        g = "ABCD"[:w.ndim - 1]
+        out = g[:max(rows.ndim, cols.ndim) - 1]
+        # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
+        block = per_group(scale, len(out) + 2) * contract(
+            "{}q,{}qak,{}qbk->{}ab".format(
+                g, g[:bi.ndim - 3], g[:bj.ndim - 3], out), w, bi, bj)
+        acc.add(rows[:, None] if rows.ndim < cols.ndim else rows, cols,
+                block, sym=test is trial, mirror=test is not trial)
+    return acc.tocsr()
+
+
+def load_vector(dofs, t, f):
+    """Right-hand side -(f, v) on the scalar DOFs of ``dofs``."""
+    rhs = np.zeros(dofs.total)
+    scatter(rhs, dofs.cell_scalar_dofs(),
+            -contract("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval))
+    return rhs
+
+
+def _assemble(mesh, dofs, coeff, f, t):
+    return LinearSystem(
+        matrix=assemble_terms(dofs.total, _form_terms(mesh, dofs, t, coeff)),
+        rhs=load_vector(dofs, t, f))
 
 
 def assemble_hdg(mesh, dofs, coeff, f, tables=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat)."""
-    _check(dofs, "hdg")
-    t = checked_tables(mesh, dofs, tables)
-    acc = _Accumulator(dofs.total)
-    rhs = np.zeros(dofs.total)
-    pd, ud, td = _local_dofs(mesh, dofs)
-    tau = dofs.case.stabilization(mesh.cell_size)[:, None, None]
-    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
-    acc.add(pd, ud, -contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval),
-            mirror=True)
-    rhs[ud] += _load(t, f)
-    acc.add(pd[:, None], td, t.edge_mass(t.flux_n), mirror=True)
-    acc.add(ud, ud, -tau * contract("clq,clqa,clqb->cab", t.edge_w,
-                                    t.edge_sval, t.edge_sval), sym=True)
-    acc.add(ud[:, None], td, tau[..., None] * t.edge_mass(t.edge_sval),
-            mirror=True)
-    acc.add(td, td, -tau[..., None] * t.trace_mass(), sym=True)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs)
+    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "hdg"))
 
 
 def assemble_wg(mesh, dofs, coeff, f, tables=None):
     """WG saddle system for unknowns (flux p, scalar u, trace p-hat)."""
-    _check(dofs, "wg")
-    t = checked_tables(mesh, dofs, tables)
-    acc = _Accumulator(dofs.total)
-    rhs = np.zeros(dofs.total)
-    pd, ud, td = _local_dofs(mesh, dofs)
-    eta = dofs.case.stabilization(mesh.cell_size)[:, None, None]
-    sign = mesh.cell_edge_sign[..., None, None]
-    # mass plus stabilization eta <(p - p-hat n_e).n_K, (q - q-hat n_e).n_K>
-    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy))
-            + eta * contract("clq,clqa,clqb->cab", t.edge_w, t.flux_n,
-                             t.flux_n), sym=True)
-    # b_w volume part (q, grad v)
-    acc.add(pd, ud, contract("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
-            mirror=True)
-    rhs[ud] += _load(t, f)
-    # b_w edge part -<sigma q-hat, v>
-    acc.add(ud[:, None], td, -sign * t.edge_mass(t.edge_sval), mirror=True)
-    acc.add(pd[:, None], td, -eta[..., None] * sign * t.edge_mass(t.flux_n),
-            mirror=True)
-    acc.add(td, td, eta[..., None] * t.trace_mass(), sym=True)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs)
+    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "wg"))
 
 
 class PrimalDofMap:
@@ -349,6 +388,9 @@ class PrimalDofMap:
     ``scalar_l2g`` (C, nb) maps the local lattice nodes of the basis to
     global scalar DOFs; boundary nodes are eliminated (entry -1).
     """
+
+    method = "primal"
+    flux_sign = None
 
     def __init__(self, mesh, k):
         if k < 0:
@@ -389,12 +431,10 @@ class PrimalDofMap:
     def cell_flux_dofs(self, ci=None):
         return cell_block_dofs(0, self.flux_per_cell, self.num_cells, ci)
 
-    def cell_coefficients(self, x):
-        """Per-cell flux (C, nf) and scalar (C, nb) basis coefficients of
-        ``x``; eliminated boundary nodes read zero."""
+    def cell_scalar_dofs(self):
+        """Global scalar DOFs (C, nb), -1 on eliminated boundary nodes."""
         g = self.scalar_l2g
-        return (x[self.cell_flux_dofs()],
-                np.where(g >= 0, x[self.flux_total + np.maximum(g, 0)], 0.0))
+        return np.where(g >= 0, self.flux_total + g, -1)
 
     def cell_local_dofs(self):
         """The broken flux, (C, 2 dim P_k): its cell block is the SPD flux
@@ -411,16 +451,7 @@ def assemble_primal_conforming(mesh, k, coeff, f, tables=None):
     dofs = PrimalDofMap(mesh, k)
     t = tables or ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0))
     t.check(mesh, dofs)
-    acc = _Accumulator(dofs.total)
-    rhs = np.zeros(dofs.total)
-    pd = dofs.cell_flux_dofs()
-    g = dofs.scalar_l2g
-    gd = np.where(g >= 0, dofs.flux_total + g, -1)
-    acc.add(pd, pd, _flux_mass(t, t.w * coeff.c_at(t.xy)), sym=True)
-    acc.add(pd, gd, contract("cq,cqak,cqbk->cab", t.w, t.fval, t.sgrad),
-            mirror=True)
-    np.add.at(rhs, gd[g >= 0], _load(t, f)[g >= 0])
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
+    return _assemble(mesh, dofs, coeff, f, t), dofs
 
 
 class MixedDofMap:
@@ -430,6 +461,8 @@ class MixedDofMap:
     ``flux_sign`` (C, nf) orients it: the edge moments are signed by
     ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.
     """
+
+    method = "mixed"
 
     def __init__(self, mesh, k):
         if k not in (0, 1):
@@ -455,14 +488,12 @@ class MixedDofMap:
             [edge_sign.reshape(mesh.num_cells, -1), np.ones(interior.shape)],
             axis=1)
 
+    def cell_flux_dofs(self):
+        return self.flux_l2g
+
     def cell_scalar_dofs(self, ci=None):
         return cell_block_dofs(self.flux_total, self.scalar_per_cell,
                                self.num_cells, ci)
-
-    def cell_coefficients(self, x):
-        """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of
-        ``x``, the flux oriented by ``flux_sign``."""
-        return self.flux_sign * x[self.flux_l2g], x[self.cell_scalar_dofs()]
 
     def cell_local_dofs(self):
         """No DOF is cell-local, so (C, 0): the flux is shared across edges
@@ -480,13 +511,4 @@ def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
     dofs = MixedDofMap(mesh, k)
     t = tables or ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0))
     t.check(mesh, dofs)
-    acc = _Accumulator(dofs.total)
-    rhs = np.zeros(dofs.total)
-    idx, sgn = dofs.flux_l2g, dofs.flux_sign
-    mass = _flux_mass(t, t.w * coeff.c_at(t.xy))
-    acc.add(idx, idx, sgn[:, :, None] * mass * sgn[:, None, :], sym=True)
-    div_block = contract("cq,cqa,cqb->cab", t.w, t.fdiv, t.sval)
-    ud = dofs.cell_scalar_dofs()
-    acc.add(idx, ud, -sgn[:, :, None] * div_block, mirror=True)
-    rhs[ud] += _load(t, f)
-    return LinearSystem(matrix=acc.tocsr(), rhs=rhs), dofs
+    return _assemble(mesh, dofs, coeff, f, t), dofs

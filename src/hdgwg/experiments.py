@@ -220,6 +220,9 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
     Every instance is checked against ``INFSUP_DOF_LIMIT`` before the first
     assembly, so an oversized level fails before any eigensolve runs.
     """
+    if len(rhos) == 0 or len(levels) == 0:
+        raise ValueError("empty inf-sup sweep: rhos {}, levels {}".format(
+            list(rhos), list(levels)))
     coeff = coeff or CoefficientField.unit()
     zero = lambda xy: np.zeros(len(xy))
     assemble = assemble_hdg if method == "hdg" else assemble_wg

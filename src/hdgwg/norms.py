@@ -12,8 +12,9 @@ if ``tables=None``); ``contract`` subscripts follow ``hdgwg.assembly``.
 
 The three distances compare two fields that share the local spaces of
 ``tables``, such as an inv-regime solution and its conforming limit: they
-subtract the fields' per-cell coefficients (``cell_coefficients`` of each
-DOF map) and evaluate the difference once.
+subtract the fields' per-cell coefficients and evaluate the difference
+once.  The consistency residual evaluates the terms of the assembled form
+(``assembly._form_terms``) on the exact fields.
 """
 
 from __future__ import annotations
@@ -24,12 +25,16 @@ import numpy as np
 
 from .assembly import (
     CoefficientField,
-    _Accumulator,
+    _form_terms,
+    assemble_terms,
     at_points,
     checked_tables,
     contract,
     edge_points,
     edge_sides,
+    load_vector,
+    per_group,
+    scatter,
 )
 
 _KIND_FOR_CASE = {("hdg", "rho_h"): "hdg_div", ("hdg", "inv"): "hdg_grad",
@@ -62,15 +67,12 @@ def _norm_terms(mesh, dofs, tables, coeff, exact):
 
     A term ``(part, w, samples, linear, scale)`` adds
     sum scale w |samples - sum_i B_i x[D_i]|^2 to the square of ``part``.
-    Its leading group axes G are cells, cell sides or edges.  ``w`` is
-    (G, q) and ``samples`` (G, q, k), with k = 1 for a scalar field.  Each
-    (D, B) of ``linear`` holds DOFs D (G', a), negative ones reading zero,
-    and basis samples B (G'', q, a, k); G' and G'' are leading axes of G,
-    and a cell part comes before a per-side part.  ``scale`` is a number or
-    one value per entry of G's first axis.  Per-side terms vanish on the
-    exact solution.  Jump terms sum over trace-basis moments in place of
-    points: sum_m mu_m^2 = h_e^{-1} |P_e[.]|^2_e, with P_e the L^2(e)
-    projection onto the trace space.
+    ``w``, ``scale`` and each ``(D, B)`` of ``linear`` follow the sides of
+    ``assembly._form_terms``, whose group axes G may here also be edges,
+    and ``samples`` is (G, q, k).  Per-side terms vanish on the exact
+    solution.  Jump terms sum over trace-basis moments in place of points:
+    sum_m mu_m^2 = h_e^{-1} |P_e[.]|^2_e, with P_e the L^2(e) projection
+    onto the trace space.
     """
     kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
     coeff = coeff or CoefficientField.unit()
@@ -132,29 +134,16 @@ def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges, rho):
             [(dofs.reshape(len(dofs), -1), basis)], 1.0 / rho)
 
 
-def _per_group(scale, ndim):
-    """A term's ``scale`` shaped to broadcast over ``ndim`` axes."""
-    return np.reshape(scale, np.shape(scale) + (1,) * (ndim - np.ndim(scale)))
-
-
 def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
     """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2.
 
-    Each pair of a term's linear parts adds the block scale sum w B_i B_j,
-    over the group axes of its DOFs, exactly symmetric."""
-    acc = _Accumulator(dofs.total)
-    for _, w, _, linear, scale in _norm_terms(mesh, dofs, tables, coeff,
-                                              ZERO_FIELD):
-        g = "ABCD"[:w.ndim - 1]
-        for (rows, bi), (cols, bj) in combinations_with_replacement(linear, 2):
-            out = g[:max(rows.ndim, cols.ndim) - 1]
-            # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
-            block = _per_group(scale, len(out) + 2) * contract(
-                "{}q,{}qak,{}qbk->{}ab".format(
-                    g, g[:bi.ndim - 3], g[:bj.ndim - 3], out), w, bi, bj)
-            acc.add(rows[:, None] if rows.ndim < cols.ndim else rows, cols,
-                    block, sym=rows is cols, mirror=rows is not cols)
-    return acc.tocsr()
+    Each pair of a term's linear parts is one bilinear term of
+    ``assembly.assemble_terms``."""
+    terms = _norm_terms(mesh, dofs, tables, coeff, ZERO_FIELD)
+    return assemble_terms(dofs.total, (
+        (w, scale, test, trial) for _, w, _, linear, scale in terms
+        for test, trial in combinations_with_replacement(
+            [(d, b, None) for d, b in linear], 2)))
 
 
 def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
@@ -167,16 +156,25 @@ def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
             xd = np.where(d >= 0, x[d], 0.0).reshape(
                 d.shape[:-1] + (1,) * (w.ndim - d.ndim) + d.shape[-1:])
             err = err - contract("...qak,...a->...qk", b, xd)
-        squares[part] += _sum_of_squares(_per_group(scale, w.ndim) * w, err)
+        squares[part] += _sum_of_squares(per_group(scale, w.ndim) * w, err)
     return float(np.sqrt(squares[FLUX])), float(np.sqrt(squares[SCALAR]))
+
+
+def _cell_coefficients(dofs, x):
+    """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of ``x``:
+    the flux oriented by ``flux_sign``, eliminated scalar DOFs reading 0."""
+    p, ud = x[dofs.cell_flux_dofs()], dofs.cell_scalar_dofs()
+    if dofs.flux_sign is not None:
+        p = dofs.flux_sign * p
+    return p, np.where(ud >= 0, x[ud], 0.0)
 
 
 def _difference(mesh, dofs_a, xa, dofs_b, xb, tables):
     """Per-cell flux and scalar coefficients of field a minus field b, which
     must share the local spaces of ``tables``."""
     tables.check(mesh, dofs_a, dofs_b)
-    pa, ua = dofs_a.cell_coefficients(xa)
-    pb, ub = dofs_b.cell_coefficients(xb)
+    pa, ua = _cell_coefficients(dofs_a, xa)
+    pb, ub = _cell_coefficients(dofs_b, xb)
     return pa - pb, ua - ub
 
 
@@ -214,60 +212,37 @@ def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     return float(np.sqrt(_sum_of_squares(t.w, d[..., None])))
 
 
-def _scatter(r, dofs, values):
-    """r[dofs] += values, summing repeated DOFs and skipping negative ones."""
-    keep = dofs >= 0
-    np.add.at(r, dofs[keep], values[keep])
-
-
 def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
     """Max row residual of the scheme applied to the exact solution fields.
 
-    Each test basis function is paired by quadrature with the exact
-    (flux, scalar, trace) fields; the load is subtracted and each row is
-    normalized by the L2 norm of its test function.  For smooth exact
-    solutions the result is dominated by quadrature error, and vanishes to
-    roundoff when the integrands are polynomials within the rule's degree.
+    Each term of the assembled form pairs its test basis by quadrature with
+    the exact field of its trial side, and an off-diagonal term also its
+    trial basis with the exact field of its test side.  The load is
+    subtracted and each row is normalized by the L2 norm of its test
+    function.  For smooth exact solutions the result is dominated by
+    quadrature error, and vanishes to roundoff when the integrands are
+    polynomials within the rule's degree.
     """
-    case = dofs.case
-    coeff = coeff or CoefficientField.unit()
     t = checked_tables(mesh, dofs, tables)
-    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
-    td = dofs.edge_trace_dofs(mesh.cell_edges)
-    r = np.zeros(dofs.total)
-    scale = np.zeros(dofs.total)
-    w = t.w
-    pex = at_points(exact.p, t.xy)
-    scale[pd] += contract("cq,cqak,cqak->ca", w, t.fval, t.fval)
-    scale[ud] += contract("cq,cqa,cqa->ca", w, t.sval, t.sval)
-    scale[dofs.edge_trace_dofs(dofs.trace_edges)] = (
+    r = -load_vector(dofs, t, exact.f)
+    for w, scale, test, trial in _form_terms(
+            mesh, dofs, t, coeff or CoefficientField.unit(), exact):
+        g = "ABCD"[:w.ndim - 1]
+        for (rows, b, _), (_, _, samples) in (
+                [(test, trial)] if test is trial
+                else [(test, trial), (trial, test)]):
+            out = g[:rows.ndim - 1]
+            scatter(r, rows, per_group(scale, len(out) + 1) * contract(
+                "{}q,{}qak,{}qk->{}a".format(g, g[:b.ndim - 3], g, out),
+                w, b, samples))
+    mass = np.zeros(dofs.total)
+    mass[dofs.cell_flux_dofs()] = contract("cq,cqak,cqak->ca", t.w, t.fval,
+                                           t.fval)
+    mass[dofs.cell_scalar_dofs()] = contract("cq,cqa,cqa->ca", t.w, t.sval,
+                                             t.sval)
+    mass[dofs.edge_trace_dofs(dofs.trace_edges)] = (
         mesh.edge_length[dofs.trace_edges][:, None])
-    pex_e = at_points(exact.p, t.edge_xy)
-    pn_K = contract("clqk,clk->clq", pex_e, t.normal)
-    uex_e = at_points(exact.u, t.edge_xy)
-    r[pd] += contract("cq,cqk,cqak->ca", w * coeff.c_at(t.xy), pex, t.fval)
-    if case.method == "hdg":
-        r[pd] -= contract("cq,cqa->ca", w * at_points(exact.u, t.xy), t.fdiv)
-        # rows v reduce to ((f - div p), v) which vanishes pointwise
-        r[pd] += contract("clq,clqa->ca", t.edge_w * uex_e, t.flux_n)
-        # c_h rows with exact u - u_hat = 0 on every edge
-        _scatter(r, td, t.edge_mass(pn_K))
-    else:
-        r[pd] += contract("cq,cqk,cqak->ca", w, at_points(exact.grad_u, t.xy),
-                          t.fval)
-        r[ud] += contract("cq,cqk,cqbk->cb", w, pex, t.sgrad)
-        r[ud] += contract("cq,cqb->cb", w * at_points(exact.f, t.xy), t.sval)
-        eta = case.stabilization(mesh.cell_size)[:, None, None]
-        sign = mesh.cell_edge_sign[..., None]
-        pn_e = contract("clqk,clk->clq", pex_e,
-                        mesh.edge_normal[mesh.cell_edges])
-        # stabilization with exact p-hat = p.n_e vanishes pointwise
-        stab = pn_K - sign * pn_e
-        r[pd] += contract("clq,clqa->ca", eta * t.edge_w * stab, t.flux_n)
-        r[ud] -= contract("clq,clqb->cb", t.edge_w * (sign * pn_e), t.edge_sval)
-        _scatter(r, td, -sign * t.edge_mass(uex_e))
-        _scatter(r, td, -eta * sign * t.edge_mass(stab))
-    return float(np.max(np.abs(r) / np.sqrt(scale)))
+    return float(np.max(np.abs(r) / np.sqrt(mass)))
 
 
 def dg_identity_residual(mesh, dofs, x, tables=None):
@@ -279,7 +254,7 @@ def dg_identity_residual(mesh, dofs, x, tables=None):
     the one-sided convention (the missing side counts as zero).
     """
     t = checked_tables(mesh, dofs, tables)
-    xp, xu = dofs.cell_coefficients(x)
+    xp, xu = _cell_coefficients(dofs, x)
     v = contract("clqb,cb->clq", t.edge_sval, xu)
     lhs = contract("clq,clq,clqa,ca->", t.edge_w, v, t.flux_n, xp)
     q = edge_sides(mesh, contract("clqbk,cb->clqk", t.edge_fval, xp))

@@ -50,8 +50,9 @@ class SpaceCase:
             raise ValueError(
                 "RT flux spaces support k in {{0, 1}}, got k={}".format(self.k)
             )
-        if self.trace_deg > 4:
-            raise ValueError("trace degree {} not supported".format(self.trace_deg))
+        if not 0 <= self.trace_deg <= 4:
+            raise ValueError("trace degree must lie in [0, 4], got {}".format(
+                self.trace_deg))
         if self.method == "hdg" and self.regime == "inv":
             # gradient inclusion grad V_h subset Q_h
             if self.scalar_degree - 1 > self.flux_degree:
@@ -119,8 +120,10 @@ class DofMap:
     scalar_per_cell: int
     trace_per_edge: int
     edge_offset: np.ndarray = field(repr=False, default=None)
+    flux_sign = None
 
     def __post_init__(self):
+        self.method = self.case.method
         self.flux_offset = 0
         self.scalar_offset = self.num_cells * self.flux_per_cell
         self.trace_offset = self.scalar_offset + self.num_cells * self.scalar_per_cell
@@ -139,11 +142,6 @@ class DofMap:
         """Scalar DOFs of cell(s) ``ci`` (default all cells)."""
         return cell_block_dofs(self.scalar_offset, self.scalar_per_cell,
                                self.num_cells, ci)
-
-    def cell_coefficients(self, x):
-        """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of
-        ``x``."""
-        return x[self.cell_flux_dofs()], x[self.cell_scalar_dofs()]
 
     def cell_local_dofs(self):
         """DOFs that couple only within their own cell, (C, m), for static

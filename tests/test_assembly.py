@@ -32,77 +32,63 @@ def _edge_data(mesh, ci, li, s):
     return ei, mesh.edge_normal[ei], mesh.edge_length[ei], pts, sign
 
 
-def hdg_form_oracle(mesh, dofs, case, coeff, xa, xb):
-    """Pairwise evaluation of the HDG bilinear form by fresh quadrature.
+def form_oracle_fields(mesh, dofs, case, x):
+    """The fields of ``x`` at fresh quadrature points, cell by cell, for the
+    HDG and WG form oracles: volume weights, points, cell size, flux,
+    divergence, scalar and gradient, and per side the arclength weights,
+    sigma = n_K . n_e, flux normal trace q.n_K, scalar and trace.
 
     The rule degree follows the assembler's one rule so non-polynomial
     coefficients integrate to the identical quadrature sum.
     """
     tri = basis.tri_quadrature(one_rule(case.scalar_degree))
     eq = basis.edge_quadrature(one_rule(case.scalar_degree))
-    total = 0.0
+    tv = basis.eval_edge_basis(case.trace_deg, eq.points)
+    cells = []
     for ci in range(mesh.num_cells):
         A, b0, det, _ = cellwise._geometry(mesh, ci)
-        w = tri.weights * det
-        xy = tri.xy @ A.T + b0
-        pa, dpa = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-        pb, dpb = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-        ua, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-        ub, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
-        c = coeff.c_at(xy)
-        total += np.einsum("q,qc,qc->", w * c, pa, pb)
-        total -= w @ (ua * dpb) + w @ (ub * dpa)
-        tau = case.stabilization(mesh.cell_size[ci])
+        p, dp = cellwise._flux_on_cell(mesh, dofs, x, ci, tri.xy)
+        u, gu = cellwise._scalar_on_cell(mesh, dofs, x, ci, tri.xy)
+        sides = []
         for li in range(3):
             ei, normal, length, pts, sign = _edge_data(mesh, ci, li, eq.points)
-            n_K = sign * normal
-            qa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, pts)
-            qb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, pts)
-            va, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, pts)
-            vb, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, pts)
+            q, _ = cellwise._flux_on_cell(mesh, dofs, x, ci, pts)
+            v, _ = cellwise._scalar_on_cell(mesh, dofs, x, ci, pts)
             td = dofs.edge_trace_dofs(ei)
-            tv = basis.eval_edge_basis(case.trace_deg, eq.points)
-            hata = tv @ np.where(td >= 0, xa[td], 0.0)
-            hatb = tv @ np.where(td >= 0, xb[td], 0.0)
-            we = eq.weights * length
-            total += we @ (hata * (qb @ n_K)) + we @ (hatb * (qa @ n_K))
+            hat = tv @ np.where(td >= 0, x[td], 0.0)
+            sides.append((eq.weights * length, sign, q @ (sign * normal), v,
+                          hat))
+        cells.append((tri.weights * det, tri.xy @ A.T + b0,
+                      mesh.cell_size[ci], p, dp, u, gu, sides))
+    return cells
+
+
+def hdg_form_oracle(case, coeff, a, b):
+    """The HDG bilinear form of two fields of ``form_oracle_fields``."""
+    total = 0.0
+    for (w, xy, h, pa, dpa, ua, _, sa), (_, _, _, pb, dpb, ub, _, sb) in zip(
+            a, b):
+        total += np.einsum("q,qc,qc->", w * coeff.c_at(xy), pa, pb)
+        total -= w @ (ua * dpb) + w @ (ub * dpa)
+        tau = case.stabilization(h)
+        for (we, _, qa, va, hata), (_, _, qb, vb, hatb) in zip(sa, sb):
+            total += we @ (hata * qb) + we @ (hatb * qa)
             total -= tau * (we @ ((va - hata) * (vb - hatb)))
     return total
 
 
-def wg_form_oracle(mesh, dofs, case, coeff, xa, xb):
-    """Pairwise evaluation of the WG bilinear form by fresh quadrature."""
-    tri = basis.tri_quadrature(one_rule(case.scalar_degree))
-    eq = basis.edge_quadrature(one_rule(case.scalar_degree))
+def wg_form_oracle(case, coeff, a, b):
+    """The WG bilinear form of two fields of ``form_oracle_fields``."""
     total = 0.0
-    for ci in range(mesh.num_cells):
-        A, b0, det, _ = cellwise._geometry(mesh, ci)
-        w = tri.weights * det
-        xy = tri.xy @ A.T + b0
-        pa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, tri.xy)
-        pb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, tri.xy)
-        _, gua = cellwise._scalar_on_cell(mesh, dofs, xa, ci, tri.xy)
-        _, gub = cellwise._scalar_on_cell(mesh, dofs, xb, ci, tri.xy)
-        c = coeff.c_at(xy)
-        total += np.einsum("q,qc,qc->", w * c, pa, pb)
+    for (w, xy, h, pa, _, _, gua, sa), (_, _, _, pb, _, _, gub, sb) in zip(
+            a, b):
+        total += np.einsum("q,qc,qc->", w * coeff.c_at(xy), pa, pb)
         total += np.einsum("q,qc,qc->", w, pa, gub)
         total += np.einsum("q,qc,qc->", w, pb, gua)
-        eta = case.stabilization(mesh.cell_size[ci])
-        for li in range(3):
-            ei, normal, length, pts, sign = _edge_data(mesh, ci, li, eq.points)
-            n_K = sign * normal
-            qa, _ = cellwise._flux_on_cell(mesh, dofs, xa, ci, pts)
-            qb, _ = cellwise._flux_on_cell(mesh, dofs, xb, ci, pts)
-            va, _ = cellwise._scalar_on_cell(mesh, dofs, xa, ci, pts)
-            vb, _ = cellwise._scalar_on_cell(mesh, dofs, xb, ci, pts)
-            tv = basis.eval_edge_basis(case.trace_deg, eq.points)
-            hata = tv @ xa[dofs.edge_trace_dofs(ei)]
-            hatb = tv @ xb[dofs.edge_trace_dofs(ei)]
-            we = eq.weights * length
+        eta = case.stabilization(h)
+        for (we, sign, qa, va, hata), (_, _, qb, vb, hatb) in zip(sa, sb):
             total -= sign * (we @ (hata * vb) + we @ (hatb * va))
-            da = qa @ n_K - sign * hata
-            db = qb @ n_K - sign * hatb
-            total += eta * (we @ (da * db))
+            total += eta * (we @ ((qa - sign * hata) * (qb - sign * hatb)))
     return total
 
 
@@ -121,11 +107,13 @@ MESHES = {"unit": lambda: build_structured_mesh(1), "jittered": jittered_mesh}
 
 
 def _with_meshes(method):
-    """(method, regime, mesh) inputs; the unit-mesh ids stay "method-regime"."""
-    return pytest.mark.parametrize("method,regime,mesh_name", [
-        pytest.param(method, regime, name, id="-".join(
-            [method, regime] + ([name] if name != "unit" else [])))
-        for name in MESHES for regime in ("rho_h", "inv")])
+    """(method, regime, mesh, k) inputs; the unit-mesh k = 0 ids stay
+    "method-regime", and k = 1 ids end in "-k1"."""
+    return pytest.mark.parametrize("method,regime,mesh_name,k", [
+        pytest.param(method, regime, name, k, id="-".join(
+            [method, regime] + ([name] if name != "unit" else [])
+            + (["k1"] if k else [])))
+        for k in (0, 1) for name in MESHES for regime in ("rho_h", "inv")])
 
 
 def _probe_vectors(n):
@@ -138,33 +126,35 @@ def _probe_vectors(n):
 
 
 @_with_meshes("hdg")
-def test_hdg_matrix_against_oracle(method, regime, mesh_name):
+def test_hdg_matrix_against_oracle(method, regime, mesh_name, k):
     mesh = MESHES[mesh_name]()
-    case = SpaceCase(method, regime, 0, 0.7)
+    case = SpaceCase(method, regime, k, 0.7)
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + 0.5 * xy[:, 0])
     f = lambda xy: xy[:, 0] + 2.0 * xy[:, 1]
     sys = assemble_hdg(mesh, dofs, coeff, f)
     probes = _probe_vectors(dofs.total)
+    fields = [form_oracle_fields(mesh, dofs, case, x) for x in probes]
     for i, xa in enumerate(probes):
         assert abs(rhs_oracle(mesh, dofs, f, xa) - sys.rhs @ xa) < 1e-12
-        for xb in probes[i:]:
-            ref = hdg_form_oracle(mesh, dofs, case, coeff, xa, xb)
+        for xb, fb in zip(probes[i:], fields[i:]):
+            ref = hdg_form_oracle(case, coeff, fields[i], fb)
             assert abs(xa @ (sys.matrix @ xb) - ref) < 1e-12
 
 
 @_with_meshes("wg")
-def test_wg_matrix_against_oracle(method, regime, mesh_name):
+def test_wg_matrix_against_oracle(method, regime, mesh_name, k):
     mesh = MESHES[mesh_name]()
-    case = SpaceCase(method, regime, 0, 0.4)
+    case = SpaceCase(method, regime, k, 0.4)
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 1])
     f = lambda xy: np.sin(xy[:, 0])
     sys = assemble_wg(mesh, dofs, coeff, f)
     probes = _probe_vectors(dofs.total)
+    fields = [form_oracle_fields(mesh, dofs, case, x) for x in probes]
     for i, xa in enumerate(probes):
-        for xb in probes[i:]:
-            ref = wg_form_oracle(mesh, dofs, case, coeff, xa, xb)
+        for xb, fb in zip(probes[i:], fields[i:]):
+            ref = wg_form_oracle(case, coeff, fields[i], fb)
             assert abs(xa @ (sys.matrix @ xb) - ref) < 1e-10
 
 
@@ -217,15 +207,23 @@ def test_coefficient_must_be_positive():
     assert np.allclose(CoefficientField.unit().c_at(np.zeros((3, 2))), 1.0)
 
 
-def test_primal_conforming_against_oracle():
-    mesh = build_structured_mesh(2)
+CONFORMING = pytest.mark.parametrize("mesh_name,k", [
+    pytest.param(name, k, id="k{}-{}".format(k, name))
+    for k in (0, 1) for name in ("structured", "jittered")])
+
+
+def _conforming_mesh(name):
+    return build_structured_mesh(2) if name == "structured" else jittered_mesh()
+
+
+@CONFORMING
+def test_primal_conforming_against_oracle(mesh_name, k):
+    mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     f = lambda xy: xy[:, 1]
-    sys, dofs = assemble_primal_conforming(mesh, 0, coeff, f)
-    dense = sys.matrix.toarray()
+    sys, dofs = assemble_primal_conforming(mesh, k, coeff, f)
     # the assembler's rule: that of hdg/inv, scalar degree k + 1
     tri = basis.tri_quadrature(one_rule(dofs.degree))
-    eye = np.eye(dofs.total)
 
     def form(xa, xb):
         total = 0.0
@@ -243,22 +241,23 @@ def test_primal_conforming_against_oracle():
             total += np.einsum("q,qc,qc->", w, pb, ga)
         return total
 
-    for i in range(dofs.total):
-        assert abs(rhs_oracle(mesh, dofs, f, eye[i]) - sys.rhs[i]) < 1e-13
-        for j in range(i, dofs.total):
-            assert abs(dense[i, j] - form(eye[i], eye[j])) < 1e-12
+    probes = _probe_vectors(dofs.total)
+    for i, xa in enumerate(probes):
+        assert abs(rhs_oracle(mesh, dofs, f, xa) - sys.rhs @ xa) < 1e-13
+        for xb in probes[i:]:
+            assert abs(xa @ (sys.matrix @ xb) - form(xa, xb)) < 1e-12
     assert (sys.matrix - sys.matrix.T).nnz == 0
 
 
-def test_mixed_conforming_against_oracle():
-    mesh = build_structured_mesh(2)
+@CONFORMING
+def test_mixed_conforming_against_oracle(mesh_name, k):
+    mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 2.0 + xy[:, 1])
     f = lambda xy: np.cos(xy[:, 1])
-    sys, dofs = assemble_mixed_conforming(mesh, 0, coeff, f)
-    dense = sys.matrix.toarray()
+    sys, dofs = assemble_mixed_conforming(mesh, k, coeff, f)
     # the assembler's rule: that of wg/inv, scalar degree k
-    tri = basis.tri_quadrature(one_rule(dofs.k))
-    eye = np.eye(dofs.total)
+    rule = one_rule(dofs.k)
+    tri = basis.tri_quadrature(rule)
 
     def form(xa, xb):
         total = 0.0
@@ -275,9 +274,13 @@ def test_mixed_conforming_against_oracle():
             total -= w @ (ua * dpb) + w @ (ub * dpa)
         return total
 
-    for i in range(dofs.total):
-        for j in range(i, dofs.total):
-            assert abs(dense[i, j] - form(eye[i], eye[j])) < 1e-11
+    probes = _probe_vectors(dofs.total)
+    for i, xa in enumerate(probes):
+        # f is not polynomial, so the oracle integrates it by the same rule
+        ref = rhs_oracle(mesh, dofs, f, xa, quad_degree=rule)
+        assert abs(ref - sys.rhs @ xa) < 1e-12
+        for xb in probes[i:]:
+            assert abs(xa @ (sys.matrix @ xb) - form(xa, xb)) < 1e-11
 
 
 def test_mixed_conforming_divergence_identity():

@@ -122,6 +122,15 @@ def test_limit_rejects_rhos_without_a_slope(tmp_path, capsys, rhos):
     assert not (tmp_path / "limit.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--rhos", "--level-list"])
+def test_infsup_rejects_an_empty_sweep(tmp_path, capsys, flag):
+    rc = cli.main(["infsup", "--method", "hdg", "--regime", "inv",
+                   flag, ",", "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "empty inf-sup sweep" in capsys.readouterr().err
+    assert not (tmp_path / "infsup.csv").exists()
+
+
 def test_infsup_command(tmp_path):
     rc = cli.main(["infsup", "--method", "hdg", "--regime", "inv",
                    "--k", "0", "--rhos", "1,1e-2", "--level-list", "1,2",

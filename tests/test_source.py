@@ -57,3 +57,15 @@ def test_norm_pairs_are_named_in_one_module():
     offenders = {(module, name) for module, text in texts.items()
                  for name in NORM_NAMES if name in text}
     assert offenders == set()
+
+
+def test_stabilization_is_read_in_one_module():
+    # each method's bilinear form is written once, in hdgwg.assembly: no
+    # other module may read the tau/eta weights to write a form again
+    readers = set()
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(node, ast.Attribute) and node.attr == "stabilization"
+               for node in ast.walk(tree)):
+            readers.add(path.name)
+    assert readers == {"assembly.py"}

@@ -24,6 +24,8 @@ def test_case_validation():
         SpaceCase("wg", "inv", 3, 1.0)
     with pytest.raises(ValueError):
         SpaceCase("wg", "rho_h", 0, 1.0, trace_degree=5)
+    with pytest.raises(ValueError, match="trace degree must lie in .* got -1"):
+        SpaceCase("hdg", "inv", 0, 1.0, trace_degree=-1)
 
 
 def test_space_triples_per_regime():
