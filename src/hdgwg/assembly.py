@@ -3,8 +3,17 @@
 Each method's bilinear form is written once, as the terms of
 ``_form_terms``; ``assemble_terms`` evaluates them, and the norm-pair terms
 of ``hdgwg.norms``, as stacked per-cell blocks on the batched tables below.
-Triplets are summed in a fixed order with exact symmetric insertion, so
-A == A.T exactly and repeated runs are bit-identical.
+
+The blocks are summed on a ``SumPattern``, which is built from the terms'
+DOFs alone: one stable sort of the triplet keys fixes where each block
+entry goes and which entries add up.  Assembly then writes the raveled
+blocks one after another, gathers them into sorted order and sums each run
+of equal keys by ``np.add.reduceat``.  A diagonal term's blocks are
+symmetrized and an off-diagonal term's entries are also gathered for its
+transpose, so A == A.T exactly, and repeated runs are bit-identical.  rho
+enters only through each term's scale, so a rho sweep on one mesh and
+space builds one pattern (``form_pattern``, ``norms.gram_pattern``) and
+gets for every rho the matrix a fresh pattern would give, to the bit.
 
 Subscripts in the ``contract`` calls: ``c`` cell, ``l`` local edge, ``q``
 quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
@@ -204,57 +213,83 @@ class ElementTables:
                         values)
 
 
-class _Accumulator:
-    """Triplet accumulator with exact symmetric insertion.  Each triplet is
-    kept as its int64 key row * n + col and its value."""
+class SumPattern:
+    """Where each entry of a term list's blocks goes in the summed matrix.
 
-    def __init__(self, n):
+    Built from the DOFs of the terms (see ``_form_terms``) alone: the int64
+    key row * n + col of every triplet that has no negative DOF, in term
+    order, an off-diagonal term's transposed triplets right after its own.
+    One stable sort of the keys gives ``gather``, the position of each
+    sorted triplet's value among the terms' raveled blocks, the ``first``
+    triplet of each run of equal keys, and the CSR ``indices`` and
+    ``indptr``.
+    Terms with other values on the same DOFs (another rho, say) are then
+    summed by ``assemble`` without a sort.
+    """
+
+    def __init__(self, n, terms):
         self.n = n
-        self.keys = []
-        self.vals = []
-
-    def add(self, rdofs, cdofs, block, mirror=False, sym=False):
-        """Add blocks (..., a, b) at row DOFs (..., a) and column DOFs
-        (..., b), broadcast over the leading axes.  Entries with a negative
-        DOF are dropped."""
-        block = np.asarray(block, dtype=float)
-        if sym:
-            # quadrature blocks are symmetric up to rounding; make it exact
-            block = 0.5 * (block + np.swapaxes(block, -1, -2))
-        r, c, v = np.broadcast_arrays(rdofs[..., :, None], cdofs[..., None, :],
-                                      block)
-        keep = (r >= 0) & (c >= 0)
-        r = r[keep].astype(np.int64, copy=False)
-        c = c[keep].astype(np.int64, copy=False)
-        v = v[keep]
-        self.keys.append(r * self.n + c)
-        self.vals.append(v)
-        if mirror:
-            self.keys.append(c * self.n + r)
-            self.vals.append(v)
-
-    def tocsr(self):
-        n = self.n
-        if not self.keys:
-            return sp.csr_matrix((n, n))
-        key = np.concatenate(self.keys)
-        v = np.concatenate(self.vals)
-        self.keys, self.vals = [], []  # free before sorting
-        # sum duplicates ourselves with a stable sort: mirrored triplets then
-        # reduce in the same order on both sides of the diagonal, keeping the
-        # assembled matrix bit-exactly symmetric
+        self.sides = []  # per term: row DOFs, column DOFs, diagonal, shape
+        keys, at = [], []
+        size = 0
+        for _, _, test, trial in terms:
+            rows, cols = test[0], trial[0]
+            r, c = np.broadcast_arrays(
+                (rows[:, None] if rows.ndim < cols.ndim else rows)[..., :, None],
+                cols[..., None, :])
+            self.sides.append((rows, cols, test is trial, r.shape))
+            keep = (r >= 0) & (c >= 0)
+            r = r[keep].astype(np.int64, copy=False)
+            c = c[keep].astype(np.int64, copy=False)
+            pos = size + np.flatnonzero(keep)
+            keys.append(r * n + c)
+            at.append(pos)
+            if test is not trial:
+                keys.append(c * n + r)
+                at.append(pos)
+            size += keep.size
+        self.size = size
+        empty = [np.zeros(0, dtype=np.int64)]
+        key = np.concatenate(empty + keys)
+        at = np.concatenate(empty + at)
+        del keys
+        # a stable sort: mirrored triplets then reduce in the same order on
+        # both sides of the diagonal, so the sum is bit-exactly symmetric
         order = np.argsort(key, kind="stable")
-        key, v = key[order], v[order]
-        first = np.empty(len(key), dtype=bool)
-        first[0] = True
-        first[1:] = key[1:] != key[:-1]
-        starts = np.flatnonzero(first)
+        # int32 where it fits: the pattern stays resident through a sweep
+        idx = np.int32 if max(n, size, len(key)) < 2**31 else np.int64
+        self.gather = at[order].astype(idx)
+        key = key[order]
+        del at, order
+        self.first = np.ones(len(key), dtype=bool)
+        self.first[1:] = key[1:] != key[:-1]
+        key = key[self.first]
+        self.indices = (key % n).astype(idx)
+        self.indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+
+    def assemble(self, n, terms):
+        """The (n, n) CSR matrix of ``terms``, which must have the DOFs this
+        pattern was built from (else ValueError)."""
+        terms = list(terms)
+        if n != self.n or len(terms) != len(self.sides):
+            raise ValueError("sum pattern was built for another DOF map")
+        vals = np.empty(self.size)
+        o = 0
+        for (w, scale, test, trial), (rows, cols, diag, shape) in zip(
+                terms, self.sides):
+            if ((test is trial) != diag or not np.array_equal(test[0], rows)
+                    or not np.array_equal(trial[0], cols)):
+                raise ValueError("sum pattern was built for another DOF map")
+            size = int(np.prod(shape))
+            vals[o:o + size].reshape(shape)[...] = _block(w, scale, test, trial)
+            o += size
         # reduceat, not bincount: bincount sums each run in sequence and
         # reduceat long runs pairwise, so their sums differ in the last bit
-        sums = np.add.reduceat(v, starts)
-        key = key[starts]
-        indptr = np.searchsorted(key, np.arange(n + 1) * n)
-        return sp.csr_matrix((sums, key % n, indptr), shape=(n, n))
+        v = vals[self.gather]
+        del vals
+        sums = np.add.reduceat(v, np.flatnonzero(self.first))
+        return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
+                             shape=(n, n))
 
 
 def checked_tables(mesh, dofs, tables):
@@ -341,21 +376,32 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
         yield t.edge_w, stab, phat, phat
 
 
-def assemble_terms(n, terms):
+def _block(w, scale, test, trial):
+    """The blocks (G'..., a, b) of one term, summed over the group axes its
+    DOFs lack; a diagonal term's blocks are made exactly symmetric."""
+    (rows, bi, _), (cols, bj, _) = test, trial
+    g = "ABCD"[:w.ndim - 1]
+    gi, gj, k = g[:bi.ndim - 3], g[:bj.ndim - 3], "k"
+    out = g[:max(rows.ndim, cols.ndim) - 1]
+    if bi.shape[-1] == bj.shape[-1] == 1:
+        # scalar sides: without the unit component axis numpy's contraction
+        # path drops an elementwise step
+        bi, bj, k = bi[..., 0], bj[..., 0], ""
+    # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
+    block = per_group(scale, len(out) + 2) * contract(
+        "{g}q,{gi}qa{k},{gj}qb{k}->{out}ab".format(
+            g=g, gi=gi, gj=gj, k=k, out=out), w, bi, bj)
+    if test is trial:
+        # quadrature blocks are symmetric up to rounding; make it exact
+        block = 0.5 * (block + np.swapaxes(block, -1, -2))
+    return block
+
+
+def assemble_terms(n, terms, pattern=None):
     """Sparse (n, n) matrix of bilinear ``terms`` (see ``_form_terms``),
-    each block summed over the group axes its DOFs lack."""
-    acc = _Accumulator(n)
-    for w, scale, test, trial in terms:
-        (rows, bi, _), (cols, bj, _) = test, trial
-        g = "ABCD"[:w.ndim - 1]
-        out = g[:max(rows.ndim, cols.ndim) - 1]
-        # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
-        block = per_group(scale, len(out) + 2) * contract(
-            "{}q,{}qak,{}qbk->{}ab".format(
-                g, g[:bi.ndim - 3], g[:bj.ndim - 3], out), w, bi, bj)
-        acc.add(rows[:, None] if rows.ndim < cols.ndim else rows, cols,
-                block, sym=test is trial, mirror=test is not trial)
-    return acc.tocsr()
+    summed on ``pattern``, by default one built from the terms' DOFs."""
+    terms = list(terms)
+    return (pattern or SumPattern(n, terms)).assemble(n, terms)
 
 
 def load_vector(dofs, t, f):
@@ -366,20 +412,34 @@ def load_vector(dofs, t, f):
     return rhs
 
 
-def _assemble(mesh, dofs, coeff, f, t):
+def _assemble(mesh, dofs, coeff, f, t, pattern=None):
     return LinearSystem(
-        matrix=assemble_terms(dofs.total, _form_terms(mesh, dofs, t, coeff)),
+        matrix=assemble_terms(dofs.total, _form_terms(mesh, dofs, t, coeff),
+                              pattern),
         rhs=load_vector(dofs, t, f))
 
 
-def assemble_hdg(mesh, dofs, coeff, f, tables=None):
-    """HDG saddle system for unknowns (flux p, scalar u, trace u-hat)."""
-    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "hdg"))
+def form_pattern(mesh, dofs, tables=None):
+    """The ``SumPattern`` of the bilinear form of ``dofs``.  It reads only
+    the DOFs, so one pattern serves every rho of a sweep on one mesh and
+    space."""
+    t = checked_tables(mesh, dofs, tables)
+    return SumPattern(dofs.total, _form_terms(mesh, dofs, t,
+                                              CoefficientField.unit()))
 
 
-def assemble_wg(mesh, dofs, coeff, f, tables=None):
-    """WG saddle system for unknowns (flux p, scalar u, trace p-hat)."""
-    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "wg"))
+def assemble_hdg(mesh, dofs, coeff, f, tables=None, pattern=None):
+    """HDG saddle system for unknowns (flux p, scalar u, trace u-hat),
+    summed on ``pattern`` (see ``form_pattern``) if given."""
+    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "hdg"),
+                     pattern)
+
+
+def assemble_wg(mesh, dofs, coeff, f, tables=None, pattern=None):
+    """WG saddle system for unknowns (flux p, scalar u, trace p-hat),
+    summed on ``pattern`` (see ``form_pattern``) if given."""
+    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "wg"),
+                     pattern)
 
 
 class PrimalDofMap:

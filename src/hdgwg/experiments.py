@@ -15,6 +15,7 @@ from .assembly import (
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
+    form_pattern,
 )
 from .linalg import min_generalized_singular_value, solve_symmetric_indefinite
 from .mesh import build_structured_mesh
@@ -23,6 +24,7 @@ from .norms import (
     broken_h1_distance,
     compute_error_norm,
     flux_distance,
+    gram_pattern,
     scalar_l2_distance,
 )
 from .spaces import SpaceCase, build_space_triple
@@ -136,14 +138,16 @@ class InfSupTable:
     rows: list = field(default_factory=list)
 
 
-def _solve_case(mesh, case, prob, tables):
-    dofs = build_space_triple(mesh, case)
+def _solve_case(mesh, dofs, prob, tables, pattern=None):
+    """Solution and coefficient of the problem on ``dofs``, its system
+    summed on ``pattern`` if given."""
     coeff = CoefficientField(alpha=prob.alpha)
-    assemble = assemble_hdg if case.method == "hdg" else assemble_wg
-    system = assemble(mesh, dofs, coeff, prob.f, tables=tables)
+    assemble = assemble_hdg if dofs.method == "hdg" else assemble_wg
+    system = assemble(mesh, dofs, coeff, prob.f, tables=tables,
+                      pattern=pattern)
     x = solve_symmetric_indefinite(system.matrix, system.rhs,
                                    cell_dofs=dofs.cell_local_dofs())
-    return dofs, x, coeff
+    return x, coeff
 
 
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
@@ -159,7 +163,8 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
     for level in range(first_level, levels + 1):
         mesh = build_structured_mesh(2**level)
         tables = ElementTables(mesh, case)
-        dofs, x, coeff = _solve_case(mesh, case, prob, tables)
+        dofs = build_space_triple(mesh, case)
+        x, coeff = _solve_case(mesh, dofs, prob, tables)
         ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
                                     tables=tables)
         total = ef + es
@@ -175,8 +180,9 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
     The limit method (primal for hdg, mixed for wg) has the local spaces of
     the inv regime, so one set of element tables serves both solves and
-    the distances for every rho.  The slope is fitted to log-log distance
-    over rho, so ``rhos`` must hold at least two distinct positive values.
+    the distances for every rho, and one sum pattern every rho's system.
+    The slope is fitted to log-log distance over rho, so ``rhos`` must hold
+    at least two distinct positive values.
     """
     rhos = [10.0**-j for j in range(1, 6)] if rhos is None else list(rhos)
     if not all(rho > 0.0 for rho in rhos):
@@ -197,8 +203,11 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
                                    cell_dofs=ref_dofs.cell_local_dofs())
     table = LimitTable()
     dists = []
+    pattern = None
     for case in cases:
-        dofs, x, _ = _solve_case(mesh, case, prob, tables)
+        dofs = build_space_triple(mesh, case)
+        pattern = pattern or form_pattern(mesh, dofs, tables)
+        x, _ = _solve_case(mesh, dofs, prob, tables, pattern)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
@@ -242,12 +251,17 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         runs.append((mesh, instances))
     table = InfSupTable()
     for mesh, instances in runs:
-        tables = None
+        # rho enters through the weights only: one set of tables and one
+        # sum pattern each for the system and the Gram per mesh
+        case, dofs = instances[0]
+        tables = ElementTables(mesh, case)
+        form, norm = (form_pattern(mesh, dofs, tables),
+                      gram_pattern(mesh, dofs, tables))
         for case, dofs in instances:
-            # rho enters through the weights only: one set of tables per mesh
-            tables = tables or ElementTables(mesh, case)
-            system = assemble(mesh, dofs, coeff, zero, tables=tables)
-            gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables)
+            system = assemble(mesh, dofs, coeff, zero, tables=tables,
+                              pattern=form)
+            gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
+                                      pattern=norm)
             beta = min_generalized_singular_value(system.matrix, gram)
             table.rows.append((mesh.h_max, case.rho, beta))
     return table

@@ -25,6 +25,7 @@ import numpy as np
 
 from .assembly import (
     CoefficientField,
+    SumPattern,
     _form_terms,
     assemble_terms,
     at_points,
@@ -134,16 +135,26 @@ def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges, rho):
             [(dofs.reshape(len(dofs), -1), basis)], 1.0 / rho)
 
 
-def assemble_norm_gram(mesh, dofs, coeff=None, tables=None):
-    """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2.
-
-    Each pair of a term's linear parts is one bilinear term of
+def _gram_terms(mesh, dofs, coeff, tables):
+    """Each pair of a norm term's linear parts, as one bilinear term of
     ``assembly.assemble_terms``."""
     terms = _norm_terms(mesh, dofs, tables, coeff, ZERO_FIELD)
-    return assemble_terms(dofs.total, (
-        (w, scale, test, trial) for _, w, _, linear, scale in terms
-        for test, trial in combinations_with_replacement(
-            [(d, b, None) for d, b in linear], 2)))
+    return ((w, scale, test, trial) for _, w, _, linear, scale in terms
+            for test, trial in combinations_with_replacement(
+                [(d, b, None) for d, b in linear], 2))
+
+
+def gram_pattern(mesh, dofs, tables=None):
+    """The ``SumPattern`` of the Gram of ``dofs``; like
+    ``assembly.form_pattern`` it serves every rho on one mesh and space."""
+    return SumPattern(dofs.total, _gram_terms(mesh, dofs, None, tables))
+
+
+def assemble_norm_gram(mesh, dofs, coeff=None, tables=None, pattern=None):
+    """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2,
+    summed on ``pattern`` (see ``gram_pattern``) if given."""
+    return assemble_terms(dofs.total, _gram_terms(mesh, dofs, coeff, tables),
+                          pattern)
 
 
 def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):

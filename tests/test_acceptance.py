@@ -95,7 +95,8 @@ def test_criterion_5_rho_uniform_error_constants():
         tables = ElementTables(mesh, SpaceCase(method, regime, 0, rhos[0]))
         for rho in rhos:
             case = SpaceCase(method, regime, 0, rho)
-            dofs, x, coeff = _solve_case(mesh, case, prob, tables)
+            dofs = build_space_triple(mesh, case)
+            x, coeff = _solve_case(mesh, dofs, prob, tables)
             ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
                                         tables=tables)
             errs.append(ef + es)

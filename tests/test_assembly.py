@@ -6,16 +6,18 @@ import scipy.sparse as sp
 from hdgwg import basis
 from hdgwg.assembly import (
     CoefficientField,
+    ElementTables,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
     MixedDofMap,
     PrimalDofMap,
+    form_pattern,
 )
 from hdgwg.linalg import solve_symmetric_indefinite
-from hdgwg.mesh import build_structured_mesh
-from hdgwg.norms import assemble_norm_gram
+from hdgwg.mesh import Mesh, build_structured_mesh
+from hdgwg.norms import assemble_norm_gram, gram_pattern
 from hdgwg.spaces import SpaceCase, build_space_triple
 
 import cellwise
@@ -409,3 +411,54 @@ def test_level_5_assembly_is_deterministic(method, regime):
     assert _bit_identical(*grams)
     for M in (first.matrix, grams[0]):
         assert _bit_identical(M, M.T.tocsr())
+
+
+@pytest.mark.parametrize("mesh_name", ["structured", "jittered"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method,regime", [
+    ("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")])
+def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
+                                                  mesh_name):
+    # a rho sweep sums every system and Gram on the patterns of its first
+    # DOF map; each must equal the matrix assembled on its own, to the bit
+    mesh = _conforming_mesh(mesh_name)
+    coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
+    asm = assemble_hdg if method == "hdg" else assemble_wg
+    first = build_space_triple(mesh, SpaceCase(method, regime, k, 1.0))
+    tables = ElementTables(mesh, first.case)
+    form, norm = form_pattern(mesh, first, tables), gram_pattern(mesh, first,
+                                                                 tables)
+    built = []
+    for rho in (1.0, 1e-3, 1e-6):
+        dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
+        pairs = [
+            (asm(mesh, dofs, coeff, ONE, tables=tables, pattern=form).matrix,
+             asm(mesh, dofs, coeff, ONE).matrix),
+            (assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
+                                pattern=norm),
+             assemble_norm_gram(mesh, dofs, coeff=coeff))]
+        for shared, one_shot in pairs:
+            assert _bit_identical(shared, one_shot)
+            assert _bit_identical(shared, shared.T.tocsr())
+        built.append(pairs[0][0])
+    # each matrix owns its index arrays
+    assert not np.shares_memory(built[0].indices, built[1].indices)
+    assert not np.shares_memory(built[0].indptr, built[1].indptr)
+
+
+def test_pattern_rejects_another_dof_map():
+    mesh = build_structured_mesh(2)
+    dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 0, 1.0))
+    form, norm = form_pattern(mesh, dofs), gram_pattern(mesh, dofs)
+    # another degree, another mesh size, and the same mesh with each cell's
+    # vertices rotated: same DOF count, other local numbering
+    rotated = Mesh(mesh.vertices, mesh.cells[:, [1, 2, 0]])
+    for other_mesh, k in ((mesh, 1), (build_structured_mesh(4), 0),
+                          (rotated, 0)):
+        other = build_space_triple(other_mesh,
+                                   SpaceCase("hdg", "inv", k, 1e-3))
+        with pytest.raises(ValueError, match="another DOF map"):
+            assemble_hdg(other_mesh, other, CoefficientField.unit(), ONE,
+                         pattern=form)
+        with pytest.raises(ValueError, match="another DOF map"):
+            assemble_norm_gram(other_mesh, other, pattern=norm)

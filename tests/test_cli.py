@@ -1,5 +1,11 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import hdgwg
 from hdgwg import cli, experiments
 
 from cellwise import read_matrix
@@ -128,6 +134,21 @@ def test_infsup_rejects_an_empty_sweep(tmp_path, capsys, flag):
                    flag, ",", "--outdir", str(tmp_path)])
     assert rc == 2
     assert "empty inf-sup sweep" in capsys.readouterr().err
+    assert not (tmp_path / "infsup.csv").exists()
+
+
+@pytest.mark.parametrize("module", ["hdgwg", "hdgwg.cli"])
+def test_python_m_runs_the_cli(tmp_path, module):
+    # the console script's exit codes, also from ``python -m``
+    src = str(pathlib.Path(hdgwg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", module, "infsup", "--method", "hdg",
+         "--regime", "inv", "--rhos", ",", "--outdir", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 2
+    assert "empty inf-sup sweep" in run.stderr
     assert not (tmp_path / "infsup.csv").exists()
 
 

@@ -228,10 +228,48 @@ def test_failures_name_their_stage():
     rng = np.random.default_rng(5)
     B = rng.standard_normal((20, 20))
     with pytest.raises(SingularMatrixError,
-                       match=r"refinement: residual .* exceeds tolerance .* "
-                             r"after 5 steps"):
+                       match=r"refinement: residual \S+ exceeds tolerance \S+ "
+                             r"after [0-5] steps"):
         solve_symmetric_indefinite(sp.csr_matrix(B + B.T),
                                    rng.standard_normal(20), rtol=1e-30)
+
+
+@pytest.mark.parametrize("gain,rtol,steps,outcome", [
+    (1.0, 1e-10, 0, "pass"),    # exact: the first residual passes
+    (1.1, 1e-10, 5, "raise"),   # r -> -0.1 r: halves every step, too slowly
+    (1.1, 1e-3, 3, "pass"),     # ... until the strict test passes
+    (1.9, 1e-10, 1, "raise"),   # r -> -0.9 r: stops after the first step
+    (1.9, 0.7, 1, "pass"),      # ... and then meets a loose contract
+])
+def test_refinement_stops_when_the_residual_stops_halving(gain, rtol, steps,
+                                                          outcome):
+    # a solver that scales its answer by ``gain`` on A = I maps each
+    # residual r to (1 - gain) r
+    calls = []
+
+    def solve(r):
+        calls.append(r)
+        return gain * r
+
+    b = np.ones(4)
+    if outcome == "pass":
+        linalg._refine(sp.identity(4, format="csr"), b, solve, rtol)
+    else:
+        with pytest.raises(SingularMatrixError,
+                           match="after {} steps".format(steps)):
+            linalg._refine(sp.identity(4, format="csr"), b, solve, rtol)
+    assert len(calls) == 1 + steps
+
+
+def test_refinement_rejects_a_non_finite_correction():
+    # a finite first solve whose correction is NaN must not come back
+    def solve(r):
+        return 1.1 * r if r is b else np.full_like(r, np.nan)
+
+    b = np.ones(4)
+    with pytest.raises(SingularMatrixError,
+                       match="refinement: residual nan .* after 1 steps"):
+        linalg._refine(sp.identity(4, format="csr"), b, solve, 1e-10)
 
 
 def test_beta_of_identity_pencil():
