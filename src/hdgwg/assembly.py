@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import basis
 from .mesh import Mesh
-from .spaces import SpaceCase, cell_block_dofs
+from .spaces import SpaceCase, mixed_dofs, primal_dofs
 
 
 def contract(subscripts, *operands):
@@ -195,16 +195,21 @@ class ElementTables:
 
     def check(self, mesh, *dof_maps):
         """Raise ValueError unless these tables were built on ``mesh`` and
-        every DOF map has their mesh size and local spaces."""
+        every DOF map has their mesh size and local spaces, and an HDG or
+        WG map also their trace space."""
         if mesh is not self.mesh:
             raise ValueError("element tables were built on another mesh")
         for dofs in dof_maps:
-            if dofs.num_cells != mesh.num_cells:
+            if len(dofs.flux) != mesh.num_cells:
                 raise ValueError("DOF map does not match the mesh")
             if dofs.local_spaces != self.local_spaces:
                 raise ValueError(
                     "DOF map spaces {} do not match the element tables' {}"
                     .format(dofs.local_spaces, self.local_spaces))
+            if (dofs.case is not None
+                    and dofs.case.trace_deg != self.case.trace_deg):
+                raise ValueError(
+                    "element tables were built for another trace space")
 
     def moments(self, values):
         """Parametric trace-basis moments, per side: (C,3,nt,...) for values
@@ -294,11 +299,9 @@ class SumPattern:
 
 def checked_tables(mesh, dofs, tables):
     """``tables``, or new ones for ``dofs.case``, checked against the mesh
-    and against the local and trace spaces of ``dofs``."""
+    and the spaces of ``dofs``."""
     t = tables or ElementTables(mesh, dofs.case)
     t.check(mesh, dofs)
-    if t.case.trace_deg != dofs.case.trace_deg:
-        raise ValueError("element tables were built for another trace space")
     return t
 
 
@@ -343,7 +346,7 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
     fval, fdiv = t.fval, t.fdiv[..., None]
     if dofs.flux_sign is not None:
         fval, fdiv = (dofs.flux_sign[:, None, :, None] * b for b in (fval, fdiv))
-    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
+    pd, ud = dofs.flux, dofs.scalar
     p = (pd, fval, sample("p", t.xy))
     yield t.w * coeff.c_at(t.xy), 1.0, p, p
     if dofs.method in ("hdg", "mixed"):
@@ -354,7 +357,7 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
     if dofs.method not in ("hdg", "wg"):
         return
     stab = dofs.case.stabilization(mesh.cell_size)
-    td, trace = dofs.edge_trace_dofs(mesh.cell_edges), t.trace[..., None]
+    td, trace = dofs.edge_trace[mesh.cell_edges], t.trace[..., None]
     u_e = sample("u", t.edge_xy)
     pn = None if exact is None else contract(
         "clqk,clk->clq", at_points(exact.p, t.edge_xy), t.normal)[..., None]
@@ -407,7 +410,7 @@ def assemble_terms(n, terms, pattern=None):
 def load_vector(dofs, t, f):
     """Right-hand side -(f, v) on the scalar DOFs of ``dofs``."""
     rhs = np.zeros(dofs.total)
-    scatter(rhs, dofs.cell_scalar_dofs(),
+    scatter(rhs, dofs.scalar,
             -contract("cq,cqb->cb", t.w * at_points(f, t.xy), t.sval))
     return rhs
 
@@ -442,124 +445,16 @@ def assemble_wg(mesh, dofs, coeff, f, tables=None, pattern=None):
                      pattern)
 
 
-class PrimalDofMap:
-    """Broken vector P_k flux plus continuous P_{k+1} scalar with zero trace.
-
-    ``scalar_l2g`` (C, nb) maps the local lattice nodes of the basis to
-    global scalar DOFs; boundary nodes are eliminated (entry -1).
-    """
-
-    method = "primal"
-    flux_sign = None
-
-    def __init__(self, mesh, k):
-        if k < 0:
-            raise ValueError("polynomial degree k must be >= 0")
-        self.k = k
-        self.degree = k + 1
-        self.local_spaces = ("vec", k, k + 1)
-        self.num_cells = mesh.num_cells
-        self.flux_per_cell = 2 * basis.scalar_dim(k)
-        self.flux_total = mesh.num_cells * self.flux_per_cell
-        d = self.degree
-        boundary = np.zeros(mesh.num_vertices, dtype=bool)
-        boundary[mesh.edge_vertices[mesh.boundary_edges]] = True
-        vmap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-        vmap[~boundary] = np.arange(np.count_nonzero(~boundary))
-        nxt = np.count_nonzero(~boundary)
-        per_edge = d - 1
-        emap = np.full(mesh.num_edges, -1, dtype=np.int64)
-        emap[mesh.interior_edges] = nxt + per_edge * np.arange(
-            len(mesh.interior_edges))
-        nxt += per_edge * len(mesh.interior_edges)
-        per_cell_int = basis.scalar_dim(d) - 3 - 3 * per_edge
-        cell_int_start = nxt
-        self.scalar_total = nxt + mesh.num_cells * per_cell_int
-
-        # edge nodes walk from the cell's start vertex of each local edge
-        j = np.arange(per_edge)
-        along = np.where(mesh.cell_edge_flip[..., None], per_edge - 1 - j, j)
-        base = emap[mesh.cell_edges][..., None]
-        edge_nodes = np.where(base >= 0, base + along, -1)
-        self.scalar_l2g = np.concatenate([
-            vmap[mesh.cells],
-            edge_nodes.reshape(mesh.num_cells, -1),
-            cell_block_dofs(cell_int_start, per_cell_int, mesh.num_cells),
-        ], axis=1)
-        self.total = self.flux_total + self.scalar_total
-
-    def cell_flux_dofs(self, ci=None):
-        return cell_block_dofs(0, self.flux_per_cell, self.num_cells, ci)
-
-    def cell_scalar_dofs(self):
-        """Global scalar DOFs (C, nb), -1 on eliminated boundary nodes."""
-        g = self.scalar_l2g
-        return np.where(g >= 0, self.flux_total + g, -1)
-
-    def cell_local_dofs(self):
-        """The broken flux, (C, 2 dim P_k): its cell block is the SPD flux
-        mass, so condensing it leaves the scalar stiffness system."""
-        return self.cell_flux_dofs()
-
-
 def assemble_primal_conforming(mesh, k, coeff, f, tables=None):
     """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
 
     Its local spaces are those of hdg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables`` (built here by default).
     """
-    dofs = PrimalDofMap(mesh, k)
+    dofs = primal_dofs(mesh, k)
     t = tables or ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0))
     t.check(mesh, dofs)
     return _assemble(mesh, dofs, coeff, f, t), dofs
-
-
-class MixedDofMap:
-    """H(div)-conforming RT_k flux (shared edge moments) plus broken P_k scalar.
-
-    ``flux_l2g`` (C, nf) maps the local RT basis to global flux DOFs and
-    ``flux_sign`` (C, nf) orients it: the edge moments are signed by
-    ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.
-    """
-
-    method = "mixed"
-
-    def __init__(self, mesh, k):
-        if k not in (0, 1):
-            raise ValueError("mixed conforming method supports k in {0, 1}")
-        self.k = k
-        self.local_spaces = ("rt", k, k)
-        self.num_cells = mesh.num_cells
-        self.per_edge = k + 1
-        self.per_cell_int = k * (k + 1)
-        self.flux_edge_total = mesh.num_edges * self.per_edge
-        self.flux_total = self.flux_edge_total + mesh.num_cells * self.per_cell_int
-        self.scalar_per_cell = basis.scalar_dim(k)
-        self.total = self.flux_total + mesh.num_cells * self.scalar_per_cell
-        m = np.arange(self.per_edge)
-        edge_dofs = mesh.cell_edges[..., None] * self.per_edge + m
-        edge_sign = mesh.cell_edge_sign[..., None] * np.where(
-            mesh.cell_edge_flip[..., None], (-1.0) ** m, 1.0)
-        interior = cell_block_dofs(self.flux_edge_total, self.per_cell_int,
-                                   mesh.num_cells)
-        self.flux_l2g = np.concatenate(
-            [edge_dofs.reshape(mesh.num_cells, -1), interior], axis=1)
-        self.flux_sign = np.concatenate(
-            [edge_sign.reshape(mesh.num_cells, -1), np.ones(interior.shape)],
-            axis=1)
-
-    def cell_flux_dofs(self):
-        return self.flux_l2g
-
-    def cell_scalar_dofs(self, ci=None):
-        return cell_block_dofs(self.flux_total, self.scalar_per_cell,
-                               self.num_cells, ci)
-
-    def cell_local_dofs(self):
-        """No DOF is cell-local, so (C, 0): the flux is shared across edges
-        and the scalar block is zero, so everything stays in the sparse
-        factorization."""
-        return np.empty((self.num_cells, 0), dtype=np.int64)
 
 
 def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
@@ -568,7 +463,7 @@ def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
     Its local spaces are those of wg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables`` (built here by default).
     """
-    dofs = MixedDofMap(mesh, k)
+    dofs = mixed_dofs(mesh, k)
     t = tables or ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0))
     t.check(mesh, dofs)
     return _assemble(mesh, dofs, coeff, f, t), dofs

@@ -35,7 +35,6 @@ class QuadratureRule:
 
     points: np.ndarray
     weights: np.ndarray
-    exactness_degree: int
 
     @property
     def xy(self):
@@ -63,7 +62,7 @@ def tri_quadrature(degree):
     ys = np.tile(v, m) * (1.0 - xs)
     w = (np.repeat(wu, m) * np.tile(wv, m)).ravel()
     bary = np.column_stack([1.0 - xs - ys, xs, ys])
-    return QuadratureRule(points=bary, weights=w, exactness_degree=degree)
+    return QuadratureRule(points=bary, weights=w)
 
 
 @lru_cache(maxsize=None)
@@ -73,9 +72,7 @@ def edge_quadrature(degree):
         raise ValueError("unsupported edge quadrature degree {}".format(degree))
     m = degree // 2 + 1
     x, w = roots_legendre(m)
-    return QuadratureRule(
-        points=0.5 * (x + 1.0), weights=0.5 * w, exactness_degree=degree
-    )
+    return QuadratureRule(points=0.5 * (x + 1.0), weights=0.5 * w)
 
 
 def scalar_dim(k):

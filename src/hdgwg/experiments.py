@@ -29,8 +29,6 @@ from .norms import (
 )
 from .spaces import SpaceCase, build_space_triple
 
-CASE_NAMES = ("sine", "poly", "varcoef")
-
 INFSUP_DOF_LIMIT = 2000
 
 
@@ -47,25 +45,30 @@ class ManufacturedCase:
     f: Callable
 
 
+def _sine_u(xy):
+    return np.sin(math.pi * xy[:, 0]) * np.sin(math.pi * xy[:, 1])
+
+
+def _sine_grad_u(xy):
+    pi = math.pi
+    sx, sy = np.sin(pi * xy[:, 0]), np.sin(pi * xy[:, 1])
+    cx, cy = np.cos(pi * xy[:, 0]), np.cos(pi * xy[:, 1])
+    return np.column_stack([pi * cx * sy, pi * sx * cy])
+
+
 def manufactured_case(name):
+    """Exact data of ``name``: "sine" (u = sin(pi x) sin(pi y), alpha = 1),
+    "poly" (u = x(1-x)y(1-y), alpha = 1) or "varcoef" (sine's u with
+    alpha = 1 + xy)."""
+    pi = math.pi
     if name == "sine":
-        pi = math.pi
-
-        def u(xy):
-            return np.sin(pi * xy[:, 0]) * np.sin(pi * xy[:, 1])
-
-        def grad_u(xy):
-            sx, sy = np.sin(pi * xy[:, 0]), np.sin(pi * xy[:, 1])
-            cx, cy = np.cos(pi * xy[:, 0]), np.cos(pi * xy[:, 1])
-            return np.column_stack([pi * cx * sy, pi * sx * cy])
-
         return ManufacturedCase(
             name=name,
             alpha=lambda xy: np.ones(len(xy)),
-            u=u,
-            grad_u=grad_u,
-            p=lambda xy: -grad_u(xy),
-            f=lambda xy: 2.0 * pi**2 * u(xy),
+            u=_sine_u,
+            grad_u=_sine_grad_u,
+            p=lambda xy: -_sine_grad_u(xy),
+            f=lambda xy: 2.0 * pi**2 * _sine_u(xy),
         )
     if name == "poly":
 
@@ -89,31 +92,22 @@ def manufactured_case(name):
                                 + xy[:, 1] * (1.0 - xy[:, 1])),
         )
     if name == "varcoef":
-        pi = math.pi
-
-        def u(xy):
-            return np.sin(pi * xy[:, 0]) * np.sin(pi * xy[:, 1])
-
-        def grad_u(xy):
-            sx, sy = np.sin(pi * xy[:, 0]), np.sin(pi * xy[:, 1])
-            cx, cy = np.cos(pi * xy[:, 0]), np.cos(pi * xy[:, 1])
-            return np.column_stack([pi * cx * sy, pi * sx * cy])
 
         def alpha(xy):
             return 1.0 + xy[:, 0] * xy[:, 1]
 
         def f(xy):
             # f = -div(alpha grad u) = 2 pi^2 alpha u - (y u_x + x u_y)
-            g = grad_u(xy)
-            return (2.0 * pi**2 * alpha(xy) * u(xy)
+            g = _sine_grad_u(xy)
+            return (2.0 * pi**2 * alpha(xy) * _sine_u(xy)
                     - (xy[:, 1] * g[:, 0] + xy[:, 0] * g[:, 1]))
 
         return ManufacturedCase(
             name=name,
             alpha=alpha,
-            u=u,
-            grad_u=grad_u,
-            p=lambda xy: -alpha(xy)[:, None] * grad_u(xy),
+            u=_sine_u,
+            grad_u=_sine_grad_u,
+            p=lambda xy: -alpha(xy)[:, None] * _sine_grad_u(xy),
             f=f,
         )
     raise ValueError("unknown manufactured case {!r}".format(name))
@@ -146,7 +140,7 @@ def _solve_case(mesh, dofs, prob, tables, pattern=None):
     system = assemble(mesh, dofs, coeff, prob.f, tables=tables,
                       pattern=pattern)
     x = solve_symmetric_indefinite(system.matrix, system.rhs,
-                                   cell_dofs=dofs.cell_local_dofs())
+                                   cell_dofs=dofs.local)
     return x, coeff
 
 
@@ -200,7 +194,7 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
                       else assemble_mixed_conforming)
     ref_sys, ref_dofs = assemble_limit(mesh, k, coeff, prob.f, tables=tables)
     y = solve_symmetric_indefinite(ref_sys.matrix, ref_sys.rhs,
-                                   cell_dofs=ref_dofs.cell_local_dofs())
+                                   cell_dofs=ref_dofs.local)
     table = LimitTable()
     dists = []
     pattern = None

@@ -42,12 +42,12 @@ def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     by batched dense LU, the reduced matrix A_gg - A_gl B^-1 A_lg on the
     remaining (global) DOFs is factored with a sparse LU (pivot-free when
     its diagonal has one sign, see ``PIVOT_FREE``), and the cell unknowns
-    are recovered by back-substitution.  Without cell DOFs the
-    reduced matrix is A itself.  The DOF maps' ``cell_local_dofs()`` give the sets: flux
-    and scalar for HDG, leaving the trace; the flux alone for WG, leaving
-    scalar and trace, because the WG (p, u) cell block is singular on cell
-    constants ((q, grad v) = 0 for constant v); the broken flux for the
-    primal conforming method; none for the mixed conforming method.
+    are recovered by back-substitution.  Without cell DOFs the reduced
+    matrix is A itself.  ``DofMap.local`` gives the sets: flux and scalar
+    for HDG, leaving the trace; the flux alone for WG, leaving scalar and
+    trace, because the WG (p, u) cell block is singular on cell constants
+    ((q, grad v) = 0 for constant v); the broken flux for the primal
+    conforming method; none for the mixed conforming method.
 
     The solution is refined iteratively against the full A.  Refinement
     stops as soon as ||A x - b|| <= rtol ||b||, or when a step fails to

@@ -78,8 +78,7 @@ def _norm_terms(mesh, dofs, tables, coeff, exact):
     kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
     coeff = coeff or CoefficientField.unit()
     t = checked_tables(mesh, dofs, tables)
-    pd, ud = dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()
-    td = dofs.edge_trace_dofs(mesh.cell_edges)
+    pd, ud, td = dofs.flux, dofs.scalar, dofs.edge_trace[mesh.cell_edges]
     trace, h = t.trace[..., None], mesh.cell_size
     sign = mesh.cell_edge_sign[..., None]  # sigma = n_K . n_e per side
 
@@ -104,11 +103,11 @@ def _norm_terms(mesh, dofs, tables, coeff, exact):
                rho * h if kind == "wg_grad" else 1.0 / (rho * h))
     if kind == "hdg_div":
         # rho h_e |u-hat|^2_e, and rho^{-1} h_e^{-1} |P_e[p.n]|^2_e inside
-        te = dofs.trace_edges
+        te = np.flatnonzero(dofs.edge_trace[:, 0] >= 0)
         h_e = mesh.edge_length[te]
         u_e = at_points(exact.u, edge_points(mesh, t.edge.points)[te])
         yield (SCALAR, np.broadcast_to(t.edge.weights, u_e.shape),
-               u_e[..., None], [(dofs.edge_trace_dofs(te), trace)],
+               u_e[..., None], [(dofs.edge_trace[te], trace)],
                rho * h_e * h_e)
         pn = contract("clqk,clk->clq", at_points(exact.p, t.edge_xy),
                       t.normal)
@@ -174,7 +173,7 @@ def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
 def _cell_coefficients(dofs, x):
     """Per-cell flux (C, nf) and scalar (C, nu) basis coefficients of ``x``:
     the flux oriented by ``flux_sign``, eliminated scalar DOFs reading 0."""
-    p, ud = x[dofs.cell_flux_dofs()], dofs.cell_scalar_dofs()
+    p, ud = x[dofs.flux], dofs.scalar
     if dofs.flux_sign is not None:
         p = dofs.flux_sign * p
     return p, np.where(ud >= 0, x[ud], 0.0)
@@ -247,12 +246,11 @@ def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
                 "{}q,{}qak,{}qk->{}a".format(g, g[:b.ndim - 3], g, out),
                 w, b, samples))
     mass = np.zeros(dofs.total)
-    mass[dofs.cell_flux_dofs()] = contract("cq,cqak,cqak->ca", t.w, t.fval,
-                                           t.fval)
-    mass[dofs.cell_scalar_dofs()] = contract("cq,cqa,cqa->ca", t.w, t.sval,
-                                             t.sval)
-    mass[dofs.edge_trace_dofs(dofs.trace_edges)] = (
-        mesh.edge_length[dofs.trace_edges][:, None])
+    mass[dofs.flux] = contract("cq,cqak,cqak->ca", t.w, t.fval, t.fval)
+    mass[dofs.scalar] = contract("cq,cqa,cqa->ca", t.w, t.sval, t.sval)
+    on = dofs.edge_trace >= 0
+    mass[dofs.edge_trace[on]] = np.broadcast_to(mesh.edge_length[:, None],
+                                                on.shape)[on]
     return float(np.max(np.abs(r) / np.sqrt(mass)))
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,99 +93,142 @@ class SpaceCase:
             return lambda h: self.rho * h
         return lambda h: 1.0 / (self.rho * h)
 
-    def flux_dim_per_cell(self):
-        if self.flux_family == "rt":
-            return basis.rt_dim(self.flux_degree)
-        return 2 * basis.scalar_dim(self.flux_degree)
 
-    def scalar_dim_per_cell(self):
-        return basis.scalar_dim(self.scalar_degree)
-
-    def trace_dim_per_edge(self):
-        return self.trace_deg + 1
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DofMap:
-    """Global DOF layout: all flux DOFs, then scalar DOFs, then trace DOFs.
+    """Global DOF layout of one method on one mesh, as per-cell index arrays.
 
-    HDG trace DOFs live on interior edges only (boundary traces are
-    eliminated by the space definition); WG trace DOFs live on all edges.
+    ``flux`` (C, nf) and ``scalar`` (C, nu) hold the global DOFs of each
+    cell's local bases, ``edge_trace`` (E, nt) those of each edge's trace
+    basis (nt = 0 for the conforming methods); -1 marks a DOF that the
+    space eliminates.  ``flux_sign`` (C, nf) orients a shared flux basis,
+    and is None for a broken flux.  ``local`` (C, m) lists the DOFs that
+    couple only within their own cell, for the static condensation of
+    ``linalg.solve_symmetric_indefinite``.  ``case`` is the ``SpaceCase``
+    of an HDG or WG map, None for the conforming limits.  The arrays are
+    built once and read-only, since every caller shares them.
     """
 
-    case: SpaceCase
-    num_cells: int
-    trace_edges: np.ndarray
-    flux_per_cell: int
-    scalar_per_cell: int
-    trace_per_edge: int
-    edge_offset: np.ndarray = field(repr=False, default=None)
-    flux_sign = None
+    method: str
+    local_spaces: tuple
+    total: int
+    flux: np.ndarray
+    scalar: np.ndarray
+    edge_trace: np.ndarray
+    local: np.ndarray
+    flux_sign: np.ndarray | None = None
+    case: SpaceCase | None = None
 
     def __post_init__(self):
-        self.method = self.case.method
-        self.flux_offset = 0
-        self.scalar_offset = self.num_cells * self.flux_per_cell
-        self.trace_offset = self.scalar_offset + self.num_cells * self.scalar_per_cell
-        self.total = self.trace_offset + len(self.trace_edges) * self.trace_per_edge
-
-    @property
-    def local_spaces(self):
-        return self.case.local_spaces
-
-    def cell_flux_dofs(self, ci=None):
-        """Flux DOFs of cell(s) ``ci`` (default all cells): (..., flux_per_cell)."""
-        return cell_block_dofs(self.flux_offset, self.flux_per_cell,
-                               self.num_cells, ci)
-
-    def cell_scalar_dofs(self, ci=None):
-        """Scalar DOFs of cell(s) ``ci`` (default all cells)."""
-        return cell_block_dofs(self.scalar_offset, self.scalar_per_cell,
-                               self.num_cells, ci)
-
-    def cell_local_dofs(self):
-        """DOFs that couple only within their own cell, (C, m), for static
-        condensation in ``linalg.solve_symmetric_indefinite``.
-
-        HDG: flux and scalar.  Their cell block is quasi-definite, because
-        the flux mass is SPD and the stabilization tau > 0 makes the scalar
-        block -tau <u, v> negative definite.  WG: the flux alone.  Its
-        (p, u) block is singular on cell constants, since (q, grad v) = 0
-        for constant v, so the scalar stays global with the trace.
-        """
-        if self.case.method == "hdg":
-            return np.concatenate([self.cell_flux_dofs(),
-                                   self.cell_scalar_dofs()], axis=1)
-        return self.cell_flux_dofs()
-
-    def edge_trace_dofs(self, ei):
-        """Trace DOFs of edge(s) ``ei``: (..., trace_per_edge), -1 on edges
-        that carry none."""
-        pos = self.edge_offset[ei][..., None]
-        dofs = self.trace_offset + pos * self.trace_per_edge
-        return np.where(pos >= 0, dofs + np.arange(self.trace_per_edge), -1)
+        for a in (self.flux, self.scalar, self.edge_trace, self.local,
+                  self.flux_sign):
+            if a is not None:
+                a.setflags(write=False)
 
 
-def cell_block_dofs(offset, per_cell, num_cells, ci=None):
-    """DOFs ``offset + ci * per_cell + [0, per_cell)`` of cell(s) ``ci``."""
-    cells = np.arange(num_cells) if ci is None else np.asarray(ci)
-    return offset + cells[..., None] * per_cell + np.arange(per_cell)
+def cell_block_dofs(offset, per_cell, num_cells):
+    """DOFs ``offset + c * per_cell + [0, per_cell)`` of every cell c."""
+    cells = np.arange(num_cells)[:, None]
+    return offset + cells * per_cell + np.arange(per_cell)
 
 
 def build_space_triple(mesh, case):
-    """DofMap for ``case`` on ``mesh`` with deterministic ordering."""
-    if case.method == "hdg":
-        trace_edges = mesh.interior_edges
-    else:
-        trace_edges = np.arange(mesh.num_edges)
-    edge_offset = np.full(mesh.num_edges, -1, dtype=np.int64)
-    edge_offset[trace_edges] = np.arange(len(trace_edges))
+    """DofMap for ``case`` on ``mesh``: all flux DOFs, then scalar DOFs,
+    then trace DOFs, each cell's and edge's in one block.
+
+    HDG trace DOFs live on interior edges only (boundary traces are
+    eliminated by the space definition); WG trace DOFs live on all edges.
+
+    Local DOFs: HDG condenses flux and scalar.  Their cell block is
+    quasi-definite, because the flux mass is SPD and the stabilization
+    tau > 0 makes the scalar block -tau <u, v> negative definite.  WG
+    condenses the flux alone.  Its (p, u) block is singular on cell
+    constants, since (q, grad v) = 0 for constant v, so the scalar stays
+    global with the trace.
+    """
+    family, fdeg, sdeg = case.local_spaces
+    nf = (basis.rt_dim(fdeg) if family == "rt"
+          else 2 * basis.scalar_dim(fdeg))
+    nu, nt = basis.scalar_dim(sdeg), case.trace_deg + 1
+    C = mesh.num_cells
+    trace_edges = (mesh.interior_edges if case.method == "hdg"
+                   else np.arange(mesh.num_edges))
+    flux = cell_block_dofs(0, nf, C)
+    scalar = cell_block_dofs(C * nf, nu, C)
+    edge_trace = np.full((mesh.num_edges, nt), -1, dtype=np.int64)
+    edge_trace[trace_edges] = cell_block_dofs(C * (nf + nu), nt,
+                                              len(trace_edges))
     return DofMap(
-        case=case,
-        num_cells=mesh.num_cells,
-        trace_edges=trace_edges,
-        flux_per_cell=case.flux_dim_per_cell(),
-        scalar_per_cell=case.scalar_dim_per_cell(),
-        trace_per_edge=case.trace_dim_per_edge(),
-        edge_offset=edge_offset,
-    )
+        method=case.method, local_spaces=case.local_spaces,
+        total=C * (nf + nu) + len(trace_edges) * nt,
+        flux=flux, scalar=scalar, edge_trace=edge_trace,
+        local=(np.concatenate([flux, scalar], axis=1)
+               if case.method == "hdg" else flux),
+        case=case)
+
+
+def primal_dofs(mesh, k):
+    """Broken vector P_k flux plus continuous P_{k+1} scalar with zero trace.
+
+    The scalar DOFs of each cell follow ``basis.lattice_nodes``: vertices,
+    edge nodes walked from the cell's start vertex of each local edge, then
+    interior nodes; boundary nodes are eliminated.  Only the broken flux is
+    local: its cell block is the SPD flux mass, so condensing it leaves the
+    scalar stiffness system.
+    """
+    if k < 0:
+        raise ValueError("polynomial degree k must be >= 0")
+    C, nf = mesh.num_cells, 2 * basis.scalar_dim(k)
+    boundary = np.zeros(mesh.num_vertices, dtype=bool)
+    boundary[mesh.edge_vertices[mesh.boundary_edges]] = True
+    vmap = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    vmap[~boundary] = C * nf + np.arange(np.count_nonzero(~boundary))
+    nxt = C * nf + np.count_nonzero(~boundary)
+    # k nodes inside each interior edge
+    interior = mesh.interior_edges
+    emap = np.full(mesh.num_edges, -1, dtype=np.int64)
+    emap[interior] = nxt + k * np.arange(len(interior))
+    nxt += k * len(interior)
+    j = np.arange(k)
+    along = np.where(mesh.cell_edge_flip[..., None], k - 1 - j, j)
+    base = emap[mesh.cell_edges][..., None]
+    edge_nodes = np.where(base >= 0, base + along, -1)
+    per_cell = basis.scalar_dim(k + 1) - 3 - 3 * k
+    flux = cell_block_dofs(0, nf, C)
+    scalar = np.concatenate([vmap[mesh.cells], edge_nodes.reshape(C, -1),
+                             cell_block_dofs(nxt, per_cell, C)], axis=1)
+    return DofMap(
+        method="primal", local_spaces=("vec", k, k + 1),
+        total=nxt + C * per_cell, flux=flux, scalar=scalar,
+        edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64), local=flux)
+
+
+def mixed_dofs(mesh, k):
+    """H(div)-conforming RT_k flux (shared edge moments) plus broken P_k
+    scalar.
+
+    ``flux_sign`` orients the shared edge moments: they are signed by
+    ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.  No
+    DOF is cell-local: the flux is shared across edges and the scalar
+    block is zero, so everything stays in the sparse factorization.
+    """
+    if k not in (0, 1):
+        raise ValueError("mixed conforming method supports k in {0, 1}")
+    C = mesh.num_cells
+    per_edge, per_cell_int = k + 1, k * (k + 1)
+    flux_total = mesh.num_edges * per_edge + C * per_cell_int
+    nu = basis.scalar_dim(k)
+    m = np.arange(per_edge)
+    edge_dofs = mesh.cell_edges[..., None] * per_edge + m
+    edge_sign = mesh.cell_edge_sign[..., None] * np.where(
+        mesh.cell_edge_flip[..., None], (-1.0) ** m, 1.0)
+    interior = cell_block_dofs(mesh.num_edges * per_edge, per_cell_int, C)
+    return DofMap(
+        method="mixed", local_spaces=("rt", k, k),
+        total=flux_total + C * nu,
+        flux=np.concatenate([edge_dofs.reshape(C, -1), interior], axis=1),
+        scalar=cell_block_dofs(flux_total, nu, C),
+        edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64),
+        local=np.empty((C, 0), dtype=np.int64),
+        flux_sign=np.concatenate([edge_sign.reshape(C, -1),
+                                  np.ones(interior.shape)], axis=1))

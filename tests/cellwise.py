@@ -13,9 +13,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from hdgwg import basis
-from hdgwg.assembly import MixedDofMap, PrimalDofMap
 from hdgwg.mesh import Mesh, build_structured_mesh
-from hdgwg.spaces import DofMap
 
 
 def one_rule(scalar_degree):
@@ -56,60 +54,36 @@ def _edge_ref_points(li, flip, s):
 
 
 def _scalar_on_cell(mesh, dofs, x, ci, ref_pts):
-    """Scalar field of a solution vector on cell ``ci``: (values, gradients)."""
-    if isinstance(dofs, DofMap):
-        degree = dofs.case.scalar_degree
-        coeffs = x[dofs.cell_scalar_dofs(ci)]
-    elif isinstance(dofs, PrimalDofMap):
-        degree = dofs.degree
-        g = dofs.scalar_l2g[ci]
-        coeffs = np.where(g >= 0, x[dofs.flux_total + np.maximum(g, 0)], 0.0)
-    elif isinstance(dofs, MixedDofMap):
-        degree = dofs.k
-        coeffs = x[dofs.cell_scalar_dofs(ci)]
-    else:
-        raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
-    vals, grads = basis.eval_scalar_basis(degree, ref_pts)
+    """Scalar field of a solution vector on cell ``ci``: (values, gradients);
+    eliminated DOFs read zero."""
+    d = dofs.scalar[ci]
+    coeffs = np.where(d >= 0, x[d], 0.0)
+    vals, grads = basis.eval_scalar_basis(dofs.local_spaces[2], ref_pts)
     _, _, _, invA = _geometry(mesh, ci)
     phys_grads = np.einsum("qbd,dc->qbc", grads, invA)
     return vals @ coeffs, np.einsum("qbc,b->qc", phys_grads, coeffs)
 
 
 def _flux_on_cell(mesh, dofs, x, ci, ref_pts):
-    """Flux field of a solution vector on cell ``ci``: (values, divergences)."""
+    """Flux field of a solution vector on cell ``ci``: (values, divergences),
+    the local basis oriented by ``flux_sign``."""
     A, _, det, invA = _geometry(mesh, ci)
-    if isinstance(dofs, DofMap):
-        case = dofs.case
-        coeffs = x[dofs.cell_flux_dofs(ci)]
-        if case.flux_family == "rt":
-            rv, rd = basis.eval_rt_basis(case.flux_degree, ref_pts)
-            vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
-            divs = (rd / det) @ coeffs
-            return vals, divs
-        sval, sgrad = basis.eval_scalar_basis(case.flux_degree, ref_pts)
-        nbs = sval.shape[1]
-        cx, cy = coeffs[:nbs], coeffs[nbs:]
-        vals = np.column_stack([sval @ cx, sval @ cy])
-        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
-        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
-        return vals, divs
-    if isinstance(dofs, MixedDofMap):
-        idx, sgn = dofs.flux_l2g[ci], dofs.flux_sign[ci]
-        coeffs = sgn * x[idx]
-        rv, rd = basis.eval_rt_basis(dofs.k, ref_pts)
+    family, degree, _ = dofs.local_spaces
+    coeffs = x[dofs.flux[ci]]
+    if dofs.flux_sign is not None:
+        coeffs = dofs.flux_sign[ci] * coeffs
+    if family == "rt":
+        rv, rd = basis.eval_rt_basis(degree, ref_pts)
         vals = np.einsum("qbc,b->qc", rv @ (A.T / det), coeffs)
         divs = (rd / det) @ coeffs
         return vals, divs
-    if isinstance(dofs, PrimalDofMap):
-        coeffs = x[dofs.cell_flux_dofs(ci)]
-        sval, sgrad = basis.eval_scalar_basis(dofs.k, ref_pts)
-        nbs = sval.shape[1]
-        cx, cy = coeffs[:nbs], coeffs[nbs:]
-        vals = np.column_stack([sval @ cx, sval @ cy])
-        pg = np.einsum("qbd,dc->qbc", sgrad, invA)
-        divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
-        return vals, divs
-    raise TypeError("unsupported DOF map {!r}".format(type(dofs).__name__))
+    sval, sgrad = basis.eval_scalar_basis(degree, ref_pts)
+    nbs = sval.shape[1]
+    cx, cy = coeffs[:nbs], coeffs[nbs:]
+    vals = np.column_stack([sval @ cx, sval @ cy])
+    pg = np.einsum("qbd,dc->qbc", sgrad, invA)
+    divs = pg[:, :, 0] @ cx + pg[:, :, 1] @ cy
+    return vals, divs
 
 
 def project_to_edge_space(f, degree, quad_degree=None):
@@ -173,7 +147,7 @@ def norm_pair(mesh, dofs, x, coeff):
     tv = basis.eval_edge_basis(case.trace_deg, eq.points)
 
     def hat(ei):
-        td = dofs.edge_trace_dofs(ei)
+        td = dofs.edge_trace[ei]
         return tv @ np.where(td >= 0, x[td], 0.0)
 
     def on_side(field, ci, li):

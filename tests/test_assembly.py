@@ -11,14 +11,13 @@ from hdgwg.assembly import (
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
-    MixedDofMap,
-    PrimalDofMap,
     form_pattern,
 )
 from hdgwg.linalg import solve_symmetric_indefinite
 from hdgwg.mesh import Mesh, build_structured_mesh
 from hdgwg.norms import assemble_norm_gram, gram_pattern
-from hdgwg.spaces import SpaceCase, build_space_triple
+from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
+                          primal_dofs)
 
 import cellwise
 from cellwise import jittered_mesh, one_rule
@@ -56,7 +55,7 @@ def form_oracle_fields(mesh, dofs, case, x):
             ei, normal, length, pts, sign = _edge_data(mesh, ci, li, eq.points)
             q, _ = cellwise._flux_on_cell(mesh, dofs, x, ci, pts)
             v, _ = cellwise._scalar_on_cell(mesh, dofs, x, ci, pts)
-            td = dofs.edge_trace_dofs(ei)
+            td = dofs.edge_trace[ei]
             hat = tv @ np.where(td >= 0, x[td], 0.0)
             sides.append((eq.weights * length, sign, q @ (sign * normal), v,
                           hat))
@@ -225,7 +224,7 @@ def test_primal_conforming_against_oracle(mesh_name, k):
     f = lambda xy: xy[:, 1]
     sys, dofs = assemble_primal_conforming(mesh, k, coeff, f)
     # the assembler's rule: that of hdg/inv, scalar degree k + 1
-    tri = basis.tri_quadrature(one_rule(dofs.degree))
+    tri = basis.tri_quadrature(one_rule(dofs.local_spaces[2]))
 
     def form(xa, xb):
         total = 0.0
@@ -258,7 +257,7 @@ def test_mixed_conforming_against_oracle(mesh_name, k):
     f = lambda xy: np.cos(xy[:, 1])
     sys, dofs = assemble_mixed_conforming(mesh, k, coeff, f)
     # the assembler's rule: that of wg/inv, scalar degree k
-    rule = one_rule(dofs.k)
+    rule = one_rule(dofs.local_spaces[2])
     tri = basis.tri_quadrature(rule)
 
     def form(xa, xb):
@@ -301,7 +300,7 @@ def test_mixed_normal_trace_is_single_valued():
     # a random conforming coefficient vector has continuous normal trace
     rng = np.random.default_rng(5)
     mesh = build_structured_mesh(2)
-    dofs = MixedDofMap(mesh, 1)
+    dofs = mixed_dofs(mesh, 1)
     x = rng.standard_normal(dofs.total)
     s = np.linspace(0.1, 0.9, 5)
     for ei in mesh.interior_edges:
@@ -316,7 +315,7 @@ def test_mixed_normal_trace_is_single_valued():
 def test_primal_scalar_is_continuous_and_zero_on_boundary():
     rng = np.random.default_rng(9)
     mesh = build_structured_mesh(2)
-    dofs = PrimalDofMap(mesh, 1)
+    dofs = primal_dofs(mesh, 1)
     x = rng.standard_normal(dofs.total)
     s = np.linspace(0.0, 1.0, 7)
     for ei in range(mesh.num_edges):
@@ -364,16 +363,16 @@ def test_conforming_flux_has_no_projected_jump():
     mesh = build_structured_mesh(2)
     dofs = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1.0))
     small = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1e-3))
-    mixed = MixedDofMap(mesh, 0)
-    xc = rng.standard_normal(mixed.flux_total)
+    mixed = mixed_dofs(mesh, 0)
+    xc = rng.standard_normal(mixed.flux.max() + 1)
     x = np.zeros(dofs.total)
-    x[dofs.cell_flux_dofs()] = mixed.flux_sign * xc[mixed.flux_l2g]
+    x[dofs.flux] = mixed.flux_sign * xc[mixed.flux]
     n1 = x @ (assemble_norm_gram(mesh, dofs) @ x)
     n2 = x @ (assemble_norm_gram(mesh, small) @ x)
     # rho only multiplies the (zero) jump and (zero) trace contributions
     assert abs(n1 - n2) < 1e-9 * max(n1, 1.0)
     # breaking conformity reactivates the jump penalty
-    x[dofs.cell_flux_dofs(0)] += rng.standard_normal(dofs.flux_per_cell)
+    x[dofs.flux[0]] += rng.standard_normal(dofs.flux.shape[1])
     j1 = x @ (assemble_norm_gram(mesh, small) @ x)
     j0 = x @ (assemble_norm_gram(mesh, dofs) @ x)
     assert j1 > 10.0 * j0

@@ -102,7 +102,7 @@ CONDENSED_INPUTS = [
 def test_condensation_matches_plain_factorization(method, regime, k, rho,
                                                   mesh_name, monkeypatch):
     A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
-    cell_dofs = dofs.cell_local_dofs()
+    cell_dofs = dofs.local
     assert cell_dofs.size > 0
     x_plain = solve_symmetric_indefinite(A, b)
     x_cond = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
@@ -145,7 +145,7 @@ def test_factorization_follows_the_reduced_system(method, regime, k, expected,
         for rho in (1.0, 1e-3):
             A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
             del calls[:]
-            solve_symmetric_indefinite(A, b, cell_dofs=dofs.cell_local_dofs())
+            solve_symmetric_indefinite(A, b, cell_dofs=dofs.local)
             assert calls == [expected], (mesh_name, rho)
 
 
@@ -189,8 +189,7 @@ def test_pivot_free_factor_meets_the_contract_or_raises(matrix, stage,
 def test_wg_scalar_is_not_cell_local(regime, k):
     # the WG (p, u) cell block is singular on cell constants
     A, b, dofs = _varcoef_system("wg", regime, k, 1.0, "structured")
-    pu = np.concatenate([dofs.cell_flux_dofs(), dofs.cell_scalar_dofs()],
-                        axis=1)
+    pu = np.concatenate([dofs.flux, dofs.scalar], axis=1)
     m = pu.shape[1]
     with pytest.raises(SingularMatrixError,
                        match=r"local elimination: the {0}x{0} block of cell 0 "
@@ -200,7 +199,7 @@ def test_wg_scalar_is_not_cell_local(regime, k):
 
 def test_cell_dofs_must_be_cell_local():
     A, b, dofs = _varcoef_system("hdg", "rho_h", 0, 1.0, "structured")
-    local = dofs.cell_local_dofs()
+    local = dofs.local
     # cells 0 and 1 swap a flux DOF: each block now reaches into the other
     swapped = local.copy()
     swapped[[0, 1], 0] = local[[1, 0], 0]

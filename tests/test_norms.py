@@ -5,8 +5,6 @@ from hdgwg import basis
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
-    MixedDofMap,
-    PrimalDofMap,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
@@ -23,7 +21,8 @@ from hdgwg.norms import (
     flux_distance,
     scalar_l2_distance,
 )
-from hdgwg.spaces import SpaceCase, build_space_triple
+from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
+                          primal_dofs)
 
 import cellwise
 from cellwise import jittered_mesh, project_to_edge_space
@@ -153,11 +152,11 @@ def _interpolate(mesh, dofs, case, exact):
         xy = et.xy[ci]
         target = exact.p(xy).T.ravel()  # component-major stacking
         A = np.concatenate([et.fval[ci, :, :, 0], et.fval[ci, :, :, 1]], axis=0)
-        x[dofs.cell_flux_dofs(ci)] = np.linalg.lstsq(A, target, rcond=None)[0]
-        x[dofs.cell_scalar_dofs(ci)] = np.linalg.lstsq(
+        x[dofs.flux[ci]] = np.linalg.lstsq(A, target, rcond=None)[0]
+        x[dofs.scalar[ci]] = np.linalg.lstsq(
             et.sval[ci], exact.u(xy), rcond=None
         )[0]
-    for ei in dofs.trace_edges:
+    for ei in np.flatnonzero(dofs.edge_trace[:, 0] >= 0):
         pa, pb = mesh.vertices[mesh.edge_vertices[ei]]
         normal = mesh.edge_normal[ei]
         if case.method == "hdg":
@@ -166,7 +165,7 @@ def _interpolate(mesh, dofs, case, exact):
             trace = lambda s: exact.p(
                 pa[None, :] + s[:, None] * (pb - pa)
             ) @ normal
-        x[dofs.edge_trace_dofs(ei)] = project_to_edge_space(
+        x[dofs.edge_trace[ei]] = project_to_edge_space(
             trace, case.trace_deg
         )
     return x
@@ -329,7 +328,7 @@ def test_limit_distances_match_cellwise_oracle(method, k, mesh):
     rng = np.random.default_rng(k)
     case = SpaceCase(method, "inv", k, 0.1)
     dofs = build_space_triple(mesh, case)
-    limit = PrimalDofMap(mesh, k) if method == "hdg" else MixedDofMap(mesh, k)
+    limit = primal_dofs(mesh, k) if method == "hdg" else mixed_dofs(mesh, k)
     x = rng.standard_normal(dofs.total)
     y = rng.standard_normal(limit.total)
     t = ElementTables(mesh, case)
@@ -363,7 +362,7 @@ def test_tables_must_match_mesh_and_spaces():
         assemble_norm_gram(mesh, coarse, tables=t)
     # local spaces: P_{k+1} against P_k scalars, vec against RT fluxes
     wg = SpaceCase("wg", "inv", 1, 0.5)
-    mixed = MixedDofMap(mesh, 1)
+    mixed = mixed_dofs(mesh, 1)
     with pytest.raises(ValueError, match="do not match the element tables"):
         scalar_l2_distance(mesh, dofs, x, mixed, np.zeros(mixed.total), t)
     with pytest.raises(ValueError, match="do not match the element tables"):

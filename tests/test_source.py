@@ -69,3 +69,23 @@ def test_stabilization_is_read_in_one_module():
                for node in ast.walk(tree)):
             readers.add(path.name)
     assert readers == {"assembly.py"}
+
+
+def test_dof_maps_are_built_in_one_module():
+    # the DOF layout of all six methods is decided in hdgwg.spaces: no
+    # other module may construct a DofMap or define a DOF-map class
+    builders, classes = set(), set()
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    getattr(func, "id", None))
+                if name == "DofMap":
+                    builders.add(path.name)
+            if isinstance(node, ast.ClassDef) and node.name.endswith(
+                    "DofMap"):
+                classes.add((path.name, node.name))
+    assert builders == {"spaces.py"}
+    assert classes == {("spaces.py", "DofMap")}

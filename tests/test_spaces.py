@@ -1,8 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from hdgwg import basis
 from hdgwg.mesh import build_structured_mesh
-from hdgwg.spaces import SpaceCase, build_space_triple
+from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
+                          primal_dofs)
 
 from cellwise import eval_edge_function, project_to_edge_space
 
@@ -60,39 +64,78 @@ def test_dof_counts_unit_mesh():
     assert build_space_triple(mesh, SpaceCase("wg", "inv", 0, 1.0)).total == 13
 
 
+def _dof_maps(mesh):
+    """Every DOF map at k = 1: the four HDG/WG triples, then the primal and
+    mixed conforming limits."""
+    return [build_space_triple(mesh, SpaceCase(method, regime, 1, 0.3))
+            for method, regime in [("hdg", "rho_h"), ("hdg", "inv"),
+                                   ("wg", "rho_h"), ("wg", "inv")]
+            ] + [primal_dofs(mesh, 1), mixed_dofs(mesh, 1)]
+
+
+def _on_boundary(xy):
+    return np.any(np.isclose(xy, 0.0) | np.isclose(xy, 1.0), axis=-1)
+
+
 def test_dof_map_partition():
     mesh = build_structured_mesh(2)
-    for method, regime in [("hdg", "rho_h"), ("hdg", "inv"),
-                           ("wg", "rho_h"), ("wg", "inv")]:
-        case = SpaceCase(method, regime, 1, 0.3)
-        dofs = build_space_triple(mesh, case)
+    for dofs in _dof_maps(mesh):
+        flux, scalar, trace = dofs.flux, dofs.scalar, dofs.edge_trace
+        # every DOF is reached, and by one of the three parts only
         seen = np.zeros(dofs.total, dtype=int)
-        for ci in range(mesh.num_cells):
-            seen[dofs.cell_flux_dofs(ci)] += 1
-            seen[dofs.cell_scalar_dofs(ci)] += 1
-        for ei in range(mesh.num_edges):
-            tr = dofs.edge_trace_dofs(ei)
-            seen[tr[tr >= 0]] += 1
-        assert np.all(seen == 1)
+        for part in (flux, scalar, trace):
+            seen[np.unique(part[part >= 0])] += 1
+        assert np.all(seen == 1), dofs.method
+        # a broken flux or scalar DOF belongs to one cell, a trace DOF to
+        # one edge; only the primal scalar is continuous
+        broken = [trace] + [flux] * (dofs.flux_sign is None) + [scalar] * (
+            dofs.method != "primal")
+        for part in broken:
+            assert len(np.unique(part[part >= 0])) == np.count_nonzero(
+                part >= 0), dofs.method
+        # -1 only where the space eliminates a DOF: primal scalar nodes and
+        # HDG traces on the boundary
+        assert flux.min() >= 0
+        nodes = (mesh.vertices[mesh.cells[:, 0]][:, None]
+                 + np.einsum("nd,ckd->cnk",
+                             basis.lattice_nodes(dofs.local_spaces[2]),
+                             mesh.cell_jac))
+        assert np.array_equal(scalar < 0, _on_boundary(nodes)
+                              & (dofs.method == "primal"))
+        edges = np.zeros(mesh.num_edges, dtype=bool)
+        edges[mesh.boundary_edges] = dofs.method == "hdg"
+        assert np.array_equal(trace < 0,
+                              np.repeat(edges[:, None], trace.shape[1], 1))
         # flux, then scalar, then trace
-        flux = dofs.cell_flux_dofs()
-        trace = dofs.edge_trace_dofs(dofs.trace_edges)
         assert flux.min() == 0
-        assert flux.max() < dofs.cell_scalar_dofs().min()
-        assert dofs.cell_scalar_dofs().max() < trace.min()
-        assert trace.max() == dofs.total - 1
+        assert flux.max() < scalar[scalar >= 0].min()
+        if trace.size:
+            assert scalar.max() < trace[trace >= 0].min()
+        assert max(flux.max(), scalar.max(), trace.max(initial=-1)) == (
+            dofs.total - 1)
+
+
+def test_dof_map_arrays_are_read_only():
+    mesh = build_structured_mesh(1)
+    for dofs in _dof_maps(mesh):
+        arrays = [f.name for f in fields(dofs)
+                  if isinstance(getattr(dofs, f.name), np.ndarray)]
+        assert {"flux", "scalar", "edge_trace", "local"} <= set(arrays)
+        for name in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(dofs, name)[...] = 0
 
 
 def test_hdg_boundary_edges_carry_no_trace():
     mesh = build_structured_mesh(2)
     dofs = build_space_triple(mesh, SpaceCase("hdg", "rho_h", 0, 1.0))
     for ei in mesh.boundary_edges:
-        assert np.all(dofs.edge_trace_dofs(ei) < 0)
+        assert np.all(dofs.edge_trace[ei] < 0)
     for ei in mesh.interior_edges:
-        assert np.all(dofs.edge_trace_dofs(ei) >= 0)
+        assert np.all(dofs.edge_trace[ei] >= 0)
     wg = build_space_triple(mesh, SpaceCase("wg", "rho_h", 0, 1.0))
     for ei in range(mesh.num_edges):
-        assert np.all(wg.edge_trace_dofs(ei) >= 0)
+        assert np.all(wg.edge_trace[ei] >= 0)
 
 
 def test_edge_projection_reproduces_polynomials():
