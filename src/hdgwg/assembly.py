@@ -72,16 +72,20 @@ class LinearSystem:
     rhs: np.ndarray
 
 
-def _point_shape(pts):
-    """Leading shape of basis data at reference points: (1, n) for points
-    (n, 2) shared by all cells, else the (C, ...) of per-cell points."""
-    return (1,) + pts.shape[:-1] if pts.ndim == 2 else pts.shape[:-1]
+def _per_cell(values, naxes):
+    """Per-cell (C, ...) values reshaped to broadcast over ``naxes`` point
+    axes after the cell axis."""
+    return values.reshape((len(values),) + (1,) * naxes + values.shape[1:])
 
 
-def _per_cell(values, shape):
-    """Per-cell (C, ...) values reshaped to broadcast against ``shape``."""
-    return values.reshape((len(values),) + (1,) * (len(shape) - 1)
-                          + values.shape[1:])
+def _tabulate(evaluate, degree, pts, rows=None):
+    """The arrays of ``evaluate(degree, points)`` from one evaluation at
+    reference points ``pts`` (..., 2), with a leading cell axis: of length
+    1 for points shared by all cells (``rows`` None), else each cell's
+    entries of the first point axis, picked by ``rows`` (C, ...)."""
+    out = evaluate(degree, pts.reshape(-1, 2))
+    out = [a.reshape(pts.shape[:-1] + a.shape[1:]) for a in out]
+    return [a[None] if rows is None else a[rows] for a in out]
 
 
 def edge_points(mesh, s):
@@ -91,12 +95,13 @@ def edge_points(mesh, s):
     return pa[:, None] + s[:, None] * (pb - pa)[:, None]
 
 
-def side_points(mesh, s):
-    """Reference points (C, 3, ns, 2) of edge parameters ``s`` on every cell
-    side, following the global edge parameter."""
-    ref = np.array([[a + np.multiply.outer(t, b - a) for t in (s, 1.0 - s)]
-                    for a, b, _, _ in basis.REF_EDGES])
-    return ref[np.arange(3), mesh.cell_edge_flip.astype(int)]
+def side_points(s):
+    """Reference points (6, ns, 2) of edge parameters ``s`` on the three
+    reference sides, each traversed both ways: row 2 l + flip holds local
+    side l, run against its own direction if flip.  A cell's side l follows
+    the global edge parameter on row ``2 l + Mesh.cell_edge_flip[:, l]``."""
+    return np.array([a + np.multiply.outer(t, b - a)
+                     for a, b, _, _ in basis.REF_EDGES for t in (s, 1.0 - s)])
 
 
 def edge_sides(mesh, side_values, edges=slice(None)):
@@ -112,8 +117,11 @@ class ElementTables:
     """Basis values at quadrature points, mapped to all C cells at once.
 
     Built for the local spaces of one ``SpaceCase``: nf flux, nu scalar and
-    nt trace basis functions.  The volume rule of nq points and the edge
-    rule of ns points are both of degree ``quad_degree``, by default
+    nt trace basis functions.  Each basis is tabulated once, at reference
+    points, and the affine and Piola maps carry that table to the cells.
+    Only the studies and the front end build tables; every kernel takes
+    them as an argument.  The volume rule of nq points and the edge rule of
+    ns points are both of degree ``quad_degree``, by default
     min(2 scalar_degree + 3, ``basis.MAX_QUADRATURE_DEGREE``).  That default
     is the one rule of the studies: each builds one set of tables per mesh
     and space and shares it between its assemblers and ``hdgwg.norms``.
@@ -130,8 +138,9 @@ class ElementTables:
     (C,3,ns,nf,2), the cell-outward normals ``normal`` (C,3,2) and the flux
     normal traces ``flux_n`` (C,3,ns,nf) against them.  Edge points follow
     the global edge parameter (lower to higher vertex), so the two sides of
-    an interior edge see identical physical points; each side's reference
-    points are picked by ``Mesh.cell_edge_flip``.  ``trace`` (ns,nt) is the
+    an interior edge see identical physical points.  The side bases are
+    tabulated on the six point sets of ``side_points``, and cell side l
+    reads row 2 l + ``Mesh.cell_edge_flip``.  ``trace`` (ns,nt) is the
     orthonormal trace basis in that parameter, shared by all edges.
     """
 
@@ -152,51 +161,47 @@ class ElementTables:
         self.sval, self.sgrad = self._scalar_basis(sdeg, self.vol.xy)
         self.fval, self.fdiv = self._flux_basis(family, fdeg, self.vol.xy)
 
-        pts = side_points(mesh, self.edge.points)
+        pts = side_points(self.edge.points)
+        rows = 2 * np.arange(3) + mesh.cell_edge_flip
         self.edge_w = (self.edge.weights
                        * mesh.edge_length[mesh.cell_edges][..., None])
         self.edge_xy = edge_points(mesh, self.edge.points)[mesh.cell_edges]
-        self.edge_sval, _ = self._scalar_basis(sdeg, pts)
-        self.edge_fval, _ = self._flux_basis(family, fdeg, pts)
+        self.edge_sval, _ = self._scalar_basis(sdeg, pts, rows)
+        self.edge_fval, _ = self._flux_basis(family, fdeg, pts, rows)
         self.normal = (mesh.cell_edge_sign[..., None]
                        * mesh.edge_normal[mesh.cell_edges])
         self.flux_n = contract("clqak,clk->clqa", self.edge_fval, self.normal)
         self.trace = basis.eval_edge_basis(case.trace_deg, self.edge.points)
 
-    def _scalar_basis(self, degree, pts):
+    def _scalar_basis(self, degree, pts, rows=None):
         """Lagrange P_degree values (C, ..., nb) and physical gradients
-        (C, ..., nb, 2) at reference points ``pts``, (n, 2) shared by all
-        cells or (C, ..., 2) per cell."""
-        shape = _point_shape(pts)
-        vals, grads = basis.eval_scalar_basis(degree, pts.reshape(-1, 2))
-        grads = (grads.reshape(shape + grads.shape[1:])
-                 @ _per_cell(self.mesh.cell_jac_inv, shape))
-        vals = vals.reshape(shape + vals.shape[1:])
+        (C, ..., nb, 2) at reference points ``pts``, given to the cells as
+        in ``_tabulate``."""
+        vals, grads = _tabulate(basis.eval_scalar_basis, degree, pts, rows)
+        grads = grads @ _per_cell(self.mesh.cell_jac_inv, pts.ndim - 1)
         return np.broadcast_to(vals, grads.shape[:-1]), grads
 
-    def _flux_basis(self, family, degree, pts):
+    def _flux_basis(self, family, degree, pts, rows=None):
         """Flux values (C, ..., nb, 2) and divergences (C, ..., nb) at
         reference points ``pts`` (as above)."""
         if family == "vec":
-            sval, sgrad = self._scalar_basis(degree, pts)
+            sval, sgrad = self._scalar_basis(degree, pts, rows)
             nbs = sval.shape[-1]
             vals = np.zeros(sval.shape[:-1] + (2 * nbs, 2))
             vals[..., :nbs, 0] = sval
             vals[..., nbs:, 1] = sval
             return vals, np.concatenate([sgrad[..., 0], sgrad[..., 1]], axis=-1)
-        mesh = self.mesh
-        shape = _point_shape(pts)
-        vals, divs = basis.eval_rt_basis(degree, pts.reshape(-1, 2))
-        det = mesh.cell_det[:, None]
-        piola = np.swapaxes(mesh.cell_jac, 1, 2) / det[:, :, None]
-        vals = vals.reshape(shape + vals.shape[1:]) @ _per_cell(piola, shape)
-        divs = divs.reshape(shape + divs.shape[1:]) / _per_cell(det, shape)
-        return vals, divs
+        mesh, naxes = self.mesh, pts.ndim - 1
+        vals, divs = _tabulate(basis.eval_rt_basis, degree, pts, rows)
+        piola = (np.swapaxes(mesh.cell_jac, 1, 2)
+                 / mesh.cell_det[:, None, None])
+        return (vals @ _per_cell(piola, naxes),
+                divs / _per_cell(mesh.cell_det, naxes + 1))
 
     def check(self, mesh, *dof_maps):
-        """Raise ValueError unless these tables were built on ``mesh`` and
-        every DOF map has their mesh size and local spaces, and an HDG or
-        WG map also their trace space."""
+        """These tables, if they were built on ``mesh`` and every DOF map
+        has their mesh size and local spaces, and an HDG or WG map also
+        their trace space; else ValueError."""
         if mesh is not self.mesh:
             raise ValueError("element tables were built on another mesh")
         for dofs in dof_maps:
@@ -210,6 +215,7 @@ class ElementTables:
                     and dofs.case.trace_deg != self.case.trace_deg):
                 raise ValueError(
                     "element tables were built for another trace space")
+        return self
 
     def moments(self, values):
         """Parametric trace-basis moments, per side: (C,3,nt,...) for values
@@ -295,21 +301,6 @@ class SumPattern:
         sums = np.add.reduceat(v, np.flatnonzero(self.first))
         return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
                              shape=(n, n))
-
-
-def checked_tables(mesh, dofs, tables):
-    """``tables``, or new ones for ``dofs.case``, checked against the mesh
-    and the spaces of ``dofs``."""
-    t = tables or ElementTables(mesh, dofs.case)
-    t.check(mesh, dofs)
-    return t
-
-
-def _check(mesh, dofs, tables, method):
-    if dofs.method != method:
-        raise ValueError("DofMap was built for method {!r}, not {!r}".format(
-            dofs.method, method))
-    return checked_tables(mesh, dofs, tables)
 
 
 def per_group(scale, ndim):
@@ -415,55 +406,53 @@ def load_vector(dofs, t, f):
     return rhs
 
 
-def _assemble(mesh, dofs, coeff, f, t, pattern=None):
+def _assemble(method, mesh, dofs, coeff, f, tables, pattern=None):
+    if dofs.method != method:
+        raise ValueError("DofMap was built for method {!r}, not {!r}".format(
+            dofs.method, method))
+    t = tables.check(mesh, dofs)
     return LinearSystem(
         matrix=assemble_terms(dofs.total, _form_terms(mesh, dofs, t, coeff),
                               pattern),
         rhs=load_vector(dofs, t, f))
 
 
-def form_pattern(mesh, dofs, tables=None):
+def form_pattern(mesh, dofs, tables):
     """The ``SumPattern`` of the bilinear form of ``dofs``.  It reads only
     the DOFs, so one pattern serves every rho of a sweep on one mesh and
     space."""
-    t = checked_tables(mesh, dofs, tables)
-    return SumPattern(dofs.total, _form_terms(mesh, dofs, t,
+    return SumPattern(dofs.total, _form_terms(mesh, dofs,
+                                              tables.check(mesh, dofs),
                                               CoefficientField.unit()))
 
 
-def assemble_hdg(mesh, dofs, coeff, f, tables=None, pattern=None):
+def assemble_hdg(mesh, dofs, coeff, f, tables, pattern=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat),
     summed on ``pattern`` (see ``form_pattern``) if given."""
-    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "hdg"),
-                     pattern)
+    return _assemble("hdg", mesh, dofs, coeff, f, tables, pattern)
 
 
-def assemble_wg(mesh, dofs, coeff, f, tables=None, pattern=None):
+def assemble_wg(mesh, dofs, coeff, f, tables, pattern=None):
     """WG saddle system for unknowns (flux p, scalar u, trace p-hat),
     summed on ``pattern`` (see ``form_pattern``) if given."""
-    return _assemble(mesh, dofs, coeff, f, _check(mesh, dofs, tables, "wg"),
-                     pattern)
+    return _assemble("wg", mesh, dofs, coeff, f, tables, pattern)
 
 
-def assemble_primal_conforming(mesh, k, coeff, f, tables=None):
+def assemble_primal_conforming(mesh, k, coeff, f, tables):
     """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
 
     Its local spaces are those of hdg/inv, whose rho -> 0 limit it is, so it
-    runs on that case's ``tables`` (built here by default).
+    runs on that case's ``tables``.
     """
     dofs = primal_dofs(mesh, k)
-    t = tables or ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0))
-    t.check(mesh, dofs)
-    return _assemble(mesh, dofs, coeff, f, t), dofs
+    return _assemble("primal", mesh, dofs, coeff, f, tables), dofs
 
 
-def assemble_mixed_conforming(mesh, k, coeff, f, tables=None):
+def assemble_mixed_conforming(mesh, k, coeff, f, tables):
     """Mixed conforming method: (c p, q) - (u, div q) = 0, (div p, v) = (f, v).
 
     Its local spaces are those of wg/inv, whose rho -> 0 limit it is, so it
-    runs on that case's ``tables`` (built here by default).
+    runs on that case's ``tables``.
     """
     dofs = mixed_dofs(mesh, k)
-    t = tables or ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0))
-    t.check(mesh, dofs)
-    return _assemble(mesh, dofs, coeff, f, t), dofs
+    return _assemble("mixed", mesh, dofs, coeff, f, tables), dofs

@@ -75,7 +75,12 @@ def _write_svg(path, points_xy, title):
         )
 
 
-def _load_config(path):
+def _load_config(path, sub):
+    """The ``key = value`` lines of ``path`` as defaults of subcommand
+    ``sub``, checked as its flags would be: argparse applies a flag's type
+    to a string default, but not its choices, and would take any non-empty
+    default of a switch such as --svg as true."""
+    actions = {action.dest: action for action in sub._actions}
     values = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -86,8 +91,18 @@ def _load_config(path):
                 raise ValueError(
                     "{}:{}: expected 'key = value'".format(path, lineno)
                 )
-            key, val = text.split("=", 1)
-            values[key.strip().replace("-", "_")] = val.strip()
+            key, val = (part.strip() for part in text.split("=", 1))
+            key = key.replace("-", "_")
+            action = actions.get(key)
+            if action is None:
+                raise ValueError("{}:{}: unknown config key {!r}".format(
+                    path, lineno, key))
+            switch = action.nargs == 0  # such as --svg
+            choices = ("true", "false") if switch else action.choices
+            if choices is not None and val not in choices:
+                raise ValueError("{}:{}: {} takes one of {}, not {!r}".format(
+                    path, lineno, key, ", ".join(choices), val))
+            values[key] = val == "true" if switch else val
     return values
 
 
@@ -169,7 +184,7 @@ def _cmd_converge(args):
         dofs = build_space_triple(mesh, case)
         assemble = assemble_hdg if args.method == "hdg" else assemble_wg
         system = assemble(mesh, dofs, CoefficientField(alpha=prob.alpha),
-                          prob.f)
+                          prob.f, ElementTables(mesh, case))
         with open(args.dump_matrix, "w") as fh:
             write_matrix(system.matrix, fh)
     print("wrote {}".format(path))
@@ -253,12 +268,7 @@ def main(argv=None):
             # config values become the subcommand's defaults: argparse then
             # applies the types, and any flag given on the command line wins
             sub = subparsers[args.command]
-            cfg = _load_config(args.config)
-            known = {action.dest for action in sub._actions}
-            for key in cfg:
-                if key not in known:
-                    raise ValueError("unknown config key {!r}".format(key))
-            sub.set_defaults(**cfg)
+            sub.set_defaults(**_load_config(args.config, sub))
             args = parser.parse_args(argv)
         if args.command in ("converge", "limit", "infsup"):
             os.makedirs(args.outdir, exist_ok=True)

@@ -217,16 +217,17 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
 
 def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
-                     trace_degree=None, coeff=None):
+                     trace_degree=None):
     """Discrete inf-sup constants beta(h, rho) via dense eigensolves.
 
-    Every instance is checked against ``INFSUP_DOF_LIMIT`` before the first
-    assembly, so an oversized level fails before any eigensolve runs.
+    The coefficient is the unit one.  Every instance is checked against
+    ``INFSUP_DOF_LIMIT`` before the first assembly, so an oversized level
+    fails before any eigensolve runs.
     """
     if len(rhos) == 0 or len(levels) == 0:
         raise ValueError("empty inf-sup sweep: rhos {}, levels {}".format(
             list(rhos), list(levels)))
-    coeff = coeff or CoefficientField.unit()
+    coeff = CoefficientField.unit()
     zero = lambda xy: np.zeros(len(xy))
     assemble = assemble_hdg if method == "hdg" else assemble_wg
     runs = []

@@ -7,8 +7,8 @@ Gram of the inf-sup study) and ``compute_error_norm`` both evaluate them.
 Exact solutions are duck-typed objects exposing vectorized callables
 ``u(xy)``, ``grad_u(xy)``, ``p(xy)`` (flux, equal to -alpha grad u) and
 ``f(xy)`` (equal to div p).  Everything is evaluated for all cells at once
-on the ``ElementTables`` the studies assemble with (built for ``dofs.case``
-if ``tables=None``); ``contract`` subscripts follow ``hdgwg.assembly``.
+on the ``ElementTables`` the studies assemble with, which every function
+takes; ``contract`` subscripts follow ``hdgwg.assembly``.
 
 The three distances compare two fields that share the local spaces of
 ``tables``, such as an inv-regime solution and its conforming limit: they
@@ -29,7 +29,6 @@ from .assembly import (
     _form_terms,
     assemble_terms,
     at_points,
-    checked_tables,
     contract,
     edge_points,
     edge_sides,
@@ -77,7 +76,7 @@ def _norm_terms(mesh, dofs, tables, coeff, exact):
     """
     kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
     coeff = coeff or CoefficientField.unit()
-    t = checked_tables(mesh, dofs, tables)
+    t = tables.check(mesh, dofs)
     pd, ud, td = dofs.flux, dofs.scalar, dofs.edge_trace[mesh.cell_edges]
     trace, h = t.trace[..., None], mesh.cell_size
     sign = mesh.cell_edge_sign[..., None]  # sigma = n_K . n_e per side
@@ -143,20 +142,20 @@ def _gram_terms(mesh, dofs, coeff, tables):
                 [(d, b, None) for d, b in linear], 2))
 
 
-def gram_pattern(mesh, dofs, tables=None):
+def gram_pattern(mesh, dofs, tables):
     """The ``SumPattern`` of the Gram of ``dofs``; like
     ``assembly.form_pattern`` it serves every rho on one mesh and space."""
     return SumPattern(dofs.total, _gram_terms(mesh, dofs, None, tables))
 
 
-def assemble_norm_gram(mesh, dofs, coeff=None, tables=None, pattern=None):
+def assemble_norm_gram(mesh, dofs, tables, coeff=None, pattern=None):
     """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2,
     summed on ``pattern`` (see ``gram_pattern``) if given."""
     return assemble_terms(dofs.total, _gram_terms(mesh, dofs, coeff, tables),
                           pattern)
 
 
-def compute_error_norm(mesh, dofs, x, exact, coeff=None, tables=None):
+def compute_error_norm(mesh, dofs, x, exact, tables, coeff=None):
     """Errors ``(err_flux, err_scalar)`` in the norm pair of ``dofs.case``."""
     squares = [0.0, 0.0]
     for part, w, err, linear, scale in _norm_terms(mesh, dofs, tables, coeff,
@@ -222,7 +221,7 @@ def scalar_l2_distance(mesh, dofs_a, xa, dofs_b, xb, tables):
     return float(np.sqrt(_sum_of_squares(t.w, d[..., None])))
 
 
-def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
+def consistency_residual(mesh, dofs, exact, tables, coeff=None):
     """Max row residual of the scheme applied to the exact solution fields.
 
     Each term of the assembled form pairs its test basis by quadrature with
@@ -233,7 +232,7 @@ def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
     quadrature error, and vanishes to roundoff when the integrands are
     polynomials within the rule's degree.
     """
-    t = checked_tables(mesh, dofs, tables)
+    t = tables.check(mesh, dofs)
     r = -load_vector(dofs, t, exact.f)
     for w, scale, test, trial in _form_terms(
             mesh, dofs, t, coeff or CoefficientField.unit(), exact):
@@ -254,7 +253,7 @@ def consistency_residual(mesh, dofs, exact, coeff=None, tables=None):
     return float(np.max(np.abs(r) / np.sqrt(mass)))
 
 
-def dg_identity_residual(mesh, dofs, x, tables=None):
+def dg_identity_residual(mesh, dofs, x, tables):
     """Residual of the element-boundary pairing rewritten in jumps/averages.
 
     Checks sum_K <v, q.n_K> = <avg q, jump v> + <jump q, avg v> for the
@@ -262,7 +261,7 @@ def dg_identity_residual(mesh, dofs, x, tables=None):
     vector-valued, the flux jump scalar-valued, and boundary edges carry
     the one-sided convention (the missing side counts as zero).
     """
-    t = checked_tables(mesh, dofs, tables)
+    t = tables.check(mesh, dofs)
     xp, xu = _cell_coefficients(dofs, x)
     v = contract("clqb,cb->clq", t.edge_sval, xu)
     lhs = contract("clq,clq,clqa,ca->", t.edge_w, v, t.flux_n, xp)

@@ -155,9 +155,10 @@ def test_criterion_9_identity_consistency_oracle():
                            ("wg", "rho_h"), ("wg", "inv")]:
         case = SpaceCase(method, regime, 1, 0.5)
         dofs = build_space_triple(mesh2, case)
+        tables = ElementTables(mesh2, case)
         for _ in range(25):
             x = rng.standard_normal(dofs.total)
-            rel = dg_identity_residual(mesh2, dofs, x) / (1.0 + x @ x)
+            rel = dg_identity_residual(mesh2, dofs, x, tables) / (1.0 + x @ x)
             worst = max(worst, rel)
     ok = ok and worst <= 1e-12
     details.append("dg identity {:.1e} <= 1e-12".format(worst))
@@ -182,7 +183,7 @@ def test_criterion_9_identity_consistency_oracle():
     for n in (4, 8):
         mesh = build_structured_mesh(n)
         res.append(consistency_residual(mesh, build_space_triple(mesh, case),
-                                        sine))
+                                        sine, ElementTables(mesh, case)))
     decay = res[0] / res[1]
     ok = ok and decay >= 2.0 ** (case.k + 1) * 0.9
     details.append("sine residual decay x{:.1f}".format(decay))
@@ -196,7 +197,7 @@ def test_criterion_9_identity_consistency_oracle():
         case = SpaceCase(method, regime, 0, 0.5)
         dofs = build_space_triple(mesh1, case)
         asm = assemble_hdg if method == "hdg" else assemble_wg
-        sys_ = asm(mesh1, dofs, coeff, sine.f)
+        sys_ = asm(mesh1, dofs, coeff, sine.f, ElementTables(mesh1, case))
         dense = sys_.matrix.toarray()
         oracle = hdg_form_oracle if method == "hdg" else wg_form_oracle
         fields = [form_oracle_fields(mesh1, dofs, case, x)
@@ -232,10 +233,11 @@ def test_criterion_10_gram_cross_check():
             [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")]):
         case = SpaceCase(method, regime, 1, 0.25)
         dofs = build_space_triple(mesh, case)
-        N = assemble_norm_gram(mesh, dofs)
+        tables = ElementTables(mesh, case)
+        N = assemble_norm_gram(mesh, dofs, tables)
         for _ in range(50):
             x = rng.standard_normal(dofs.total)
-            ef, es = compute_error_norm(mesh, dofs, x, zero)
+            ef, es = compute_error_norm(mesh, dofs, x, zero, tables)
             via_quad = math.hypot(ef, es)
             via_gram = math.sqrt(x @ (N @ x))
             worst = max(worst, abs(via_quad - via_gram) / via_gram)

@@ -133,7 +133,7 @@ def test_hdg_matrix_against_oracle(method, regime, mesh_name, k):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + 0.5 * xy[:, 0])
     f = lambda xy: xy[:, 0] + 2.0 * xy[:, 1]
-    sys = assemble_hdg(mesh, dofs, coeff, f)
+    sys = assemble_hdg(mesh, dofs, coeff, f, ElementTables(mesh, case))
     probes = _probe_vectors(dofs.total)
     fields = [form_oracle_fields(mesh, dofs, case, x) for x in probes]
     for i, xa in enumerate(probes):
@@ -150,7 +150,7 @@ def test_wg_matrix_against_oracle(method, regime, mesh_name, k):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 1])
     f = lambda xy: np.sin(xy[:, 0])
-    sys = assemble_wg(mesh, dofs, coeff, f)
+    sys = assemble_wg(mesh, dofs, coeff, f, ElementTables(mesh, case))
     probes = _probe_vectors(dofs.total)
     fields = [form_oracle_fields(mesh, dofs, case, x) for x in probes]
     for i, xa in enumerate(probes):
@@ -164,7 +164,8 @@ def test_wg_rhs_against_oracle():
     case = SpaceCase("wg", "rho_h", 1, 1.0)
     dofs = build_space_triple(mesh, case)
     f = lambda xy: xy[:, 0] ** 2 - xy[:, 1]
-    sys = assemble_wg(mesh, dofs, CoefficientField.unit(), f)
+    sys = assemble_wg(mesh, dofs, CoefficientField.unit(), f,
+                      ElementTables(mesh, case))
     eye = np.eye(dofs.total)
     for j in range(dofs.total):
         assert abs(rhs_oracle(mesh, dofs, f, eye[j]) - sys.rhs[j]) < 1e-12
@@ -177,7 +178,8 @@ def test_assembled_matrices_exactly_symmetric():
         case = SpaceCase(method, regime, 1, 0.2)
         dofs = build_space_triple(mesh, case)
         asm = assemble_hdg if method == "hdg" else assemble_wg
-        sys = asm(mesh, dofs, CoefficientField.unit(), ONE)
+        sys = asm(mesh, dofs, CoefficientField.unit(), ONE,
+                  ElementTables(mesh, case))
         assert (sys.matrix - sys.matrix.T).nnz == 0
 
 
@@ -185,7 +187,8 @@ def test_zero_load_gives_zero_solution():
     mesh = build_structured_mesh(2)
     case = SpaceCase("hdg", "rho_h", 1, 0.5)
     dofs = build_space_triple(mesh, case)
-    sys = assemble_hdg(mesh, dofs, CoefficientField.unit(), ZERO)
+    sys = assemble_hdg(mesh, dofs, CoefficientField.unit(), ZERO,
+                       ElementTables(mesh, case))
     x = solve_symmetric_indefinite(sys.matrix, sys.rhs)
     assert np.max(np.abs(x)) < 1e-12
 
@@ -194,11 +197,12 @@ def test_assembly_case_mismatch():
     mesh = build_structured_mesh(1)
     case = SpaceCase("hdg", "rho_h", 0, 1.0)
     dofs = build_space_triple(mesh, case)
+    tables = ElementTables(mesh, case)
     with pytest.raises(ValueError, match="built for method 'hdg', not 'wg'"):
-        assemble_wg(mesh, dofs, CoefficientField.unit(), ZERO)
+        assemble_wg(mesh, dofs, CoefficientField.unit(), ZERO, tables)
     other = build_space_triple(build_structured_mesh(2), case)
     with pytest.raises(ValueError, match="does not match the mesh"):
-        assemble_hdg(mesh, other, CoefficientField.unit(), ZERO)
+        assemble_hdg(mesh, other, CoefficientField.unit(), ZERO, tables)
 
 
 def test_coefficient_must_be_positive():
@@ -222,7 +226,8 @@ def test_primal_conforming_against_oracle(mesh_name, k):
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     f = lambda xy: xy[:, 1]
-    sys, dofs = assemble_primal_conforming(mesh, k, coeff, f)
+    sys, dofs = assemble_primal_conforming(
+        mesh, k, coeff, f, ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0)))
     # the assembler's rule: that of hdg/inv, scalar degree k + 1
     tri = basis.tri_quadrature(one_rule(dofs.local_spaces[2]))
 
@@ -255,7 +260,8 @@ def test_mixed_conforming_against_oracle(mesh_name, k):
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 2.0 + xy[:, 1])
     f = lambda xy: np.cos(xy[:, 1])
-    sys, dofs = assemble_mixed_conforming(mesh, k, coeff, f)
+    sys, dofs = assemble_mixed_conforming(
+        mesh, k, coeff, f, ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0)))
     # the assembler's rule: that of wg/inv, scalar degree k
     rule = one_rule(dofs.local_spaces[2])
     tri = basis.tri_quadrature(rule)
@@ -288,7 +294,9 @@ def test_mixed_conforming_divergence_identity():
     # with RT0 the broken divergence is cellwise constant, so div p = f
     # holds exactly for f = 1
     mesh = build_structured_mesh(3)
-    sys, dofs = assemble_mixed_conforming(mesh, 0, CoefficientField.unit(), ONE)
+    sys, dofs = assemble_mixed_conforming(
+        mesh, 0, CoefficientField.unit(), ONE,
+        ElementTables(mesh, SpaceCase("wg", "inv", 0, 1.0)))
     x = solve_symmetric_indefinite(sys.matrix, sys.rhs)
     tri = basis.tri_quadrature(2)
     for ci in range(mesh.num_cells):
@@ -338,7 +346,7 @@ def test_norm_gram_spd(method, regime):
     mesh = build_structured_mesh(2)
     case = SpaceCase(method, regime, 0, 0.3)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs)
+    N = assemble_norm_gram(mesh, dofs, ElementTables(mesh, case))
     dense = N.toarray()
     assert np.max(np.abs(dense - dense.T)) == 0.0
     assert np.min(scipy.linalg.eigvalsh(dense)) > 0.0
@@ -349,7 +357,7 @@ def test_norm_gram_quadratic_scaling():
     mesh = build_structured_mesh(2)
     case = SpaceCase("wg", "rho_h", 1, 0.5)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs)
+    N = assemble_norm_gram(mesh, dofs, ElementTables(mesh, case))
     x = rng.standard_normal(dofs.total)
     assert abs((2 * x) @ (N @ (2 * x)) - 4 * (x @ (N @ x))) < 1e-10
     assert np.zeros(dofs.total) @ (N @ np.zeros(dofs.total)) == 0.0
@@ -367,14 +375,18 @@ def test_conforming_flux_has_no_projected_jump():
     xc = rng.standard_normal(mixed.flux.max() + 1)
     x = np.zeros(dofs.total)
     x[dofs.flux] = mixed.flux_sign * xc[mixed.flux]
-    n1 = x @ (assemble_norm_gram(mesh, dofs) @ x)
-    n2 = x @ (assemble_norm_gram(mesh, small) @ x)
+    n1 = x @ (assemble_norm_gram(mesh, dofs,
+                                 ElementTables(mesh, dofs.case)) @ x)
+    n2 = x @ (assemble_norm_gram(mesh, small,
+                                 ElementTables(mesh, small.case)) @ x)
     # rho only multiplies the (zero) jump and (zero) trace contributions
     assert abs(n1 - n2) < 1e-9 * max(n1, 1.0)
     # breaking conformity reactivates the jump penalty
     x[dofs.flux[0]] += rng.standard_normal(dofs.flux.shape[1])
-    j1 = x @ (assemble_norm_gram(mesh, small) @ x)
-    j0 = x @ (assemble_norm_gram(mesh, dofs) @ x)
+    j1 = x @ (assemble_norm_gram(mesh, small,
+                                 ElementTables(mesh, small.case)) @ x)
+    j0 = x @ (assemble_norm_gram(mesh, dofs,
+                                 ElementTables(mesh, dofs.case)) @ x)
     assert j1 > 10.0 * j0
 
 
@@ -382,8 +394,8 @@ def test_assembly_is_deterministic():
     mesh = build_structured_mesh(2)
     case = SpaceCase("wg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
-    a = assemble_wg(mesh, dofs, CoefficientField.unit(), ONE)
-    b = assemble_wg(mesh, dofs, CoefficientField.unit(), ONE)
+    a, b = (assemble_wg(mesh, dofs, CoefficientField.unit(), ONE,
+                        ElementTables(mesh, case)) for _ in range(2))
     assert (a.matrix != b.matrix).nnz == 0
     assert np.array_equal(a.rhs, b.rhs)
 
@@ -403,10 +415,12 @@ def test_level_5_assembly_is_deterministic(method, regime):
     dofs = build_space_triple(mesh, case)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     asm = assemble_hdg if method == "hdg" else assemble_wg
-    first, second = (asm(mesh, dofs, coeff, ONE) for _ in range(2))
+    first, second = (asm(mesh, dofs, coeff, ONE, ElementTables(mesh, case))
+                     for _ in range(2))
     assert _bit_identical(first.matrix, second.matrix)
     assert np.array_equal(first.rhs, second.rhs)
-    grams = [assemble_norm_gram(mesh, dofs, coeff=coeff) for _ in range(2)]
+    grams = [assemble_norm_gram(mesh, dofs, ElementTables(mesh, case),
+                                coeff=coeff) for _ in range(2)]
     assert _bit_identical(*grams)
     for M in (first.matrix, grams[0]):
         assert _bit_identical(M, M.T.tocsr())
@@ -432,10 +446,11 @@ def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
         dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
         pairs = [
             (asm(mesh, dofs, coeff, ONE, tables=tables, pattern=form).matrix,
-             asm(mesh, dofs, coeff, ONE).matrix),
+             asm(mesh, dofs, coeff, ONE, ElementTables(mesh, dofs.case)).matrix),
             (assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
                                 pattern=norm),
-             assemble_norm_gram(mesh, dofs, coeff=coeff))]
+             assemble_norm_gram(mesh, dofs, ElementTables(mesh, dofs.case),
+                                coeff=coeff))]
         for shared, one_shot in pairs:
             assert _bit_identical(shared, one_shot)
             assert _bit_identical(shared, shared.T.tocsr())
@@ -448,7 +463,9 @@ def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
 def test_pattern_rejects_another_dof_map():
     mesh = build_structured_mesh(2)
     dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 0, 1.0))
-    form, norm = form_pattern(mesh, dofs), gram_pattern(mesh, dofs)
+    tables = ElementTables(mesh, dofs.case)
+    form, norm = (form_pattern(mesh, dofs, tables),
+                  gram_pattern(mesh, dofs, tables))
     # another degree, another mesh size, and the same mesh with each cell's
     # vertices rotated: same DOF count, other local numbering
     rotated = Mesh(mesh.vertices, mesh.cells[:, [1, 2, 0]])
@@ -456,8 +473,9 @@ def test_pattern_rejects_another_dof_map():
                           (rotated, 0)):
         other = build_space_triple(other_mesh,
                                    SpaceCase("hdg", "inv", k, 1e-3))
+        tables = ElementTables(other_mesh, other.case)
         with pytest.raises(ValueError, match="another DOF map"):
             assemble_hdg(other_mesh, other, CoefficientField.unit(), ONE,
-                         pattern=form)
+                         tables, pattern=form)
         with pytest.raises(ValueError, match="another DOF map"):
-            assemble_norm_gram(other_mesh, other, pattern=norm)
+            assemble_norm_gram(other_mesh, other, tables, pattern=norm)

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -82,6 +83,37 @@ def test_bad_config_lines(tmp_path, capsys):
     rc = cli.main(["converge", "--method", "hdg", "--regime", "rho-h",
                    "--config", str(cfg), "--outdir", str(tmp_path)])
     assert rc == 2
+
+
+def test_config_value_outside_choices_is_rejected(tmp_path, capsys):
+    # a config value passes the flag's checks: --regime takes rho-h,
+    # rho_h or inv
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("regime = bogus\n")
+    rc = cli.main(["converge", "--method", "hdg", "--config", str(cfg),
+                   "--outdir", str(tmp_path)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+def test_config_svg_takes_true_or_false(tmp_path, capsys):
+    cfg = tmp_path / "svg.cfg"
+    for value, svg in (("false", False), ("true", True)):
+        out = tmp_path / value
+        cfg.write_text("svg = {}\nlevels = 3\nfirst-level = 1\n".format(value))
+        rc = cli.main(["converge", "--method", "hdg", "--regime", "rho-h",
+                       "--config", str(cfg), "--outdir", str(out)])
+        assert rc == 0
+        assert (out / "convergence.csv").exists()
+        assert (out / "convergence.svg").exists() == svg
+    cfg.write_text("svg = yes\n")
+    out = tmp_path / "yes"
+    rc = cli.main(["converge", "--method", "hdg", "--regime", "rho-h",
+                   "--config", str(cfg), "--outdir", str(out)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not (out / "convergence.svg").exists()
 
 
 def test_invalid_degree_exits_with_message(tmp_path, capsys):
@@ -208,3 +240,16 @@ def test_check_command(tmp_path, capsys):
     assert rc == 0
     assert "self-check: pass" in out
     assert out.count(" ok") >= 12
+
+
+def test_readme_names_every_option():
+    # every option of every subcommand is documented; --level must not be
+    # found inside --levels or --level-list
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    _, subparsers = cli._build_parser()
+    missing = {(name, option) for name, sub in subparsers.items()
+               for action in sub._actions for option in action.option_strings
+               if action.dest != "help"
+               and not re.search(re.escape(option) + r"(?![\w-])", readme)}
+    assert missing == set()

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from hdgwg.assembly import (
     CoefficientField,
+    ElementTables,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
@@ -76,14 +77,16 @@ def _varcoef_system(method, regime, k, rho, mesh_name):
     prob = manufactured_case("varcoef")
     coeff = CoefficientField(alpha=prob.alpha)
     if method in ("primal", "mixed"):
-        assemble = (assemble_primal_conforming if method == "primal"
-                    else assemble_mixed_conforming)
-        system, dofs = assemble(mesh, k, coeff, prob.f)
+        assemble, limit_of = ((assemble_primal_conforming, "hdg")
+                              if method == "primal"
+                              else (assemble_mixed_conforming, "wg"))
+        system, dofs = assemble(mesh, k, coeff, prob.f, ElementTables(
+            mesh, SpaceCase(limit_of, "inv", k, 1.0)))
     else:
         case = SpaceCase(method, regime, k, rho)
         dofs = build_space_triple(mesh, case)
         assemble = assemble_hdg if method == "hdg" else assemble_wg
-        system = assemble(mesh, dofs, coeff, prob.f)
+        system = assemble(mesh, dofs, coeff, prob.f, ElementTables(mesh, case))
     return system.matrix, system.rhs, dofs
 
 
@@ -340,7 +343,8 @@ def test_beta_matches_cholesky_eigh_oracle(method, regime, k, rho, mesh_name):
     A, _, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
     mesh = MESHES[mesh_name]()
     coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
-    N = assemble_norm_gram(mesh, dofs, coeff=coeff)
+    N = assemble_norm_gram(mesh, dofs, ElementTables(mesh, dofs.case),
+                           coeff=coeff)
     beta = min_generalized_singular_value(A, N)
     ref = cellwise.min_generalized_singular_value(A, N)
     assert beta > 0.0

@@ -52,11 +52,12 @@ def test_error_norm_matches_gram_quadratic_form(method, regime):
     mesh = build_structured_mesh(2)
     case = SpaceCase(method, regime, 1, 0.25)
     dofs = build_space_triple(mesh, case)
-    N = assemble_norm_gram(mesh, dofs)
+    tables = ElementTables(mesh, case)
+    N = assemble_norm_gram(mesh, dofs, tables)
     zero = ZeroExact()
     for _ in range(10):
         x = rng.standard_normal(dofs.total)
-        ef, es = compute_error_norm(mesh, dofs, x, zero)
+        ef, es = compute_error_norm(mesh, dofs, x, zero, tables)
         lhs = np.hypot(ef, es)
         ref = np.sqrt(x @ (N @ x))
         assert abs(lhs - ref) <= 1e-11 * ref
@@ -74,11 +75,13 @@ def test_norm_pair_matches_cellwise_oracle(method, regime, k, rho, mesh):
     rng = np.random.default_rng(7)
     coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
     dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
-    N = assemble_norm_gram(mesh, dofs, coeff=coeff)
+    tables = ElementTables(mesh, dofs.case)
+    N = assemble_norm_gram(mesh, dofs, tables, coeff=coeff)
     for _ in range(3):
         x = rng.standard_normal(dofs.total)
         ref = np.array(cellwise.norm_pair(mesh, dofs, x, coeff))
-        got = compute_error_norm(mesh, dofs, x, ZeroExact(), coeff=coeff)
+        got = compute_error_norm(mesh, dofs, x, ZeroExact(), tables,
+                                 coeff=coeff)
         assert np.all(np.abs(np.array(got) - ref) <= 1e-12 * ref)
         total = np.hypot(*ref)
         assert abs(np.sqrt(x @ (N @ x)) - total) <= 1e-12 * total
@@ -93,9 +96,10 @@ def test_dg_boundary_pairing_identity(method, regime, mesh):
     rng = np.random.default_rng(3)
     case = SpaceCase(method, regime, 1, 0.5)
     dofs = build_space_triple(mesh, case)
+    tables = ElementTables(mesh, case)
     for _ in range(25):
         x = rng.standard_normal(dofs.total)
-        res = dg_identity_residual(mesh, dofs, x)
+        res = dg_identity_residual(mesh, dofs, x, tables)
         assert res <= 1e-12 * (1.0 + np.linalg.norm(x) ** 2)
 
 
@@ -179,7 +183,8 @@ def test_in_space_solution_has_zero_error(method, regime):
     dofs = build_space_triple(mesh, case)
     exact = LinearExact()
     x = _interpolate(mesh, dofs, case, exact)
-    ef, es = compute_error_norm(mesh, dofs, x, exact)
+    ef, es = compute_error_norm(mesh, dofs, x, exact,
+                                ElementTables(mesh, case))
     assert ef < 1e-10
     assert es < 1e-10
 
@@ -193,7 +198,8 @@ def test_in_space_hdg_inv_boundary_penalty():
     dofs = build_space_triple(mesh, case)
     exact = LinearExact()
     x = _interpolate(mesh, dofs, case, exact)
-    ef, es = compute_error_norm(mesh, dofs, x, exact)
+    ef, es = compute_error_norm(mesh, dofs, x, exact,
+                                ElementTables(mesh, case))
     assert ef < 1e-10
     eq = basis.edge_quadrature(6)
     expected = 0.0
@@ -214,8 +220,9 @@ def test_error_norm_homogeneity():
     dofs = build_space_triple(mesh, case)
     x = rng.standard_normal(dofs.total)
     zero = ZeroExact()
-    ef1, es1 = compute_error_norm(mesh, dofs, x, zero)
-    ef2, es2 = compute_error_norm(mesh, dofs, 2.0 * x, zero)
+    tables = ElementTables(mesh, case)
+    ef1, es1 = compute_error_norm(mesh, dofs, x, zero, tables)
+    ef2, es2 = compute_error_norm(mesh, dofs, 2.0 * x, zero, tables)
     assert abs(ef2 - 2.0 * ef1) < 1e-11 * ef1
     assert abs(es2 - 2.0 * es1) < 1e-11 * es1
 
@@ -238,7 +245,8 @@ def test_consistency_residual_decays_under_refinement():
     for n in (4, 8):
         mesh = build_structured_mesh(n)
         dofs = build_space_triple(mesh, case)
-        res.append(consistency_residual(mesh, dofs, prob))
+        res.append(consistency_residual(mesh, dofs, prob,
+                                        ElementTables(mesh, case)))
     assert res[0] / res[1] >= 1.8
 
 

@@ -1,6 +1,8 @@
 """Guards on the source of ``hdgwg`` itself."""
 
 import ast
+import importlib.util
+import sys
 from pathlib import Path
 
 import hdgwg
@@ -71,21 +73,54 @@ def test_stabilization_is_read_in_one_module():
     assert readers == {"assembly.py"}
 
 
-def test_dof_maps_are_built_in_one_module():
-    # the DOF layout of all six methods is decided in hdgwg.spaces: no
-    # other module may construct a DofMap or define a DOF-map class
-    builders, classes = set(), set()
+def _callers(name):
+    """The modules of ``hdgwg`` that call ``name``, as a function or an
+    attribute, and the syntax trees of all modules."""
+    callers, trees = set(), {}
     for path in SOURCE.glob("*.py"):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = trees[path.name] = ast.parse(path.read_text(),
+                                            filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else (
+                called = func.attr if isinstance(func, ast.Attribute) else (
                     getattr(func, "id", None))
-                if name == "DofMap":
-                    builders.add(path.name)
+                if called == name:
+                    callers.add(path.name)
+    return callers, trees
+
+
+def test_dof_maps_are_built_in_one_module():
+    # the DOF layout of all six methods is decided in hdgwg.spaces: no
+    # other module may construct a DofMap or define a DOF-map class
+    builders, trees = _callers("DofMap")
+    classes = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and node.name.endswith(
                     "DofMap"):
-                classes.add((path.name, node.name))
+                classes.add((module, node.name))
     assert builders == {"spaces.py"}
     assert classes == {("spaces.py", "DofMap")}
+
+
+def test_element_tables_are_built_by_the_studies_and_the_cli():
+    # every kernel takes its tables as an argument: only the studies and
+    # the front end choose a mesh, a space and a rule to tabulate on
+    builders, _ = _callers("ElementTables")
+    assert builders == {"experiments.py", "cli.py"}
+
+
+def test_benchmark_tracer_wraps_existing_callables(monkeypatch):
+    # the benchmark's traced mode replaces hdgwg.<module>.<attr> for each
+    # entry of its table; a renamed or removed function would break it
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(tracing)
+    assert len(tracing._WRAPPED) > 0
+    missing = {(module, attr) for module, attr in tracing._WRAPPED
+               if not callable(getattr(
+                   importlib.import_module("hdgwg." + module), attr, None))}
+    assert missing == set()
