@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import basis
 from .mesh import Mesh
-from .spaces import SpaceCase, mixed_dofs, primal_dofs
+from .spaces import SpaceCase
 
 
 def contract(subscripts, *operands):
@@ -119,13 +119,13 @@ class ElementTables:
     Built for the local spaces of one ``SpaceCase``: nf flux, nu scalar and
     nt trace basis functions.  Each basis is tabulated once, at reference
     points, and the affine and Piola maps carry that table to the cells.
-    Only the studies and the front end build tables; every kernel takes
-    them as an argument.  The volume rule of nq points and the edge rule of
+    Only the studies build tables; every kernel takes them as an argument.  The volume rule of nq points and the edge rule of
     ns points are both of degree ``quad_degree``, by default
     min(2 scalar_degree + 3, ``basis.MAX_QUADRATURE_DEGREE``).  That default
     is the one rule of the studies: each builds one set of tables per mesh
     and space and shares it between its assemblers and ``hdgwg.norms``.
-    The tables do not depend on rho.
+    The tables do not depend on rho, and keep of the case only its local
+    spaces and trace degree ``trace_deg``.
 
     Volume tables: weights ``w`` (C,nq), points ``xy`` (C,nq,2), scalar
     values ``sval`` (C,nq,nu) and physical gradients ``sgrad`` (C,nq,nu,2),
@@ -146,8 +146,8 @@ class ElementTables:
 
     def __init__(self, mesh: Mesh, case: SpaceCase, quad_degree=None):
         self.mesh = mesh
-        self.case = case
         self.local_spaces = case.local_spaces
+        self.trace_deg = case.trace_deg
         qd = (quad_degree if quad_degree is not None
               else min(2 * case.scalar_degree + 3, basis.MAX_QUADRATURE_DEGREE))
         self.vol = basis.tri_quadrature(qd)
@@ -171,7 +171,7 @@ class ElementTables:
         self.normal = (mesh.cell_edge_sign[..., None]
                        * mesh.edge_normal[mesh.cell_edges])
         self.flux_n = contract("clqak,clk->clqa", self.edge_fval, self.normal)
-        self.trace = basis.eval_edge_basis(case.trace_deg, self.edge.points)
+        self.trace = basis.eval_edge_basis(self.trace_deg, self.edge.points)
 
     def _scalar_basis(self, degree, pts, rows=None):
         """Lagrange P_degree values (C, ..., nb) and physical gradients
@@ -211,8 +211,7 @@ class ElementTables:
                 raise ValueError(
                     "DOF map spaces {} do not match the element tables' {}"
                     .format(dofs.local_spaces, self.local_spaces))
-            if (dofs.case is not None
-                    and dofs.case.trace_deg != self.case.trace_deg):
+            if dofs.case is not None and dofs.case.trace_deg != self.trace_deg:
                 raise ValueError(
                     "element tables were built for another trace space")
         return self
@@ -438,21 +437,21 @@ def assemble_wg(mesh, dofs, coeff, f, tables, pattern=None):
     return _assemble("wg", mesh, dofs, coeff, f, tables, pattern)
 
 
-def assemble_primal_conforming(mesh, k, coeff, f, tables):
-    """Primal conforming method: (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
+def assemble_primal_conforming(mesh, dofs, coeff, f, tables, pattern=None):
+    """Primal conforming method on a ``spaces.primal_dofs`` map:
+    (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
 
     Its local spaces are those of hdg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables``.
     """
-    dofs = primal_dofs(mesh, k)
-    return _assemble("primal", mesh, dofs, coeff, f, tables), dofs
+    return _assemble("primal", mesh, dofs, coeff, f, tables, pattern)
 
 
-def assemble_mixed_conforming(mesh, k, coeff, f, tables):
-    """Mixed conforming method: (c p, q) - (u, div q) = 0, (div p, v) = (f, v).
+def assemble_mixed_conforming(mesh, dofs, coeff, f, tables, pattern=None):
+    """Mixed conforming method on a ``spaces.mixed_dofs`` map:
+    (c p, q) - (u, div q) = 0, (div p, v) = (f, v).
 
     Its local spaces are those of wg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables``.
     """
-    dofs = mixed_dofs(mesh, k)
-    return _assemble("mixed", mesh, dofs, coeff, f, tables), dofs
+    return _assemble("mixed", mesh, dofs, coeff, f, tables, pattern)

@@ -1,4 +1,5 @@
-"""Command line front end: study runners, CSV/SVG output, self checks.
+"""Command line front end: argument and config handling, the study and
+self-check calls of ``hdgwg.experiments``, and the CSV/SVG writers.
 
 Configuration comes from ``key = value`` files (# comments allowed) and
 command-line flags; flags win on conflict.  No environment variables are
@@ -12,25 +13,13 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from .assembly import (
-    CoefficientField,
-    ElementTables,
-    assemble_hdg,
-    assemble_wg,
-)
 from .experiments import (
-    manufactured_case,
     run_convergence_study,
     run_infsup_study,
     run_rho_limit_study,
+    run_self_check,
 )
-from .linalg import SingularMatrixError, write_matrix
-from .mesh import build_structured_mesh
-from .norms import ZERO_FIELD, assemble_norm_gram, compute_error_norm
-from .norms import consistency_residual, dg_identity_residual
-from .spaces import SpaceCase, build_space_triple
+from .linalg import SingularMatrixError
 
 _REGIME_ALIASES = {"rho-h": "rho_h", "rho_h": "rho_h", "inv": "inv"}
 
@@ -73,6 +62,18 @@ def _write_svg(path, points_xy, title):
             '<polyline points="{p}" fill="none" stroke="black"/>'
             "</svg>\n".format(w=width, h=height, m=margin, t=title, p=pts)
         )
+
+
+def _write_table(args, name, table, point, title):
+    """Write ``table`` to <outdir>/<name>.csv and, with --svg, the log-log
+    plot of ``point(row)`` over its rows to <name>.svg; return the CSV
+    path."""
+    path = "{}/{}.csv".format(args.outdir, name)
+    _write_csv(path, table.header, table.rows)
+    if args.svg:
+        _write_svg("{}/{}.svg".format(args.outdir, name),
+                   [point(row) for row in table.rows], title)
+    return path
 
 
 def _load_config(path, sub):
@@ -169,24 +170,11 @@ def _cmd_converge(args):
         args.method, regime, args.k, args.rho,
         levels=args.levels, case_name=args.case,
         first_level=args.first_level, trace_degree=args.trace_degree,
+        dump_matrix=args.dump_matrix,
     )
-    path = "{}/convergence.csv".format(args.outdir)
-    _write_csv(path, table.header, table.rows)
-    if args.svg:
-        pts = [(row[1], row[3] + row[4]) for row in table.rows]
-        _write_svg("{}/convergence.svg".format(args.outdir), pts,
-                   "error vs h ({} {})".format(args.method, regime))
-    if args.dump_matrix:
-        prob = manufactured_case(args.case)
-        mesh = build_structured_mesh(2**args.first_level)
-        case = SpaceCase(method=args.method, regime=regime, k=args.k,
-                         rho=args.rho, trace_degree=args.trace_degree)
-        dofs = build_space_triple(mesh, case)
-        assemble = assemble_hdg if args.method == "hdg" else assemble_wg
-        system = assemble(mesh, dofs, CoefficientField(alpha=prob.alpha),
-                          prob.f, ElementTables(mesh, case))
-        with open(args.dump_matrix, "w") as fh:
-            write_matrix(system.matrix, fh)
+    path = _write_table(args, "convergence", table,
+                        lambda row: (row[1], row[3] + row[4]),
+                        "error vs h ({} {})".format(args.method, regime))
     print("wrote {}".format(path))
     return 0
 
@@ -195,12 +183,9 @@ def _cmd_limit(args):
     table = run_rho_limit_study(args.method, args.k, level=args.level,
                                 rhos=_parse_rhos(args.rhos),
                                 case_name=args.case)
-    path = "{}/limit.csv".format(args.outdir)
-    _write_csv(path, table.header, table.rows)
-    if args.svg:
-        pts = [(row[0], row[1] + row[2]) for row in table.rows]
-        _write_svg("{}/limit.svg".format(args.outdir), pts,
-                   "distance vs rho ({})".format(args.method))
+    path = _write_table(args, "limit", table,
+                        lambda row: (row[0], row[1] + row[2]),
+                        "distance vs rho ({})".format(args.method))
     print("wrote {} (slope {:.3f})".format(path, table.slope))
     return 0
 
@@ -211,50 +196,19 @@ def _cmd_infsup(args):
                              _parse_rhos(args.rhos),
                              levels=_parse_levels(args.level_list),
                              trace_degree=args.trace_degree)
-    path = "{}/infsup.csv".format(args.outdir)
-    _write_csv(path, table.header, table.rows)
-    if args.svg:
-        pts = [(row[0], row[2]) for row in table.rows]
-        _write_svg("{}/infsup.svg".format(args.outdir), pts,
-                   "beta vs h ({} {})".format(args.method, regime))
+    path = _write_table(args, "infsup", table, lambda row: (row[0], row[2]),
+                        "beta vs h ({} {})".format(args.method, regime))
     print("wrote {}".format(path))
     return 0
 
 
 def _cmd_check(args):
-    rng = np.random.default_rng(args.seed)
     failures = 0
-
-    def report(name, value, bound):
-        nonlocal failures
+    for name, value, bound in run_self_check(args.seed):
         ok = value <= bound
         failures += 0 if ok else 1
         print("{:<44s} {:>12.3e} <= {:.0e} {}".format(
             name, value, bound, "ok" if ok else "FAIL"))
-
-    mesh = build_structured_mesh(4)
-    prob = manufactured_case("poly")
-    for method in ("hdg", "wg"):
-        for regime in ("rho_h", "inv"):
-            case = SpaceCase(method=method, regime=regime, k=1, rho=0.5)
-            dofs = build_space_triple(mesh, case)
-            tables = ElementTables(mesh, case)
-            x = rng.standard_normal(dofs.total)
-            scale = max(1.0, np.linalg.norm(x) ** 2)
-            report("dg identity {}/{}".format(method, regime),
-                   dg_identity_residual(mesh, dofs, x, tables) / scale, 1e-12)
-            # degree 9 integrates the polynomial exact solution's terms exactly
-            report("consistency {}/{}".format(method, regime),
-                   consistency_residual(mesh, dofs, prob,
-                                        tables=ElementTables(mesh, case, 9)),
-                   1e-10)
-            gram = assemble_norm_gram(mesh, dofs, tables=tables)
-            quad_ef, quad_es = compute_error_norm(mesh, dofs, x, ZERO_FIELD,
-                                                  tables=tables)
-            via_quad = math.hypot(quad_ef, quad_es)
-            via_gram = math.sqrt(x @ (gram @ x))
-            report("gram cross-check {}/{}".format(method, regime),
-                   abs(via_quad - via_gram) / via_gram, 1e-11)
     print("self-check: {}".format("pass" if failures == 0 else
                                   "{} failure(s)".format(failures)))
     return 0 if failures == 0 else 1

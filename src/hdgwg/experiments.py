@@ -1,4 +1,10 @@
-"""Manufactured solutions and the convergence / limit / inf-sup studies."""
+"""Manufactured solutions, the convergence / limit / inf-sup studies and
+the self-check.
+
+This is the one layer that builds a discretization: the studies choose
+the meshes, DOF maps and element tables, and every system of the six
+methods is assembled and solved by ``_solve_case``.
+"""
 
 from __future__ import annotations
 
@@ -17,17 +23,24 @@ from .assembly import (
     assemble_wg,
     form_pattern,
 )
-from .linalg import min_generalized_singular_value, solve_symmetric_indefinite
+from .linalg import (
+    min_generalized_singular_value,
+    solve_symmetric_indefinite,
+    write_matrix,
+)
 from .mesh import build_structured_mesh
 from .norms import (
+    ZERO_FIELD,
     assemble_norm_gram,
     broken_h1_distance,
     compute_error_norm,
+    consistency_residual,
+    dg_identity_residual,
     flux_distance,
     gram_pattern,
     scalar_l2_distance,
 )
-from .spaces import SpaceCase, build_space_triple
+from .spaces import SpaceCase, build_space_triple, mixed_dofs, primal_dofs
 
 INFSUP_DOF_LIMIT = 2000
 
@@ -132,24 +145,40 @@ class InfSupTable:
     rows: list = field(default_factory=list)
 
 
-def _solve_case(mesh, dofs, prob, tables, pattern=None):
-    """Solution and coefficient of the problem on ``dofs``, its system
-    summed on ``pattern`` if given."""
-    coeff = CoefficientField(alpha=prob.alpha)
-    assemble = assemble_hdg if dofs.method == "hdg" else assemble_wg
-    system = assemble(mesh, dofs, coeff, prob.f, tables=tables,
-                      pattern=pattern)
-    x = solve_symmetric_indefinite(system.matrix, system.rhs,
-                                   cell_dofs=dofs.local)
-    return x, coeff
+def _assemble(mesh, dofs, coeff, f, tables, pattern=None):
+    """The system of the method of ``dofs``, any of the six.  The assembler
+    is looked up by name at each call, so a replaced module attribute (a
+    tracer's wrapper, say) is the one that runs."""
+    assemble = {"hdg": assemble_hdg, "wg": assemble_wg,
+                "primal": assemble_primal_conforming,
+                "mixed": assemble_mixed_conforming}[dofs.method]
+    return assemble(mesh, dofs, coeff, f, tables, pattern)
+
+
+def _solve_case(mesh, dofs, coeff, f, tables, pattern=None, dump=None):
+    """Solution of the method of ``dofs`` with load ``f``, its system summed
+    on ``pattern`` if given and, if ``dump`` names a file, written there as
+    coordinate text.  The system is dropped on return, so no caller holds
+    it past its solve."""
+    system = _assemble(mesh, dofs, coeff, f, tables, pattern)
+    if dump:
+        with open(dump, "w") as fh:
+            write_matrix(system.matrix, fh)
+    return solve_symmetric_indefinite(system.matrix, system.rhs,
+                                      cell_dofs=dofs.local)
 
 
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
-                          first_level=2, trace_degree=None):
-    """Error norms on meshes n = 2^level for level = first_level .. levels."""
+                          first_level=2, trace_degree=None, dump_matrix=None):
+    """Error norms on meshes n = 2^level for level = first_level .. levels.
+
+    If ``dump_matrix`` names a file, the first level's system is written
+    there (``linalg.write_matrix``) as it is solved.
+    """
     if levels < first_level + 1:
         raise ValueError("need at least two levels for observed orders")
     prob = manufactured_case(case_name)
+    coeff = CoefficientField(alpha=prob.alpha)
     case = SpaceCase(method=method, regime=regime, k=k, rho=rho,
                      trace_degree=trace_degree)
     table = ConvergenceTable()
@@ -158,7 +187,8 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
         mesh = build_structured_mesh(2**level)
         tables = ElementTables(mesh, case)
         dofs = build_space_triple(mesh, case)
-        x, coeff = _solve_case(mesh, dofs, prob, tables)
+        x = _solve_case(mesh, dofs, coeff, prob.f, tables,
+                        dump=dump_matrix if level == first_level else None)
         ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
                                     tables=tables)
         total = ef + es
@@ -190,30 +220,24 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
     cases = [SpaceCase(method=method, regime="inv", k=k, rho=rho)
              for rho in rhos]
     tables = ElementTables(mesh, cases[0])
-    assemble_limit = (assemble_primal_conforming if method == "hdg"
-                      else assemble_mixed_conforming)
-    ref_sys, ref_dofs = assemble_limit(mesh, k, coeff, prob.f, tables=tables)
-    y = solve_symmetric_indefinite(ref_sys.matrix, ref_sys.rhs,
-                                   cell_dofs=ref_dofs.local)
-    table = LimitTable()
-    dists = []
+    ref_dofs = (primal_dofs if method == "hdg" else mixed_dofs)(mesh, k)
+    y = _solve_case(mesh, ref_dofs, coeff, prob.f, tables)
+    rows = []
     pattern = None
     for case in cases:
         dofs = build_space_triple(mesh, case)
         pattern = pattern or form_pattern(mesh, dofs, tables)
-        x, _ = _solve_case(mesh, dofs, prob, tables, pattern)
+        x = _solve_case(mesh, dofs, coeff, prob.f, tables, pattern)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
         else:
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables, hdiv=True)
             ds = scalar_l2_distance(mesh, dofs, x, ref_dofs, y, tables)
-        dists.append(df + ds)
-        table.rows.append([case.rho, df, ds, float("nan")])
-    slope = float(np.polyfit(np.log(rhos), np.log(dists), 1)[0])
-    table.slope = slope
-    table.rows = [tuple(row[:3]) + (slope,) for row in table.rows]
-    return table
+        rows.append((case.rho, df, ds))
+    slope = float(np.polyfit(np.log(rhos),
+                             np.log([df + ds for _, df, ds in rows]), 1)[0])
+    return LimitTable(rows=[row + (slope,) for row in rows], slope=slope)
 
 
 def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
@@ -229,7 +253,6 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
             list(rhos), list(levels)))
     coeff = CoefficientField.unit()
     zero = lambda xy: np.zeros(len(xy))
-    assemble = assemble_hdg if method == "hdg" else assemble_wg
     runs = []
     for level in levels:
         mesh = build_structured_mesh(2**level)
@@ -253,10 +276,42 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         form, norm = (form_pattern(mesh, dofs, tables),
                       gram_pattern(mesh, dofs, tables))
         for case, dofs in instances:
-            system = assemble(mesh, dofs, coeff, zero, tables=tables,
-                              pattern=form)
+            system = _assemble(mesh, dofs, coeff, zero, tables, form)
             gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
                                       pattern=norm)
             beta = min_generalized_singular_value(system.matrix, gram)
             table.rows.append((mesh.h_max, case.rho, beta))
     return table
+
+
+def run_self_check(seed):
+    """Rows ``(name, value, bound)`` of the internal identities, each to hold
+    as value <= bound, for the four regimes at k = 1, rho = 0.5 on the
+    level-2 mesh: the jump/average decomposition of random vectors drawn
+    with ``seed``, the consistency of the scheme on the polynomial exact
+    solution, and the Gram matrix against the quadrature norm."""
+    rng = np.random.default_rng(seed)
+    mesh = build_structured_mesh(4)
+    prob = manufactured_case("poly")
+    rows = []
+    for method in ("hdg", "wg"):
+        for regime in ("rho_h", "inv"):
+            name = "{}/{}".format(method, regime)
+            case = SpaceCase(method=method, regime=regime, k=1, rho=0.5)
+            dofs = build_space_triple(mesh, case)
+            tables = ElementTables(mesh, case)
+            x = rng.standard_normal(dofs.total)
+            scale = max(1.0, np.linalg.norm(x) ** 2)
+            rows.append(("dg identity " + name,
+                         dg_identity_residual(mesh, dofs, x, tables) / scale,
+                         1e-12))
+            # degree 9 integrates the polynomial exact solution's terms exactly
+            rows.append(("consistency " + name, consistency_residual(
+                mesh, dofs, prob, tables=ElementTables(mesh, case, 9)), 1e-10))
+            gram = assemble_norm_gram(mesh, dofs, tables=tables)
+            via_quad = math.hypot(*compute_error_norm(mesh, dofs, x,
+                                                      ZERO_FIELD, tables=tables))
+            via_gram = math.sqrt(x @ (gram @ x))
+            rows.append(("gram cross-check " + name,
+                         abs(via_quad - via_gram) / via_gram, 1e-11))
+    return rows

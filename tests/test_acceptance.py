@@ -89,6 +89,7 @@ def test_criterion_5_rho_uniform_error_constants():
     }
     from hdgwg.experiments import _solve_case
 
+    coeff = CoefficientField(alpha=prob.alpha)
     ratios = []
     for (method, regime), rhos in sweeps.items():
         errs = []
@@ -96,7 +97,7 @@ def test_criterion_5_rho_uniform_error_constants():
         for rho in rhos:
             case = SpaceCase(method, regime, 0, rho)
             dofs = build_space_triple(mesh, case)
-            x, coeff = _solve_case(mesh, dofs, prob, tables)
+            x = _solve_case(mesh, dofs, coeff, prob.f, tables)
             ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
                                         tables=tables)
             errs.append(ef + es)

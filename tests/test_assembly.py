@@ -226,8 +226,9 @@ def test_primal_conforming_against_oracle(mesh_name, k):
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     f = lambda xy: xy[:, 1]
-    sys, dofs = assemble_primal_conforming(
-        mesh, k, coeff, f, ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0)))
+    dofs = primal_dofs(mesh, k)
+    sys = assemble_primal_conforming(
+        mesh, dofs, coeff, f, ElementTables(mesh, SpaceCase("hdg", "inv", k, 1.0)))
     # the assembler's rule: that of hdg/inv, scalar degree k + 1
     tri = basis.tri_quadrature(one_rule(dofs.local_spaces[2]))
 
@@ -260,8 +261,9 @@ def test_mixed_conforming_against_oracle(mesh_name, k):
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 2.0 + xy[:, 1])
     f = lambda xy: np.cos(xy[:, 1])
-    sys, dofs = assemble_mixed_conforming(
-        mesh, k, coeff, f, ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0)))
+    dofs = mixed_dofs(mesh, k)
+    sys = assemble_mixed_conforming(
+        mesh, dofs, coeff, f, ElementTables(mesh, SpaceCase("wg", "inv", k, 1.0)))
     # the assembler's rule: that of wg/inv, scalar degree k
     rule = one_rule(dofs.local_spaces[2])
     tri = basis.tri_quadrature(rule)
@@ -294,8 +296,9 @@ def test_mixed_conforming_divergence_identity():
     # with RT0 the broken divergence is cellwise constant, so div p = f
     # holds exactly for f = 1
     mesh = build_structured_mesh(3)
-    sys, dofs = assemble_mixed_conforming(
-        mesh, 0, CoefficientField.unit(), ONE,
+    dofs = mixed_dofs(mesh, 0)
+    sys = assemble_mixed_conforming(
+        mesh, dofs, CoefficientField.unit(), ONE,
         ElementTables(mesh, SpaceCase("wg", "inv", 0, 1.0)))
     x = solve_symmetric_indefinite(sys.matrix, sys.rhs)
     tri = basis.tri_quadrature(2)

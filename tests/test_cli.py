@@ -1,6 +1,7 @@
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -240,6 +241,27 @@ def test_check_command(tmp_path, capsys):
     assert rc == 0
     assert "self-check: pass" in out
     assert out.count(" ok") >= 12
+
+
+def test_readme_commands_run_as_written(tmp_path, capsys):
+    # every hdgwg line of the README's command block runs as printed
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("hdgwg ")]
+    assert [argv[0] for argv in commands] == [
+        "converge", "limit", "infsup", "check"]
+    csv = {"converge": "convergence.csv", "limit": "limit.csv",
+           "infsup": "infsup.csv"}
+    for n, argv in enumerate(commands):
+        out = tmp_path / str(n)
+        assert cli.main(argv + ["--outdir", str(out)]) == 0
+        printed = capsys.readouterr().out
+        if argv[0] == "check":
+            assert "self-check: pass" in printed
+        else:
+            assert (out / csv[argv[0]]).exists()
 
 
 def test_readme_names_every_option():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdgwg import assembly, experiments
+from hdgwg import assembly, cli, experiments
 from hdgwg.experiments import (
     INFSUP_DOF_LIMIT,
     manufactured_case,
@@ -155,9 +155,9 @@ def test_infsup_dof_limit_checked_before_any_eigensolve(monkeypatch):
     assert calls == []
 
 
-def test_one_element_tables_per_mesh_and_space(monkeypatch):
-    # the solve, the limit method, the Gram, the error norm and the
-    # distances all share the tables of their mesh
+def test_one_element_tables_per_mesh_and_space(monkeypatch, tmp_path):
+    # the solve, the limit method, the Gram, the error norm, the distances
+    # and the matrix dump all share the tables of their mesh
     built = []
     init = assembly.ElementTables.__init__
 
@@ -175,3 +175,9 @@ def test_one_element_tables_per_mesh_and_space(monkeypatch):
     built.clear()
     run_infsup_study("wg", "rho_h", 0, rhos=[1.0, 1e-2], levels=(1, 2))
     assert built == [8, 32]
+    built.clear()
+    rc = cli.main(["converge", "--method", "hdg", "--regime", "inv",
+                   "--levels", "3", "--first-level", "2", "--outdir",
+                   str(tmp_path), "--dump-matrix", str(tmp_path / "a.txt")])
+    assert rc == 0
+    assert built == [32, 128]

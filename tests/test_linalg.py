@@ -22,7 +22,8 @@ from hdgwg.linalg import (
 )
 from hdgwg.mesh import build_structured_mesh
 from hdgwg.norms import assemble_norm_gram
-from hdgwg.spaces import SpaceCase, build_space_triple
+from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
+                          primal_dofs)
 
 import cellwise
 from cellwise import jittered_mesh, read_matrix
@@ -77,10 +78,11 @@ def _varcoef_system(method, regime, k, rho, mesh_name):
     prob = manufactured_case("varcoef")
     coeff = CoefficientField(alpha=prob.alpha)
     if method in ("primal", "mixed"):
-        assemble, limit_of = ((assemble_primal_conforming, "hdg")
-                              if method == "primal"
-                              else (assemble_mixed_conforming, "wg"))
-        system, dofs = assemble(mesh, k, coeff, prob.f, ElementTables(
+        assemble, limit_of, dofs = (
+            (assemble_primal_conforming, "hdg", primal_dofs(mesh, k))
+            if method == "primal"
+            else (assemble_mixed_conforming, "wg", mixed_dofs(mesh, k)))
+        system = assemble(mesh, dofs, coeff, prob.f, ElementTables(
             mesh, SpaceCase(limit_of, "inv", k, 1.0)))
     else:
         case = SpaceCase(method, regime, k, rho)

@@ -374,10 +374,10 @@ def test_tables_must_match_mesh_and_spaces():
     with pytest.raises(ValueError, match="do not match the element tables"):
         scalar_l2_distance(mesh, dofs, x, mixed, np.zeros(mixed.total), t)
     with pytest.raises(ValueError, match="do not match the element tables"):
-        assemble_primal_conforming(mesh, 1, coeff, one,
+        assemble_primal_conforming(mesh, primal_dofs(mesh, 1), coeff, one,
                                    tables=ElementTables(mesh, wg))
     with pytest.raises(ValueError, match="do not match the element tables"):
-        assemble_mixed_conforming(mesh, 0, coeff, one,
+        assemble_mixed_conforming(mesh, mixed_dofs(mesh, 0), coeff, one,
                                   tables=ElementTables(mesh, wg))
     with pytest.raises(ValueError, match="do not match the element tables"):
         assemble_wg(mesh, build_space_triple(mesh, wg), coeff, one,

@@ -104,11 +104,49 @@ def test_dof_maps_are_built_in_one_module():
     assert classes == {("spaces.py", "DofMap")}
 
 
-def test_element_tables_are_built_by_the_studies_and_the_cli():
-    # every kernel takes its tables as an argument: only the studies and
-    # the front end choose a mesh, a space and a rule to tabulate on
+def test_element_tables_are_built_by_the_studies():
+    # every kernel takes its tables as an argument, and the front end runs
+    # studies only: the studies alone choose a mesh, a space and a rule to
+    # tabulate on
     builders, _ = _callers("ElementTables")
-    assert builders == {"experiments.py", "cli.py"}
+    assert builders == {"experiments.py"}
+
+
+def test_every_solve_goes_through_one_call_site():
+    # all six methods are solved by experiments._solve_case: a call
+    # elsewhere would be a second pipeline to keep in step with it
+    sites = []
+
+    def visit(module, node, function):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else (
+                getattr(func, "id", None))
+            if called == "solve_symmetric_indefinite":
+                sites.append((module, function))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, function)
+
+    for path in SOURCE.glob("*.py"):
+        visit(path.name, ast.parse(path.read_text(), filename=str(path)), None)
+    assert sites == [("experiments.py", "_solve_case")]
+
+
+def test_cli_imports_the_studies_and_the_solver_errors_only():
+    # the front end parses arguments, runs studies and writes tables: it
+    # builds no mesh, DOF map, tables or system, and needs no array library
+    tree = ast.parse((SOURCE / "cli.py").read_text())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"experiments", "linalg"}
+    assert {name.split(".")[0] for name in absolute} & {
+        "hdgwg", "numpy", "scipy"} == set()
 
 
 def test_benchmark_tracer_wraps_existing_callables(monkeypatch):
