@@ -7,8 +7,8 @@ of ``hdgwg.norms``, as stacked per-cell blocks on the batched tables below.
 The blocks are summed on a ``SumPattern``, which is built from the terms'
 DOFs alone: one stable sort of the triplet keys fixes where each block
 entry goes and which entries add up.  Assembly then writes the raveled
-blocks one after another, gathers them into sorted order and sums each run
-of equal keys by ``np.add.reduceat``.  A diagonal term's blocks are
+blocks one after another, takes each run of equal keys' first value, and
+sums the runs of more than one triplet by ``np.add.reduceat``.  A diagonal term's blocks are
 symmetrized and an off-diagonal term's entries are also gathered for its
 transpose, so A == A.T exactly, and repeated runs are bit-identical.  rho
 enters only through each term's scale, so a rho sweep on one mesh and
@@ -229,10 +229,12 @@ class SumPattern:
     Built from the DOFs of the terms (see ``_form_terms``) alone: the int64
     key row * n + col of every triplet that has no negative DOF, in term
     order, an off-diagonal term's transposed triplets right after its own.
-    One stable sort of the keys gives ``gather``, the position of each
-    sorted triplet's value among the terms' raveled blocks, the ``first``
-    triplet of each run of equal keys, and the CSR ``indices`` and
-    ``indptr``.
+    One stable sort of the keys gives the runs of equal keys, one per entry
+    of the CSR ``indices`` and ``indptr``, and ``head``, the position of
+    each run's first value among the terms' raveled blocks.  Most runs hold
+    one triplet, whose value is the entry.  The longer runs are the entries
+    ``sum_to``: ``sum_from`` lists their triplets' value positions, run by
+    run, and ``sum_starts`` where each run begins in it.
     Terms with other values on the same DOFs (another rho, say) are then
     summed by ``assemble`` without a sort.
     """
@@ -268,14 +270,22 @@ class SumPattern:
         order = np.argsort(key, kind="stable")
         # int32 where it fits: the pattern stays resident through a sweep
         idx = np.int32 if max(n, size, len(key)) < 2**31 else np.int64
-        self.gather = at[order].astype(idx)
+        gather = at[order].astype(idx)
         key = key[order]
         del at, order
-        self.first = np.ones(len(key), dtype=bool)
-        self.first[1:] = key[1:] != key[:-1]
-        key = key[self.first]
+        first = np.ones(len(key) + 1, dtype=bool)
+        first[1:-1] = key[1:] != key[:-1]
+        # a triplet shares its run unless it starts it and the next triplet
+        # starts the next one
+        shared = ~(first[:-1] & first[1:])
+        first = first[:-1]
+        key = key[first]
         self.indices = (key % n).astype(idx)
         self.indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+        self.head = gather[first]
+        self.sum_to = np.flatnonzero(shared[first]).astype(idx)
+        self.sum_from = gather[shared]
+        self.sum_starts = np.flatnonzero(first[shared]).astype(idx)
 
     def assemble(self, n, terms):
         """The (n, n) CSR matrix of ``terms``, which must have the DOFs this
@@ -293,11 +303,11 @@ class SumPattern:
             size = int(np.prod(shape))
             vals[o:o + size].reshape(shape)[...] = _block(w, scale, test, trial)
             o += size
+        sums = vals[self.head]
         # reduceat, not bincount: bincount sums each run in sequence and
         # reduceat long runs pairwise, so their sums differ in the last bit
-        v = vals[self.gather]
-        del vals
-        sums = np.add.reduceat(v, np.flatnonzero(self.first))
+        sums[self.sum_to] = np.add.reduceat(vals[self.sum_from],
+                                            self.sum_starts)
         return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
                              shape=(n, n))
 

@@ -32,6 +32,24 @@ PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
 PARTIAL_PIVOTING = {}
 
+# pencils of at least this many rows get their inf-sup constant by inertia
+# counting, smaller ones by one dense eigensolve: the crossover of the two
+# costs on the inf-sup study's pencils
+COUNTING_MIN_DOFS = 900
+
+# relative width of the final inertia-counting bracket on beta
+BETA_RTOL = 1e-12
+
+# first shift of a bracket search without a guess: not a round number, as
+# a round one can be an exact eigenvalue (sigma = 1 is one of the hdg/rho_h
+# k = 0 pencil)
+COLD_SHIFT = 1.0 / np.pi
+
+# first factor by which a bracket search moves its shift; each further move
+# squares it.  The study's betas at one rho differ by about 1 % from one
+# level to the next, so a bracket from such a guess closes in one move
+BRACKET_STEP = 1.05
+
 
 def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
@@ -194,17 +212,29 @@ def _invert_cell_blocks(blocks):
     return inv * scale[:, :, None] * scale[:, None, :]
 
 
-def min_generalized_singular_value(A, N):
+def min_generalized_singular_value(A, N, guess=None):
     """Smallest |lambda| of N^{-1/2} A N^{-1/2} for symmetric A and SPD N.
 
     Equals min_x max_y (x' A y) / (|x|_N |y|_N), the discrete inf-sup
     constant of A measured in the norm induced by N.
 
-    One dense generalized eigensolve with LAPACK's QR-based ``sygv``, which
-    also factors N by Cholesky, so a non-SPD N raises ValueError from that
-    factorization.  It works in place on fresh Fortran-ordered copies of A
-    and N; the arguments are never modified.
+    A pencil of fewer than ``COUNTING_MIN_DOFS`` rows is solved by one dense
+    eigensolve (``_dense_beta``), a larger one by inertia counting
+    (``_counted_beta``), whose bracket starts from ``guess``, an estimate of
+    beta such as its value on a coarser mesh.  Either way a non-SPD N or
+    non-finite input raises ValueError, and the arguments are never
+    modified.
     """
+    if np.shape(A)[0] < COUNTING_MIN_DOFS:
+        return _dense_beta(A, N)
+    return _counted_beta(A, N, guess)
+
+
+def _dense_beta(A, N):
+    """beta by one dense generalized eigensolve with LAPACK's QR-based
+    ``sygv``, which also factors N by Cholesky, so a non-SPD N raises
+    ValueError from that factorization.  It works in place on fresh
+    Fortran-ordered copies of A and N."""
     Ad = _densify(A)
     Nd = _densify(N)
     if Ad.shape != Nd.shape or Ad.shape[0] != Ad.shape[1]:
@@ -219,6 +249,102 @@ def min_generalized_singular_value(A, N):
             raise
         raise ValueError("norm matrix N must be symmetric positive definite") from exc
     return float(np.min(np.abs(eigvals)))
+
+
+def _counted_beta(A, N, guess=None):
+    """beta by spectrum slicing (Parlett, The Symmetric Eigenvalue Problem,
+    1980, ch. 3).  By Sylvester's law of inertia the number of negative
+    pivots of an LDL^T factorization of A - sigma N is the number of
+    eigenvalues of the pencil below sigma.  beta is the infimum of the
+    sigma > 0 with an eigenvalue in [-sigma, sigma).
+
+    The bracket search starts at ``guess`` (else at ``COLD_SHIFT``) and
+    moves by growing factors until the low end lo holds no eigenvalue in
+    [-lo, lo) and the high end hi some.  Then neg(A) is the count at lo on
+    either side, and bisection factors only the side(s), positive or
+    negative, that still hold an eigenvalue below hi: one factorization a
+    step once one side is left.  It stops when hi - lo <= BETA_RTOL * hi
+    and returns the midpoint.
+
+    Each count is a pivot-free LDL^T (``PIVOT_FREE``), accepted only if its
+    row and column permutations agree; else, or if the factor is exactly
+    singular, SingularMatrixError names the shift.  N is checked SPD by the
+    same factorization with all pivots > 0.  A bracket search that runs out
+    of floating-point range, as for an A singular to working precision,
+    raises SingularMatrixError too.
+    """
+    if guess is not None and not (0.0 < guess < np.inf):
+        raise ValueError("inf-sup guess must be positive and finite, "
+                         "got {!r}".format(guess))
+    A, N = sp.coo_matrix(A), sp.coo_matrix(N)
+    if A.shape != N.shape or A.shape[0] != A.shape[1]:
+        raise ValueError("A and N must be square with equal shapes")
+    if not (np.isfinite(A.data).all() and np.isfinite(N.data).all()):
+        raise ValueError("A and N must not contain infs or NaNs")
+    # A + iN summed on the union of both patterns: its real and imaginary
+    # parts are A and N on one shared CSC structure
+    both = sp.csc_matrix(
+        (np.concatenate([A.data, 1j * N.data]),
+         (np.concatenate([A.row, N.row]), np.concatenate([A.col, N.col]))),
+        shape=A.shape)
+    a, n = both.data.real.copy(), both.data.imag.copy()
+
+    def pivots(values, stage):
+        matrix = sp.csc_matrix((values, both.indices, both.indptr),
+                               shape=A.shape)
+        try:
+            lu = spla.splu(matrix, **PIVOT_FREE)
+        except RuntimeError as exc:
+            raise SingularMatrixError("{}: {}".format(stage, exc)) from exc
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            raise SingularMatrixError(
+                "{}: a zero diagonal pivot forced a row exchange, so the "
+                "factor is no LDL^T".format(stage))
+        return lu.U.diagonal()
+
+    try:
+        spd = np.all(pivots(n, "norm matrix N") > 0.0)
+    except SingularMatrixError:
+        spd = False
+    if not spd:
+        raise ValueError("norm matrix N must be symmetric positive definite")
+
+    def below(sigma):
+        """The number of eigenvalues below sigma."""
+        stage = "inf-sup count at sigma = {!r}".format(sigma)
+        return int(np.count_nonzero(pivots(a - sigma * n, stage) < 0.0))
+
+    lo, hi = 0.0, np.inf
+    sigma = COLD_SHIFT if guess is None else float(guess)
+    factor = BRACKET_STEP
+    while True:
+        up, down = below(sigma), below(-sigma)
+        if up == down:
+            # none in [-sigma, sigma): up is neg(A), the negative count
+            lo, negative = sigma, up
+        else:
+            hi, hi_counts = sigma, (up, down)
+        if lo > 0.0 and hi < np.inf:
+            break
+        sigma = sigma * factor if hi == np.inf else sigma / factor
+        factor *= factor
+        if not 0.0 < sigma < np.inf:
+            raise SingularMatrixError("inf-sup bracket: " + (
+                "no eigenvalue of modulus below sigma = {!r}".format(lo)
+                if hi == np.inf else "eigenvalues in (-sigma, sigma) for "
+                "every sigma down to {!r}: A is singular to working "
+                "precision".format(hi)))
+    # +1: an eigenvalue in (0, hi); -1: one in (-hi, 0)
+    sides = [side for side, count in zip((1, -1), hi_counts)
+             if count != negative]
+    while hi - lo > BETA_RTOL * hi:
+        mid = np.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        hit = [side for side in sides if below(side * mid) != negative]
+        if hit:
+            hi, sides = mid, hit
+        else:
+            lo = mid
+    return float(0.5 * (lo + hi))
 
 
 def _densify(M):

@@ -135,7 +135,8 @@ def test_criterion_8_uniform_infsup():
     details = []
     ok = True
     for (method, regime), rhos in sweeps.items():
-        table = run_infsup_study(method, regime, 0, rhos, levels=(1, 2, 3))
+        table = run_infsup_study(method, regime, 0, rhos,
+                                 levels=(1, 2, 3, 4))
         betas = [r[2] for r in table.rows]
         ratio = max(betas) / min(betas)
         ok = ok and min(betas) > 0.0 and ratio <= 10.0

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from hdgwg import basis
+from hdgwg import assembly, basis, norms
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
@@ -482,3 +482,49 @@ def test_pattern_rejects_another_dof_map():
                          tables, pattern=form)
         with pytest.raises(ValueError, match="another DOF map"):
             assemble_norm_gram(other_mesh, other, tables, pattern=norm)
+
+
+def _sorted_sum(n, terms):
+    """Reference sum of bilinear ``terms`` by one sort of all triplets,
+    written apart from ``SumPattern``: the triplets in term order, an
+    off-diagonal term's transpose right after it, stably sorted by key and
+    each run of equal keys summed by ``np.add.reduceat``."""
+    rows, cols, vals = [], [], []
+    for term in terms:
+        _, _, test, trial = term
+        r, c = test[0], trial[0]
+        r, c = np.broadcast_arrays(
+            (r[:, None] if r.ndim < c.ndim else r)[..., :, None],
+            c[..., None, :])
+        v = np.broadcast_to(assembly._block(*term), r.shape)
+        keep = (r >= 0) & (c >= 0)
+        pairs = [(r, c)] if test is trial else [(r, c), (c, r)]
+        for i, j in pairs:
+            rows.append(i[keep])
+            cols.append(j[keep])
+            vals.append(v[keep])
+    key = np.concatenate(rows).astype(np.int64) * n + np.concatenate(cols)
+    order = np.argsort(key, kind="stable")
+    key, v = key[order], np.concatenate(vals)[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    key = key[starts]
+    return sp.csr_matrix((np.add.reduceat(v, starts), (key // n, key % n)),
+                         shape=(n, n))
+
+
+@pytest.mark.parametrize("method,regime", [("hdg", "inv"), ("wg", "rho_h")])
+def test_sum_pattern_matches_a_sort_of_all_triplets(method, regime):
+    # one-triplet runs are copied and only longer runs summed: the sums
+    # must be those of summing every run, to the bit
+    mesh = build_structured_mesh(16)
+    coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
+    dofs = build_space_triple(mesh, SpaceCase(method, regime, 1, 1e-3))
+    tables = ElementTables(mesh, dofs.case)
+    asm = assemble_hdg if method == "hdg" else assemble_wg
+    pairs = [
+        (asm(mesh, dofs, coeff, ONE, tables).matrix,
+         list(assembly._form_terms(mesh, dofs, tables, coeff))),
+        (assemble_norm_gram(mesh, dofs, tables, coeff=coeff),
+         list(norms._gram_terms(mesh, dofs, coeff, tables)))]
+    for matrix, terms in pairs:
+        assert _bit_identical(matrix, _sorted_sum(dofs.total, terms))

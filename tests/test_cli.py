@@ -196,6 +196,15 @@ def test_infsup_command(tmp_path):
     assert all(float(r[2]) > 0.0 for r in rows)
 
 
+def test_infsup_runs_past_the_dense_range(tmp_path):
+    # level 4 (2,784 DOFs) is solved by inertia counting; there is no cap
+    rc = cli.main(["infsup", "--method", "hdg", "--regime", "rho-h",
+                   "--k", "0", "--level-list", "4", "--outdir", str(tmp_path)])
+    assert rc == 0
+    _, rows = _read_csv(tmp_path / "infsup.csv")
+    assert rows and all(float(r[2]) > 0.0 for r in rows)
+
+
 def test_dump_matrix_round_trips(tmp_path, monkeypatch):
     # the dumped matrix is the first level's solved system, exactly: the
     # varcoef case tells the solve's quadrature rule from any other

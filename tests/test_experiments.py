@@ -5,7 +5,6 @@ import pytest
 
 from hdgwg import assembly, cli, experiments
 from hdgwg.experiments import (
-    INFSUP_DOF_LIMIT,
     manufactured_case,
     run_convergence_study,
     run_infsup_study,
@@ -135,24 +134,22 @@ def test_infsup_study_positive_betas():
         assert beta > 0.0
 
 
-def test_infsup_dof_limit():
-    with pytest.raises(ValueError):
-        run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(5,))
-    assert INFSUP_DOF_LIMIT == 2000
-
-
-def test_infsup_dof_limit_checked_before_any_eigensolve(monkeypatch):
+def test_infsup_guess_is_the_previous_level_else_the_previous_rho(
+        monkeypatch):
+    # each eigensolve starts from the beta nearest to it: the same rho one
+    # level down, else the rho before it on the same level
     calls = []
 
-    def counting(A, N):
-        calls.append(A.shape[0])
-        return 1.0
+    def recording(A, N, guess=None):
+        calls.append((A.shape[0], guess))
+        return float(len(calls))
 
     monkeypatch.setattr(experiments, "min_generalized_singular_value",
-                        counting)
-    with pytest.raises(ValueError, match="level 5 has"):
-        run_infsup_study("wg", "rho_h", 1, rhos=[1.0], levels=(1, 2, 5))
-    assert calls == []
+                        recording)
+    table = run_infsup_study("wg", "rho_h", 0, rhos=[1.0, 1e-2, 1e-4],
+                             levels=(1, 2))
+    assert [beta for _, _, beta in table.rows] == [1, 2, 3, 4, 5, 6]
+    assert [guess for _, guess in calls] == [None, 1, 2, 1, 2, 3]
 
 
 def test_one_element_tables_per_mesh_and_space(monkeypatch, tmp_path):

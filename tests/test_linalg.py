@@ -276,15 +276,23 @@ def test_refinement_rejects_a_non_finite_correction():
         linalg._refine(sp.identity(4, format="csr"), b, solve, 1e-10)
 
 
+# the two routes of min_generalized_singular_value.  Every beta test runs
+# both with the same bounds: the inputs are all below the crossover, so the
+# public function alone would reach the dense route only
+BETA_ROUTES = (linalg._dense_beta, linalg._counted_beta)
+
+
 def test_beta_of_identity_pencil():
     N = sp.eye(5, format="csr")
-    assert abs(min_generalized_singular_value(N, N) - 1.0) < 1e-12
+    for route in BETA_ROUTES:
+        assert abs(route(N, N) - 1.0) < 1e-12
 
 
 def test_beta_diagonal():
     A = sp.diags([3.0, -1.0, 5.0]).tocsr()
     N = sp.eye(3, format="csr")
-    assert abs(min_generalized_singular_value(A, N) - 1.0) < 1e-12
+    for route in BETA_ROUTES:
+        assert abs(route(A, N) - 1.0) < 1e-12
 
 
 def test_beta_matches_svd_oracle():
@@ -295,18 +303,19 @@ def test_beta_matches_svd_oracle():
     A = B + B.T
     C = rng.standard_normal((5, 5))
     N = C @ C.T + 5.0 * np.eye(5)
-    beta = min_generalized_singular_value(sp.csr_matrix(A), sp.csr_matrix(N))
     L = np.linalg.cholesky(N)
     M = np.linalg.solve(L, np.linalg.solve(L, A).T).T
     ref = np.linalg.svd(M, compute_uv=False).min()
-    assert abs(beta - ref) < 1e-10
+    betas = [route(sp.csr_matrix(A), sp.csr_matrix(N))
+             for route in BETA_ROUTES]
+    assert all(abs(beta - ref) < 1e-10 for beta in betas)
     # random N-unit vectors never dip below beta in the dual norm
     Ninv = np.linalg.inv(N)
     for _ in range(2000):
         x = rng.standard_normal(5)
         x /= np.sqrt(x @ (N @ x))
         y = A @ x
-        assert np.sqrt(y @ (Ninv @ y)) >= beta - 1e-10
+        assert np.sqrt(y @ (Ninv @ y)) >= max(betas) - 1e-10
 
 
 def test_beta_congruence_invariance():
@@ -317,17 +326,21 @@ def test_beta_congruence_invariance():
     C = rng.standard_normal((12, 12))
     N = C @ C.T + 12.0 * np.eye(12)
     S = np.diag(np.exp(rng.uniform(-2, 2, size=12)))
-    b1 = min_generalized_singular_value(A, N)
-    b2 = min_generalized_singular_value(S @ A @ S, S @ N @ S)
-    assert abs(b1 - b2) < 1e-8 * max(b1, 1.0)
+    for route in BETA_ROUTES:
+        b1 = route(A, N)
+        b2 = route(S @ A @ S, S @ N @ S)
+        assert abs(b1 - b2) < 1e-8 * max(b1, 1.0)
 
 
 def test_beta_requires_spd_norm():
     A = np.eye(3)
-    with pytest.raises(ValueError):
-        min_generalized_singular_value(A, np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        min_generalized_singular_value(np.eye(3), np.eye(4))
+    for route in BETA_ROUTES:
+        for N in (np.diag([1.0, -1.0, 1.0]), np.diag([1.0, 0.0, 1.0]),
+                  np.array([[1.0, 2.0], [2.0, 1.0]])):
+            with pytest.raises(ValueError, match="positive definite"):
+                route(np.eye(len(N)), N)
+        with pytest.raises(ValueError):
+            route(A, np.eye(4))
 
 
 INFSUP_INPUTS = [
@@ -347,10 +360,11 @@ def test_beta_matches_cholesky_eigh_oracle(method, regime, k, rho, mesh_name):
     coeff = CoefficientField(alpha=manufactured_case("varcoef").alpha)
     N = assemble_norm_gram(mesh, dofs, ElementTables(mesh, dofs.case),
                            coeff=coeff)
-    beta = min_generalized_singular_value(A, N)
     ref = cellwise.min_generalized_singular_value(A, N)
-    assert beta > 0.0
-    assert abs(beta - ref) <= 1e-10 * ref
+    for route in BETA_ROUTES:
+        beta = route(A, N)
+        assert beta > 0.0
+        assert abs(beta - ref) <= 1e-10 * ref
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
@@ -362,25 +376,98 @@ def test_beta_leaves_its_inputs_unchanged(order):
     A = np.array(B + B.T, order=order)
     N = np.array(C @ C.T + 8.0 * np.eye(8), order=order)
     A0, N0 = A.copy(), N.copy()
-    b1 = min_generalized_singular_value(A, N)
-    assert np.array_equal(A, A0) and np.array_equal(N, N0)
-    assert min_generalized_singular_value(A, N) == b1
     As, Ns = sp.csr_matrix(A), sp.csr_matrix(N)
     As0, Ns0 = As.copy(), Ns.copy()
-    assert min_generalized_singular_value(As, Ns) == pytest.approx(b1,
-                                                                   rel=1e-12)
-    assert (As != As0).nnz == 0 and (Ns != Ns0).nnz == 0
+    for route in BETA_ROUTES:
+        b1 = route(A, N)
+        assert np.array_equal(A, A0) and np.array_equal(N, N0)
+        assert route(A, N) == b1
+        assert route(As, Ns) == pytest.approx(b1, rel=1e-12)
+        assert (As != As0).nnz == 0 and (Ns != Ns0).nnz == 0
 
 
 @pytest.mark.parametrize("which", ["A", "N"])
 def test_beta_rejects_non_finite_input(which):
     A, N = np.eye(3), np.eye(3)
     (A if which == "A" else N)[1, 1] = np.nan
-    # rejected by the finiteness check, before LAPACK sees the NaN
-    with pytest.raises(ValueError, match="NaN"):
-        min_generalized_singular_value(A, N)
-    with pytest.raises(ValueError, match="NaN"):
-        min_generalized_singular_value(sp.csr_matrix(A), sp.csr_matrix(N))
+    # rejected by a finiteness check, before LAPACK or SuperLU sees the NaN
+    for route in BETA_ROUTES:
+        with pytest.raises(ValueError, match="NaN"):
+            route(A, N)
+        with pytest.raises(ValueError, match="NaN"):
+            route(sp.csr_matrix(A), sp.csr_matrix(N))
+
+
+@pytest.fixture(scope="module")
+def level_4_pencil():
+    """hdg/rho_h, k = 0, rho = 1 at level 4: 2,784 DOFs, over the
+    crossover.  sigma = 1 cancels its flux mass: the diagonal of A - N has
+    zeros there."""
+    mesh = build_structured_mesh(16)
+    case = SpaceCase("hdg", "rho_h", 0, 1.0)
+    dofs = build_space_triple(mesh, case)
+    tables = ElementTables(mesh, case)
+    coeff = CoefficientField.unit()
+    A = assemble_hdg(mesh, dofs, coeff, lambda xy: np.zeros(len(xy)),
+                     tables).matrix
+    return A, assemble_norm_gram(mesh, dofs, tables, coeff=coeff)
+
+
+def test_beta_above_the_crossover_matches_cholesky_eigh_oracle(
+        level_4_pencil):
+    A, N = level_4_pencil
+    assert A.shape[0] >= linalg.COUNTING_MIN_DOFS
+    beta = min_generalized_singular_value(A, N)
+    ref = cellwise.min_generalized_singular_value(A, N)
+    assert abs(beta - ref) <= 1e-10 * ref
+
+
+def test_counted_beta_does_not_depend_on_the_guess(level_4_pencil):
+    A, N = level_4_pencil
+    cold = linalg._counted_beta(A, N)
+    for guess in (10.0 * cold, 0.1 * cold):
+        assert linalg._counted_beta(A, N, guess) == pytest.approx(cold,
+                                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("n,route", [
+    (linalg.COUNTING_MIN_DOFS - 1, "_dense_beta"),
+    (linalg.COUNTING_MIN_DOFS, "_counted_beta")])
+def test_beta_route_follows_the_pencil_size(monkeypatch, n, route):
+    calls = []
+
+    def recorder(name):
+        def record(A, N, *guess):
+            calls.append((name, guess))
+            return 0.5
+        return record
+
+    for name in ("_dense_beta", "_counted_beta"):
+        monkeypatch.setattr(linalg, name, recorder(name))
+    identity = sp.eye(n, format="csr")
+    assert min_generalized_singular_value(identity, identity, 0.3) == 0.5
+    assert calls == [(route, (0.3,) if route == "_counted_beta" else ())]
+
+
+def test_counted_beta_never_counts_from_a_bad_factor(level_4_pencil):
+    # an exactly singular shift, and one whose zero diagonal forces a row
+    # exchange, raise naming the shift; so does a pencil with beta = 0
+    N = sp.eye(4, format="csr")
+    with pytest.raises(SingularMatrixError,
+                       match="inf-sup count at sigma = 1.0: .*singular"):
+        linalg._counted_beta(N, N, guess=1.0)
+    with pytest.raises(SingularMatrixError,
+                       match="inf-sup count at sigma = 1.0: .*row exchange"):
+        linalg._counted_beta(*level_4_pencil, guess=1.0)
+    with pytest.raises(SingularMatrixError, match="singular to working"):
+        linalg._counted_beta(sp.diags([0.0, 1.0, 2.0]), N[:3, :3])
+
+
+@pytest.mark.parametrize("guess", [0.0, -1.0, float("nan"), float("inf")])
+def test_counted_beta_rejects_a_bad_guess(guess):
+    N = sp.eye(3, format="csr")
+    with pytest.raises(ValueError, match="guess"):
+        linalg._counted_beta(N, N, guess)
 
 
 def test_matrix_io_round_trip():

@@ -112,9 +112,8 @@ def test_element_tables_are_built_by_the_studies():
     assert builders == {"experiments.py"}
 
 
-def test_every_solve_goes_through_one_call_site():
-    # all six methods are solved by experiments._solve_case: a call
-    # elsewhere would be a second pipeline to keep in step with it
+def _call_sites(name):
+    """(module, enclosing function) of every call to ``name`` in ``hdgwg``."""
     sites = []
 
     def visit(module, node, function):
@@ -122,7 +121,7 @@ def test_every_solve_goes_through_one_call_site():
             func = node.func
             called = func.attr if isinstance(func, ast.Attribute) else (
                 getattr(func, "id", None))
-            if called == "solve_symmetric_indefinite":
+            if called == name:
                 sites.append((module, function))
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
@@ -131,7 +130,24 @@ def test_every_solve_goes_through_one_call_site():
 
     for path in SOURCE.glob("*.py"):
         visit(path.name, ast.parse(path.read_text(), filename=str(path)), None)
-    assert sites == [("experiments.py", "_solve_case")]
+    return sites
+
+
+def test_every_solve_goes_through_one_call_site():
+    # all six methods are solved by experiments._solve_case: a call
+    # elsewhere would be a second pipeline to keep in step with it
+    assert _call_sites("solve_symmetric_indefinite") == [
+        ("experiments.py", "_solve_case")]
+
+
+def test_factorizations_and_eigensolves_stay_in_linalg():
+    # sparse LU and dense eigensolves run in hdgwg.linalg only, and the
+    # inf-sup study asks for beta in one place, so the eigensolve's route
+    # and its guess are chosen once
+    for name in ("splu", "eigh"):
+        assert _callers(name)[0] == {"linalg.py"}
+    assert _call_sites("min_generalized_singular_value") == [
+        ("experiments.py", "run_infsup_study")]
 
 
 def test_cli_imports_the_studies_and_the_solver_errors_only():
