@@ -24,6 +24,7 @@ from .assembly import (
     form_pattern,
 )
 from .linalg import (
+    SingularMatrixError,
     min_generalized_singular_value,
     solve_symmetric_indefinite,
     write_matrix,
@@ -242,7 +243,11 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
     """Discrete inf-sup constants beta(h, rho), with the unit coefficient.
 
     Each eigensolve starts from a guess: the previous level's beta at the
-    same rho, else the previous rho's beta on this level.
+    same rho, else the previous rho's beta on this level.  Once two levels
+    have a beta at this rho, their relative change is passed with it as the
+    guess's expected error.  A Gram matrix that is not SPD, or a failed
+    eigensolve, raises SingularMatrixError naming the level and rho: the
+    study built both matrices, so either is a numerical failure.
     """
     if len(rhos) == 0 or len(levels) == 0:
         raise ValueError("empty inf-sup sweep: rhos {}, levels {}".format(
@@ -250,7 +255,7 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
     coeff = CoefficientField.unit()
     zero = lambda xy: np.zeros(len(xy))
     table = InfSupTable()
-    previous = {}  # rho -> beta on the previous level
+    previous = {}  # rho -> betas of the levels so far
     for level in levels:
         mesh = build_structured_mesh(2**level)
         instances = [build_space_triple(mesh, SpaceCase(
@@ -267,10 +272,18 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
             system = _assemble(mesh, dofs, coeff, zero, tables, form)
             gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
                                       pattern=norm)
-            guess = previous.get(rho, guess)
-            beta = min_generalized_singular_value(system.matrix, gram,
-                                                  guess=guess)
-            previous[rho] = guess = beta
+            betas = previous.setdefault(rho, [])
+            guess = betas[-1] if betas else guess
+            change = (abs(betas[-1] - betas[-2]) / betas[-1]
+                      if len(betas) > 1 else None)
+            try:
+                beta = min_generalized_singular_value(
+                    system.matrix, gram, guess=guess, guess_rtol=change)
+            except (ValueError, SingularMatrixError) as exc:
+                raise SingularMatrixError("inf-sup at level {}, rho = {!r}: {}"
+                                          .format(level, rho, exc)) from exc
+            betas.append(beta)
+            guess = beta
             table.rows.append((mesh.h_max, rho, beta))
     return table
 

@@ -31,11 +31,13 @@ REFINEMENT_STEPS = 5
 PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
 PARTIAL_PIVOTING = {}
+# the pivot-free options on a matrix already in its fill-reducing order
+ORDERED_PIVOT_FREE = dict(PIVOT_FREE, permc_spec="NATURAL")
 
 # pencils of at least this many rows get their inf-sup constant by inertia
 # counting, smaller ones by one dense eigensolve: the crossover of the two
 # costs on the inf-sup study's pencils
-COUNTING_MIN_DOFS = 900
+COUNTING_MIN_DOFS = 600
 
 # relative width of the final inertia-counting bracket on beta
 BETA_RTOL = 1e-12
@@ -45,10 +47,15 @@ BETA_RTOL = 1e-12
 # k = 0 pencil)
 COLD_SHIFT = 1.0 / np.pi
 
-# first factor by which a bracket search moves its shift; each further move
+# first factor by which a bracket search moves its shift when the guess
+# has no stated error, and the largest one when it has; each further move
 # squares it.  The study's betas at one rho differ by about 1 % from one
 # level to the next, so a bracket from such a guess closes in one move
 BRACKET_STEP = 1.05
+
+# smallest first move of a bracket search from a guess with a stated
+# relative error (see _counted_beta), so that a zero error still moves
+BRACKET_RTOL_MIN = 1e-6
 
 
 def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
@@ -212,7 +219,7 @@ def _invert_cell_blocks(blocks):
     return inv * scale[:, :, None] * scale[:, None, :]
 
 
-def min_generalized_singular_value(A, N, guess=None):
+def min_generalized_singular_value(A, N, guess=None, guess_rtol=None):
     """Smallest |lambda| of N^{-1/2} A N^{-1/2} for symmetric A and SPD N.
 
     Equals min_x max_y (x' A y) / (|x|_N |y|_N), the discrete inf-sup
@@ -221,13 +228,14 @@ def min_generalized_singular_value(A, N, guess=None):
     A pencil of fewer than ``COUNTING_MIN_DOFS`` rows is solved by one dense
     eigensolve (``_dense_beta``), a larger one by inertia counting
     (``_counted_beta``), whose bracket starts from ``guess``, an estimate of
-    beta such as its value on a coarser mesh.  Either way a non-SPD N or
-    non-finite input raises ValueError, and the arguments are never
-    modified.
+    beta such as its value on a coarser mesh, and is first sized by
+    ``guess_rtol``, the guess's expected relative error.  Either way a
+    non-SPD N or non-finite input raises ValueError, and the arguments are
+    never modified.
     """
     if np.shape(A)[0] < COUNTING_MIN_DOFS:
         return _dense_beta(A, N)
-    return _counted_beta(A, N, guess)
+    return _counted_beta(A, N, guess, guess_rtol)
 
 
 def _dense_beta(A, N):
@@ -251,79 +259,66 @@ def _dense_beta(A, N):
     return float(np.min(np.abs(eigvals)))
 
 
-def _counted_beta(A, N, guess=None):
+def _counted_beta(A, N, guess=None, guess_rtol=None):
     """beta by spectrum slicing (Parlett, The Symmetric Eigenvalue Problem,
     1980, ch. 3).  By Sylvester's law of inertia the number of negative
     pivots of an LDL^T factorization of A - sigma N is the number of
-    eigenvalues of the pencil below sigma.  beta is the infimum of the
-    sigma > 0 with an eigenvalue in [-sigma, sigma).
+    eigenvalues of the pencil below sigma, and the product of the pivots
+    is det(A - sigma N).  beta is the infimum of the sigma > 0 with an
+    eigenvalue in [-sigma, sigma).
 
     The bracket search starts at ``guess`` (else at ``COLD_SHIFT``) and
     moves by growing factors until the low end lo holds no eigenvalue in
-    [-lo, lo) and the high end hi some.  Then neg(A) is the count at lo on
-    either side, and bisection factors only the side(s), positive or
-    negative, that still hold an eigenvalue below hi: one factorization a
-    step once one side is left.  It stops when hi - lo <= BETA_RTOL * hi
-    and returns the midpoint.
+    [-lo, lo) and the high end hi some.  The first factor is 1 +
+    ``guess_rtol``, the expected relative error of the guess, within
+    [1 + ``BRACKET_RTOL_MIN``, ``BRACKET_STEP``]; without it,
+    ``BRACKET_STEP``.  Then neg(A) is the count at lo on either side, and
+    only the side(s), positive or negative, that still hold an eigenvalue
+    below hi are factored.  While they hold more than one, the next shift
+    bisects the bracket.  Once one side holds exactly one, the determinant
+    changes sign across the bracket exactly once, and the next shift is
+    the Illinois regula falsi root of it: the sign from the count, the
+    magnitude from the log of the pivots.  Whenever two steps fail to
+    halve the bracket, the next one bisects.  It stops when hi - lo <=
+    BETA_RTOL * hi and returns the midpoint; every bracket end is a count.
 
-    Each count is a pivot-free LDL^T (``PIVOT_FREE``), accepted only if its
-    row and column permutations agree; else, or if the factor is exactly
-    singular, SingularMatrixError names the shift.  N is checked SPD by the
-    same factorization with all pivots > 0.  A bracket search that runs out
-    of floating-point range, as for an A singular to working precision,
-    raises SingularMatrixError too.
+    N is checked SPD by a pivot-free LDL^T (``PIVOT_FREE``) with all
+    pivots > 0.  Its fill-reducing order is applied once to the shared
+    structure of A and N, and every count factors in that order.  A factor
+    is accepted only if its row and column permutations agree; else, or if
+    it is exactly singular, SingularMatrixError names the shift.  A bracket
+    search that runs out of floating-point range, as for an A singular to
+    working precision, raises SingularMatrixError too.
     """
     if guess is not None and not (0.0 < guess < np.inf):
         raise ValueError("inf-sup guess must be positive and finite, "
                          "got {!r}".format(guess))
-    A, N = sp.coo_matrix(A), sp.coo_matrix(N)
-    if A.shape != N.shape or A.shape[0] != A.shape[1]:
-        raise ValueError("A and N must be square with equal shapes")
-    if not (np.isfinite(A.data).all() and np.isfinite(N.data).all()):
-        raise ValueError("A and N must not contain infs or NaNs")
-    # A + iN summed on the union of both patterns: its real and imaginary
-    # parts are A and N on one shared CSC structure
-    both = sp.csc_matrix(
-        (np.concatenate([A.data, 1j * N.data]),
-         (np.concatenate([A.row, N.row]), np.concatenate([A.col, N.col]))),
-        shape=A.shape)
-    a, n = both.data.real.copy(), both.data.imag.copy()
+    if guess_rtol is not None and not (0.0 <= guess_rtol < np.inf):
+        raise ValueError("inf-sup guess_rtol must be non-negative and "
+                         "finite, got {!r}".format(guess_rtol))
+    a, n, indices, indptr = _ordered_pencil(A, N)
+    shape = (len(indptr) - 1,) * 2
 
-    def pivots(values, stage):
-        matrix = sp.csc_matrix((values, both.indices, both.indptr),
-                               shape=A.shape)
-        try:
-            lu = spla.splu(matrix, **PIVOT_FREE)
-        except RuntimeError as exc:
-            raise SingularMatrixError("{}: {}".format(stage, exc)) from exc
-        if not np.array_equal(lu.perm_r, lu.perm_c):
-            raise SingularMatrixError(
-                "{}: a zero diagonal pivot forced a row exchange, so the "
-                "factor is no LDL^T".format(stage))
-        return lu.U.diagonal()
-
-    try:
-        spd = np.all(pivots(n, "norm matrix N") > 0.0)
-    except SingularMatrixError:
-        spd = False
-    if not spd:
-        raise ValueError("norm matrix N must be symmetric positive definite")
-
-    def below(sigma):
-        """The number of eigenvalues below sigma."""
-        stage = "inf-sup count at sigma = {!r}".format(sigma)
-        return int(np.count_nonzero(pivots(a - sigma * n, stage) < 0.0))
+    def count(sigma):
+        """The number of eigenvalues below sigma, and log|det(A - sigma N)|,
+        both from the pivots."""
+        _, d = _ldlt_pivots(
+            sp.csc_matrix((a - sigma * n, indices, indptr), shape=shape),
+            ORDERED_PIVOT_FREE, "inf-sup count at sigma = {!r}".format(sigma))
+        return (int(np.count_nonzero(d < 0.0)),
+                float(np.sum(np.log(np.abs(d)))))
 
     lo, hi = 0.0, np.inf
     sigma = COLD_SHIFT if guess is None else float(guess)
-    factor = BRACKET_STEP
+    factor = BRACKET_STEP if guess_rtol is None else 1.0 + min(
+        max(guess_rtol, BRACKET_RTOL_MIN), BRACKET_STEP - 1.0)
     while True:
-        up, down = below(sigma), below(-sigma)
-        if up == down:
-            # none in [-sigma, sigma): up is neg(A), the negative count
-            lo, negative = sigma, up
+        counted = {side: count(side * sigma) for side in (1, -1)}
+        if counted[1][0] == counted[-1][0]:
+            # none in [-sigma, sigma): the count is neg(A)
+            lo, at_lo, negative = sigma, counted, counted[1][0]
         else:
-            hi, hi_counts = sigma, (up, down)
+            hi, at_hi = sigma, counted
         if lo > 0.0 and hi < np.inf:
             break
         sigma = sigma * factor if hi == np.inf else sigma / factor
@@ -335,16 +330,88 @@ def _counted_beta(A, N, guess=None):
                 "every sigma down to {!r}: A is singular to working "
                 "precision".format(hi)))
     # +1: an eigenvalue in (0, hi); -1: one in (-hi, 0)
-    sides = [side for side, count in zip((1, -1), hi_counts)
-             if count != negative]
+    sides = [side for side in (1, -1) if at_hi[side][0] != negative]
+    widths, moved, halved = [], 0, {1: 0, -1: 0}
     while hi - lo > BETA_RTOL * hi:
-        mid = np.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
-        hit = [side for side in sides if below(side * mid) != negative]
-        if hit:
-            hi, sides = mid, hit
+        widths.append(hi - lo)
+        side = sides[0]
+        isolated = len(sides) == 1 and abs(at_hi[side][0] - negative) == 1
+        if isolated and (len(widths) < 3 or widths[-1] < 0.5 * widths[-3]):
+            # the regula falsi root 1 / (1 + |det(hi)| / |det(lo)|) of the
+            # way from lo to hi, each end's |det| scaled down by 2^halved,
+            # at least 0.4 BETA_RTOL hi from either end
+            log_ratio = (at_hi[side][1] - at_lo[side][1]
+                         - (halved[1] - halved[-1]) * np.log(2.0))
+            root = lo + 0.5 * (1.0 - np.tanh(0.5 * log_ratio)) * (hi - lo)
+            gap = 0.4 * BETA_RTOL * hi
+            mid = min(max(root, lo + gap), hi - gap)
         else:
-            lo = mid
+            mid = np.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        counted = {side: count(side * mid) for side in sides}
+        hit = [side for side in sides if counted[side][0] != negative]
+        # Illinois: an end kept for a second step in a row has its |det|
+        # halved again; a new end starts unscaled
+        end = 1 if hit else -1
+        if moved == end:
+            halved[-end] += 1
+        halved[end], moved = 0, end
+        if hit:
+            hi, at_hi, sides = mid, counted, hit
+        else:
+            lo, at_lo = mid, counted
     return float(0.5 * (lo + hi))
+
+
+def _ordered_pencil(A, N):
+    """A and N on the union of their patterns, in the fill-reducing order
+    of N's SPD check: the values of A and of N, and the shared CSC row
+    indices and column pointers.  Only these outlive the call, so no
+    unordered copy of the pencil stays in memory through the counts."""
+    A, N = sp.coo_matrix(A), sp.coo_matrix(N)
+    if A.shape != N.shape or A.shape[0] != A.shape[1]:
+        raise ValueError("A and N must be square with equal shapes")
+    if not (np.isfinite(A.data).all() and np.isfinite(N.data).all()):
+        raise ValueError("A and N must not contain infs or NaNs")
+    # A + iN summed on the union of both patterns: its real and imaginary
+    # parts are A and N on one shared CSC structure
+    both = sp.csc_matrix(
+        (np.concatenate([A.data, 1j * N.data]),
+         (np.concatenate([A.row, N.row]), np.concatenate([A.col, N.col]))),
+        shape=A.shape)
+    try:
+        order, d = _ldlt_pivots(
+            sp.csc_matrix((both.data.imag.copy(), both.indices, both.indptr),
+                          shape=A.shape), PIVOT_FREE, "norm matrix N")
+        spd = np.all(d > 0.0)
+    except SingularMatrixError:
+        spd = False
+    if not spd:
+        raise ValueError("norm matrix N must be symmetric positive definite")
+    # the order moves entry (i, j) to (order[i], order[j]): sort the moved
+    # entries by column, then row, and gather the values in that order
+    rows = order[both.indices]
+    cols = order[np.repeat(np.arange(A.shape[1]), np.diff(both.indptr))]
+    gather = np.lexsort((rows, cols))
+    indptr = np.zeros_like(both.indptr)
+    np.cumsum(np.bincount(cols, minlength=A.shape[1]), out=indptr[1:])
+    return (both.data.real[gather], both.data.imag[gather], rows[gather],
+            indptr)
+
+
+def _ldlt_pivots(matrix, options, stage):
+    """Column order and pivots of a pivot-free LDL^T of ``matrix`` by
+    ``splu`` with ``options``.  An exactly singular factor, or one whose
+    row and column permutations differ, raises SingularMatrixError naming
+    ``stage``."""
+    try:
+        lu = spla.splu(matrix, **options)
+    except RuntimeError as exc:
+        raise SingularMatrixError("{}: {}".format(stage, exc)) from exc
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise SingularMatrixError(
+            "{}: a zero diagonal pivot forced a row exchange, so the "
+            "factor is no LDL^T".format(stage))
+    return lu.perm_c, lu.U.diagonal()
 
 
 def _densify(M):

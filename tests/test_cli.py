@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import hdgwg
-from hdgwg import cli, experiments
+from hdgwg import cli, experiments, linalg
 
 from cellwise import read_matrix
 
@@ -205,6 +205,33 @@ def test_infsup_runs_past_the_dense_range(tmp_path):
     assert rows and all(float(r[2]) > 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("method,regime", [("hdg", "inv"), ("wg", "rho-h")])
+def test_infsup_gram_breakdown_is_a_numerical_failure(tmp_path, capsys,
+                                                      method, regime):
+    # at rho = 1e-16 the study's own Gram matrix loses definiteness to
+    # rounding: a numerical failure (exit 1), not a bad flag (exit 2)
+    rc = cli.main(["infsup", "--method", method, "--regime", regime,
+                   "--k", "0", "--rhos", "1e-16", "--level-list", "1",
+                   "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: inf-sup at level 1, rho = 1e-16: norm matrix N "
+        "must be symmetric positive definite\n")
+
+
+def test_infsup_count_failure_names_level_and_rho(tmp_path, capsys):
+    # the level-3 pencil (992 DOFs) at rho = 1e-14 hits a zero pivot at
+    # sigma = -guess, the guess being the level-2 beta
+    rc = cli.main(["infsup", "--method", "hdg", "--regime", "inv",
+                   "--k", "0", "--rhos", "1e-14", "--level-list", "1,2,3",
+                   "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert re.fullmatch(
+        r"numerical failure: inf-sup at level 3, rho = 1e-14: inf-sup count "
+        r"at sigma = \S+: a zero diagonal pivot forced a row exchange, so "
+        r"the factor is no LDL\^T\n", capsys.readouterr().err)
+
+
 def test_dump_matrix_round_trips(tmp_path, monkeypatch):
     # the dumped matrix is the first level's solved system, exactly: the
     # varcoef case tells the solve's quadrature rule from any other
@@ -284,3 +311,13 @@ def test_readme_names_every_option():
                if action.dest != "help"
                and not re.search(re.escape(option) + r"(?![\w-])", readme)}
     assert missing == set()
+
+
+def test_readme_states_the_counting_crossover():
+    # the pencil size from which beta is counted, wherever README gives it
+    readme = (pathlib.Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    stated = re.findall(r"COUNTING_MIN_DOFS` = (\d+)", readme)
+    stated += re.findall(r"Pencils of (\d+) DOFs or more", readme)
+    assert len(stated) == 2
+    assert set(stated) == {str(linalg.COUNTING_MIN_DOFS)}

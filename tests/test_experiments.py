@@ -137,19 +137,23 @@ def test_infsup_study_positive_betas():
 def test_infsup_guess_is_the_previous_level_else_the_previous_rho(
         monkeypatch):
     # each eigensolve starts from the beta nearest to it: the same rho one
-    # level down, else the rho before it on the same level
+    # level down, else the rho before it on the same level.  Its expected
+    # error is the relative change of beta over the two levels below at the
+    # same rho, None until two exist
     calls = []
 
-    def recording(A, N, guess=None):
-        calls.append((A.shape[0], guess))
+    def recording(A, N, guess=None, guess_rtol=None):
+        calls.append((A.shape[0], guess, guess_rtol))
         return float(len(calls))
 
     monkeypatch.setattr(experiments, "min_generalized_singular_value",
                         recording)
     table = run_infsup_study("wg", "rho_h", 0, rhos=[1.0, 1e-2, 1e-4],
-                             levels=(1, 2))
-    assert [beta for _, _, beta in table.rows] == [1, 2, 3, 4, 5, 6]
-    assert [guess for _, guess in calls] == [None, 1, 2, 1, 2, 3]
+                             levels=(1, 2, 3))
+    assert [beta for _, _, beta in table.rows] == list(range(1, 10))
+    assert [guess for _, guess, _ in calls] == [None, 1, 2, 1, 2, 3, 4, 5, 6]
+    assert [rtol for _, _, rtol in calls] == [None] * 6 + [3 / 4, 3 / 5,
+                                                           3 / 6]
 
 
 def test_one_element_tables_per_mesh_and_space(monkeypatch, tmp_path):

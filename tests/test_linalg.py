@@ -1,8 +1,10 @@
+import functools
 import io
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hdgwg.assembly import (
     CoefficientField,
@@ -12,8 +14,8 @@ from hdgwg.assembly import (
     assemble_primal_conforming,
     assemble_wg,
 )
-from hdgwg import linalg
-from hdgwg.experiments import manufactured_case
+from hdgwg import experiments, linalg
+from hdgwg.experiments import manufactured_case, run_infsup_study
 from hdgwg.linalg import (
     SingularMatrixError,
     min_generalized_singular_value,
@@ -413,11 +415,41 @@ def level_4_pencil():
     return A, assemble_norm_gram(mesh, dofs, tables, coeff=coeff)
 
 
+@functools.lru_cache(maxsize=None)
+def _study_pencil(method, regime, k, rho):
+    """The level-3 pencil of ``run_infsup_study`` at rho, with the guess
+    and guess_rtol that the study passes it."""
+    seen = []
+
+    def capture(A, N, guess=None, guess_rtol=None):
+        seen.append((A, N, guess, guess_rtol))
+        return min_generalized_singular_value(A, N, guess, guess_rtol)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "min_generalized_singular_value", capture)
+        run_infsup_study(method, regime, k, rhos=[rho], levels=(1, 2, 3))
+    return seen[-1]
+
+
 def test_beta_above_the_crossover_matches_cholesky_eigh_oracle(
         level_4_pencil):
     A, N = level_4_pencil
     assert A.shape[0] >= linalg.COUNTING_MIN_DOFS
     beta = min_generalized_singular_value(A, N)
+    ref = cellwise.min_generalized_singular_value(A, N)
+    assert abs(beta - ref) <= 1e-10 * ref
+
+
+# the two most clustered level-3 pencils of the study, with its guess and
+# guess_rtol: the eigenvalue above beta sits 4.5e-10 (wg/rho_h) and 1.2e-11
+# (wg/inv) relative above it, so the root-finding must hand back to
+# bisection there
+@pytest.mark.parametrize("method,regime,rho", [("wg", "rho_h", 1e-4),
+                                               ("wg", "inv", 1e-2)])
+def test_clustered_pencil_matches_cholesky_eigh_oracle(method, regime, rho):
+    A, N, guess, guess_rtol = _study_pencil(method, regime, 1, rho)
+    assert A.shape[0] >= linalg.COUNTING_MIN_DOFS and guess_rtol is not None
+    beta = min_generalized_singular_value(A, N, guess, guess_rtol)
     ref = cellwise.min_generalized_singular_value(A, N)
     assert abs(beta - ref) <= 1e-10 * ref
 
@@ -430,9 +462,10 @@ def test_counted_beta_does_not_depend_on_the_guess(level_4_pencil):
                                                                    rel=1e-12)
 
 
+# ids that name no size, so that moving the crossover renames no test
 @pytest.mark.parametrize("n,route", [
     (linalg.COUNTING_MIN_DOFS - 1, "_dense_beta"),
-    (linalg.COUNTING_MIN_DOFS, "_counted_beta")])
+    (linalg.COUNTING_MIN_DOFS, "_counted_beta")], ids=["below", "at"])
 def test_beta_route_follows_the_pencil_size(monkeypatch, n, route):
     calls = []
 
@@ -445,8 +478,10 @@ def test_beta_route_follows_the_pencil_size(monkeypatch, n, route):
     for name in ("_dense_beta", "_counted_beta"):
         monkeypatch.setattr(linalg, name, recorder(name))
     identity = sp.eye(n, format="csr")
-    assert min_generalized_singular_value(identity, identity, 0.3) == 0.5
-    assert calls == [(route, (0.3,) if route == "_counted_beta" else ())]
+    assert min_generalized_singular_value(identity, identity, 0.3,
+                                          0.01) == 0.5
+    assert calls == [(route,
+                      (0.3, 0.01) if route == "_counted_beta" else ())]
 
 
 def test_counted_beta_never_counts_from_a_bad_factor(level_4_pencil):
@@ -468,6 +503,36 @@ def test_counted_beta_rejects_a_bad_guess(guess):
     N = sp.eye(3, format="csr")
     with pytest.raises(ValueError, match="guess"):
         linalg._counted_beta(N, N, guess)
+
+
+@pytest.mark.parametrize("guess_rtol", [-1.0, float("nan"), float("inf")])
+def test_counted_beta_rejects_a_bad_guess_rtol(guess_rtol):
+    N = sp.eye(3, format="csr")
+    with pytest.raises(ValueError, match="guess_rtol"):
+        linalg._counted_beta(N, N, 1.0, guess_rtol)
+
+
+# every splu call of one warm pencil: the SPD check of N, the bracket and
+# the steps.  Measured 32 and 24; bisection from the same brackets takes
+# 32 and 41, from the 1.05-wide brackets of a guess alone 41 and 41
+@pytest.mark.parametrize("method,regime,k,rho,most", [
+    ("wg", "rho_h", 1, 1e-4, 34), ("hdg", "inv", 0, 1.0, 26)])
+def test_counted_beta_factorization_count(monkeypatch, method, regime, k, rho,
+                                          most):
+    A, N, guess, guess_rtol = _study_pencil(method, regime, k, rho)
+    calls = []
+    splu = spla.splu
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.spla, "splu", counting)
+    linalg._counted_beta(A, N, guess, guess_rtol)
+    # one fill-reducing ordering, for the SPD check; every count reuses it
+    assert calls[0] == "MMD_AT_PLUS_A"
+    assert set(calls[1:]) == {"NATURAL"}
+    assert len(calls) <= most
 
 
 def test_matrix_io_round_trip():
