@@ -163,7 +163,7 @@ def _solve_case(mesh, dofs, coeff, f, tables, pattern=None, dump=None):
         with open(dump, "w") as fh:
             write_matrix(system.matrix, fh)
     return solve_symmetric_indefinite(system.matrix, system.rhs,
-                                      cell_dofs=dofs.local)
+                                      cell_blocks=dofs.cell_blocks)
 
 
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",

@@ -19,6 +19,8 @@ class SingularMatrixError(RuntimeError):
 CELL_RCOND_MIN = 1e-13
 
 REFINEMENT_STEPS = 5
+# relative residual and backward error that a solve must meet
+REFINEMENT_RTOL = 1e-10
 
 # splu keyword arguments of the reduced factorization.  A reduced matrix
 # whose diagonal has one strict sign is factored pivot-free in symmetric
@@ -58,53 +60,54 @@ BRACKET_STEP = 1.05
 BRACKET_RTOL_MIN = 1e-6
 
 
-def solve_symmetric_indefinite(matrix, rhs, rtol=1e-10, cell_dofs=None):
+def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
 
-    ``cell_dofs`` (C, m) lists DOFs that couple only within their own cell:
-    A restricted to them is block diagonal with C blocks of size m.  They
-    are eliminated first (static condensation): the blocks B are inverted
-    by batched dense LU, the reduced matrix A_gg - A_gl B^-1 A_lg on the
-    remaining (global) DOFs is factored with a sparse LU (pivot-free when
-    its diagonal has one sign, see ``PIVOT_FREE``), and the cell unknowns
-    are recovered by back-substitution.  Without cell DOFs the reduced
-    matrix is A itself.  ``DofMap.local`` gives the sets: flux and scalar
-    for HDG, leaving the trace; the flux alone for WG, leaving scalar and
-    trace, because the WG (p, u) cell block is singular on cell constants
-    ((q, grad v) = 0 for constant v); the broken flux for the primal
-    conforming method; none for the mixed conforming method.
+    ``cell_blocks`` (C, m) says that the first L = C m DOFs couple only
+    within their own cell, m consecutive per cell: A[:L, :L] is block
+    diagonal with C blocks of size m.  They are eliminated first (static
+    condensation): the blocks B are inverted by batched dense LU, the
+    reduced matrix A[L:, L:] - A[L:, :L] B^-1 A[:L, L:] is factored with a
+    sparse LU (pivot-free when its diagonal has one sign, see
+    ``PIVOT_FREE``), and the cell unknowns are recovered by
+    back-substitution.  ``DofMap.cell_blocks`` gives the blocks (see
+    ``spaces.build_space_triple``); without them the reduced matrix is A.
 
     The solution is refined iteratively against the full A.  Refinement
-    stops as soon as ||A x - b|| <= rtol ||b||, or when a step fails to
-    halve the residual norm (the stagnation test of LAPACK's xGERFS), or
-    after ``REFINEMENT_STEPS`` steps.  The first test passes when the
-    matrix is well scaled; in general the acceptance criterion is the
-    normwise backward error ||A x - b|| <= rtol (||A||_F ||x|| + ||b||),
-    checked on the x where refinement stopped, which is attainable in
-    double precision even when the stabilization weights inflate the matrix
-    scale.  Failure raises SingularMatrixError naming its stage; cell_dofs
-    that couple across cells raise ValueError.
+    stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
+    or when a step fails to halve the residual norm (the stagnation test
+    of LAPACK's xGERFS), or after ``REFINEMENT_STEPS`` steps.  The first
+    test passes when the matrix is well scaled; in general the acceptance
+    criterion is the normwise backward error ||A x - b|| <= rtol (||A||_F
+    ||x|| + ||b||), checked on the x where refinement stopped, which is
+    attainable in double precision even when the stabilization weights
+    inflate the matrix scale.  Failure raises SingularMatrixError naming
+    its stage; cell blocks that couple across cells or exceed A raise
+    ValueError.  The arguments are never modified.
     """
     A = sp.csr_matrix(matrix)
-    A.sum_duplicates()
+    if not A.has_canonical_format:
+        # sum_duplicates works in place, on arrays shared with ``matrix``
+        A = A.copy()
+        A.sum_duplicates()
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    factor, first = _condensed_factor(A, cell_dofs)
+    factor, first = _condensed_factor(A, cell_blocks)
     try:
-        return _refine(A, b, factor(first), rtol)
+        return _refine(A, b, factor(first))
     except SingularMatrixError:
         if first is PARTIAL_PIVOTING:
             raise
-    return _refine(A, b, factor(PARTIAL_PIVOTING), rtol)
+    return _refine(A, b, factor(PARTIAL_PIVOTING))
 
 
-def _refine(A, b, solve, rtol):
+def _refine(A, b, solve):
     """x = solve(b), refined against A to the contract above."""
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solution contains non-finite entries")
-    strict = rtol * max(np.linalg.norm(b), 1e-300)
+    strict = REFINEMENT_RTOL * max(np.linalg.norm(b), 1e-300)
     last, steps = np.inf, 0
     while True:
         r = b - A @ x
@@ -117,7 +120,8 @@ def _refine(A, b, solve, rtol):
         x = x + solve(r)
         last, steps = residual, steps + 1
     anorm = np.sqrt(np.sum(A.data**2))
-    bound = rtol * max(anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
+    bound = REFINEMENT_RTOL * max(
+        anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
     if not residual <= bound:
         raise SingularMatrixError(
             "refinement: residual {:.3e} exceeds tolerance {:.3e} after {} "
@@ -126,44 +130,36 @@ def _refine(A, b, solve, rtol):
     return x
 
 
-def _condensed_factor(A, cell_dofs):
-    """Condense ``cell_dofs`` out of A.  Returns ``factor``, which maps splu
-    options to a solver r -> A^-1 r, and the options to try first."""
-    n = A.shape[0]
-    local = np.asarray(np.empty((0, 0)) if cell_dofs is None else cell_dofs,
-                       dtype=np.int64)
-    if local.ndim != 2:
-        raise ValueError("cell_dofs must be a (cells, dofs per cell) array")
-    num_cells, m = local.shape
-    flat = local.ravel()
-    if flat.size and (flat.min() < 0 or flat.max() >= n):
-        raise ValueError("cell_dofs out of range for {} DOFs".format(n))
-    is_global = np.ones(n, dtype=bool)
-    is_global[flat] = False
-    if n - np.count_nonzero(is_global) != flat.size:
-        raise ValueError("cell_dofs list a DOF more than once")
-    glob = np.flatnonzero(is_global)
-
-    rows_l, rows_g = A[flat], A[glob]
-    A_ll = rows_l[:, flat].tocoo()
+def _condensed_factor(A, cell_blocks):
+    """Condense the leading ``cell_blocks`` out of A.  Returns ``factor``,
+    which maps splu options to a solver r -> A^-1 r, and the options to
+    try first."""
+    num_cells, m = cell_blocks
+    n, L = A.shape[0], num_cells * m
+    if L > n:
+        raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs of "
+                         "A".format(num_cells, m, n))
+    A_ll = A[:L, :L].tocoo()
     cell_r, a = np.divmod(A_ll.row, m)
     cell_c, b = np.divmod(A_ll.col, m)
     outside = np.count_nonzero(A_ll.data[cell_r != cell_c])
     if outside:
         raise ValueError(
-            "cell_dofs couple across cells: {} nonzeros of A[local, local] "
+            "cell blocks couple across cells: {} nonzeros of A[:{}, :{}] "
             "lie outside the {} diagonal {}x{} blocks".format(
-                outside, num_cells, m, m))
+                outside, L, L, num_cells, m, m))
     blocks = np.zeros((num_cells, m, m))
     blocks[cell_r, a, b] = A_ll.data
+    # A_ll is most of A for HDG: free it before the reduced matrix is formed
+    del A_ll, cell_r, cell_c, a, b
     inv = _invert_cell_blocks(blocks)
-    # block-diagonal B^-1 in local order: row (c, a) holds columns (c, :)
-    cols = np.arange(flat.size).reshape(num_cells, 1, m)
+    # block-diagonal B^-1: row (c, a) holds columns (c, :)
+    cols = np.arange(L).reshape(num_cells, 1, m)
     B_inv = sp.csr_matrix(
         (inv.ravel(), np.broadcast_to(cols, inv.shape).ravel(),
-         np.arange(flat.size + 1) * m), shape=(flat.size, flat.size))
-    A_gl, A_lg = rows_g[:, flat], rows_l[:, glob]
-    reduced = (rows_g[:, glob] - A_gl @ (B_inv @ A_lg)).tocsc()
+         np.arange(L + 1) * m), shape=(L, L))
+    A_gl, A_lg = A[L:, :L], A[:L, L:]
+    reduced = (A[L:, L:] - A_gl @ (B_inv @ A_lg)).tocsc()
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 
@@ -173,14 +169,12 @@ def _condensed_factor(A, cell_dofs):
         except Exception as exc:
             raise SingularMatrixError(
                 "reduced factorization of {} DOFs failed: {}".format(
-                    len(glob), exc)) from exc
+                    n - L, exc)) from exc
 
         def solve(r):
-            y = B_inv @ r[flat]
-            x = np.empty_like(r)
-            x[glob] = x_g = lu.solve(r[glob] - A_gl @ y)
-            x[flat] = y - B_inv @ (A_lg @ x_g)
-            return x
+            y = B_inv @ r[:L]
+            x_g = lu.solve(r[L:] - A_gl @ y)
+            return np.concatenate([y - B_inv @ (A_lg @ x_g), x_g])
 
         return solve
 

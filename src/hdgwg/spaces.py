@@ -102,8 +102,9 @@ class DofMap:
     cell's local bases, ``edge_trace`` (E, nt) those of each edge's trace
     basis (nt = 0 for the conforming methods); -1 marks a DOF that the
     space eliminates.  ``flux_sign`` (C, nf) orients a shared flux basis,
-    and is None for a broken flux.  ``local`` (C, m) lists the DOFs that
-    couple only within their own cell, for the static condensation of
+    and is None for a broken flux.  ``cell_blocks`` (C, m): the first C m
+    DOFs are the ones that couple only within their own cell, m per cell
+    in cell order, for the static condensation of
     ``linalg.solve_symmetric_indefinite``.  ``case`` is the ``SpaceCase``
     of an HDG or WG map, None for the conforming limits.  The arrays are
     built once and read-only, since every caller shares them.
@@ -115,13 +116,12 @@ class DofMap:
     flux: np.ndarray
     scalar: np.ndarray
     edge_trace: np.ndarray
-    local: np.ndarray
+    cell_blocks: tuple
     flux_sign: np.ndarray | None = None
     case: SpaceCase | None = None
 
     def __post_init__(self):
-        for a in (self.flux, self.scalar, self.edge_trace, self.local,
-                  self.flux_sign):
+        for a in (self.flux, self.scalar, self.edge_trace, self.flux_sign):
             if a is not None:
                 a.setflags(write=False)
 
@@ -133,18 +133,19 @@ def cell_block_dofs(offset, per_cell, num_cells):
 
 
 def build_space_triple(mesh, case):
-    """DofMap for ``case`` on ``mesh``: all flux DOFs, then scalar DOFs,
-    then trace DOFs, each cell's and edge's in one block.
+    """DofMap for ``case`` on ``mesh``: the condensed DOFs, then the
+    other cell DOFs, then the trace DOFs, each cell's and edge's in one
+    block.
 
     HDG trace DOFs live on interior edges only (boundary traces are
     eliminated by the space definition); WG trace DOFs live on all edges.
 
-    Local DOFs: HDG condenses flux and scalar.  Their cell block is
-    quasi-definite, because the flux mass is SPD and the stabilization
-    tau > 0 makes the scalar block -tau <u, v> negative definite.  WG
-    condenses the flux alone.  Its (p, u) block is singular on cell
-    constants, since (q, grad v) = 0 for constant v, so the scalar stays
-    global with the trace.
+    HDG condenses flux and scalar, so cell c holds c (nf + nu) + [0, nf +
+    nu).  Their cell block is quasi-definite, because the flux mass is SPD
+    and the stabilization tau > 0 makes the scalar block -tau <u, v>
+    negative definite.  WG condenses the flux alone.  Its (p, u) block is
+    singular on cell constants, since (q, grad v) = 0 for constant v, so
+    the scalar stays global with the trace.
     """
     family, fdeg, sdeg = case.local_spaces
     nf = (basis.rt_dim(fdeg) if family == "rt"
@@ -153,18 +154,17 @@ def build_space_triple(mesh, case):
     C = mesh.num_cells
     trace_edges = (mesh.interior_edges if case.method == "hdg"
                    else np.arange(mesh.num_edges))
-    flux = cell_block_dofs(0, nf, C)
-    scalar = cell_block_dofs(C * nf, nu, C)
+    m = nf + nu if case.method == "hdg" else nf
+    cell = np.concatenate([cell_block_dofs(0, m, C),
+                           cell_block_dofs(C * m, nf + nu - m, C)], axis=1)
     edge_trace = np.full((mesh.num_edges, nt), -1, dtype=np.int64)
     edge_trace[trace_edges] = cell_block_dofs(C * (nf + nu), nt,
                                               len(trace_edges))
     return DofMap(
         method=case.method, local_spaces=case.local_spaces,
         total=C * (nf + nu) + len(trace_edges) * nt,
-        flux=flux, scalar=scalar, edge_trace=edge_trace,
-        local=(np.concatenate([flux, scalar], axis=1)
-               if case.method == "hdg" else flux),
-        case=case)
+        flux=cell[:, :nf], scalar=cell[:, nf:], edge_trace=edge_trace,
+        cell_blocks=(C, m), case=case)
 
 
 def primal_dofs(mesh, k):
@@ -198,9 +198,9 @@ def primal_dofs(mesh, k):
     scalar = np.concatenate([vmap[mesh.cells], edge_nodes.reshape(C, -1),
                              cell_block_dofs(nxt, per_cell, C)], axis=1)
     return DofMap(
-        method="primal", local_spaces=("vec", k, k + 1),
+        method="primal", local_spaces=("vec", k, k + 1), cell_blocks=(C, nf),
         total=nxt + C * per_cell, flux=flux, scalar=scalar,
-        edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64), local=flux)
+        edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64))
 
 
 def mixed_dofs(mesh, k):
@@ -229,6 +229,6 @@ def mixed_dofs(mesh, k):
         flux=np.concatenate([edge_dofs.reshape(C, -1), interior], axis=1),
         scalar=cell_block_dofs(flux_total, nu, C),
         edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64),
-        local=np.empty((C, 0), dtype=np.int64),
+        cell_blocks=(C, 0),
         flux_sign=np.concatenate([edge_sign.reshape(C, -1),
                                   np.ones(interior.shape)], axis=1))

@@ -1,5 +1,6 @@
 import functools
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,14 +110,14 @@ CONDENSED_INPUTS = [
 def test_condensation_matches_plain_factorization(method, regime, k, rho,
                                                   mesh_name, monkeypatch):
     A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
-    cell_dofs = dofs.local
-    assert cell_dofs.size > 0
+    cell_blocks = dofs.cell_blocks
+    assert cell_blocks[0] * cell_blocks[1] > 0
     x_plain = solve_symmetric_indefinite(A, b)
-    x_cond = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
+    x_cond = solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
     assert np.linalg.norm(x_cond - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
     # refinement would hide a wrong elimination: the factor alone must pass
     monkeypatch.setattr(linalg, "REFINEMENT_STEPS", 0)
-    x_once = solve_symmetric_indefinite(A, b, cell_dofs=cell_dofs)
+    x_once = solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
     assert np.linalg.norm(x_once - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
 
 
@@ -152,7 +153,7 @@ def test_factorization_follows_the_reduced_system(method, regime, k, expected,
         for rho in (1.0, 1e-3):
             A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
             del calls[:]
-            solve_symmetric_indefinite(A, b, cell_dofs=dofs.local)
+            solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
             assert calls == [expected], (mesh_name, rho)
 
 
@@ -194,50 +195,86 @@ def test_pivot_free_factor_meets_the_contract_or_raises(matrix, stage,
 @pytest.mark.parametrize("regime", ["rho_h", "inv"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_wg_scalar_is_not_cell_local(regime, k):
-    # the WG (p, u) cell block is singular on cell constants
+    # the WG (p, u) cell block is singular on cell constants: renumbered
+    # so that each cell's flux and scalar come first, cell by cell, the
+    # system condenses them and fails in the local elimination
     A, b, dofs = _varcoef_system("wg", regime, k, 1.0, "structured")
     pu = np.concatenate([dofs.flux, dofs.scalar], axis=1)
-    m = pu.shape[1]
+    order = np.concatenate([pu.ravel(), np.arange(pu.size, dofs.total)])
+    C, m = pu.shape
     with pytest.raises(SingularMatrixError,
                        match=r"local elimination: the {0}x{0} block of cell 0 "
                              r"is singular".format(m)):
-        solve_symmetric_indefinite(A, b, cell_dofs=pu)
+        solve_symmetric_indefinite(A[order][:, order], b[order],
+                                   cell_blocks=(C, m))
 
 
 def test_cell_dofs_must_be_cell_local():
     A, b, dofs = _varcoef_system("hdg", "rho_h", 0, 1.0, "structured")
-    local = dofs.local
-    # cells 0 and 1 swap a flux DOF: each block now reaches into the other
-    swapped = local.copy()
-    swapped[[0, 1], 0] = local[[1, 0], 0]
+    C, m = dofs.cell_blocks
+    # blocks one DOF too wide straddle the cells: each reaches into the next
     with pytest.raises(ValueError, match="couple across cells"):
-        solve_symmetric_indefinite(A, b, cell_dofs=swapped)
-    with pytest.raises(ValueError, match="more than once"):
-        solve_symmetric_indefinite(A, b, cell_dofs=np.vstack([local, local]))
-    with pytest.raises(ValueError, match="out of range"):
-        solve_symmetric_indefinite(A, b, cell_dofs=local + dofs.total)
+        solve_symmetric_indefinite(A, b, cell_blocks=(C - 1, m + 1))
+    # more condensed DOFs than A has
+    with pytest.raises(ValueError, match="exceed the {} DOFs".format(
+            dofs.total)):
+        solve_symmetric_indefinite(A, b, cell_blocks=(dofs.total, 2))
 
 
-def test_failures_name_their_stage():
+def test_solve_leaves_a_non_canonical_matrix_unchanged():
+    # duplicate and unsorted column indices: canonicalizing them in place
+    # would rewrite the caller's arrays
+    A = sp.csr_matrix((np.array([1.0, 2.0, 1.0, 3.0]), np.array([1, 0, 1, 1]),
+                       np.array([0, 2, 4])), shape=(2, 2))
+    before = [a.copy() for a in (A.data, A.indices, A.indptr)]
+    # the summed matrix is [[2, 1], [0, 4]]
+    x = solve_symmetric_indefinite(A, np.array([3.0, 4.0]))
+    assert np.allclose(x, [1.0, 1.0], atol=1e-14)
+    for old, new in zip(before, (A.data, A.indices, A.indptr)):
+        assert old.dtype == new.dtype and np.array_equal(old, new)
+
+
+def test_condensation_memory_peak():
+    # the condensation cuts A into four slices and drops the copy of its
+    # cell blocks before it forms the reduced matrix, so its traced peak
+    # stays within 2.5 times the bytes of A (hdg/inv k = 1, level 4)
+    mesh = build_structured_mesh(2**4)
+    case = SpaceCase("hdg", "inv", 1, 0.1)
+    dofs = build_space_triple(mesh, case)
+    prob = manufactured_case("sine")
+    A = assemble_hdg(mesh, dofs, CoefficientField(alpha=prob.alpha), prob.f,
+                     ElementTables(mesh, case)).matrix
+    nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        linalg._condensed_factor(A, dofs.cell_blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * nbytes, peak / nbytes
+
+
+def test_failures_name_their_stage(monkeypatch):
     b = np.ones(3)
     A = np.diag([np.nan, 1.0, 1.0])
     with pytest.raises(SingularMatrixError,
                        match="local elimination: the 1x1 block of cell 0 "
                              "is non-finite"):
-        solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_dofs=[[0]])
+        solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(1, 1))
     A = sp.csr_matrix(np.array([[2.0, 0.0, 0.0],
                                 [0.0, 1.0, 1.0],
                                 [0.0, 1.0, 1.0]]))
     with pytest.raises(SingularMatrixError,
                        match="reduced factorization of 2 DOFs failed"):
-        solve_symmetric_indefinite(A, b, cell_dofs=[[0]])
+        solve_symmetric_indefinite(A, b, cell_blocks=(1, 1))
     rng = np.random.default_rng(5)
     B = rng.standard_normal((20, 20))
+    monkeypatch.setattr(linalg, "REFINEMENT_RTOL", 1e-30)
     with pytest.raises(SingularMatrixError,
                        match=r"refinement: residual \S+ exceeds tolerance \S+ "
                              r"after [0-5] steps"):
         solve_symmetric_indefinite(sp.csr_matrix(B + B.T),
-                                   rng.standard_normal(20), rtol=1e-30)
+                                   rng.standard_normal(20))
 
 
 @pytest.mark.parametrize("gain,rtol,steps,outcome", [
@@ -247,8 +284,8 @@ def test_failures_name_their_stage():
     (1.9, 1e-10, 1, "raise"),   # r -> -0.9 r: stops after the first step
     (1.9, 0.7, 1, "pass"),      # ... and then meets a loose contract
 ])
-def test_refinement_stops_when_the_residual_stops_halving(gain, rtol, steps,
-                                                          outcome):
+def test_refinement_stops_when_the_residual_stops_halving(
+        gain, rtol, steps, outcome, monkeypatch):
     # a solver that scales its answer by ``gain`` on A = I maps each
     # residual r to (1 - gain) r
     calls = []
@@ -258,12 +295,13 @@ def test_refinement_stops_when_the_residual_stops_halving(gain, rtol, steps,
         return gain * r
 
     b = np.ones(4)
+    monkeypatch.setattr(linalg, "REFINEMENT_RTOL", rtol)
     if outcome == "pass":
-        linalg._refine(sp.identity(4, format="csr"), b, solve, rtol)
+        linalg._refine(sp.identity(4, format="csr"), b, solve)
     else:
         with pytest.raises(SingularMatrixError,
                            match="after {} steps".format(steps)):
-            linalg._refine(sp.identity(4, format="csr"), b, solve, rtol)
+            linalg._refine(sp.identity(4, format="csr"), b, solve)
     assert len(calls) == 1 + steps
 
 
@@ -275,7 +313,7 @@ def test_refinement_rejects_a_non_finite_correction():
     b = np.ones(4)
     with pytest.raises(SingularMatrixError,
                        match="refinement: residual nan .* after 1 steps"):
-        linalg._refine(sp.identity(4, format="csr"), b, solve, 1e-10)
+        linalg._refine(sp.identity(4, format="csr"), b, solve)
 
 
 # the two routes of min_generalized_singular_value.  Every beta test runs

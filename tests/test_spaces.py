@@ -106,13 +106,31 @@ def test_dof_map_partition():
         edges[mesh.boundary_edges] = dofs.method == "hdg"
         assert np.array_equal(trace < 0,
                               np.repeat(edges[:, None], trace.shape[1], 1))
-        # flux, then scalar, then trace
+        # the cell DOFs, then the trace; HDG interleaves flux and scalar
+        # cell by cell (test_condensed_dofs_come_first), the others put
+        # all flux before all scalar
         assert flux.min() == 0
-        assert flux.max() < scalar[scalar >= 0].min()
+        if dofs.method != "hdg":
+            assert flux.max() < scalar[scalar >= 0].min()
         if trace.size:
-            assert scalar.max() < trace[trace >= 0].min()
+            assert max(flux.max(), scalar.max()) < trace[trace >= 0].min()
         assert max(flux.max(), scalar.max(), trace.max(initial=-1)) == (
             dofs.total - 1)
+
+
+def test_condensed_dofs_come_first():
+    # the first C m DOFs are each cell's condensed unknowns, m consecutive
+    # per cell in cell order: HDG flux and scalar, WG and primal flux, and
+    # none for mixed
+    mesh = build_structured_mesh(2)
+    for dofs in _dof_maps(mesh):
+        C, m = dofs.cell_blocks
+        parts = {"hdg": [dofs.flux, dofs.scalar], "wg": [dofs.flux],
+                 "primal": [dofs.flux], "mixed": []}[dofs.method]
+        condensed = np.hstack([dofs.flux[:, :0]] + parts)
+        assert C == mesh.num_cells
+        assert np.array_equal(condensed, np.arange(C * m).reshape(C, m)), (
+            dofs.method)
 
 
 def test_dof_map_arrays_are_read_only():
@@ -120,7 +138,8 @@ def test_dof_map_arrays_are_read_only():
     for dofs in _dof_maps(mesh):
         arrays = [f.name for f in fields(dofs)
                   if isinstance(getattr(dofs, f.name), np.ndarray)]
-        assert {"flux", "scalar", "edge_trace", "local"} <= set(arrays)
+        assert {"flux", "scalar", "edge_trace"} <= set(arrays)
+        assert isinstance(dofs.cell_blocks, tuple)
         for name in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(dofs, name)[...] = 0
