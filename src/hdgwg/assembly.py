@@ -1,19 +1,26 @@
 """Assembly of the HDG/WG systems and their conforming limits.
 
 Each method's bilinear form is written once, as the terms of
-``_form_terms``; ``assemble_terms`` evaluates them, and the norm-pair terms
-of ``hdgwg.norms``, as stacked per-cell blocks on the batched tables below.
+``_form_terms``; ``FormSums`` evaluates them, and ``assemble_terms`` the
+norm-pair terms of ``hdgwg.norms``, as stacked per-cell blocks on the
+batched tables below.
 
 The blocks are summed on a ``SumPattern``, which is built from the terms'
 DOFs alone: one stable sort of the triplet keys fixes where each block
 entry goes and which entries add up.  Assembly then writes the raveled
 blocks one after another, takes each run of equal keys' first value, and
-sums the runs of more than one triplet by ``np.add.reduceat``.  A diagonal term's blocks are
-symmetrized and an off-diagonal term's entries are also gathered for its
-transpose, so A == A.T exactly, and repeated runs are bit-identical.  rho
-enters only through each term's scale, so a rho sweep on one mesh and
-space builds one pattern (``form_pattern``, ``norms.gram_pattern``) and
-gets for every rho the matrix a fresh pattern would give, to the bit.
+sums the runs of more than one triplet by ``np.add.reduceat``.  A diagonal
+term's blocks are symmetrized and an off-diagonal term's entries are also
+gathered for its transpose, so A == A.T exactly, and repeated runs are
+bit-identical.
+
+rho enters a system only through the factor f(rho) of its stabilization
+weight f(rho) g(h_K), so ``FormSums`` sums the unit-scale terms and the
+stabilization terms apart, once, and each rho's matrix is A0 + f(rho) A1
+on their shared structure.  A rho sweep on one mesh and space builds one
+``FormSums`` for its systems and one pattern for its Grams
+(``norms.gram_pattern``), and gets for every rho the matrix a one-shot
+assembly would give, to the bit.
 
 Subscripts in the ``contract`` calls: ``c`` cell, ``l`` local edge, ``q``
 quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
@@ -291,25 +298,39 @@ class SumPattern:
         """The (n, n) CSR matrix of ``terms``, which must have the DOFs this
         pattern was built from (else ValueError)."""
         terms = list(terms)
-        if n != self.n or len(terms) != len(self.sides):
-            raise ValueError("sum pattern was built for another DOF map")
-        vals = np.empty(self.size)
+        _check_dofs(n, terms, self.n, self.sides)
+        return sp.csr_matrix((self.sum(terms), self.indices.copy(),
+                              self.indptr.copy()), shape=(n, n))
+
+    def sum(self, terms, keep=None):
+        """The entries, in CSR order, of the sum of ``terms``, unchecked.
+        Only the terms flagged in ``keep`` (default all) are summed; the
+        others' entries count as zeros, so that every group of one term
+        list sums on one structure."""
+        vals = np.empty(self.size) if keep is None else np.zeros(self.size)
         o = 0
-        for (w, scale, test, trial), (rows, cols, diag, shape) in zip(
-                terms, self.sides):
-            if ((test is trial) != diag or not np.array_equal(test[0], rows)
-                    or not np.array_equal(trial[0], cols)):
-                raise ValueError("sum pattern was built for another DOF map")
+        for i, (term, (_, _, _, shape)) in enumerate(zip(terms, self.sides)):
             size = int(np.prod(shape))
-            vals[o:o + size].reshape(shape)[...] = _block(w, scale, test, trial)
+            if keep is None or keep[i]:
+                vals[o:o + size].reshape(shape)[...] = _block(*term)
             o += size
         sums = vals[self.head]
         # reduceat, not bincount: bincount sums each run in sequence and
         # reduceat long runs pairwise, so their sums differ in the last bit
         sums[self.sum_to] = np.add.reduceat(vals[self.sum_from],
                                             self.sum_starts)
-        return sp.csr_matrix((sums, self.indices.copy(), self.indptr.copy()),
-                             shape=(n, n))
+        return sums
+
+
+def _check_dofs(n, terms, pattern_n, sides):
+    """ValueError unless ``terms`` have the size ``pattern_n`` and the DOFs
+    ``sides`` of the ``SumPattern`` they are to be summed on."""
+    if n != pattern_n or len(terms) != len(sides):
+        raise ValueError("sum pattern was built for another DOF map")
+    for (_, _, test, trial), (rows, cols, diag, _) in zip(terms, sides):
+        if ((test is trial) != diag or not np.array_equal(test[0], rows)
+                or not np.array_equal(trial[0], cols)):
+            raise ValueError("sum pattern was built for another DOF map")
 
 
 def per_group(scale, ndim):
@@ -323,7 +344,13 @@ def scatter(r, dofs, values):
 
 
 def _form_terms(mesh, dofs, t, coeff, exact=None):
-    """The bilinear terms of the method of ``dofs`` on tables ``t``.
+    """The bilinear terms of the method of ``dofs`` on tables ``t``, as
+    ``(unit, stabilized, factor)``: the form is the sum of the ``unit``
+    terms plus ``factor`` times the sum of the ``stabilized`` ones.  rho
+    enters only through ``factor``, the f(rho) of the stabilization weight
+    tau = eta = f(rho) g(h_K) (``SpaceCase.stabilization_factor``); each
+    stabilized term carries +-g(h_K) as its scale.  The conforming limits
+    have no stabilized terms.
 
     A term ``(w, scale, test, trial)`` adds scale sum w B_test . B_trial over
     its group axes G (cells or cell sides) and points: ``w`` is (G, q),
@@ -348,15 +375,15 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
         fval, fdiv = (dofs.flux_sign[:, None, :, None] * b for b in (fval, fdiv))
     pd, ud = dofs.flux, dofs.scalar
     p = (pd, fval, sample("p", t.xy))
-    yield t.w * coeff.c_at(t.xy), 1.0, p, p
+    unit = [(t.w * coeff.c_at(t.xy), 1.0, p, p)]
     if dofs.method in ("hdg", "mixed"):
-        yield (t.w, -1.0, (pd, fdiv, sample("f", t.xy)),
-               (ud, t.sval[..., None], sample("u", t.xy)))
+        unit.append((t.w, -1.0, (pd, fdiv, sample("f", t.xy)),
+                     (ud, t.sval[..., None], sample("u", t.xy))))
     else:
-        yield t.w, 1.0, p, (ud, t.sgrad, sample("grad_u", t.xy))
+        unit.append((t.w, 1.0, p, (ud, t.sgrad, sample("grad_u", t.xy))))
     if dofs.method not in ("hdg", "wg"):
-        return
-    stab = dofs.case.stabilization(mesh.cell_size)
+        return unit, [], 0.0
+    law = dofs.case.stabilization_law(mesh.cell_size)
     td, trace = dofs.edge_trace[mesh.cell_edges], t.trace[..., None]
     u_e = sample("u", t.edge_xy)
     pn = None if exact is None else contract(
@@ -365,18 +392,18 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
     v = (ud, t.edge_sval[..., None], u_e)
     if dofs.method == "hdg":
         uhat = (td, trace, u_e)
-        yield t.edge_w, 1.0, qn, uhat
-        yield t.edge_w, -stab, v, v
-        yield t.edge_w, stab, v, uhat
-        yield t.edge_w, -stab, uhat, uhat
+        unit.append((t.edge_w, 1.0, qn, uhat))
+        stabilized = [(t.edge_w, -law, v, v), (t.edge_w, law, v, uhat),
+                      (t.edge_w, -law, uhat, uhat)]
     else:
         # sigma goes into the weights, so the trace basis stays shared
         sign = mesh.cell_edge_sign[..., None]
         phat = (td, trace, None if exact is None else sign[..., None] * pn)
-        yield sign * t.edge_w, -1.0, v, phat
-        yield t.edge_w, stab, qn, qn
-        yield sign * t.edge_w, -stab, qn, phat
-        yield t.edge_w, stab, phat, phat
+        unit.append((sign * t.edge_w, -1.0, v, phat))
+        stabilized = [(t.edge_w, law, qn, qn),
+                      (sign * t.edge_w, -law, qn, phat),
+                      (t.edge_w, law, phat, phat)]
+    return unit, stabilized, dofs.case.stabilization_factor
 
 
 def _block(w, scale, test, trial):
@@ -415,53 +442,100 @@ def load_vector(dofs, t, f):
     return rhs
 
 
-def _assemble(method, mesh, dofs, coeff, f, tables, pattern=None):
+class FormSums:
+    """The form of a DOF map's method as A0 + f A1, on one mesh, coefficient
+    and set of tables.
+
+    ``unit`` holds the entries of A0, the sum of the unit terms of
+    ``_form_terms``, and ``stabilized`` those of A1, the sum of its
+    stabilized terms (None for the conforming limits), both on the CSR
+    structure ``indices``, ``indptr`` of one ``SumPattern`` of all the
+    terms.  Neither depends on rho, so a rho sweep builds them once and
+    ``matrix`` makes each rho's matrix by one axpy, with f = f(rho).
+    One-shot assembly builds them too, so a sweep's matrices are the
+    one-shot ones to the bit, and exactly symmetric, as A0 and A1 are.
+    """
+
+    def __init__(self, mesh, dofs, coeff, tables):
+        self.coeff, self.tables = coeff, tables.check(mesh, dofs)
+        unit, stabilized, _ = _form_terms(mesh, dofs, tables, coeff)
+        terms = unit + stabilized
+        pattern = SumPattern(dofs.total, terms)
+        self.dofs, self.sides = dofs, pattern.sides
+        self.shape = (dofs.total, dofs.total)
+        self.indices, self.indptr = pattern.indices, pattern.indptr
+        # the pattern was built from these terms: sum them unchecked
+        is_unit = [True] * len(unit) + [False] * len(stabilized)
+        self.unit = pattern.sum(terms, is_unit)
+        self.stabilized = None if not stabilized else pattern.sum(
+            terms, [not u for u in is_unit])
+
+    def matrix(self, mesh, dofs, coeff, tables):
+        """The CSR matrix of the form of ``dofs``, which must have the DOFs,
+        coefficient and tables these sums were built for (else
+        ValueError)."""
+        if coeff != self.coeff or tables is not self.tables:
+            raise ValueError("form sums were built for another DOF map, "
+                             "coefficient or tables")
+        unit, stabilized, factor = _form_terms(
+            mesh, dofs, tables.check(mesh, dofs), coeff)
+        if dofs is not self.dofs:
+            _check_dofs(dofs.total, unit + stabilized, self.dofs.total,
+                        self.sides)
+        if self.stabilized is None:
+            data = self.unit.copy()
+        else:
+            # f A1 + A0 in place: one array, the bits of A0 + f A1
+            data = factor * self.stabilized
+            data += self.unit
+        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+                             shape=self.shape)
+
+    def structure(self):
+        """A CSR matrix of zeros on the structure of every matrix of these
+        sums, sharing its index arrays."""
+        return sp.csr_matrix((np.zeros(len(self.indices)), self.indices,
+                              self.indptr), shape=self.shape)
+
+
+def _assemble(method, mesh, dofs, coeff, f, tables, sums=None):
     if dofs.method != method:
         raise ValueError("DofMap was built for method {!r}, not {!r}".format(
             dofs.method, method))
     t = tables.check(mesh, dofs)
     return LinearSystem(
-        matrix=assemble_terms(dofs.total, _form_terms(mesh, dofs, t, coeff),
-                              pattern),
+        matrix=(sums or FormSums(mesh, dofs, coeff, t)).matrix(
+            mesh, dofs, coeff, t),
         rhs=load_vector(dofs, t, f))
 
 
-def form_pattern(mesh, dofs, tables):
-    """The ``SumPattern`` of the bilinear form of ``dofs``.  It reads only
-    the DOFs, so one pattern serves every rho of a sweep on one mesh and
-    space."""
-    return SumPattern(dofs.total, _form_terms(mesh, dofs,
-                                              tables.check(mesh, dofs),
-                                              CoefficientField.unit()))
-
-
-def assemble_hdg(mesh, dofs, coeff, f, tables, pattern=None):
+def assemble_hdg(mesh, dofs, coeff, f, tables, sums=None):
     """HDG saddle system for unknowns (flux p, scalar u, trace u-hat),
-    summed on ``pattern`` (see ``form_pattern``) if given."""
-    return _assemble("hdg", mesh, dofs, coeff, f, tables, pattern)
+    made from a sweep's ``FormSums`` if given."""
+    return _assemble("hdg", mesh, dofs, coeff, f, tables, sums)
 
 
-def assemble_wg(mesh, dofs, coeff, f, tables, pattern=None):
+def assemble_wg(mesh, dofs, coeff, f, tables, sums=None):
     """WG saddle system for unknowns (flux p, scalar u, trace p-hat),
-    summed on ``pattern`` (see ``form_pattern``) if given."""
-    return _assemble("wg", mesh, dofs, coeff, f, tables, pattern)
+    made from a sweep's ``FormSums`` if given."""
+    return _assemble("wg", mesh, dofs, coeff, f, tables, sums)
 
 
-def assemble_primal_conforming(mesh, dofs, coeff, f, tables, pattern=None):
+def assemble_primal_conforming(mesh, dofs, coeff, f, tables, sums=None):
     """Primal conforming method on a ``spaces.primal_dofs`` map:
     (c p, q) + (grad u, q) = 0, -(p, grad v) = (f, v).
 
     Its local spaces are those of hdg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables``.
     """
-    return _assemble("primal", mesh, dofs, coeff, f, tables, pattern)
+    return _assemble("primal", mesh, dofs, coeff, f, tables, sums)
 
 
-def assemble_mixed_conforming(mesh, dofs, coeff, f, tables, pattern=None):
+def assemble_mixed_conforming(mesh, dofs, coeff, f, tables, sums=None):
     """Mixed conforming method on a ``spaces.mixed_dofs`` map:
     (c p, q) - (u, div q) = 0, (div p, v) = (f, v).
 
     Its local spaces are those of wg/inv, whose rho -> 0 limit it is, so it
     runs on that case's ``tables``.
     """
-    return _assemble("mixed", mesh, dofs, coeff, f, tables, pattern)
+    return _assemble("mixed", mesh, dofs, coeff, f, tables, sums)

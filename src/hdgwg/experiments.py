@@ -17,13 +17,14 @@ import numpy as np
 from .assembly import (
     CoefficientField,
     ElementTables,
+    FormSums,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
-    form_pattern,
 )
 from .linalg import (
+    CondensationPlan,
     SingularMatrixError,
     min_generalized_singular_value,
     solve_symmetric_indefinite,
@@ -143,27 +144,38 @@ class InfSupTable:
     rows: list = field(default_factory=list)
 
 
-def _assemble(mesh, dofs, coeff, f, tables, pattern=None):
+def _assemble(mesh, dofs, coeff, f, tables, sums=None):
     """The system of the method of ``dofs``, any of the six.  The assembler
     is looked up by name at each call, so a replaced module attribute (a
     tracer's wrapper, say) is the one that runs."""
     assemble = {"hdg": assemble_hdg, "wg": assemble_wg,
                 "primal": assemble_primal_conforming,
                 "mixed": assemble_mixed_conforming}[dofs.method]
-    return assemble(mesh, dofs, coeff, f, tables, pattern)
+    return assemble(mesh, dofs, coeff, f, tables, sums)
 
 
-def _solve_case(mesh, dofs, coeff, f, tables, pattern=None, dump=None):
-    """Solution of the method of ``dofs`` with load ``f``, its system summed
-    on ``pattern`` if given and, if ``dump`` names a file, written there as
-    coordinate text.  The system is dropped on return, so no caller holds
-    it past its solve."""
-    system = _assemble(mesh, dofs, coeff, f, tables, pattern)
+def _sweep(mesh, dofs, coeff, tables):
+    """The rho-free work of a rho sweep's solves: the ``FormSums`` of its
+    systems, and the ``CondensationPlan`` of their shared structure."""
+    sums = FormSums(mesh, dofs, coeff, tables)
+    return sums, CondensationPlan(sums.structure(), dofs.cell_blocks,
+                                  dofs.coupled)
+
+
+def _solve_case(mesh, dofs, coeff, f, tables, sweep=None, dump=None):
+    """Solution of the method of ``dofs`` with load ``f``, from a rho
+    sweep's ``_sweep`` if given, its system written as coordinate text if
+    ``dump`` names a file.  The system is dropped on return, so no caller
+    holds it past its solve."""
+    sums, plan = sweep or (None, None)
+    system = _assemble(mesh, dofs, coeff, f, tables, sums)
     if dump:
         with open(dump, "w") as fh:
             write_matrix(system.matrix, fh)
-    return solve_symmetric_indefinite(system.matrix, system.rhs,
-                                      cell_blocks=dofs.cell_blocks)
+    return solve_symmetric_indefinite(
+        system.matrix, system.rhs, cell_blocks=dofs.cell_blocks,
+        plan=plan or CondensationPlan(system.matrix, dofs.cell_blocks,
+                                      dofs.coupled))
 
 
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
@@ -202,7 +214,7 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
     The limit method (primal for hdg, mixed for wg) has the local spaces of
     the inv regime, so one set of element tables serves both solves and
-    the distances for every rho, and one sum pattern every rho's system.
+    the distances for every rho, and one ``_sweep`` every rho's solve.
     The slope is fitted to log-log distance over rho, so ``rhos`` must hold
     at least two distinct positive values.
     """
@@ -221,11 +233,11 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
     ref_dofs = (primal_dofs if method == "hdg" else mixed_dofs)(mesh, k)
     y = _solve_case(mesh, ref_dofs, coeff, prob.f, tables)
     rows = []
-    pattern = None
+    sweep = None
     for case in cases:
         dofs = build_space_triple(mesh, case)
-        pattern = pattern or form_pattern(mesh, dofs, tables)
-        x = _solve_case(mesh, dofs, coeff, prob.f, tables, pattern)
+        sweep = sweep or _sweep(mesh, dofs, coeff, tables)
+        x = _solve_case(mesh, dofs, coeff, prob.f, tables, sweep)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
@@ -261,10 +273,11 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         instances = [build_space_triple(mesh, SpaceCase(
             method=method, regime=regime, k=k, rho=rho,
             trace_degree=trace_degree)) for rho in rhos]
-        # rho enters through the weights only: one set of tables and one
-        # sum pattern each for the system and the Gram per mesh
+        # rho enters through the weights only: one set of tables, one
+        # FormSums for the systems and one sum pattern for the Grams per
+        # mesh
         tables = ElementTables(mesh, instances[0].case)
-        form, norm = (form_pattern(mesh, instances[0], tables),
+        form, norm = (FormSums(mesh, instances[0], coeff, tables),
                       gram_pattern(mesh, instances[0], tables))
         guess = None
         for dofs in instances:

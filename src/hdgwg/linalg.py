@@ -60,16 +60,17 @@ BRACKET_STEP = 1.05
 BRACKET_RTOL_MIN = 1e-6
 
 
-def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
+def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
 
     ``cell_blocks`` (C, m) says that the first L = C m DOFs couple only
     within their own cell, m consecutive per cell: A[:L, :L] is block
     diagonal with C blocks of size m.  They are eliminated first (static
-    condensation): the blocks B are inverted by batched dense LU, the
-    reduced matrix A[L:, L:] - A[L:, :L] B^-1 A[:L, L:] is factored with a
-    sparse LU (pivot-free when its diagonal has one sign, see
-    ``PIVOT_FREE``), and the cell unknowns are recovered by
+    condensation), cell by cell on a ``CondensationPlan``: ``plan`` if
+    given, which must have been built for these cell blocks and A's
+    sparsity structure, else one read from A.  The reduced matrix is
+    factored with a sparse LU (pivot-free when its diagonal has one sign,
+    see ``PIVOT_FREE``), and the cell unknowns are recovered by
     back-substitution.  ``DofMap.cell_blocks`` gives the blocks (see
     ``spaces.build_space_triple``); without them the reduced matrix is A.
 
@@ -82,24 +83,39 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     ||x|| + ||b||), checked on the x where refinement stopped, which is
     attainable in double precision even when the stabilization weights
     inflate the matrix scale.  Failure raises SingularMatrixError naming
-    its stage; cell blocks that couple across cells or exceed A raise
-    ValueError.  The arguments are never modified.
+    its stage; cell blocks that couple across cells or exceed A, or a plan
+    built for other blocks or another structure, raise ValueError.  The
+    arguments are never modified.
     """
-    A = sp.csr_matrix(matrix)
-    if not A.has_canonical_format:
-        # sum_duplicates works in place, on arrays shared with ``matrix``
-        A = A.copy()
-        A.sum_duplicates()
+    A = _canonical(matrix)
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    factor, first = _condensed_factor(A, cell_blocks)
+    if plan is None:
+        plan = CondensationPlan(A, cell_blocks)
+    elif plan.cell_blocks != tuple(cell_blocks):
+        raise ValueError("condensation plan was built for cell blocks {}, "
+                         "not {}".format(plan.cell_blocks, tuple(cell_blocks)))
+    factor, first = _condensed_factor(A, plan)
+    # the back-substitution needs none of the plan: one built for this
+    # solve alone is freed before the factorization
+    del plan
     try:
         return _refine(A, b, factor(first))
     except SingularMatrixError:
         if first is PARTIAL_PIVOTING:
             raise
     return _refine(A, b, factor(PARTIAL_PIVOTING))
+
+
+def _canonical(matrix):
+    """``matrix`` as CSR with sorted, unique column indices."""
+    A = sp.csr_matrix(matrix)
+    if not A.has_canonical_format:
+        # sum_duplicates works in place, on arrays shared with ``matrix``
+        A = A.copy()
+        A.sum_duplicates()
+    return A
 
 
 def _refine(A, b, solve):
@@ -119,7 +135,9 @@ def _refine(A, b, solve):
             break
         x = x + solve(r)
         last, steps = residual, steps + 1
-    anorm = np.sqrt(np.sum(A.data**2))
+    # ||A||_F slice by slice: no temporary the size of A
+    anorm = np.sqrt(sum(np.sum(np.square(part)) for part in np.array_split(
+        A.data, 1 + len(A.data) // 2**16)))
     bound = REFINEMENT_RTOL * max(
         anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
     if not residual <= bound:
@@ -130,36 +148,239 @@ def _refine(A, b, solve):
     return x
 
 
-def _condensed_factor(A, cell_blocks):
-    """Condense the leading ``cell_blocks`` out of A.  Returns ``factor``,
-    which maps splu options to a solver r -> A^-1 r, and the options to
-    try first."""
-    num_cells, m = cell_blocks
+class CondensationPlan:
+    """Where the static condensation finds its blocks among the stored
+    entries of one sparsity structure.  It reads the structure alone, so
+    one plan serves every matrix of a rho sweep.
+
+    ``cell_blocks`` (C, m): the first L = C m DOFs couple only within their
+    own cell, m consecutive per cell.  ``coupled`` (C, g) lists the other
+    DOFs that each cell's block may couple to, -1 where absent
+    (``DofMap.coupled``); by default they are read from the structure.
+
+    ``blocks`` holds, for the cell blocks K_ll (C, m, m), their couplings
+    K_lg (C, m, g) and K_gl (C, g, m), the position of each slot among A's
+    stored entries, and the slots that A does not store, which read zero.
+    A structure that stores every block in full, as the assembled systems
+    do, is laid out by arithmetic on its row pointers
+    (``_full_block_slots``), any other by a search (``_searched_slots``).
+    ``gg`` holds the positions of A_gg's entries, at ``gg_rows`` and
+    ``gg_cols`` of the reduced matrix A_gg - sum_c K_gl K_ll^-1 K_lg, and
+    ``outside`` those of the entries in none of these, which must be zero.
+    ``glob`` is ``coupled`` - L, with the absent ones at the padding index
+    n - L.
+    """
+
+    def __init__(self, matrix, cell_blocks, coupled=None):
+        A = _canonical(matrix)
+        num_cells, m = self.cell_blocks = tuple(cell_blocks)
+        n, L = A.shape[0], num_cells * m
+        if L > n:
+            raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
+                             "of A".format(num_cells, m, n))
+        if coupled is None:
+            coupled = _coupled_from_structure(A, num_cells, m)
+        coupled = np.asarray(coupled, dtype=np.int64)
+        if (coupled.ndim != 2 or len(coupled) != num_cells
+                or np.any((coupled >= 0) & (coupled < L))
+                or np.any(coupled >= n)):
+            raise ValueError("coupled DOFs must be a ({}, g) array of DOFs "
+                             "in [{}, {})".format(num_cells, L, n))
+        self.shape, self.indptr, self.indices = A.shape, A.indptr, A.indices
+        # int32 where it fits: the plan stays resident through a sweep
+        idx = np.int32 if len(A.indices) < 2**31 else np.int64
+        split = A.indptr[L]
+        at = np.flatnonzero(A.indices[split:] >= L)
+        gg = split + at
+        slots = _full_block_slots(A, m, coupled) if L else None
+        blocks, outside = slots or _searched_slots(A, m, coupled, gg)
+        self.blocks = [(src.astype(idx, copy=False),
+                        absent.astype(idx, copy=False))
+                       for src, absent in blocks]
+        self.gg, self.outside = gg.astype(idx), outside.astype(idx)
+        self.gg_rows = np.repeat(np.arange(n - L, dtype=idx),
+                                 np.diff(A.indptr[L:]))[at]
+        self.gg_cols = (A.indices[gg] - L).astype(idx)
+        self.glob = np.where(coupled >= 0, coupled - L, n - L).astype(idx)
+
+    def check(self, A):
+        """ValueError unless A has the structure of this plan."""
+        if A.shape != self.shape or not (
+                (A.indptr is self.indptr or np.array_equal(A.indptr,
+                                                           self.indptr))
+                and (A.indices is self.indices
+                     or np.array_equal(A.indices, self.indices))):
+            raise ValueError("condensation plan was built for another "
+                             "sparsity structure")
+
+
+def _full_block_slots(A, m, coupled):
+    """``CondensationPlan.blocks`` and the positions of the entries outside
+    them, if A's structure stores the blocks in full: each row of cell c's
+    block holds exactly the block's columns and c's valid coupled DOFs, and
+    each coupled DOF's row holds, below L, exactly the blocks of the cells
+    that couple to it.  Then every position follows from the row pointers
+    and the ascending order of each cell's coupled DOFs, and no entry lies
+    outside.  None otherwise."""
+    num_cells, g = coupled.shape
     n, L = A.shape[0], num_cells * m
-    if L > n:
-        raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs of "
-                         "A".format(num_cells, m, n))
-    A_ll = A[:L, :L].tocoo()
-    cell_r, a = np.divmod(A_ll.row, m)
-    cell_c, b = np.divmod(A_ll.col, m)
-    outside = np.count_nonzero(A_ll.data[cell_r != cell_c])
+    indptr, indices = A.indptr, A.indices
+    valid = coupled >= 0
+    count = valid.sum(axis=1)
+    if not np.array_equal(np.diff(indptr[:L + 1]), np.repeat(m + count, m)):
+        return None
+    # rank of each valid coupled DOF among its cell's, ascending
+    rank = np.empty_like(coupled)
+    np.put_along_axis(rank, np.argsort(coupled, axis=1),
+                      np.broadcast_to(np.arange(g), coupled.shape), axis=1)
+    # positions in the index type of A, so that the plan need not convert
+    rank = (rank - (g - count)[:, None]).astype(indptr.dtype)
+    # a coupled DOF's row holds its cells' blocks in ascending cell order
+    cells = np.nonzero(valid)[0]
+    dofs = coupled[valid]
+    per_dof = np.bincount(dofs, minlength=n)
+    order = np.argsort(dofs, kind="stable")
+    before = np.empty_like(order)
+    before[order] = np.arange(len(dofs)) - (np.cumsum(per_dof)
+                                            - per_dof)[dofs[order]]
+    before = before.astype(indptr.dtype)
+    start = indptr[:L].reshape(num_cells, m)
+    from_row = indptr[dofs] + m * before
+    # an absent DOF's slots point into its cell's block, and read zero
+    lg = start[:, :, None] + m + rank[:, None, :]
+    first = np.arange(0, L, m)
+    # each coupled row's part below L ends within the row, and where the
+    # row goes on, at a column of at least L
+    after = indptr[L:n] + m * per_dof[L:]
+    goes_on = after < indptr[L + 1:]
+    # a row's columns are sorted and distinct, so m of them that start at
+    # c m and end at c m + m - 1 are cell c's block
+    if not (np.all(after <= indptr[L + 1:])
+            and np.array_equal(indices[start], np.broadcast_to(
+                first[:, None], start.shape))
+            and np.array_equal(indices[start + m - 1], np.broadcast_to(
+                first[:, None] + m - 1, start.shape))
+            and np.all((indices[lg] == coupled[:, None, :])
+                       | ~valid[:, None, :])
+            and np.array_equal(indices[from_row], first[cells])
+            and np.array_equal(indices[from_row + m - 1],
+                               first[cells] + m - 1)
+            and np.all(indices[after[goes_on]] >= L)):
+        return None
+    b = np.arange(m, dtype=indptr.dtype)
+    row_start = np.zeros(coupled.shape, dtype=indptr.dtype)
+    row_start[valid] = from_row
+    cell, j = np.nonzero(~valid)
+    absent_lg = ((cell * m)[:, None] + b) * g + j[:, None]
+    absent_gl = (cell * g + j)[:, None] * m + b
+    return ([((start[:, :, None] + b).ravel(), np.zeros(0, dtype=np.int64)),
+             (lg.ravel(), np.sort(absent_lg.ravel())),
+             ((row_start[:, :, None] + b).ravel(), absent_gl.ravel())],
+            np.zeros(0, dtype=np.int64))
+
+
+def _searched_slots(A, m, coupled, gg):
+    """What ``_full_block_slots`` returns, for any structure, given the
+    positions ``gg`` of A_gg's entries: each entry of the first L rows that
+    lies in its cell's block or at one of its coupled DOFs, and each entry
+    of the others in the columns of a cell's block at one of its coupled
+    DOFs, found by a search."""
+    num_cells, g = coupled.shape
+    n, L = A.shape[0], num_cells * m
+    slot = np.full(len(A.indices), -1, dtype=np.int64)
+    if L:
+        split = A.indptr[L]
+        row = np.repeat(np.arange(n), np.diff(A.indptr))
+        col = A.indices.astype(np.int64)
+        r, c = row[:split], col[:split]
+        cell = r // m
+        own = np.flatnonzero((c < L) & (c // m == cell))
+        slot[own] = (r * m + c - cell * m)[own]
+        j = _position(coupled, cell, c)
+        at = np.flatnonzero(j >= 0)
+        slot[at] = L * m + (r * g + j)[at]
+        r, c = row[split:], col[split:]
+        local = np.flatnonzero(c < L)
+        j = _position(coupled, c[local] // m, r[local])
+        at = local[j >= 0]
+        slot[split + at] = L * (m + g) + ((c[at] // m * g + j[j >= 0]) * m
+                                          + c[at] % m)
+    kept = np.flatnonzero(slot >= 0)
+    src = np.zeros(num_cells * m * (m + 2 * g), dtype=np.int64)
+    src[slot[kept]] = kept
+    stored = np.zeros(len(src), dtype=bool)
+    stored[slot[kept]] = True
+    slot[gg] = 0
+    ends = L * np.array([m, m + g])
+    return ([(part, np.flatnonzero(~has)) for part, has in zip(
+        np.split(src, ends), np.split(stored, ends))],
+            np.flatnonzero(slot < 0))
+
+
+def _position(coupled, cell, dofs):
+    """Per entry, the j with coupled[cell, j] == dofs, else -1."""
+    j = np.full(len(dofs), -1, dtype=np.int64)
+    for k in range(coupled.shape[1]):
+        j[coupled[cell, k] == dofs] = k
+    return j
+
+
+def _coupled_from_structure(A, num_cells, m):
+    """(C, g) DOFs beyond the first C m that each cell's rows or columns
+    reach in A's structure, ascending per cell, -1 padded."""
+    n, L = A.shape[0], num_cells * m
+    if L == 0:
+        return np.zeros((num_cells, 0), dtype=np.int64)
+    row = np.repeat(np.arange(n), np.diff(A.indptr))
+    col = A.indices.astype(np.int64)
+    lg = (row < L) & (col >= L)
+    gl = (row >= L) & (col < L)
+    key = np.unique(np.concatenate([(row[lg] // m) * n + col[lg],
+                                    (col[gl] // m) * n + row[gl]]))
+    cell, dof = np.divmod(key, n)
+    counts = np.bincount(cell, minlength=num_cells)
+    coupled = np.full((num_cells, counts.max(initial=0)), -1, dtype=np.int64)
+    coupled[cell, np.arange(len(key)) - (np.cumsum(counts) - counts)[cell]] = dof
+    return coupled
+
+
+def _condensed_factor(A, plan):
+    """Condense the leading cell blocks of ``plan`` out of A.  Returns
+    ``factor``, which maps splu options to a solver r -> A^-1 r, and the
+    options to try first."""
+    plan.check(A)
+    (num_cells, m), g = plan.cell_blocks, plan.glob.shape[1]
+    n, L = A.shape[0], num_cells * m
+    outside = np.count_nonzero(A.data[plan.outside])
     if outside:
         raise ValueError(
-            "cell blocks couple across cells: {} nonzeros of A[:{}, :{}] "
-            "lie outside the {} diagonal {}x{} blocks".format(
-                outside, L, L, num_cells, m, m))
-    blocks = np.zeros((num_cells, m, m))
-    blocks[cell_r, a, b] = A_ll.data
-    # A_ll is most of A for HDG: free it before the reduced matrix is formed
-    del A_ll, cell_r, cell_c, a, b
-    inv = _invert_cell_blocks(blocks)
-    # block-diagonal B^-1: row (c, a) holds columns (c, :)
-    cols = np.arange(L).reshape(num_cells, 1, m)
-    B_inv = sp.csr_matrix(
-        (inv.ravel(), np.broadcast_to(cols, inv.shape).ravel(),
-         np.arange(L + 1) * m), shape=(L, L))
-    A_gl, A_lg = A[L:, :L], A[:L, L:]
-    reduced = (A[L:, L:] - A_gl @ (B_inv @ A_lg)).tocsc()
+            "cell blocks couple across cells: {} nonzeros of A lie outside "
+            "the {} diagonal {}x{} blocks and their cells' coupled "
+            "DOFs".format(outside, num_cells, m, m))
+
+    def gather(block, shape):
+        src, absent = plan.blocks[block]
+        vals = A.data[src]
+        vals[absent] = 0.0
+        return vals.reshape(shape)
+
+    # one block at a time: the gathers need not all live at once
+    inv = _invert_cell_blocks(gather(0, (num_cells, m, m)))
+    W = inv @ gather(1, (num_cells, m, g))
+    K_gl = gather(2, (num_cells, g, m))
+    # A_gg's entries, then those of each cell's g x g complement between
+    # DOFs it has
+    glob = plan.glob
+    valid = (glob[:, :, None] < n - L) & (glob[:, None, :] < n - L)
+    reduced = sp.coo_matrix(
+        (np.concatenate([A.data[plan.gg], -(K_gl @ W)[valid]]),
+         (np.concatenate([plan.gg_rows, np.broadcast_to(
+             glob[:, :, None], valid.shape)[valid]]),
+          np.concatenate([plan.gg_cols, np.broadcast_to(
+              glob[:, None, :], valid.shape)[valid]]))),
+        shape=(n - L, n - L)).tocsc()
+    # the sum keeps the exact zeros of A_gg; the factorization needs none
+    reduced.eliminate_zeros()
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 
@@ -172,9 +393,12 @@ def _condensed_factor(A, cell_blocks):
                     n - L, exc)) from exc
 
         def solve(r):
-            y = B_inv @ r[:L]
-            x_g = lu.solve(r[L:] - A_gl @ y)
-            return np.concatenate([y - B_inv @ (A_lg @ x_g), x_g])
+            y = inv @ r[:L].reshape(num_cells, m, 1)
+            x_g = lu.solve(r[L:] - np.bincount(
+                glob.ravel(), weights=(K_gl @ y).ravel(),
+                minlength=n - L + 1)[:n - L])
+            x_l = y - W @ np.append(x_g, 0.0)[glob][..., None]
+            return np.concatenate([x_l.ravel(), x_g])
 
         return solve
 
@@ -183,21 +407,25 @@ def _condensed_factor(A, cell_blocks):
 
 def _invert_cell_blocks(blocks):
     """Inverses of a (C, m, m) block stack by batched dense LU after
-    symmetric equilibration; a singular or non-finite block raises."""
+    symmetric equilibration, which overwrites ``blocks``; a singular or
+    non-finite block raises."""
     num_cells, m, _ = blocks.shape
     finite = np.isfinite(blocks).all(axis=(1, 2))
-    blocks = np.where(finite[:, None, None], blocks, np.eye(m))
+    blocks[~finite] = np.eye(m)
     row_max = np.abs(blocks).max(axis=2, initial=0.0)
     scale = 1.0 / np.sqrt(np.where(row_max > 0.0, row_max, 1.0))
-    scaled = blocks * scale[:, :, None] * scale[:, None, :]
-    norm1 = lambda M: np.abs(M).sum(axis=1).max(axis=1, initial=0.0)
+    blocks *= scale[:, :, None]
+    blocks *= scale[:, None, :]
+    # column sums as a product: a sum over the short middle axis is slow
+    ones = np.ones(m)
+    norm1 = lambda M: (ones @ np.abs(M)).max(axis=1, initial=0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         try:
-            inv = np.linalg.inv(scaled)
-            rcond = 1.0 / (norm1(scaled) * norm1(inv))
+            inv = np.linalg.inv(blocks)
+            rcond = 1.0 / (norm1(blocks) * norm1(inv))
         except np.linalg.LinAlgError:
             # an exactly singular block: rank all blocks by singular values
-            sv = np.linalg.svd(scaled, compute_uv=False)
+            sv = np.linalg.svd(blocks, compute_uv=False)
             rcond = sv[:, -1] / sv[:, 0]
     bad = np.flatnonzero(~finite | ~(rcond >= CELL_RCOND_MIN))
     if bad.size:
@@ -210,7 +438,9 @@ def _invert_cell_blocks(blocks):
                 else "singular (reciprocal condition {:.1e} < {:.0e})".format(
                     rcond[c], CELL_RCOND_MIN),
                 bad.size, num_cells))
-    return inv * scale[:, :, None] * scale[:, None, :]
+    inv *= scale[:, :, None]
+    inv *= scale[:, None, :]
+    return inv
 
 
 def min_generalized_singular_value(A, N, guess=None, guess_rtol=None):
@@ -298,7 +528,8 @@ def _counted_beta(A, N, guess=None, guess_rtol=None):
         both from the pivots."""
         _, d = _ldlt_pivots(
             sp.csc_matrix((a - sigma * n, indices, indptr), shape=shape),
-            ORDERED_PIVOT_FREE, "inf-sup count at sigma = {!r}".format(sigma))
+            ORDERED_PIVOT_FREE,
+            "inf-sup count at sigma = {!r}".format(float(sigma)))
         return (int(np.count_nonzero(d < 0.0)),
                 float(np.sum(np.log(np.abs(d)))))
 
@@ -319,10 +550,11 @@ def _counted_beta(A, N, guess=None, guess_rtol=None):
         factor *= factor
         if not 0.0 < sigma < np.inf:
             raise SingularMatrixError("inf-sup bracket: " + (
-                "no eigenvalue of modulus below sigma = {!r}".format(lo)
+                "no eigenvalue of modulus below sigma = {!r}".format(
+                    float(lo))
                 if hi == np.inf else "eigenvalues in (-sigma, sigma) for "
                 "every sigma down to {!r}: A is singular to working "
-                "precision".format(hi)))
+                "precision".format(float(hi))))
     # +1: an eigenvalue in (0, hi); -1: one in (-hi, 0)
     sides = [side for side in (1, -1) if at_hi[side][0] != negative]
     widths, moved, halved = [], 0, {1: 0, -1: 0}

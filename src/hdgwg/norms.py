@@ -143,8 +143,8 @@ def _gram_terms(mesh, dofs, coeff, tables):
 
 
 def gram_pattern(mesh, dofs, tables):
-    """The ``SumPattern`` of the Gram of ``dofs``; like
-    ``assembly.form_pattern`` it serves every rho on one mesh and space."""
+    """The ``SumPattern`` of the Gram of ``dofs``.  It reads only the DOFs,
+    so it serves every rho on one mesh and space."""
     return SumPattern(dofs.total, _gram_terms(mesh, dofs, None, tables))
 
 
@@ -234,8 +234,11 @@ def consistency_residual(mesh, dofs, exact, tables, coeff=None):
     """
     t = tables.check(mesh, dofs)
     r = -load_vector(dofs, t, exact.f)
-    for w, scale, test, trial in _form_terms(
-            mesh, dofs, t, coeff or CoefficientField.unit(), exact):
+    unit, stabilized, factor = _form_terms(
+        mesh, dofs, t, coeff or CoefficientField.unit(), exact)
+    for w, scale, test, trial in unit + [
+            (w, factor * scale, test, trial)
+            for w, scale, test, trial in stabilized]:
         g = "ABCD"[:w.ndim - 1]
         for (rows, b, _), (_, _, samples) in (
                 [(test, trial)] if test is trial

@@ -87,11 +87,18 @@ class SpaceCase:
         return (self.flux_family, self.flux_degree, self.scalar_degree)
 
     @property
-    def stabilization(self):
-        """Per-cell stabilization weight as a function of h_K."""
+    def stabilization_factor(self):
+        """f(rho) of the stabilization weight tau (hdg) or eta (wg) =
+        f(rho) g(h_K): rho for rho_h, 1/rho for inv."""
+        return self.rho if self.regime == "rho_h" else 1.0 / self.rho
+
+    @property
+    def stabilization_law(self):
+        """g(h_K) of the stabilization weight f(rho) g(h_K), as a function
+        of h_K: h_K for rho_h, 1/h_K for inv.  It does not depend on rho."""
         if self.regime == "rho_h":
-            return lambda h: self.rho * h
-        return lambda h: 1.0 / (self.rho * h)
+            return lambda h: h
+        return lambda h: 1.0 / h
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +112,12 @@ class DofMap:
     and is None for a broken flux.  ``cell_blocks`` (C, m): the first C m
     DOFs are the ones that couple only within their own cell, m per cell
     in cell order, for the static condensation of
-    ``linalg.solve_symmetric_indefinite``.  ``case`` is the ``SpaceCase``
-    of an HDG or WG map, None for the conforming limits.  The arrays are
-    built once and read-only, since every caller shares them.
+    ``linalg.solve_symmetric_indefinite``.  ``coupled`` (C, g) lists the
+    other DOFs that each cell's block couples to, -1 where absent: the
+    cell's DOFs that are not condensed and the trace DOFs of its sides.
+    ``case`` is the ``SpaceCase`` of an HDG or WG map, None for the
+    conforming limits.  The arrays are built once and read-only, since
+    every caller shares them.
     """
 
     method: str
@@ -117,11 +127,13 @@ class DofMap:
     scalar: np.ndarray
     edge_trace: np.ndarray
     cell_blocks: tuple
+    coupled: np.ndarray
     flux_sign: np.ndarray | None = None
     case: SpaceCase | None = None
 
     def __post_init__(self):
-        for a in (self.flux, self.scalar, self.edge_trace, self.flux_sign):
+        for a in (self.flux, self.scalar, self.edge_trace, self.coupled,
+                  self.flux_sign):
             if a is not None:
                 a.setflags(write=False)
 
@@ -164,7 +176,10 @@ def build_space_triple(mesh, case):
         method=case.method, local_spaces=case.local_spaces,
         total=C * (nf + nu) + len(trace_edges) * nt,
         flux=cell[:, :nf], scalar=cell[:, nf:], edge_trace=edge_trace,
-        cell_blocks=(C, m), case=case)
+        cell_blocks=(C, m),
+        coupled=np.concatenate([cell[:, m:], edge_trace[mesh.cell_edges]
+                                .reshape(C, -1)], axis=1),
+        case=case)
 
 
 def primal_dofs(mesh, k):
@@ -199,18 +214,19 @@ def primal_dofs(mesh, k):
                              cell_block_dofs(nxt, per_cell, C)], axis=1)
     return DofMap(
         method="primal", local_spaces=("vec", k, k + 1), cell_blocks=(C, nf),
-        total=nxt + C * per_cell, flux=flux, scalar=scalar,
+        coupled=scalar, total=nxt + C * per_cell, flux=flux, scalar=scalar,
         edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64))
 
 
 def mixed_dofs(mesh, k):
-    """H(div)-conforming RT_k flux (shared edge moments) plus broken P_k
-    scalar.
+    """H(div)-conforming RT_k flux (shared edge moments and k (k + 1)
+    interior bubbles per cell) plus broken P_k scalar.
 
     ``flux_sign`` orients the shared edge moments: they are signed by
-    ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.  No
-    DOF is cell-local: the flux is shared across edges and the scalar
-    block is zero, so everything stays in the sparse factorization.
+    ``Mesh.cell_edge_sign``, and odd moments flip with the traversal.  Only
+    the bubbles are cell-local, and they come first: their cell block is
+    the SPD bubble mass, so condensing them leaves the edge moments and
+    the scalar, whose block is zero, in the sparse factorization.
     """
     if k not in (0, 1):
         raise ValueError("mixed conforming method supports k in {0, 1}")
@@ -219,16 +235,19 @@ def mixed_dofs(mesh, k):
     flux_total = mesh.num_edges * per_edge + C * per_cell_int
     nu = basis.scalar_dim(k)
     m = np.arange(per_edge)
-    edge_dofs = mesh.cell_edges[..., None] * per_edge + m
+    edge_dofs = (C * per_cell_int + mesh.cell_edges[..., None] * per_edge
+                 + m).reshape(C, -1)
     edge_sign = mesh.cell_edge_sign[..., None] * np.where(
         mesh.cell_edge_flip[..., None], (-1.0) ** m, 1.0)
-    interior = cell_block_dofs(mesh.num_edges * per_edge, per_cell_int, C)
+    interior = cell_block_dofs(0, per_cell_int, C)
+    scalar = cell_block_dofs(flux_total, nu, C)
     return DofMap(
         method="mixed", local_spaces=("rt", k, k),
         total=flux_total + C * nu,
-        flux=np.concatenate([edge_dofs.reshape(C, -1), interior], axis=1),
-        scalar=cell_block_dofs(flux_total, nu, C),
+        flux=np.concatenate([edge_dofs, interior], axis=1),
+        scalar=scalar,
         edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64),
-        cell_blocks=(C, 0),
+        cell_blocks=(C, per_cell_int),
+        coupled=np.concatenate([edge_dofs, scalar], axis=1),
         flux_sign=np.concatenate([edge_sign.reshape(C, -1),
                                   np.ones(interior.shape)], axis=1))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from hdgwg.assembly import (
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
-    form_pattern,
+    FormSums,
 )
 from hdgwg.linalg import solve_symmetric_indefinite
 from hdgwg.mesh import Mesh, build_structured_mesh
@@ -71,7 +73,7 @@ def hdg_form_oracle(case, coeff, a, b):
             a, b):
         total += np.einsum("q,qc,qc->", w * coeff.c_at(xy), pa, pb)
         total -= w @ (ua * dpb) + w @ (ub * dpa)
-        tau = case.stabilization(h)
+        tau = case.stabilization_factor * case.stabilization_law(h)
         for (we, _, qa, va, hata), (_, _, qb, vb, hatb) in zip(sa, sb):
             total += we @ (hata * qb) + we @ (hatb * qa)
             total -= tau * (we @ ((va - hata) * (vb - hatb)))
@@ -86,7 +88,7 @@ def wg_form_oracle(case, coeff, a, b):
         total += np.einsum("q,qc,qc->", w * coeff.c_at(xy), pa, pb)
         total += np.einsum("q,qc,qc->", w, pa, gub)
         total += np.einsum("q,qc,qc->", w, pb, gua)
-        eta = case.stabilization(h)
+        eta = case.stabilization_factor * case.stabilization_law(h)
         for (we, sign, qa, va, hata), (_, _, qb, vb, hatb) in zip(sa, sb):
             total -= sign * (we @ (hata * vb) + we @ (hatb * va))
             total += eta * (we @ ((qa - sign * hata) * (qb - sign * hatb)))
@@ -435,20 +437,21 @@ def test_level_5_assembly_is_deterministic(method, regime):
     ("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")])
 def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
                                                   mesh_name):
-    # a rho sweep sums every system and Gram on the patterns of its first
-    # DOF map; each must equal the matrix assembled on its own, to the bit
+    # a rho sweep makes every system from the form sums of its first DOF
+    # map, and sums every Gram on its pattern; each must equal the matrix
+    # assembled on its own, to the bit
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     asm = assemble_hdg if method == "hdg" else assemble_wg
     first = build_space_triple(mesh, SpaceCase(method, regime, k, 1.0))
     tables = ElementTables(mesh, first.case)
-    form, norm = form_pattern(mesh, first, tables), gram_pattern(mesh, first,
-                                                                 tables)
+    form, norm = (FormSums(mesh, first, coeff, tables),
+                  gram_pattern(mesh, first, tables))
     built = []
     for rho in (1.0, 1e-3, 1e-6):
         dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
         pairs = [
-            (asm(mesh, dofs, coeff, ONE, tables=tables, pattern=form).matrix,
+            (asm(mesh, dofs, coeff, ONE, tables=tables, sums=form).matrix,
              asm(mesh, dofs, coeff, ONE, ElementTables(mesh, dofs.case)).matrix),
             (assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
                                 pattern=norm),
@@ -467,8 +470,19 @@ def test_pattern_rejects_another_dof_map():
     mesh = build_structured_mesh(2)
     dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 0, 1.0))
     tables = ElementTables(mesh, dofs.case)
-    form, norm = (form_pattern(mesh, dofs, tables),
+    coeff = CoefficientField.unit()
+    form, norm = (FormSums(mesh, dofs, coeff, tables),
                   gram_pattern(mesh, dofs, tables))
+    # the same mesh and tables with each cell's scalar DOFs reversed, and
+    # the same DOF map with another coefficient
+    reversed_scalar = dataclasses.replace(dofs, scalar=dofs.scalar[:, ::-1])
+    with pytest.raises(ValueError, match="another DOF map"):
+        assemble_hdg(mesh, reversed_scalar, coeff, ONE, tables, sums=form)
+    with pytest.raises(ValueError, match="another DOF map"):
+        assemble_norm_gram(mesh, reversed_scalar, tables, pattern=norm)
+    with pytest.raises(ValueError, match="coefficient"):
+        assemble_hdg(mesh, dofs, CoefficientField.unit(), ONE, tables,
+                     sums=form)
     # another degree, another mesh size, and the same mesh with each cell's
     # vertices rotated: same DOF count, other local numbering
     rotated = Mesh(mesh.vertices, mesh.cells[:, [1, 2, 0]])
@@ -478,8 +492,7 @@ def test_pattern_rejects_another_dof_map():
                                    SpaceCase("hdg", "inv", k, 1e-3))
         tables = ElementTables(other_mesh, other.case)
         with pytest.raises(ValueError, match="another DOF map"):
-            assemble_hdg(other_mesh, other, CoefficientField.unit(), ONE,
-                         tables, pattern=form)
+            assemble_hdg(other_mesh, other, coeff, ONE, tables, sums=form)
         with pytest.raises(ValueError, match="another DOF map"):
             assemble_norm_gram(other_mesh, other, tables, pattern=norm)
 
@@ -512,19 +525,39 @@ def _sorted_sum(n, terms):
                          shape=(n, n))
 
 
+def _on_structure(values, form, part):
+    """The ``values`` on ``form``'s structure as a CSR matrix, checked to
+    be zero outside the entries of ``part``, restricted to those
+    entries."""
+    whole = form.structure()
+    whole.data[:] = values
+    inside = part.copy()
+    inside.data[:] = 1.0
+    outside = whole - whole.multiply(inside)
+    assert outside.count_nonzero() == 0
+    rows = np.repeat(np.arange(part.shape[0]), np.diff(part.indptr))
+    return sp.csr_matrix((np.asarray(whole[rows, part.indices]).ravel(),
+                          part.indices, part.indptr), shape=part.shape)
+
+
 @pytest.mark.parametrize("method,regime", [("hdg", "inv"), ("wg", "rho_h")])
 def test_sum_pattern_matches_a_sort_of_all_triplets(method, regime):
-    # one-triplet runs are copied and only longer runs summed: the sums
-    # must be those of summing every run, to the bit
+    # one-triplet runs are copied and only longer runs summed: the sums of
+    # each scale group of the form, and the Gram, must be those of summing
+    # every run of that group's terms, to the bit
     mesh = build_structured_mesh(16)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     dofs = build_space_triple(mesh, SpaceCase(method, regime, 1, 1e-3))
     tables = ElementTables(mesh, dofs.case)
-    asm = assemble_hdg if method == "hdg" else assemble_wg
+    unit, stabilized, _ = assembly._form_terms(mesh, dofs, tables, coeff)
+    form = FormSums(mesh, dofs, coeff, tables)
     pairs = [
-        (asm(mesh, dofs, coeff, ONE, tables).matrix,
-         list(assembly._form_terms(mesh, dofs, tables, coeff))),
+        (form.unit, unit),
+        (form.stabilized, stabilized),
         (assemble_norm_gram(mesh, dofs, tables, coeff=coeff),
          list(norms._gram_terms(mesh, dofs, coeff, tables)))]
-    for matrix, terms in pairs:
-        assert _bit_identical(matrix, _sorted_sum(dofs.total, terms))
+    for values, terms in pairs:
+        oracle = _sorted_sum(dofs.total, terms)
+        matrix = (values if sp.issparse(values)
+                  else _on_structure(values, form, oracle))
+        assert _bit_identical(matrix, oracle)

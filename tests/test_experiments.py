@@ -3,13 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from hdgwg import assembly, cli, experiments
+from hdgwg import assembly, cli, experiments, linalg
 from hdgwg.experiments import (
     manufactured_case,
     run_convergence_study,
     run_infsup_study,
     run_rho_limit_study,
 )
+from hdgwg.mesh import build_structured_mesh
+from hdgwg.spaces import SpaceCase, build_space_triple
 
 
 def test_sine_case_values():
@@ -154,6 +156,52 @@ def test_infsup_guess_is_the_previous_level_else_the_previous_rho(
     assert [guess for _, guess, _ in calls] == [None, 1, 2, 1, 2, 3, 4, 5, 6]
     assert [rtol for _, _, rtol in calls] == [None] * 6 + [3 / 4, 3 / 5,
                                                            3 / 6]
+
+
+@pytest.mark.parametrize("method", ["hdg", "wg"])
+def test_limit_sweep_does_its_rho_free_work_once(method, monkeypatch):
+    # the conforming limit and the sweep each build one sum pattern and one
+    # condensation plan; the sweep sums its unit and stabilization groups
+    # once, and every rho's matrix is then its one-shot assembly, to the
+    # bit, and exactly symmetric
+    counts = {"pattern": 0, "sums": 0, "plan": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(assembly.SumPattern, "__init__",
+                        counting("pattern", assembly.SumPattern.__init__))
+    monkeypatch.setattr(assembly.SumPattern, "sum",
+                        counting("sums", assembly.SumPattern.sum))
+    monkeypatch.setattr(linalg.CondensationPlan, "__init__",
+                        counting("plan", linalg.CondensationPlan.__init__))
+    solved = []
+    solve = experiments.solve_symmetric_indefinite
+
+    def recording(matrix, rhs, cell_blocks, plan):
+        solved.append(matrix)
+        return solve(matrix, rhs, cell_blocks, plan)
+
+    monkeypatch.setattr(experiments, "solve_symmetric_indefinite", recording)
+    rhos = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
+    run_rho_limit_study(method, 1, level=2, rhos=rhos)
+    assert counts == {"pattern": 2, "sums": 3, "plan": 2}
+    mesh = build_structured_mesh(4)
+    prob = manufactured_case("sine")
+    coeff = assembly.CoefficientField(alpha=prob.alpha)
+    asm = assembly.assemble_hdg if method == "hdg" else assembly.assemble_wg
+    assert len(solved) == 1 + len(rhos)
+    for rho, matrix in zip(rhos, solved[1:]):
+        case = SpaceCase(method, "inv", 1, rho)
+        one_shot = asm(mesh, build_space_triple(mesh, case), coeff, prob.f,
+                       assembly.ElementTables(mesh, case)).matrix
+        for other in (one_shot, matrix.T.tocsr()):
+            assert np.array_equal(matrix.indptr, other.indptr)
+            assert np.array_equal(matrix.indices, other.indices)
+            assert np.array_equal(matrix.data, other.data)
 
 
 def test_one_element_tables_per_mesh_and_space(monkeypatch, tmp_path):

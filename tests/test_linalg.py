@@ -1,5 +1,6 @@
 import functools
 import io
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import scipy.sparse.linalg as spla
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
+    FormSums,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
@@ -103,7 +105,8 @@ CONDENSED_INPUTS = [
     for k in (0, 1)
     for rho in (1.0, 1e-2)
 ] + [("primal", None, k, None, mesh_name) for mesh_name in MESHES
-     for k in (0, 1)]
+     for k in (0, 1)] + [("mixed", None, 1, None, mesh_name)
+                         for mesh_name in MESHES]
 
 
 @pytest.mark.parametrize("method,regime,k,rho,mesh_name", CONDENSED_INPUTS)
@@ -119,6 +122,143 @@ def test_condensation_matches_plain_factorization(method, regime, k, rho,
     monkeypatch.setattr(linalg, "REFINEMENT_STEPS", 0)
     x_once = solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
     assert np.linalg.norm(x_once - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
+
+
+def _reduced_by_sparse_products(A, cell_blocks):
+    """The reduced matrix A_gg - A_gl B^-1 A_lg formed as the solver once
+    did, by slicing A and two sparse products with the block-diagonal B^-1
+    (plain dense inverses of its cell blocks); the products and the
+    difference drop exact zeros."""
+    C, m = cell_blocks
+    L = C * m
+    B = A[:L, :L].toarray()
+    B_inv = sp.block_diag([np.linalg.inv(B[c * m:(c + 1) * m,
+                                           c * m:(c + 1) * m])
+                           for c in range(C)], format="csr")
+    return (A[L:, L:] - A[L:, :L] @ (B_inv @ A[:L, L:])).tocsc()
+
+
+def _solver_reduced(A, b, cell_blocks, monkeypatch, plan=None):
+    """The reduced matrix that the solver factors first."""
+    factored = []
+    splu = linalg.spla.splu
+
+    def recording(matrix, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg.spla, "splu", recording)
+        solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks, plan=plan)
+    return factored[0]
+
+
+REDUCED_INPUTS = [
+    (method, regime, k, mesh_name)
+    for mesh_name in MESHES
+    for method, regime in (("hdg", "rho_h"), ("hdg", "inv"),
+                           ("wg", "rho_h"), ("wg", "inv"))
+    for k in (0, 1)
+] + [(method, None, 1, mesh_name) for mesh_name in MESHES
+     for method in ("primal", "mixed")]
+
+
+@pytest.mark.parametrize("rho", [1.0, 1e-2])
+@pytest.mark.parametrize("method,regime,k,mesh_name", REDUCED_INPUTS)
+def test_cellwise_reduced_matrix_matches_sparse_products(method, regime, k,
+                                                         mesh_name, rho,
+                                                         monkeypatch):
+    # the per-cell Schur complements summed on the plan give the reduced
+    # matrix of the sparse products within 1e-14 of its largest entry, or
+    # of A_gg's where that is larger: at rho = 1e-2 the wg/inv entries are
+    # differences of terms of size 1/(rho h) (measured: 2.4e-13 of the
+    # reduced matrix's largest entry, 5e-16 of A_gg's)
+    A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
+    reduced = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
+    oracle = _reduced_by_sparse_products(A, dofs.cell_blocks)
+    assert reduced.shape == oracle.shape
+    L = dofs.cell_blocks[0] * dofs.cell_blocks[1]
+    scale = max(abs(oracle).max(), abs(A[L:, L:]).max())
+    gap = abs(reduced - oracle).max()
+    assert gap <= 1e-14 * scale, gap / scale
+    # no exact zeros reach the factorization
+    assert np.all(reduced.data != 0.0)
+
+
+@pytest.mark.parametrize("method", ["hdg", "wg"])
+def test_reduced_matrix_keeps_no_exact_zeros(method, monkeypatch):
+    # the assembled inv systems store 12-37 % exact zeros; the reduced
+    # matrix keeps as many entries as the sparse products did
+    mesh = build_structured_mesh(2**3)
+    case = SpaceCase(method, "inv", 1, 0.1)
+    dofs = build_space_triple(mesh, case)
+    prob = manufactured_case("sine")
+    system = (assemble_hdg if method == "hdg" else assemble_wg)(
+        mesh, dofs, CoefficientField(alpha=prob.alpha), prob.f,
+        ElementTables(mesh, case))
+    assert np.count_nonzero(system.matrix.data == 0.0) > 0
+    reduced = _solver_reduced(system.matrix, system.rhs, dofs.cell_blocks,
+                              monkeypatch, linalg.CondensationPlan(
+                                  system.matrix, dofs.cell_blocks,
+                                  dofs.coupled))
+    assert reduced.nnz == _reduced_by_sparse_products(
+        system.matrix, dofs.cell_blocks).nnz
+
+
+@pytest.mark.parametrize("method,regime,k", [
+    (method, regime, k) for method, regime in (
+        ("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv"))
+    for k in (0, 1)] + [("primal", None, 1), ("mixed", None, 1)])
+def test_block_layout_matches_the_search(method, regime, k):
+    # an assembled system stores its cell blocks in full, so the plan lays
+    # them out by arithmetic; the search finds the same slots
+    A, _, dofs = _varcoef_system(method, regime, k, 1e-2, "jittered")
+    C, m = dofs.cell_blocks
+    coupled = np.asarray(dofs.coupled)
+    laid_out = linalg._full_block_slots(A, m, coupled)
+    assert laid_out is not None
+    plan = linalg.CondensationPlan(A, dofs.cell_blocks, dofs.coupled)
+    searched = linalg._searched_slots(A, m, coupled, plan.gg)
+    (got, got_outside), (want, want_outside) = laid_out, searched
+    assert len(got) == len(want) == 3
+    for (src, absent), (src_want, absent_want) in zip(got, want):
+        # the slots of absent DOFs read zero, wherever they point
+        assert np.array_equal(absent, absent_want)
+        stored = np.ones(len(src), dtype=bool)
+        stored[absent] = False
+        assert np.array_equal(src[stored], src_want[stored])
+    assert got_outside.size == want_outside.size == 0
+
+
+def test_plan_serves_every_matrix_of_its_structure():
+    # one plan, two rhos of one sweep: the solutions of fresh plans of the
+    # same coupled DOFs, to the bit; another structure or other cell blocks
+    # raise
+    mesh = build_structured_mesh(4)
+    prob = manufactured_case("sine")
+    coeff = CoefficientField(alpha=prob.alpha)
+    first = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, 1.0))
+    tables = ElementTables(mesh, first.case)
+    sums = FormSums(mesh, first, coeff, tables)
+    plan = linalg.CondensationPlan(sums.structure(), first.cell_blocks,
+                                   first.coupled)
+    for rho in (1.0, 1e-3):
+        dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, rho))
+        system = assemble_hdg(mesh, dofs, coeff, prob.f, tables, sums)
+        x = solve_symmetric_indefinite(system.matrix, system.rhs,
+                                       dofs.cell_blocks, plan)
+        fresh = solve_symmetric_indefinite(
+            system.matrix, system.rhs, dofs.cell_blocks,
+            linalg.CondensationPlan(system.matrix, dofs.cell_blocks,
+                                    dofs.coupled))
+        assert np.array_equal(x, fresh)
+    with pytest.raises(ValueError, match="built for cell blocks"):
+        solve_symmetric_indefinite(system.matrix, system.rhs, (0, 0), plan)
+    other = system.matrix.copy()
+    other.data[0] = 0.0
+    other.eliminate_zeros()
+    with pytest.raises(ValueError, match="another sparsity structure"):
+        solve_symmetric_indefinite(other, system.rhs, dofs.cell_blocks, plan)
 
 
 def _record_splu(monkeypatch):
@@ -235,9 +375,10 @@ def test_solve_leaves_a_non_canonical_matrix_unchanged():
 
 
 def test_condensation_memory_peak():
-    # the condensation cuts A into four slices and drops the copy of its
-    # cell blocks before it forms the reduced matrix, so its traced peak
-    # stays within 2.5 times the bytes of A (hdg/inv k = 1, level 4)
+    # the plan keeps int32 positions, and the condensation gathers the cell
+    # blocks once and inverts them in place, so building a plan and
+    # condensing on it peaks within 2.5 times the bytes of A (hdg/inv k = 1,
+    # level 4)
     mesh = build_structured_mesh(2**4)
     case = SpaceCase("hdg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
@@ -247,7 +388,8 @@ def test_condensation_memory_peak():
     nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
-        linalg._condensed_factor(A, dofs.cell_blocks)
+        linalg._condensed_factor(A, linalg.CondensationPlan(
+            A, dofs.cell_blocks, dofs.coupled))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,6 +676,42 @@ def test_counted_beta_never_counts_from_a_bad_factor(level_4_pencil):
         linalg._counted_beta(*level_4_pencil, guess=1.0)
     with pytest.raises(SingularMatrixError, match="singular to working"):
         linalg._counted_beta(sp.diags([0.0, 1.0, 2.0]), N[:3, :3])
+
+
+SHIFT = r"inf-sup count at sigma = -?\d+\.\d+(e-\d+)?"
+
+
+def test_counted_beta_names_its_shifts_as_plain_numbers(monkeypatch):
+    # the bisection shifts come from np.sqrt and midpoints, so they are
+    # numpy floats; a count that fails past the first bisection step must
+    # still name its shift as a bare number
+    A = sp.diags([0.5, 0.51, -3.0, 2.0, 4.0], format="csr")
+    N = sp.eye(5, format="csr")
+    stages = []
+    pivots = linalg._ldlt_pivots
+
+    def recording(matrix, options, stage):
+        stages.append(stage)
+        if len(stages) == fail_at:
+            raise SingularMatrixError(stage + ": failed")
+        return pivots(matrix, options, stage)
+
+    monkeypatch.setattr(linalg, "_ldlt_pivots", recording)
+    fail_at = 0
+    linalg._counted_beta(A, N, guess=0.1)
+    assert all(re.fullmatch(SHIFT, stage) for stage in stages[1:]), stages
+    # the bracket counts +sigma and -sigma; the first step past it that
+    # counts one sign only is a bisection of (0, hi), as only positive
+    # eigenvalues lie in the bracket
+    signs = [stage.split("= ")[1].startswith("-") for stage in stages[1:]]
+    first_step = next(i for i in range(0, len(signs), 2)
+                      if i + 1 == len(signs) or not signs[i + 1])
+    fail_at = first_step + 3
+    del stages[:]
+    with pytest.raises(SingularMatrixError,
+                       match="^" + SHIFT + ": failed$"):
+        linalg._counted_beta(A, N, guess=0.1)
+    assert len(stages) == fail_at
 
 
 @pytest.mark.parametrize("guess", [0.0, -1.0, float("nan"), float("inf")])

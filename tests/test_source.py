@@ -61,13 +61,19 @@ def test_norm_pairs_are_named_in_one_module():
     assert offenders == set()
 
 
+STABILIZATION_NAMES = ("stabilization", "stabilization_factor",
+                       "stabilization_law")
+
+
 def test_stabilization_is_read_in_one_module():
     # each method's bilinear form is written once, in hdgwg.assembly: no
-    # other module may read the tau/eta weights to write a form again
+    # other module may read the tau/eta weights f(rho) g(h_K), or either
+    # factor, to write a form again
     readers = set()
     for path in SOURCE.glob("*.py"):
         tree = ast.parse(path.read_text(), filename=str(path))
-        if any(isinstance(node, ast.Attribute) and node.attr == "stabilization"
+        if any(isinstance(node, ast.Attribute)
+               and node.attr in STABILIZATION_NAMES
                for node in ast.walk(tree)):
             readers.add(path.name)
     assert readers == {"assembly.py"}

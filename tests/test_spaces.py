@@ -47,9 +47,12 @@ def test_space_triples_per_regime():
 
 
 def test_stabilization_weights():
+    # tau = eta = f(rho) g(h_K): rho h_K for rho_h, 1/(rho h_K) for inv
     h = 0.25
-    assert SpaceCase("hdg", "rho_h", 0, 0.5).stabilization(h) == 0.5 * h
-    assert SpaceCase("wg", "inv", 0, 0.5).stabilization(h) == 1.0 / (0.5 * h)
+    rho_h = SpaceCase("hdg", "rho_h", 0, 0.5)
+    assert (rho_h.stabilization_factor, rho_h.stabilization_law(h)) == (0.5, h)
+    inv = SpaceCase("wg", "inv", 0, 0.5)
+    assert (inv.stabilization_factor, inv.stabilization_law(h)) == (2.0, 4.0)
 
 
 def test_dof_counts_unit_mesh():
@@ -121,12 +124,14 @@ def test_dof_map_partition():
 def test_condensed_dofs_come_first():
     # the first C m DOFs are each cell's condensed unknowns, m consecutive
     # per cell in cell order: HDG flux and scalar, WG and primal flux, and
-    # none for mixed
+    # the k (k + 1) = 2 interior RT_1 bubbles of mixed, its last flux basis
+    # functions
     mesh = build_structured_mesh(2)
     for dofs in _dof_maps(mesh):
         C, m = dofs.cell_blocks
         parts = {"hdg": [dofs.flux, dofs.scalar], "wg": [dofs.flux],
-                 "primal": [dofs.flux], "mixed": []}[dofs.method]
+                 "primal": [dofs.flux],
+                 "mixed": [dofs.flux[:, -2:]]}[dofs.method]
         condensed = np.hstack([dofs.flux[:, :0]] + parts)
         assert C == mesh.num_cells
         assert np.array_equal(condensed, np.arange(C * m).reshape(C, m)), (
