@@ -298,7 +298,13 @@ class SumPattern:
         """The (n, n) CSR matrix of ``terms``, which must have the DOFs this
         pattern was built from (else ValueError)."""
         terms = list(terms)
-        _check_dofs(n, terms, self.n, self.sides)
+        if n != self.n or len(terms) != len(self.sides):
+            raise ValueError("sum pattern was built for another DOF map")
+        for (_, _, test, trial), (rows, cols, diag, _) in zip(terms,
+                                                              self.sides):
+            if ((test is trial) != diag or not np.array_equal(test[0], rows)
+                    or not np.array_equal(trial[0], cols)):
+                raise ValueError("sum pattern was built for another DOF map")
         return sp.csr_matrix((self.sum(terms), self.indices.copy(),
                               self.indptr.copy()), shape=(n, n))
 
@@ -320,17 +326,6 @@ class SumPattern:
         sums[self.sum_to] = np.add.reduceat(vals[self.sum_from],
                                             self.sum_starts)
         return sums
-
-
-def _check_dofs(n, terms, pattern_n, sides):
-    """ValueError unless ``terms`` have the size ``pattern_n`` and the DOFs
-    ``sides`` of the ``SumPattern`` they are to be summed on."""
-    if n != pattern_n or len(terms) != len(sides):
-        raise ValueError("sum pattern was built for another DOF map")
-    for (_, _, test, trial), (rows, cols, diag, _) in zip(terms, sides):
-        if ((test is trial) != diag or not np.array_equal(test[0], rows)
-                or not np.array_equal(trial[0], cols)):
-            raise ValueError("sum pattern was built for another DOF map")
 
 
 def per_group(scale, ndim):
@@ -461,8 +456,7 @@ class FormSums:
         unit, stabilized, _ = _form_terms(mesh, dofs, tables, coeff)
         terms = unit + stabilized
         pattern = SumPattern(dofs.total, terms)
-        self.dofs, self.sides = dofs, pattern.sides
-        self.shape = (dofs.total, dofs.total)
+        self.dofs, self.shape = dofs, (dofs.total, dofs.total)
         self.indices, self.indptr = pattern.indices, pattern.indptr
         # the pattern was built from these terms: sum them unchecked
         is_unit = [True] * len(unit) + [False] * len(stabilized)
@@ -470,23 +464,17 @@ class FormSums:
         self.stabilized = None if not stabilized else pattern.sum(
             terms, [not u for u in is_unit])
 
-    def matrix(self, mesh, dofs, coeff, tables):
-        """The CSR matrix of the form of ``dofs``, which must have the DOFs,
-        coefficient and tables these sums were built for (else
-        ValueError)."""
-        if coeff != self.coeff or tables is not self.tables:
-            raise ValueError("form sums were built for another DOF map, "
-                             "coefficient or tables")
-        unit, stabilized, factor = _form_terms(
-            mesh, dofs, tables.check(mesh, dofs), coeff)
-        if dofs is not self.dofs:
-            _check_dofs(dofs.total, unit + stabilized, self.dofs.total,
-                        self.sides)
+    def matrix(self, dofs):
+        """The CSR matrix of the form of ``dofs``, which must number the
+        DOFs of the map these sums were built for, and may differ from it
+        in rho alone (else ValueError)."""
+        if dofs is not self.dofs and not _same_dofs(dofs, self.dofs):
+            raise ValueError("form sums were built for another DOF map")
         if self.stabilized is None:
             data = self.unit.copy()
         else:
             # f A1 + A0 in place: one array, the bits of A0 + f A1
-            data = factor * self.stabilized
+            data = dofs.case.stabilization_factor * self.stabilized
             data += self.unit
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
@@ -498,15 +486,26 @@ class FormSums:
                               self.indptr), shape=self.shape)
 
 
+def _same_dofs(a, b):
+    """Whether DOF maps ``a`` and ``b`` of one method number the same DOFs
+    the same way."""
+    return a.method == b.method and a.total == b.total and all(
+        np.array_equal(x, y) for x, y in (
+            (a.flux, b.flux), (a.scalar, b.scalar),
+            (a.edge_trace, b.edge_trace), (a.flux_sign, b.flux_sign)))
+
+
 def _assemble(method, mesh, dofs, coeff, f, tables, sums=None):
     if dofs.method != method:
         raise ValueError("DofMap was built for method {!r}, not {!r}".format(
             dofs.method, method))
     t = tables.check(mesh, dofs)
-    return LinearSystem(
-        matrix=(sums or FormSums(mesh, dofs, coeff, t)).matrix(
-            mesh, dofs, coeff, t),
-        rhs=load_vector(dofs, t, f))
+    if sums is None:
+        sums = FormSums(mesh, dofs, coeff, t)
+    elif coeff != sums.coeff or t is not sums.tables:
+        raise ValueError("form sums were built for another DOF map, "
+                         "coefficient or tables")
+    return LinearSystem(matrix=sums.matrix(dofs), rhs=load_vector(dofs, t, f))
 
 
 def assemble_hdg(mesh, dofs, coeff, f, tables, sums=None):

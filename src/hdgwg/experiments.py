@@ -158,8 +158,7 @@ def _sweep(mesh, dofs, coeff, tables):
     """The rho-free work of a rho sweep's solves: the ``FormSums`` of its
     systems, and the ``CondensationPlan`` of their shared structure."""
     sums = FormSums(mesh, dofs, coeff, tables)
-    return sums, CondensationPlan(sums.structure(), dofs.cell_blocks,
-                                  dofs.coupled)
+    return sums, CondensationPlan(sums.structure(), dofs.cell_blocks)
 
 
 def _solve_case(mesh, dofs, coeff, f, tables, sweep=None, dump=None):
@@ -173,9 +172,7 @@ def _solve_case(mesh, dofs, coeff, f, tables, sweep=None, dump=None):
         with open(dump, "w") as fh:
             write_matrix(system.matrix, fh)
     return solve_symmetric_indefinite(
-        system.matrix, system.rhs, cell_blocks=dofs.cell_blocks,
-        plan=plan or CondensationPlan(system.matrix, dofs.cell_blocks,
-                                      dofs.coupled))
+        system.matrix, system.rhs, cell_blocks=dofs.cell_blocks, plan=plan)
 
 
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",

@@ -67,8 +67,8 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
     within their own cell, m consecutive per cell: A[:L, :L] is block
     diagonal with C blocks of size m.  They are eliminated first (static
     condensation), cell by cell on a ``CondensationPlan``: ``plan`` if
-    given, which must have been built for these cell blocks and A's
-    sparsity structure, else one read from A.  The reduced matrix is
+    given, which must have been built for A's sparsity structure and then
+    gives the cell blocks, else one read from A.  The reduced matrix is
     factored with a sparse LU (pivot-free when its diagonal has one sign,
     see ``PIVOT_FREE``), and the cell unknowns are recovered by
     back-substitution.  ``DofMap.cell_blocks`` gives the blocks (see
@@ -84,22 +84,17 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
     attainable in double precision even when the stabilization weights
     inflate the matrix scale.  Failure raises SingularMatrixError naming
     its stage; cell blocks that couple across cells or exceed A, or a plan
-    built for other blocks or another structure, raise ValueError.  The
-    arguments are never modified.
+    built for another structure, raise ValueError.  The arguments are
+    never modified.
     """
     A = _canonical(matrix)
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    if plan is None:
-        plan = CondensationPlan(A, cell_blocks)
-    elif plan.cell_blocks != tuple(cell_blocks):
-        raise ValueError("condensation plan was built for cell blocks {}, "
-                         "not {}".format(plan.cell_blocks, tuple(cell_blocks)))
-    factor, first = _condensed_factor(A, plan)
     # the back-substitution needs none of the plan: one built for this
     # solve alone is freed before the factorization
-    del plan
+    factor, first = _condensed_factor(A, plan or CondensationPlan(
+        A, cell_blocks))
     try:
         return _refine(A, b, factor(first))
     except SingularMatrixError:
@@ -110,7 +105,7 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
 
 def _canonical(matrix):
     """``matrix`` as CSR with sorted, unique column indices."""
-    A = sp.csr_matrix(matrix)
+    A = matrix if sp.isspmatrix_csr(matrix) else sp.csr_matrix(matrix)
     if not A.has_canonical_format:
         # sum_duplicates works in place, on arrays shared with ``matrix``
         A = A.copy()
@@ -135,9 +130,7 @@ def _refine(A, b, solve):
             break
         x = x + solve(r)
         last, steps = residual, steps + 1
-    # ||A||_F slice by slice: no temporary the size of A
-    anorm = np.sqrt(sum(np.sum(np.square(part)) for part in np.array_split(
-        A.data, 1 + len(A.data) // 2**16)))
+    anorm = np.sqrt(A.data @ A.data)
     bound = REFINEMENT_RTOL * max(
         anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
     if not residual <= bound:
@@ -154,53 +147,51 @@ class CondensationPlan:
     one plan serves every matrix of a rho sweep.
 
     ``cell_blocks`` (C, m): the first L = C m DOFs couple only within their
-    own cell, m consecutive per cell.  ``coupled`` (C, g) lists the other
-    DOFs that each cell's block may couple to, -1 where absent
-    (``DofMap.coupled``); by default they are read from the structure.
+    own cell, m consecutive per cell.  The blocks are laid out on a
+    structure that stores them in full, as the assembled systems do: each
+    row of cell c's block holds the block's m columns and then the same
+    DOFs beyond L, c's coupled DOFs, and each coupled DOF's row holds,
+    below L, the blocks of the cells coupled to it.  Any other structure
+    is padded to one first (``_padded``): ``padding`` is then the padded
+    size and, for each entry of A that it keeps, its position in A and in
+    the padding; ``outside`` lists the entries it leaves out, the ones
+    that couple two cells' blocks, which must be zero.
 
-    ``blocks`` holds, for the cell blocks K_ll (C, m, m), their couplings
-    K_lg (C, m, g) and K_gl (C, g, m), the position of each slot among A's
-    stored entries, and the slots that A does not store, which read zero.
-    A structure that stores every block in full, as the assembled systems
-    do, is laid out by arithmetic on its row pointers
-    (``_full_block_slots``), any other by a search (``_searched_slots``).
-    ``gg`` holds the positions of A_gg's entries, at ``gg_rows`` and
-    ``gg_cols`` of the reduced matrix A_gg - sum_c K_gl K_ll^-1 K_lg, and
-    ``outside`` those of the entries in none of these, which must be zero.
-    ``glob`` is ``coupled`` - L, with the absent ones at the padding index
-    n - L.
+    Among the (padded) stored entries, ``start`` (C, m) holds the position
+    of the first entry of each row of each cell's block: the row's m block
+    entries, then its g coupled ones, K_ll and K_lg.  ``row_start`` (C, g)
+    holds the position of the cell's block in each coupled DOF's row, m
+    entries of K_gl.  ``glob`` holds each cell's coupled DOFs - L, with the
+    absent ones at the padding index n - L.  ``gg`` holds the positions of
+    A_gg's entries, at ``gg_rows`` and ``gg_cols`` of the reduced matrix
+    A_gg - sum_c K_gl K_ll^-1 K_lg.
     """
 
-    def __init__(self, matrix, cell_blocks, coupled=None):
+    def __init__(self, matrix, cell_blocks):
         A = _canonical(matrix)
         num_cells, m = self.cell_blocks = tuple(cell_blocks)
         n, L = A.shape[0], num_cells * m
         if L > n:
             raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
                              "of A".format(num_cells, m, n))
-        if coupled is None:
-            coupled = _coupled_from_structure(A, num_cells, m)
-        coupled = np.asarray(coupled, dtype=np.int64)
-        if (coupled.ndim != 2 or len(coupled) != num_cells
-                or np.any((coupled >= 0) & (coupled < L))
-                or np.any(coupled >= n)):
-            raise ValueError("coupled DOFs must be a ({}, g) array of DOFs "
-                             "in [{}, {})".format(num_cells, L, n))
         self.shape, self.indptr, self.indices = A.shape, A.indptr, A.indices
         # int32 where it fits: the plan stays resident through a sweep
         idx = np.int32 if len(A.indices) < 2**31 else np.int64
+        self.padding, self.outside = None, np.zeros(0, dtype=idx)
+        layout = _full_block_layout(A, num_cells, m)
+        if layout is None:
+            A, kept, at, outside = _padded(A, num_cells, m)
+            self.padding = (len(A.indices), kept.astype(idx), at.astype(idx))
+            self.outside = outside.astype(idx)
+            layout = _full_block_layout(A, num_cells, m)
+        coupled, start, row_start = layout
+        self.start, self.row_start = start.astype(idx), row_start.astype(idx)
         split = A.indptr[L]
         at = np.flatnonzero(A.indices[split:] >= L)
-        gg = split + at
-        slots = _full_block_slots(A, m, coupled) if L else None
-        blocks, outside = slots or _searched_slots(A, m, coupled, gg)
-        self.blocks = [(src.astype(idx, copy=False),
-                        absent.astype(idx, copy=False))
-                       for src, absent in blocks]
-        self.gg, self.outside = gg.astype(idx), outside.astype(idx)
+        self.gg = (split + at).astype(idx)
         self.gg_rows = np.repeat(np.arange(n - L, dtype=idx),
                                  np.diff(A.indptr[L:]))[at]
-        self.gg_cols = (A.indices[gg] - L).astype(idx)
+        self.gg_cols = (A.indices[self.gg] - L).astype(idx)
         self.glob = np.where(coupled >= 0, coupled - L, n - L).astype(idx)
 
     def check(self, A):
@@ -214,41 +205,40 @@ class CondensationPlan:
                              "sparsity structure")
 
 
-def _full_block_slots(A, m, coupled):
-    """``CondensationPlan.blocks`` and the positions of the entries outside
-    them, if A's structure stores the blocks in full: each row of cell c's
-    block holds exactly the block's columns and c's valid coupled DOFs, and
-    each coupled DOF's row holds, below L, exactly the blocks of the cells
-    that couple to it.  Then every position follows from the row pointers
-    and the ascending order of each cell's coupled DOFs, and no entry lies
-    outside.  None otherwise."""
-    num_cells, g = coupled.shape
+def _full_block_layout(A, num_cells, m):
+    """``(coupled, start, row_start)`` of ``CondensationPlan`` if A's
+    structure stores the cell blocks in full (see there), else None.
+    ``coupled`` (C, g) lists each cell's coupled DOFs ascending, as its
+    first row does, -1 padded.  Then every position follows from the row
+    pointers, and no entry couples two cells' blocks."""
     n, L = A.shape[0], num_cells * m
     indptr, indices = A.indptr, A.indices
-    valid = coupled >= 0
-    count = valid.sum(axis=1)
-    if not np.array_equal(np.diff(indptr[:L + 1]), np.repeat(m + count, m)):
+    start = indptr[:L].reshape(num_cells, m)
+    if m == 0:
+        return np.zeros((num_cells, 0), dtype=np.int64), start, start
+    # entries beyond the block, the same in every row of a cell
+    count = np.diff(indptr[:L + 1]).reshape(num_cells, m) - m
+    if not np.all(count == count[:, :1]) or np.any(count < 0):
         return None
-    # rank of each valid coupled DOF among its cell's, ascending
-    rank = np.empty_like(coupled)
-    np.put_along_axis(rank, np.argsort(coupled, axis=1),
-                      np.broadcast_to(np.arange(g), coupled.shape), axis=1)
-    # positions in the index type of A, so that the plan need not convert
-    rank = (rank - (g - count)[:, None]).astype(indptr.dtype)
+    count = count[:, 0]
+    j = np.arange(count.max(initial=0))
+    valid = j < count[:, None]
+    first = np.arange(0, L, m)
+    # each row's coupled entries; an absent DOF's point at the first entry
+    lg = np.where(valid[:, None, :], start[:, :, None] + m + j,
+                  start[:, :1, None])
+    coupled = np.where(valid, indices[lg[:, 0]], -1)
     # a coupled DOF's row holds its cells' blocks in ascending cell order
     cells = np.nonzero(valid)[0]
     dofs = coupled[valid]
+    if np.any(dofs < L):
+        return None
     per_dof = np.bincount(dofs, minlength=n)
     order = np.argsort(dofs, kind="stable")
     before = np.empty_like(order)
     before[order] = np.arange(len(dofs)) - (np.cumsum(per_dof)
                                             - per_dof)[dofs[order]]
-    before = before.astype(indptr.dtype)
-    start = indptr[:L].reshape(num_cells, m)
-    from_row = indptr[dofs] + m * before
-    # an absent DOF's slots point into its cell's block, and read zero
-    lg = start[:, :, None] + m + rank[:, None, :]
-    first = np.arange(0, L, m)
+    from_row = indptr[dofs] + m * before.astype(indptr.dtype)
     # each coupled row's part below L ends within the row, and where the
     # row goes on, at a column of at least L
     after = indptr[L:n] + m * per_dof[L:]
@@ -267,81 +257,43 @@ def _full_block_slots(A, m, coupled):
                                first[cells] + m - 1)
             and np.all(indices[after[goes_on]] >= L)):
         return None
-    b = np.arange(m, dtype=indptr.dtype)
     row_start = np.zeros(coupled.shape, dtype=indptr.dtype)
     row_start[valid] = from_row
-    cell, j = np.nonzero(~valid)
-    absent_lg = ((cell * m)[:, None] + b) * g + j[:, None]
-    absent_gl = (cell * g + j)[:, None] * m + b
-    return ([((start[:, :, None] + b).ravel(), np.zeros(0, dtype=np.int64)),
-             (lg.ravel(), np.sort(absent_lg.ravel())),
-             ((row_start[:, :, None] + b).ravel(), absent_gl.ravel())],
-            np.zeros(0, dtype=np.int64))
+    return coupled, start, row_start
 
 
-def _searched_slots(A, m, coupled, gg):
-    """What ``_full_block_slots`` returns, for any structure, given the
-    positions ``gg`` of A_gg's entries: each entry of the first L rows that
-    lies in its cell's block or at one of its coupled DOFs, and each entry
-    of the others in the columns of a cell's block at one of its coupled
-    DOFs, found by a search."""
-    num_cells, g = coupled.shape
+def _padded(A, num_cells, m):
+    """A's structure padded with zeros so that it stores its cell blocks
+    in full, without the entries that couple two cells' blocks, as a CSR
+    matrix of zeros; and the positions, in A, of the entries it keeps, in
+    the padding, of those entries, and, in A, of the ones it leaves out.
+    Each cell's coupled DOFs are the ones beyond L that its rows or
+    columns reach."""
     n, L = A.shape[0], num_cells * m
-    slot = np.full(len(A.indices), -1, dtype=np.int64)
-    if L:
-        split = A.indptr[L]
-        row = np.repeat(np.arange(n), np.diff(A.indptr))
-        col = A.indices.astype(np.int64)
-        r, c = row[:split], col[:split]
-        cell = r // m
-        own = np.flatnonzero((c < L) & (c // m == cell))
-        slot[own] = (r * m + c - cell * m)[own]
-        j = _position(coupled, cell, c)
-        at = np.flatnonzero(j >= 0)
-        slot[at] = L * m + (r * g + j)[at]
-        r, c = row[split:], col[split:]
-        local = np.flatnonzero(c < L)
-        j = _position(coupled, c[local] // m, r[local])
-        at = local[j >= 0]
-        slot[split + at] = L * (m + g) + ((c[at] // m * g + j[j >= 0]) * m
-                                          + c[at] % m)
-    kept = np.flatnonzero(slot >= 0)
-    src = np.zeros(num_cells * m * (m + 2 * g), dtype=np.int64)
-    src[slot[kept]] = kept
-    stored = np.zeros(len(src), dtype=bool)
-    stored[slot[kept]] = True
-    slot[gg] = 0
-    ends = L * np.array([m, m + g])
-    return ([(part, np.flatnonzero(~has)) for part, has in zip(
-        np.split(src, ends), np.split(stored, ends))],
-            np.flatnonzero(slot < 0))
-
-
-def _position(coupled, cell, dofs):
-    """Per entry, the j with coupled[cell, j] == dofs, else -1."""
-    j = np.full(len(dofs), -1, dtype=np.int64)
-    for k in range(coupled.shape[1]):
-        j[coupled[cell, k] == dofs] = k
-    return j
-
-
-def _coupled_from_structure(A, num_cells, m):
-    """(C, g) DOFs beyond the first C m that each cell's rows or columns
-    reach in A's structure, ascending per cell, -1 padded."""
-    n, L = A.shape[0], num_cells * m
-    if L == 0:
-        return np.zeros((num_cells, 0), dtype=np.int64)
     row = np.repeat(np.arange(n), np.diff(A.indptr))
     col = A.indices.astype(np.int64)
+    cross = (row < L) & (col < L) & (row // m != col // m)
+    kept = np.flatnonzero(~cross)
     lg = (row < L) & (col >= L)
     gl = (row >= L) & (col < L)
-    key = np.unique(np.concatenate([(row[lg] // m) * n + col[lg],
-                                    (col[gl] // m) * n + row[gl]]))
-    cell, dof = np.divmod(key, n)
-    counts = np.bincount(cell, minlength=num_cells)
-    coupled = np.full((num_cells, counts.max(initial=0)), -1, dtype=np.int64)
-    coupled[cell, np.arange(len(key)) - (np.cumsum(counts) - counts)[cell]] = dof
-    return coupled
+    cell, dof = np.divmod(np.unique(np.concatenate([
+        (row[lg] // m) * n + col[lg], (col[gl] // m) * n + row[gl]])), n)
+    block = np.arange(L).reshape(num_cells, 1, m)
+    own = np.broadcast_to(block, (num_cells, m, m))
+    ends = (cell[:, None] * m + np.arange(m)).ravel()
+    near = np.repeat(dof, m)
+    # the entries of A, each valued by its position + 1, and the padding's
+    # zeros: a sum gives each kept entry its position, the others zero
+    padded = sp.csr_matrix((
+        np.concatenate([kept + 1.0, np.zeros(own.size + 2 * len(ends))]),
+        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(), ends,
+                         near]),
+         np.concatenate([col[kept], own.ravel(), near, ends]))),
+        shape=A.shape)
+    at = np.flatnonzero(padded.data)
+    kept = padded.data[at].astype(np.int64) - 1
+    padded.data[:] = 0.0
+    return padded, kept, at, np.flatnonzero(cross)
 
 
 def _condensed_factor(A, plan):
@@ -354,33 +306,40 @@ def _condensed_factor(A, plan):
     outside = np.count_nonzero(A.data[plan.outside])
     if outside:
         raise ValueError(
-            "cell blocks couple across cells: {} nonzeros of A lie outside "
-            "the {} diagonal {}x{} blocks and their cells' coupled "
-            "DOFs".format(outside, num_cells, m, m))
+            "cell blocks couple across cells: {} nonzeros of A[:{}, :{}] "
+            "lie outside the {} diagonal {}x{} blocks".format(
+                outside, L, L, num_cells, m, m))
+    data = A.data
+    if plan.padding is not None:
+        size, kept, at = plan.padding
+        data = np.zeros(size)
+        data[at] = A.data[kept]
 
-    def gather(block, shape):
-        src, absent = plan.blocks[block]
-        vals = A.data[src]
-        vals[absent] = 0.0
-        return vals.reshape(shape)
-
-    # one block at a time: the gathers need not all live at once
-    inv = _invert_cell_blocks(gather(0, (num_cells, m, m)))
-    W = inv @ gather(1, (num_cells, m, g))
-    K_gl = gather(2, (num_cells, g, m))
-    # A_gg's entries, then those of each cell's g x g complement between
-    # DOFs it has
+    # one block at a time: the gathers need not all live at once.  An
+    # absent DOF's slots read the cell's first entry, and then zero
+    start, absent = plan.start[:, :, None], plan.glob == n - L
+    b = np.arange(m, dtype=start.dtype)
+    inv = _invert_cell_blocks(data[start + b])
+    K_lg = data[np.where(absent[:, None, :], start,
+                         start + m + np.arange(g, dtype=start.dtype))]
+    K_lg[np.broadcast_to(absent[:, None, :], K_lg.shape)] = 0.0
+    W = inv @ K_lg
+    del K_lg
+    K_gl = data[plan.row_start[:, :, None] + b]
+    K_gl[absent] = 0.0
+    # A_gg's entries, then those of each cell's g x g complement: the rows
+    # and columns of absent DOFs are zeros, added to the first entry
     glob = plan.glob
-    valid = (glob[:, :, None] < n - L) & (glob[:, None, :] < n - L)
+    at = np.where(glob < n - L, glob, 0)
     reduced = sp.coo_matrix(
-        (np.concatenate([A.data[plan.gg], -(K_gl @ W)[valid]]),
-         (np.concatenate([plan.gg_rows, np.broadcast_to(
-             glob[:, :, None], valid.shape)[valid]]),
-          np.concatenate([plan.gg_cols, np.broadcast_to(
-              glob[:, None, :], valid.shape)[valid]]))),
+        (np.concatenate([data[plan.gg], -(K_gl @ W).ravel()]),
+         (np.concatenate([plan.gg_rows, np.repeat(at, g, axis=1).ravel()]),
+          np.concatenate([plan.gg_cols, np.tile(at, g).ravel()]))),
         shape=(n - L, n - L)).tocsc()
-    # the sum keeps the exact zeros of A_gg; the factorization needs none
+    # the sum keeps the exact zeros of A_gg, and the room of the summed
+    # duplicates; the factorization needs neither
     reduced.eliminate_zeros()
+    reduced = reduced.copy()
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 

@@ -112,12 +112,9 @@ class DofMap:
     and is None for a broken flux.  ``cell_blocks`` (C, m): the first C m
     DOFs are the ones that couple only within their own cell, m per cell
     in cell order, for the static condensation of
-    ``linalg.solve_symmetric_indefinite``.  ``coupled`` (C, g) lists the
-    other DOFs that each cell's block couples to, -1 where absent: the
-    cell's DOFs that are not condensed and the trace DOFs of its sides.
-    ``case`` is the ``SpaceCase`` of an HDG or WG map, None for the
-    conforming limits.  The arrays are built once and read-only, since
-    every caller shares them.
+    ``linalg.solve_symmetric_indefinite``.  ``case`` is the ``SpaceCase``
+    of an HDG or WG map, None for the conforming limits.  The arrays are
+    built once and read-only, since every caller shares them.
     """
 
     method: str
@@ -127,13 +124,11 @@ class DofMap:
     scalar: np.ndarray
     edge_trace: np.ndarray
     cell_blocks: tuple
-    coupled: np.ndarray
     flux_sign: np.ndarray | None = None
     case: SpaceCase | None = None
 
     def __post_init__(self):
-        for a in (self.flux, self.scalar, self.edge_trace, self.coupled,
-                  self.flux_sign):
+        for a in (self.flux, self.scalar, self.edge_trace, self.flux_sign):
             if a is not None:
                 a.setflags(write=False)
 
@@ -176,10 +171,7 @@ def build_space_triple(mesh, case):
         method=case.method, local_spaces=case.local_spaces,
         total=C * (nf + nu) + len(trace_edges) * nt,
         flux=cell[:, :nf], scalar=cell[:, nf:], edge_trace=edge_trace,
-        cell_blocks=(C, m),
-        coupled=np.concatenate([cell[:, m:], edge_trace[mesh.cell_edges]
-                                .reshape(C, -1)], axis=1),
-        case=case)
+        cell_blocks=(C, m), case=case)
 
 
 def primal_dofs(mesh, k):
@@ -214,7 +206,7 @@ def primal_dofs(mesh, k):
                              cell_block_dofs(nxt, per_cell, C)], axis=1)
     return DofMap(
         method="primal", local_spaces=("vec", k, k + 1), cell_blocks=(C, nf),
-        coupled=scalar, total=nxt + C * per_cell, flux=flux, scalar=scalar,
+        total=nxt + C * per_cell, flux=flux, scalar=scalar,
         edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64))
 
 
@@ -235,19 +227,16 @@ def mixed_dofs(mesh, k):
     flux_total = mesh.num_edges * per_edge + C * per_cell_int
     nu = basis.scalar_dim(k)
     m = np.arange(per_edge)
-    edge_dofs = (C * per_cell_int + mesh.cell_edges[..., None] * per_edge
-                 + m).reshape(C, -1)
+    edge_dofs = C * per_cell_int + mesh.cell_edges[..., None] * per_edge + m
     edge_sign = mesh.cell_edge_sign[..., None] * np.where(
         mesh.cell_edge_flip[..., None], (-1.0) ** m, 1.0)
     interior = cell_block_dofs(0, per_cell_int, C)
-    scalar = cell_block_dofs(flux_total, nu, C)
     return DofMap(
         method="mixed", local_spaces=("rt", k, k),
         total=flux_total + C * nu,
-        flux=np.concatenate([edge_dofs, interior], axis=1),
-        scalar=scalar,
+        flux=np.concatenate([edge_dofs.reshape(C, -1), interior], axis=1),
+        scalar=cell_block_dofs(flux_total, nu, C),
         edge_trace=np.empty((mesh.num_edges, 0), dtype=np.int64),
         cell_blocks=(C, per_cell_int),
-        coupled=np.concatenate([edge_dofs, scalar], axis=1),
         flux_sign=np.concatenate([edge_sign.reshape(C, -1),
                                   np.ones(interior.shape)], axis=1))

@@ -198,62 +198,58 @@ def test_reduced_matrix_keeps_no_exact_zeros(method, monkeypatch):
         ElementTables(mesh, case))
     assert np.count_nonzero(system.matrix.data == 0.0) > 0
     reduced = _solver_reduced(system.matrix, system.rhs, dofs.cell_blocks,
-                              monkeypatch, linalg.CondensationPlan(
-                                  system.matrix, dofs.cell_blocks,
-                                  dofs.coupled))
+                              monkeypatch)
     assert reduced.nnz == _reduced_by_sparse_products(
         system.matrix, dofs.cell_blocks).nnz
 
 
 @pytest.mark.parametrize("method,regime,k", [
-    (method, regime, k) for method, regime in (
-        ("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv"))
-    for k in (0, 1)] + [("primal", None, 1), ("mixed", None, 1)])
-def test_block_layout_matches_the_search(method, regime, k):
-    # an assembled system stores its cell blocks in full, so the plan lays
-    # them out by arithmetic; the search finds the same slots
-    A, _, dofs = _varcoef_system(method, regime, k, 1e-2, "jittered")
-    C, m = dofs.cell_blocks
-    coupled = np.asarray(dofs.coupled)
-    laid_out = linalg._full_block_slots(A, m, coupled)
-    assert laid_out is not None
-    plan = linalg.CondensationPlan(A, dofs.cell_blocks, dofs.coupled)
-    searched = linalg._searched_slots(A, m, coupled, plan.gg)
-    (got, got_outside), (want, want_outside) = laid_out, searched
-    assert len(got) == len(want) == 3
-    for (src, absent), (src_want, absent_want) in zip(got, want):
-        # the slots of absent DOFs read zero, wherever they point
-        assert np.array_equal(absent, absent_want)
-        stored = np.ones(len(src), dtype=bool)
-        stored[absent] = False
-        assert np.array_equal(src[stored], src_want[stored])
-    assert got_outside.size == want_outside.size == 0
+    ("hdg", "inv", 1), ("wg", "rho_h", 0), ("mixed", None, 1)])
+def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
+                                                   monkeypatch):
+    # without its exact zeros (the mixed system stores none), and with an
+    # explicit zero between two cells' blocks, an assembled system no longer
+    # stores its cell blocks in full: the plan pads it to them and the
+    # reduced matrix is the same, to the bit
+    A, b, dofs = _varcoef_system(method, regime, k, 1e-2, "jittered")
+    full = linalg.CondensationPlan(A, dofs.cell_blocks)
+    assert full.padding is None
+    m = dofs.cell_blocks[1]
+    sparse = A.copy()
+    sparse.eliminate_zeros()
+    sparse = (sparse + sp.csr_matrix(([1.0, 1.0], ([0, m], [m, 0])),
+                                     shape=A.shape)).tocsr()
+    sparse[0, m] = sparse[m, 0] = 0.0
+    assert sparse[0, m] == 0.0
+    plan = linalg.CondensationPlan(sparse, dofs.cell_blocks)
+    assert plan.padding is not None and len(plan.outside) == 2
+    want = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
+    got = _solver_reduced(sparse, b, dofs.cell_blocks, monkeypatch, plan)
+    for a, c in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert np.array_equal(a, c)
 
 
 def test_plan_serves_every_matrix_of_its_structure():
-    # one plan, two rhos of one sweep: the solutions of fresh plans of the
-    # same coupled DOFs, to the bit; another structure or other cell blocks
-    # raise
+    # one plan, two rhos of one sweep: the solutions of fresh plans, to the
+    # bit, whatever cell blocks the call names; another structure raises
     mesh = build_structured_mesh(4)
     prob = manufactured_case("sine")
     coeff = CoefficientField(alpha=prob.alpha)
     first = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, 1.0))
     tables = ElementTables(mesh, first.case)
     sums = FormSums(mesh, first, coeff, tables)
-    plan = linalg.CondensationPlan(sums.structure(), first.cell_blocks,
-                                   first.coupled)
+    plan = linalg.CondensationPlan(sums.structure(), first.cell_blocks)
     for rho in (1.0, 1e-3):
         dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, rho))
         system = assemble_hdg(mesh, dofs, coeff, prob.f, tables, sums)
         x = solve_symmetric_indefinite(system.matrix, system.rhs,
                                        dofs.cell_blocks, plan)
-        fresh = solve_symmetric_indefinite(
-            system.matrix, system.rhs, dofs.cell_blocks,
-            linalg.CondensationPlan(system.matrix, dofs.cell_blocks,
-                                    dofs.coupled))
+        fresh = solve_symmetric_indefinite(system.matrix, system.rhs,
+                                           dofs.cell_blocks)
         assert np.array_equal(x, fresh)
-    with pytest.raises(ValueError, match="built for cell blocks"):
-        solve_symmetric_indefinite(system.matrix, system.rhs, (0, 0), plan)
+        assert np.array_equal(x, solve_symmetric_indefinite(
+            system.matrix, system.rhs, (0, 0), plan))
     other = system.matrix.copy()
     other.data[0] = 0.0
     other.eliminate_zeros()
@@ -389,7 +385,7 @@ def test_condensation_memory_peak():
     tracemalloc.start()
     try:
         linalg._condensed_factor(A, linalg.CondensationPlan(
-            A, dofs.cell_blocks, dofs.coupled))
+            A, dofs.cell_blocks))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
