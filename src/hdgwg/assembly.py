@@ -126,8 +126,9 @@ class ElementTables:
     Built for the local spaces of one ``SpaceCase``: nf flux, nu scalar and
     nt trace basis functions.  Each basis is tabulated once, at reference
     points, and the affine and Piola maps carry that table to the cells.
-    Only the studies build tables; every kernel takes them as an argument.  The volume rule of nq points and the edge rule of
-    ns points are both of degree ``quad_degree``, by default
+    Only the studies build tables; every kernel takes them as an
+    argument.  The volume rule of nq points and the edge rule of ns points
+    are both of degree ``quad_degree``, by default
     min(2 scalar_degree + 3, ``basis.MAX_QUADRATURE_DEGREE``).  That default
     is the one rule of the studies: each builds one set of tables per mesh
     and space and shares it between its assemblers and ``hdgwg.norms``.

@@ -9,6 +9,7 @@ methods is assembled and solved by ``_solve_case``.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -175,6 +176,18 @@ def _solve_case(mesh, dofs, coeff, f, tables, sweep=None, dump=None):
         system.matrix, system.rhs, cell_blocks=dofs.cell_blocks, plan=plan)
 
 
+@contextmanager
+def _failure_at(stage, *args, errors=SingularMatrixError):
+    """Raise the ``errors`` of the block as SingularMatrixError named by
+    ``stage.format(*args)``, so that a study's numerical failure says
+    where it struck."""
+    try:
+        yield
+    except errors as exc:
+        raise SingularMatrixError("{}: {}".format(stage.format(*args),
+                                                  exc)) from exc
+
+
 def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
                           first_level=2, trace_degree=None, dump_matrix=None):
     """Error norms on meshes n = 2^level for level = first_level .. levels.
@@ -194,8 +207,9 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
         mesh = build_structured_mesh(2**level)
         tables = ElementTables(mesh, case)
         dofs = build_space_triple(mesh, case)
-        x = _solve_case(mesh, dofs, coeff, prob.f, tables,
-                        dump=dump_matrix if level == first_level else None)
+        with _failure_at("converge at level {}, rho = {!r}", level, rho):
+            x = _solve_case(mesh, dofs, coeff, prob.f, tables,
+                            dump=dump_matrix if level == first_level else None)
         ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
                                     tables=tables)
         total = ef + es
@@ -228,13 +242,15 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
              for rho in rhos]
     tables = ElementTables(mesh, cases[0])
     ref_dofs = (primal_dofs if method == "hdg" else mixed_dofs)(mesh, k)
-    y = _solve_case(mesh, ref_dofs, coeff, prob.f, tables)
+    with _failure_at("limit at level {}, {} solve", level, ref_dofs.method):
+        y = _solve_case(mesh, ref_dofs, coeff, prob.f, tables)
     rows = []
     sweep = None
     for case in cases:
         dofs = build_space_triple(mesh, case)
         sweep = sweep or _sweep(mesh, dofs, coeff, tables)
-        x = _solve_case(mesh, dofs, coeff, prob.f, tables, sweep)
+        with _failure_at("limit at level {}, rho = {!r}", level, case.rho):
+            x = _solve_case(mesh, dofs, coeff, prob.f, tables, sweep)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
@@ -286,12 +302,10 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
             guess = betas[-1] if betas else guess
             change = (abs(betas[-1] - betas[-2]) / betas[-1]
                       if len(betas) > 1 else None)
-            try:
+            with _failure_at("inf-sup at level {}, rho = {!r}", level, rho,
+                             errors=(ValueError, SingularMatrixError)):
                 beta = min_generalized_singular_value(
                     system.matrix, gram, guess=guess, guess_rtol=change)
-            except (ValueError, SingularMatrixError) as exc:
-                raise SingularMatrixError("inf-sup at level {}, rho = {!r}: {}"
-                                          .format(level, rho, exc)) from exc
             betas.append(beta)
             guess = beta
             table.rows.append((mesh.h_max, rho, beta))

@@ -68,11 +68,14 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
     diagonal with C blocks of size m.  They are eliminated first (static
     condensation), cell by cell on a ``CondensationPlan``: ``plan`` if
     given, which must have been built for A's sparsity structure and then
-    gives the cell blocks, else one read from A.  The reduced matrix is
-    factored with a sparse LU (pivot-free when its diagonal has one sign,
-    see ``PIVOT_FREE``), and the cell unknowns are recovered by
-    back-substitution.  ``DofMap.cell_blocks`` gives the blocks (see
-    ``spaces.build_space_triple``); without them the reduced matrix is A.
+    gives the cell blocks, else one read from A.  The condensation reads
+    A's first L rows alone and takes K_gl as K_lg^T, so it requires a
+    symmetric A; on any other, the refinement below meets the contract or
+    raises.  The reduced matrix is factored with a sparse LU (pivot-free
+    when its diagonal has one sign, see ``PIVOT_FREE``), and the cell
+    unknowns are recovered by back-substitution.  ``DofMap.cell_blocks``
+    gives the blocks (see ``spaces.build_space_triple``); without them the
+    reduced matrix is A.
 
     The solution is refined iteratively against the full A.  Refinement
     stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
@@ -147,24 +150,25 @@ class CondensationPlan:
     one plan serves every matrix of a rho sweep.
 
     ``cell_blocks`` (C, m): the first L = C m DOFs couple only within their
-    own cell, m consecutive per cell.  The blocks are laid out on a
-    structure that stores them in full, as the assembled systems do: each
-    row of cell c's block holds the block's m columns and then the same
-    DOFs beyond L, c's coupled DOFs, and each coupled DOF's row holds,
-    below L, the blocks of the cells coupled to it.  Any other structure
-    is padded to one first (``_padded``): ``padding`` is then the padded
-    size and, for each entry of A that it keeps, its position in A and in
-    the padding; ``outside`` lists the entries it leaves out, the ones
-    that couple two cells' blocks, which must be zero.
+    own cell, m consecutive per cell.  The plan lays out their rows, the
+    cell rows, and A_gg, and nothing of A[L:, :L]: the condensation takes
+    each cell's K_gl as K_lg^T, so it requires a symmetric A, and the
+    refinement against the full A is the only test that it was.  The
+    blocks are laid out on a structure whose cell rows store them in
+    full, as the assembled systems do: each row of cell c's block holds
+    the block's m columns and then the same DOFs beyond L, c's coupled
+    DOFs.  Any other structure is padded to one first (``_padded``):
+    ``padding`` is then the padded size and, for each entry of A that it
+    keeps, its position in A and in the padding; ``outside`` lists the
+    entries it leaves out that couple two cells' blocks, which must be
+    zero.
 
     Among the (padded) stored entries, ``start`` (C, m) holds the position
     of the first entry of each row of each cell's block: the row's m block
-    entries, then its g coupled ones, K_ll and K_lg.  ``row_start`` (C, g)
-    holds the position of the cell's block in each coupled DOF's row, m
-    entries of K_gl.  ``glob`` holds each cell's coupled DOFs - L, with the
-    absent ones at the padding index n - L.  ``gg`` holds the positions of
-    A_gg's entries, at ``gg_rows`` and ``gg_cols`` of the reduced matrix
-    A_gg - sum_c K_gl K_ll^-1 K_lg.
+    entries, then its g coupled ones, K_ll and K_lg.  ``glob`` holds each
+    cell's coupled DOFs - L, with the absent ones at the padding index
+    n - L.  ``gg`` holds the positions of A_gg's entries, at ``gg_rows``
+    and ``gg_cols`` of the reduced matrix A_gg - sum_c K_gl K_ll^-1 K_lg.
     """
 
     def __init__(self, matrix, cell_blocks):
@@ -184,8 +188,8 @@ class CondensationPlan:
             self.padding = (len(A.indices), kept.astype(idx), at.astype(idx))
             self.outside = outside.astype(idx)
             layout = _full_block_layout(A, num_cells, m)
-        coupled, start, row_start = layout
-        self.start, self.row_start = start.astype(idx), row_start.astype(idx)
+        coupled, start = layout
+        self.start = start.astype(idx)
         split = A.indptr[L]
         at = np.flatnonzero(A.indices[split:] >= L)
         self.gg = (split + at).astype(idx)
@@ -206,16 +210,16 @@ class CondensationPlan:
 
 
 def _full_block_layout(A, num_cells, m):
-    """``(coupled, start, row_start)`` of ``CondensationPlan`` if A's
-    structure stores the cell blocks in full (see there), else None.
+    """``(coupled, start)`` of ``CondensationPlan`` if the cell rows of A's
+    structure store the cell blocks in full (see there), else None.
     ``coupled`` (C, g) lists each cell's coupled DOFs ascending, as its
     first row does, -1 padded.  Then every position follows from the row
     pointers, and no entry couples two cells' blocks."""
-    n, L = A.shape[0], num_cells * m
+    L = num_cells * m
     indptr, indices = A.indptr, A.indices
     start = indptr[:L].reshape(num_cells, m)
     if m == 0:
-        return np.zeros((num_cells, 0), dtype=np.int64), start, start
+        return np.zeros((num_cells, 0), dtype=np.int64), start
     # entries beyond the block, the same in every row of a cell
     count = np.diff(indptr[:L + 1]).reshape(num_cells, m) - m
     if not np.all(count == count[:, :1]) or np.any(count < 0):
@@ -228,67 +232,42 @@ def _full_block_layout(A, num_cells, m):
     lg = np.where(valid[:, None, :], start[:, :, None] + m + j,
                   start[:, :1, None])
     coupled = np.where(valid, indices[lg[:, 0]], -1)
-    # a coupled DOF's row holds its cells' blocks in ascending cell order
-    cells = np.nonzero(valid)[0]
-    dofs = coupled[valid]
-    if np.any(dofs < L):
-        return None
-    per_dof = np.bincount(dofs, minlength=n)
-    order = np.argsort(dofs, kind="stable")
-    before = np.empty_like(order)
-    before[order] = np.arange(len(dofs)) - (np.cumsum(per_dof)
-                                            - per_dof)[dofs[order]]
-    from_row = indptr[dofs] + m * before.astype(indptr.dtype)
-    # each coupled row's part below L ends within the row, and where the
-    # row goes on, at a column of at least L
-    after = indptr[L:n] + m * per_dof[L:]
-    goes_on = after < indptr[L + 1:]
     # a row's columns are sorted and distinct, so m of them that start at
     # c m and end at c m + m - 1 are cell c's block
-    if not (np.all(after <= indptr[L + 1:])
+    if not (np.all(coupled[valid] >= L)
             and np.array_equal(indices[start], np.broadcast_to(
                 first[:, None], start.shape))
             and np.array_equal(indices[start + m - 1], np.broadcast_to(
                 first[:, None] + m - 1, start.shape))
             and np.all((indices[lg] == coupled[:, None, :])
-                       | ~valid[:, None, :])
-            and np.array_equal(indices[from_row], first[cells])
-            and np.array_equal(indices[from_row + m - 1],
-                               first[cells] + m - 1)
-            and np.all(indices[after[goes_on]] >= L)):
+                       | ~valid[:, None, :])):
         return None
-    row_start = np.zeros(coupled.shape, dtype=indptr.dtype)
-    row_start[valid] = from_row
-    return coupled, start, row_start
+    return coupled, start
 
 
 def _padded(A, num_cells, m):
-    """A's structure padded with zeros so that it stores its cell blocks
-    in full, without the entries that couple two cells' blocks, as a CSR
-    matrix of zeros; and the positions, in A, of the entries it keeps, in
-    the padding, of those entries, and, in A, of the ones it leaves out.
-    Each cell's coupled DOFs are the ones beyond L that its rows or
-    columns reach."""
+    """A's structure, without A[L:, :L] and without the entries that
+    couple two cells' blocks, padded with zeros so that its cell rows
+    store their blocks in full, as a CSR matrix of zeros; and the
+    positions, in A, of the entries it keeps, in the padding, of those
+    entries, and, in A, of the ones that couple two cells' blocks.  Each
+    cell's coupled DOFs are the ones beyond L that its rows reach."""
     n, L = A.shape[0], num_cells * m
     row = np.repeat(np.arange(n), np.diff(A.indptr))
     col = A.indices.astype(np.int64)
     cross = (row < L) & (col < L) & (row // m != col // m)
-    kept = np.flatnonzero(~cross)
+    kept = np.flatnonzero(~cross & ((row < L) | (col >= L)))
     lg = (row < L) & (col >= L)
-    gl = (row >= L) & (col < L)
-    cell, dof = np.divmod(np.unique(np.concatenate([
-        (row[lg] // m) * n + col[lg], (col[gl] // m) * n + row[gl]])), n)
+    cell, dof = np.divmod(np.unique((row[lg] // m) * n + col[lg]), n)
     block = np.arange(L).reshape(num_cells, 1, m)
     own = np.broadcast_to(block, (num_cells, m, m))
-    ends = (cell[:, None] * m + np.arange(m)).ravel()
-    near = np.repeat(dof, m)
     # the entries of A, each valued by its position + 1, and the padding's
     # zeros: a sum gives each kept entry its position, the others zero
     padded = sp.csr_matrix((
-        np.concatenate([kept + 1.0, np.zeros(own.size + 2 * len(ends))]),
-        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(), ends,
-                         near]),
-         np.concatenate([col[kept], own.ravel(), near, ends]))),
+        np.concatenate([kept + 1.0, np.zeros(own.size + len(cell) * m)]),
+        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(),
+                         (cell[:, None] * m + np.arange(m)).ravel()]),
+         np.concatenate([col[kept], own.ravel(), np.repeat(dof, m)]))),
         shape=A.shape)
     at = np.flatnonzero(padded.data)
     kept = padded.data[at].astype(np.int64) - 1
@@ -297,9 +276,9 @@ def _padded(A, num_cells, m):
 
 
 def _condensed_factor(A, plan):
-    """Condense the leading cell blocks of ``plan`` out of A.  Returns
-    ``factor``, which maps splu options to a solver r -> A^-1 r, and the
-    options to try first."""
+    """Condense the leading cell blocks of ``plan`` out of A, reading its
+    cell rows alone: K_gl is K_lg^T.  Returns ``factor``, which maps splu
+    options to a solver r -> A^-1 r, and the options to try first."""
     plan.check(A)
     (num_cells, m), g = plan.cell_blocks, plan.glob.shape[1]
     n, L = A.shape[0], num_cells * m
@@ -318,15 +297,13 @@ def _condensed_factor(A, plan):
     # one block at a time: the gathers need not all live at once.  An
     # absent DOF's slots read the cell's first entry, and then zero
     start, absent = plan.start[:, :, None], plan.glob == n - L
-    b = np.arange(m, dtype=start.dtype)
-    inv = _invert_cell_blocks(data[start + b])
+    inv = _invert_cell_blocks(data[start + np.arange(m, dtype=start.dtype)])
     K_lg = data[np.where(absent[:, None, :], start,
                          start + m + np.arange(g, dtype=start.dtype))]
     K_lg[np.broadcast_to(absent[:, None, :], K_lg.shape)] = 0.0
     W = inv @ K_lg
+    K_gl = np.ascontiguousarray(K_lg.transpose(0, 2, 1))
     del K_lg
-    K_gl = data[plan.row_start[:, :, None] + b]
-    K_gl[absent] = 0.0
     # A_gg's entries, then those of each cell's g x g complement: the rows
     # and columns of absent DOFs are zeros, added to the first entry
     glob = plan.glob

@@ -232,6 +232,52 @@ def test_infsup_count_failure_names_level_and_rho(tmp_path, capsys):
         r"the factor is no LDL\^T\n", capsys.readouterr().err)
 
 
+REFINEMENT_FAILURE = ("refinement: residual 1.000e+00 exceeds tolerance "
+                      "1.000e-10 after 5 steps")
+
+
+def _failing_solve(monkeypatch, at):
+    """Make the ``at``-th solve of a study (0 first) fail in refinement."""
+    solve = experiments.solve_symmetric_indefinite
+    calls = []
+
+    def failing(matrix, rhs, **kwargs):
+        calls.append(None)
+        if len(calls) > at:
+            raise linalg.SingularMatrixError(REFINEMENT_FAILURE)
+        return solve(matrix, rhs, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_symmetric_indefinite", failing)
+
+
+@pytest.mark.parametrize("at,stage", [(0, "level 1"), (2, "level 3")])
+def test_converge_failure_names_level_and_rho(tmp_path, capsys, monkeypatch,
+                                              at, stage):
+    _failing_solve(monkeypatch, at)
+    rc = cli.main(CONVERGE + ["--outdir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: converge at {}, rho = 1.0: {}\n".format(
+            stage, REFINEMENT_FAILURE))
+    assert not (tmp_path / "convergence.csv").exists()
+
+
+@pytest.mark.parametrize("method,at,stage", [
+    ("hdg", 0, "primal solve"), ("wg", 0, "mixed solve"),
+    ("hdg", 1, "rho = 0.1"), ("wg", 2, "rho = 0.01")])
+def test_limit_failure_names_level_and_rho(tmp_path, capsys, monkeypatch,
+                                           method, at, stage):
+    # the conforming limit is solved first, then one system per rho
+    _failing_solve(monkeypatch, at)
+    rc = cli.main(["limit", "--method", method, "--k", "0", "--level", "2",
+                   "--rhos", "1e-1,1e-2", "--outdir", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: limit at level 2, {}: {}\n".format(
+            stage, REFINEMENT_FAILURE))
+    assert not (tmp_path / "limit.csv").exists()
+
+
 def test_dump_matrix_round_trips(tmp_path, monkeypatch):
     # the dumped matrix is the first level's solved system, exactly: the
     # varcoef case tells the solve's quadrature rule from any other

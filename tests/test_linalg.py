@@ -215,6 +215,7 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
     full = linalg.CondensationPlan(A, dofs.cell_blocks)
     assert full.padding is None
     m = dofs.cell_blocks[1]
+    L = dofs.cell_blocks[0] * m
     sparse = A.copy()
     sparse.eliminate_zeros()
     sparse = (sparse + sp.csr_matrix(([1.0, 1.0], ([0, m], [m, 0])),
@@ -223,11 +224,24 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
     assert sparse[0, m] == 0.0
     plan = linalg.CondensationPlan(sparse, dofs.cell_blocks)
     assert plan.padding is not None and len(plan.outside) == 2
+    # an explicit zero in A[L:, :L] whose mirror is not stored: the cell
+    # rows still store their blocks in full, and the plan reads no other
+    row_0 = lambda M: M.indices[M.indptr[0]:M.indptr[1]]
+    far = np.setdiff1d(np.arange(L, A.shape[0]), row_0(A))[0]
+    coo = A.tocoo()
+    lower = sp.csr_matrix((np.append(coo.data, 0.0),
+                           (np.append(coo.row, far), np.append(coo.col, 0))),
+                          shape=A.shape)
+    assert lower.nnz == A.nnz + 1 and lower[far, 0] == 0.0
+    assert np.array_equal(row_0(lower), row_0(A))
+    assert linalg.CondensationPlan(lower, dofs.cell_blocks).padding is None
     want = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
-    got = _solver_reduced(sparse, b, dofs.cell_blocks, monkeypatch, plan)
-    for a, c in ((got.indptr, want.indptr), (got.indices, want.indices),
-                 (got.data, want.data)):
-        assert np.array_equal(a, c)
+    for got in (_solver_reduced(sparse, b, dofs.cell_blocks, monkeypatch,
+                                plan),
+                _solver_reduced(lower, b, dofs.cell_blocks, monkeypatch)):
+        for a, c in ((got.indptr, want.indptr), (got.indices, want.indices),
+                     (got.data, want.data)):
+            assert np.array_equal(a, c)
 
 
 def test_plan_serves_every_matrix_of_its_structure():
@@ -390,6 +404,30 @@ def test_condensation_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * nbytes, peak / nbytes
+
+
+@pytest.mark.parametrize("skew,outcome", [(1e-3, "pass"), (10.0, "raise")])
+def test_nonsymmetric_input_meets_the_contract_or_raises(skew, outcome):
+    # the condensation reads K_gl as K_lg^T, so on a nonsymmetric A it
+    # factors the symmetric matrix of A's cell rows; the refinement against
+    # A itself then meets the contract on A, or raises, never returns a
+    # wrong x.  Here K_gl = K_lg^T + skew e_0 e_1^T, stored where K_lg is not
+    A = np.array([[4.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+                  [1.0, 3.0, 0.0, 0.0, 0.0, 1.0],
+                  [0.0, 0.0, 4.0, 1.0, 1.0, 1.0],
+                  [0.0, 0.0, 1.0, 3.0, 0.0, 1.0],
+                  [1.0, skew, 1.0, 0.0, -2.0, 0.5],
+                  [0.0, 1.0, 1.0, 1.0, 0.5, -2.0]])
+    b = np.arange(1.0, 7.0)
+    if outcome == "pass":
+        x = solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(2, 2))
+        bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x)
+                         + np.linalg.norm(b))
+        assert np.linalg.norm(A @ x - b) <= bound
+        assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=0.0)
+    else:
+        with pytest.raises(SingularMatrixError, match="^refinement: "):
+            solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(2, 2))
 
 
 def test_failures_name_their_stage(monkeypatch):

@@ -184,3 +184,26 @@ def test_benchmark_tracer_wraps_existing_callables(monkeypatch):
                if not callable(getattr(
                    importlib.import_module("hdgwg." + module), attr, None))}
     assert missing == set()
+
+
+def test_every_top_level_definition_has_a_caller():
+    # code with no caller outside the tests must get one or go: each
+    # top-level function and class of hdgwg is named somewhere in hdgwg
+    # outside its own definition (an import names nothing)
+    definitions, named = [], {}
+    for path in SOURCE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            # a top-level statement is known by its module and first line
+            where = (path.name, node.lineno)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((node.name, where))
+            for inner in ast.walk(node):
+                name = (inner.id if isinstance(inner, ast.Name) else
+                        inner.attr if isinstance(inner, ast.Attribute)
+                        else None)
+                named.setdefault(name, set()).add(where)
+    assert len(definitions) > 1
+    orphans = {(where[0], name) for name, where in definitions
+               if not named.get(name, set()) - {where}}
+    assert orphans == set()
