@@ -225,7 +225,8 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
     plan = linalg.CondensationPlan(sparse, dofs.cell_blocks)
     assert plan.padding is not None and len(plan.outside) == 2
     # an explicit zero in A[L:, :L] whose mirror is not stored: the cell
-    # rows still store their blocks in full, and the plan reads no other
+    # rows still store their blocks in full, and the plan reads nothing
+    # of A[L:, :L]
     row_0 = lambda M: M.indices[M.indptr[0]:M.indptr[1]]
     far = np.setdiff1d(np.arange(L, A.shape[0]), row_0(A))[0]
     coo = A.tocoo()
