@@ -1,26 +1,24 @@
 """Assembly of the HDG/WG systems and their conforming limits.
 
 Each method's bilinear form is written once, as the terms of
-``_form_terms``; ``FormSums`` evaluates them, and ``assemble_terms`` the
-norm-pair terms of ``hdgwg.norms``, as stacked per-cell blocks on the
-batched tables below.
+``form_terms``, and the Gram of each norm pair as those of
+``norms.gram_terms``.  ``FormSums`` evaluates either list as stacked
+per-cell blocks on the batched tables below, and sums them.
 
-The blocks are summed on a ``SumPattern``, which is built from the terms'
-DOFs alone: one stable sort of the triplet keys fixes where each block
-entry goes and which entries add up.  Assembly then writes the raveled
-blocks one after another, takes each run of equal keys' first value, and
-sums the runs of more than one triplet by ``np.add.reduceat``.  A diagonal
-term's blocks are symmetrized and an off-diagonal term's entries are also
-gathered for its transpose, so A == A.T exactly, and repeated runs are
-bit-identical.
-
-rho enters a system only through the factor f(rho) of its stabilization
-weight f(rho) g(h_K), so ``FormSums`` sums the unit-scale terms and the
-stabilization terms apart, once, and each rho's matrix is A0 + f(rho) A1
-on their shared structure.  A rho sweep on one mesh and space builds one
-``FormSums`` for its systems and one pattern for its Grams
-(``norms.gram_pattern``), and gets for every rho the matrix a one-shot
-assembly would give, to the bit.
+rho enters a form or a Gram only as a factor of some of its terms: the
+f(rho) of the stabilization weight f(rho) g(h_K) in a system, rho or 1/rho
+in a Gram.  The terms therefore come in groups, one rho-free and one per
+factor, and ``FormSums`` sums each group once, on one structure built from
+the terms' DOFs alone: one stable sort of the triplet keys fixes where
+each block entry goes and which entries add up.  A group's raveled blocks
+are written one after another, each run of equal keys' first value is
+taken, and the runs of more than one triplet are summed by
+``np.add.reduceat``.  A diagonal term's blocks are symmetrized and an
+off-diagonal term's entries are also gathered for its transpose, so every
+sum is exactly symmetric, and repeated runs are bit-identical.  Each rho's
+matrix is then f_1 S_1 (+ f_2 S_2) + S_0, so a rho sweep on one mesh and
+space builds one ``FormSums`` for its systems and one for its Grams, and
+gets for every rho the matrix a one-shot assembly would give, to the bit.
 
 Subscripts in the ``contract`` calls: ``c`` cell, ``l`` local edge, ``q``
 quadrature point, ``a``/``b`` basis functions, ``s``/``t`` trace basis
@@ -231,104 +229,6 @@ class ElementTables:
                         values)
 
 
-class SumPattern:
-    """Where each entry of a term list's blocks goes in the summed matrix.
-
-    Built from the DOFs of the terms (see ``_form_terms``) alone: the int64
-    key row * n + col of every triplet that has no negative DOF, in term
-    order, an off-diagonal term's transposed triplets right after its own.
-    One stable sort of the keys gives the runs of equal keys, one per entry
-    of the CSR ``indices`` and ``indptr``, and ``head``, the position of
-    each run's first value among the terms' raveled blocks.  Most runs hold
-    one triplet, whose value is the entry.  The longer runs are the entries
-    ``sum_to``: ``sum_from`` lists their triplets' value positions, run by
-    run, and ``sum_starts`` where each run begins in it.
-    Terms with other values on the same DOFs (another rho, say) are then
-    summed by ``assemble`` without a sort.
-    """
-
-    def __init__(self, n, terms):
-        self.n = n
-        self.sides = []  # per term: row DOFs, column DOFs, diagonal, shape
-        keys, at = [], []
-        size = 0
-        for _, _, test, trial in terms:
-            rows, cols = test[0], trial[0]
-            r, c = np.broadcast_arrays(
-                (rows[:, None] if rows.ndim < cols.ndim else rows)[..., :, None],
-                cols[..., None, :])
-            self.sides.append((rows, cols, test is trial, r.shape))
-            keep = (r >= 0) & (c >= 0)
-            r = r[keep].astype(np.int64, copy=False)
-            c = c[keep].astype(np.int64, copy=False)
-            pos = size + np.flatnonzero(keep)
-            keys.append(r * n + c)
-            at.append(pos)
-            if test is not trial:
-                keys.append(c * n + r)
-                at.append(pos)
-            size += keep.size
-        self.size = size
-        empty = [np.zeros(0, dtype=np.int64)]
-        key = np.concatenate(empty + keys)
-        at = np.concatenate(empty + at)
-        del keys
-        # a stable sort: mirrored triplets then reduce in the same order on
-        # both sides of the diagonal, so the sum is bit-exactly symmetric
-        order = np.argsort(key, kind="stable")
-        # int32 where it fits: the pattern stays resident through a sweep
-        idx = np.int32 if max(n, size, len(key)) < 2**31 else np.int64
-        gather = at[order].astype(idx)
-        key = key[order]
-        del at, order
-        first = np.ones(len(key) + 1, dtype=bool)
-        first[1:-1] = key[1:] != key[:-1]
-        # a triplet shares its run unless it starts it and the next triplet
-        # starts the next one
-        shared = ~(first[:-1] & first[1:])
-        first = first[:-1]
-        key = key[first]
-        self.indices = (key % n).astype(idx)
-        self.indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
-        self.head = gather[first]
-        self.sum_to = np.flatnonzero(shared[first]).astype(idx)
-        self.sum_from = gather[shared]
-        self.sum_starts = np.flatnonzero(first[shared]).astype(idx)
-
-    def assemble(self, n, terms):
-        """The (n, n) CSR matrix of ``terms``, which must have the DOFs this
-        pattern was built from (else ValueError)."""
-        terms = list(terms)
-        if n != self.n or len(terms) != len(self.sides):
-            raise ValueError("sum pattern was built for another DOF map")
-        for (_, _, test, trial), (rows, cols, diag, _) in zip(terms,
-                                                              self.sides):
-            if ((test is trial) != diag or not np.array_equal(test[0], rows)
-                    or not np.array_equal(trial[0], cols)):
-                raise ValueError("sum pattern was built for another DOF map")
-        return sp.csr_matrix((self.sum(terms), self.indices.copy(),
-                              self.indptr.copy()), shape=(n, n))
-
-    def sum(self, terms, keep=None):
-        """The entries, in CSR order, of the sum of ``terms``, unchecked.
-        Only the terms flagged in ``keep`` (default all) are summed; the
-        others' entries count as zeros, so that every group of one term
-        list sums on one structure."""
-        vals = np.empty(self.size) if keep is None else np.zeros(self.size)
-        o = 0
-        for i, (term, (_, _, _, shape)) in enumerate(zip(terms, self.sides)):
-            size = int(np.prod(shape))
-            if keep is None or keep[i]:
-                vals[o:o + size].reshape(shape)[...] = _block(*term)
-            o += size
-        sums = vals[self.head]
-        # reduceat, not bincount: bincount sums each run in sequence and
-        # reduceat long runs pairwise, so their sums differ in the last bit
-        sums[self.sum_to] = np.add.reduceat(vals[self.sum_from],
-                                            self.sum_starts)
-        return sums
-
-
 def per_group(scale, ndim):
     """A term's ``scale`` shaped to broadcast over ``ndim`` group axes."""
     return np.reshape(scale, np.shape(scale) + (1,) * (ndim - np.ndim(scale)))
@@ -339,14 +239,17 @@ def scatter(r, dofs, values):
     np.add.at(r, dofs[dofs >= 0], values[dofs >= 0])
 
 
-def _form_terms(mesh, dofs, t, coeff, exact=None):
-    """The bilinear terms of the method of ``dofs`` on tables ``t``, as
-    ``(unit, stabilized, factor)``: the form is the sum of the ``unit``
-    terms plus ``factor`` times the sum of the ``stabilized`` ones.  rho
-    enters only through ``factor``, the f(rho) of the stabilization weight
-    tau = eta = f(rho) g(h_K) (``SpaceCase.stabilization_factor``); each
-    stabilized term carries +-g(h_K) as its scale.  The conforming limits
-    have no stabilized terms.
+def _stabilization_factor(case):
+    return case.stabilization_factor
+
+
+def form_terms(mesh, dofs, t, coeff, exact=None):
+    """The bilinear terms of the method of ``dofs`` on tables ``t``, in the
+    groups of ``FormSums``: the unit terms, then for HDG and WG the
+    stabilized ones, with the factor f(rho) of the stabilization weight
+    tau = eta = f(rho) g(h_K) (``SpaceCase.stabilization_factor``).  rho
+    enters only through that factor; each stabilized term carries +-g(h_K)
+    as its scale.
 
     A term ``(w, scale, test, trial)`` adds scale sum w B_test . B_trial over
     its group axes G (cells or cell sides) and points: ``w`` is (G, q),
@@ -378,7 +281,7 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
     else:
         unit.append((t.w, 1.0, p, (ud, t.sgrad, sample("grad_u", t.xy))))
     if dofs.method not in ("hdg", "wg"):
-        return unit, [], 0.0
+        return [(None, unit)]
     law = dofs.case.stabilization_law(mesh.cell_size)
     td, trace = dofs.edge_trace[mesh.cell_edges], t.trace[..., None]
     u_e = sample("u", t.edge_xy)
@@ -399,7 +302,7 @@ def _form_terms(mesh, dofs, t, coeff, exact=None):
         stabilized = [(t.edge_w, law, qn, qn),
                       (sign * t.edge_w, -law, qn, phat),
                       (t.edge_w, law, phat, phat)]
-    return unit, stabilized, dofs.case.stabilization_factor
+    return [(None, unit), (_stabilization_factor, stabilized)]
 
 
 def _block(w, scale, test, trial):
@@ -413,7 +316,8 @@ def _block(w, scale, test, trial):
         # scalar sides: without the unit component axis numpy's contraction
         # path drops an elementwise step
         bi, bj, k = bi[..., 0], bj[..., 0], ""
-    # scale after the sum: beta moves ~1e-12 per ulp of N at rho 1e-4
+    # scale after the sum, as a group's factor of rho multiplies its summed
+    # entries: beta moves ~1e-12 per ulp of N at rho 1e-4
     block = per_group(scale, len(out) + 2) * contract(
         "{g}q,{gi}qa{k},{gj}qb{k}->{out}ab".format(
             g=g, gi=gi, gj=gj, k=k, out=out), w, bi, bj)
@@ -421,13 +325,6 @@ def _block(w, scale, test, trial):
         # quadrature blocks are symmetric up to rounding; make it exact
         block = 0.5 * (block + np.swapaxes(block, -1, -2))
     return block
-
-
-def assemble_terms(n, terms, pattern=None):
-    """Sparse (n, n) matrix of bilinear ``terms`` (see ``_form_terms``),
-    summed on ``pattern``, by default one built from the terms' DOFs."""
-    terms = list(terms)
-    return (pattern or SumPattern(n, terms)).assemble(n, terms)
 
 
 def load_vector(dofs, t, f):
@@ -438,45 +335,134 @@ def load_vector(dofs, t, f):
     return rhs
 
 
-class FormSums:
-    """The form of a DOF map's method as A0 + f A1, on one mesh, coefficient
-    and set of tables.
+def _sorted_sums(n, groups):
+    """The CSR structure ``indices``, ``indptr`` of the (n, n) sum of the
+    term lists ``groups`` (see ``form_terms``), and each group's sum on it.
 
-    ``unit`` holds the entries of A0, the sum of the unit terms of
-    ``_form_terms``, and ``stabilized`` those of A1, the sum of its
-    stabilized terms (None for the conforming limits), both on the CSR
-    structure ``indices``, ``indptr`` of one ``SumPattern`` of all the
-    terms.  Neither depends on rho, so a rho sweep builds them once and
-    ``matrix`` makes each rho's matrix by one axpy, with f = f(rho).
+    The int64 key row * n + col of every triplet that has no negative DOF
+    is listed in term order, an off-diagonal term's transposed triplets
+    right after its own, and sorted once, stably: each run of equal keys
+    is one entry of the structure.  Most runs hold one triplet, whose value
+    is the entry; the longer runs are summed.  A group sums the raveled
+    blocks of its own terms, and those of the other groups count as
+    zeros, so every group sums on the one structure.
+    """
+    shapes, keys, at = [], [], []
+    size = 0
+    for _, _, test, trial in (term for terms in groups for term in terms):
+        rows, cols = test[0], trial[0]
+        r, c = np.broadcast_arrays(
+            (rows[:, None] if rows.ndim < cols.ndim else rows)[..., :, None],
+            cols[..., None, :])
+        shapes.append(r.shape)
+        keep = (r >= 0) & (c >= 0)
+        r = r[keep].astype(np.int64, copy=False)
+        c = c[keep].astype(np.int64, copy=False)
+        pos = size + np.flatnonzero(keep)
+        keys.append(r * n + c)
+        at.append(pos)
+        if test is not trial:
+            keys.append(c * n + r)
+            at.append(pos)
+        size += keep.size
+    empty = [np.zeros(0, dtype=np.int64)]
+    key = np.concatenate(empty + keys)
+    at = np.concatenate(empty + at)
+    del keys, r, c, keep, pos  # and the last term's DOF pairs
+    # a stable sort: mirrored triplets then reduce in the same order on
+    # both sides of the diagonal, so the sum is bit-exactly symmetric
+    order = np.argsort(key, kind="stable")
+    # int32 where it fits: the structure stays resident through a sweep
+    idx = np.int32 if max(n, size, len(key)) < 2**31 else np.int64
+    gather = at[order].astype(idx)
+    key = key[order]
+    del at, order
+    first = np.ones(len(key) + 1, dtype=bool)
+    first[1:-1] = key[1:] != key[:-1]
+    # a triplet shares its run unless it starts it and the next triplet
+    # starts the next one
+    shared = ~(first[:-1] & first[1:])
+    first = first[:-1]
+    key = key[first]
+    indices = (key % n).astype(idx)
+    indptr = np.searchsorted(key, np.arange(n + 1) * n).astype(idx)
+    # each run's first value position, and the runs of more than one
+    # triplet: their positions run by run, and where each run begins
+    head = gather[first]
+    sum_to = np.flatnonzero(shared[first]).astype(idx)
+    sum_from = gather[shared]
+    sum_starts = np.flatnonzero(first[shared]).astype(idx)
+    del key, gather, first, shared  # before the groups' values are made
+    sums, o = [], 0
+    shapes = iter(shapes)
+    for terms in groups:
+        vals = np.zeros(size)
+        for term in terms:
+            shape = next(shapes)
+            end = o + int(np.prod(shape))
+            vals[o:end].reshape(shape)[...] = _block(*term)
+            o = end
+        group = vals[head]
+        # reduceat, not bincount: bincount sums each run in sequence and
+        # reduceat long runs pairwise, so their sums differ in the last bit
+        group[sum_to] = np.add.reduceat(vals[sum_from], sum_starts)
+        sums.append(group)
+        del vals
+    return indices, indptr, sums
+
+
+class FormSums:
+    """The matrices of one term list on a DOF map, coefficient and set of
+    tables, as f_1 S_1 (+ f_2 S_2) + S_0 at every rho.
+
+    ``terms(mesh, dofs, tables, coeff)`` is ``form_terms`` (the systems of
+    the six methods) or ``norms.gram_terms`` (the Grams of the inf-sup
+    study).  It lists the terms in groups ``(factor, terms)``: first the
+    rho-free group, with factor None, then one group per factor of rho,
+    whose ``factor(case)`` is its f_i at the rho of a ``SpaceCase``.
+    ``sums`` holds S_0, S_1, ..., the groups' sums on the CSR structure
+    ``indices``, ``indptr`` (see ``_sorted_sums``), and ``factors`` the
+    factors of S_1, ....  No sum depends on rho, so a rho sweep builds them
+    once and ``matrix`` makes each rho's matrix by one axpy per factor.
     One-shot assembly builds them too, so a sweep's matrices are the
-    one-shot ones to the bit, and exactly symmetric, as A0 and A1 are.
+    one-shot ones to the bit, and exactly symmetric, as every S_i is.
     """
 
-    def __init__(self, mesh, dofs, coeff, tables):
-        self.coeff, self.tables = coeff, tables.check(mesh, dofs)
-        unit, stabilized, _ = _form_terms(mesh, dofs, tables, coeff)
-        terms = unit + stabilized
-        pattern = SumPattern(dofs.total, terms)
-        self.dofs, self.shape = dofs, (dofs.total, dofs.total)
-        self.indices, self.indptr = pattern.indices, pattern.indptr
-        # the pattern was built from these terms: sum them unchecked
-        is_unit = [True] * len(unit) + [False] * len(stabilized)
-        self.unit = pattern.sum(terms, is_unit)
-        self.stabilized = None if not stabilized else pattern.sum(
-            terms, [not u for u in is_unit])
+    def __init__(self, terms, mesh, dofs, coeff, tables):
+        self.terms, self.dofs, self.coeff = terms, dofs, coeff
+        self.tables = tables.check(mesh, dofs)
+        groups = terms(mesh, dofs, tables, coeff)
+        self.factors = [factor for factor, _ in groups[1:]]
+        self.shape = (dofs.total, dofs.total)
+        self.indices, self.indptr, self.sums = _sorted_sums(
+            dofs.total, [group for _, group in groups])
 
-    def matrix(self, dofs):
-        """The CSR matrix of the form of ``dofs``, which must number the
-        DOFs of the map these sums were built for, and may differ from it
-        in rho alone (else ValueError)."""
-        if dofs is not self.dofs and not _same_dofs(dofs, self.dofs):
-            raise ValueError("form sums were built for another DOF map")
-        if self.stabilized is None:
-            data = self.unit.copy()
+    def matrix(self, terms, dofs, coeff, tables):
+        """The CSR matrix of ``terms`` on ``dofs``, ``coeff`` and
+        ``tables``: the terms, coefficient and tables these sums were built
+        with, and a map that numbers the DOFs of theirs the same way and
+        may differ from it in rho alone (else ValueError)."""
+        a, b = dofs, self.dofs
+        same_dofs = a is b or (a.method == b.method and a.total == b.total
+                               and all(np.array_equal(x, y) for x, y in (
+                                   (a.flux, b.flux), (a.scalar, b.scalar),
+                                   (a.edge_trace, b.edge_trace),
+                                   (a.flux_sign, b.flux_sign))))
+        if (terms is not self.terms or coeff != self.coeff
+                or tables is not self.tables or not same_dofs):
+            raise ValueError("form sums were built for another DOF map, "
+                             "coefficient, tables or term list")
+        rho_free, *scaled = self.sums
+        if not scaled:
+            data = rho_free.copy()
         else:
-            # f A1 + A0 in place: one array, the bits of A0 + f A1
-            data = dofs.case.stabilization_factor * self.stabilized
-            data += self.unit
+            # f_1 S_1 (+ f_2 S_2) + S_0 in one array; for a system, the
+            # bits of S_0 + f S_1
+            factors = [factor(dofs.case) for factor in self.factors]
+            data = factors[0] * scaled[0]
+            for f, s in zip(factors[1:], scaled[1:]):
+                data += f * s
+            data += rho_free
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
 
@@ -487,26 +473,14 @@ class FormSums:
                               self.indptr), shape=self.shape)
 
 
-def _same_dofs(a, b):
-    """Whether DOF maps ``a`` and ``b`` of one method number the same DOFs
-    the same way."""
-    return a.method == b.method and a.total == b.total and all(
-        np.array_equal(x, y) for x, y in (
-            (a.flux, b.flux), (a.scalar, b.scalar),
-            (a.edge_trace, b.edge_trace), (a.flux_sign, b.flux_sign)))
-
-
 def _assemble(method, mesh, dofs, coeff, f, tables, sums=None):
     if dofs.method != method:
         raise ValueError("DofMap was built for method {!r}, not {!r}".format(
             dofs.method, method))
-    t = tables.check(mesh, dofs)
     if sums is None:
-        sums = FormSums(mesh, dofs, coeff, t)
-    elif coeff != sums.coeff or t is not sums.tables:
-        raise ValueError("form sums were built for another DOF map, "
-                         "coefficient or tables")
-    return LinearSystem(matrix=sums.matrix(dofs), rhs=load_vector(dofs, t, f))
+        sums = FormSums(form_terms, mesh, dofs, coeff, tables)
+    return LinearSystem(matrix=sums.matrix(form_terms, dofs, coeff, tables),
+                        rhs=load_vector(dofs, tables.check(mesh, dofs), f))
 
 
 def assemble_hdg(mesh, dofs, coeff, f, tables, sums=None):

@@ -40,10 +40,13 @@ def _write_csv(path, header, rows):
 def _write_svg(path, points_xy, title):
     """Minimal log-log polyline plot; decoration only, never parsed back."""
     width, height, margin = 480, 360, 40
-    xs = [math.log10(x) for x, _ in points_xy if x > 0]
-    ys = [math.log10(y) for _, y in points_xy if y > 0]
-    if not xs or not ys:
+    # a point with a non-positive coordinate is dropped whole, so the
+    # others stay paired
+    logs = [(math.log10(x), math.log10(y)) for x, y in points_xy
+            if x > 0 and y > 0]
+    if not logs:
         return
+    xs, ys = zip(*logs)
     xlo, xhi = min(xs), max(xs)
     ylo, yhi = min(ys), max(ys)
     sx = (width - 2 * margin) / max(xhi - xlo, 1e-12)

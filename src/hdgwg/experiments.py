@@ -23,6 +23,7 @@ from .assembly import (
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
+    form_terms,
 )
 from .linalg import (
     CondensationPlan,
@@ -40,7 +41,7 @@ from .norms import (
     consistency_residual,
     dg_identity_residual,
     flux_distance,
-    gram_pattern,
+    gram_terms,
     scalar_l2_distance,
 )
 from .spaces import SpaceCase, build_space_triple, mixed_dofs, primal_dofs
@@ -158,7 +159,7 @@ def _assemble(mesh, dofs, coeff, f, tables, sums=None):
 def _sweep(mesh, dofs, coeff, tables):
     """The rho-free work of a rho sweep's solves: the ``FormSums`` of its
     systems, and the ``CondensationPlan`` of their shared structure."""
-    sums = FormSums(mesh, dofs, coeff, tables)
+    sums = FormSums(form_terms, mesh, dofs, coeff, tables)
     return sums, CondensationPlan(sums.structure(), dofs.cell_blocks)
 
 
@@ -286,18 +287,17 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         instances = [build_space_triple(mesh, SpaceCase(
             method=method, regime=regime, k=k, rho=rho,
             trace_degree=trace_degree)) for rho in rhos]
-        # rho enters through the weights only: one set of tables, one
-        # FormSums for the systems and one sum pattern for the Grams per
-        # mesh
+        # rho enters as a factor of term groups only: one set of tables,
+        # and one FormSums for the systems and one for the Grams, per mesh
         tables = ElementTables(mesh, instances[0].case)
-        form, norm = (FormSums(mesh, instances[0], coeff, tables),
-                      gram_pattern(mesh, instances[0], tables))
+        form, norm = (FormSums(terms, mesh, instances[0], coeff, tables)
+                      for terms in (form_terms, gram_terms))
         guess = None
         for dofs in instances:
             rho = dofs.case.rho
             system = _assemble(mesh, dofs, coeff, zero, tables, form)
             gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
-                                      pattern=norm)
+                                      sums=norm)
             betas = previous.setdefault(rho, [])
             guess = betas[-1] if betas else guess
             change = (abs(betas[-1] - betas[-2]) / betas[-1]

@@ -1,8 +1,9 @@
 """The norm pairs, limit distances, and consistency checks.
 
 The four parameter-dependent norm pairs, one per method and regime, are
-defined once, by the terms of ``_norm_terms``: ``assemble_norm_gram`` (the
-Gram of the inf-sup study) and ``compute_error_norm`` both evaluate them.
+defined once, by the terms of ``_norm_terms``: ``gram_terms`` (the Gram of
+the inf-sup study, summed by ``assembly.FormSums``) and
+``compute_error_norm`` both evaluate them.
 
 Exact solutions are duck-typed objects exposing vectorized callables
 ``u(xy)``, ``grad_u(xy)``, ``p(xy)`` (flux, equal to -alpha grad u) and
@@ -14,7 +15,7 @@ The three distances compare two fields that share the local spaces of
 ``tables``, such as an inv-regime solution and its conforming limit: they
 subtract the fields' per-cell coefficients and evaluate the difference
 once.  The consistency residual evaluates the terms of the assembled form
-(``assembly._form_terms``) on the exact fields.
+(``assembly.form_terms``) on the exact fields.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import numpy as np
 
 from .assembly import (
     CoefficientField,
-    SumPattern,
-    _form_terms,
-    assemble_terms,
+    FormSums,
     at_points,
     contract,
     edge_points,
     edge_sides,
+    form_terms,
     load_vector,
     per_group,
     scatter,
@@ -62,19 +62,28 @@ def _sum_of_squares(w, d):
     return float(np.sum(w * np.sum(d * d, axis=-1)))
 
 
-def _norm_terms(mesh, dofs, tables, coeff, exact):
-    """The terms of the norm pair of ``dofs.case`` at its rho.
+def _rho(case):
+    return case.rho
 
-    A term ``(part, w, samples, linear, scale)`` adds
-    sum scale w |samples - sum_i B_i x[D_i]|^2 to the square of ``part``.
-    ``w``, ``scale`` and each ``(D, B)`` of ``linear`` follow the sides of
-    ``assembly._form_terms``, whose group axes G may here also be edges,
-    and ``samples`` is (G, q, k).  Per-side terms vanish on the exact
-    solution.  Jump terms sum over trace-basis moments in place of points:
-    sum_m mu_m^2 = h_e^{-1} |P_e[.]|^2_e, with P_e the L^2(e) projection
-    onto the trace space.
+
+def _inverse_rho(case):
+    return 1.0 / case.rho
+
+
+def _norm_terms(mesh, dofs, tables, coeff, exact):
+    """The terms of the norm pair of ``dofs.case``.
+
+    A term ``(part, factor, w, samples, linear, scale)`` adds
+    f sum scale w |samples - sum_i B_i x[D_i]|^2 to the square of ``part``,
+    f = ``factor(dofs.case)``, rho or 1/rho (1 for ``factor`` None): rho
+    enters only through f.  ``w``, ``scale`` and each ``(D, B)`` of
+    ``linear`` follow the sides of ``assembly.form_terms``, whose group
+    axes G may here also be edges, and ``samples`` is (G, q, k).  Per-side
+    terms vanish on the exact solution.  Jump terms sum over trace-basis
+    moments in place of points: sum_m mu_m^2 = h_e^{-1} |P_e[.]|^2_e, with
+    P_e the L^2(e) projection onto the trace space.
     """
-    kind, rho = norm_kind_for_case(dofs.case), dofs.case.rho
+    kind = norm_kind_for_case(dofs.case)
     coeff = coeff or CoefficientField.unit()
     t = tables.check(mesh, dofs)
     pd, ud, td = dofs.flux, dofs.scalar, dofs.edge_trace[mesh.cell_edges]
@@ -82,45 +91,47 @@ def _norm_terms(mesh, dofs, tables, coeff, exact):
     sign = mesh.cell_edge_sign[..., None]  # sigma = n_K . n_e per side
 
     # c |p|^2, plus |div p|^2 and |u|^2, or |grad u|^2
-    yield (FLUX, t.w * coeff.c_at(t.xy), at_points(exact.p, t.xy),
+    yield (FLUX, None, t.w * coeff.c_at(t.xy), at_points(exact.p, t.xy),
            [(pd, t.fval)], 1.0)
     if kind in ("hdg_div", "wg_div"):
-        yield (FLUX, t.w, at_points(exact.f, t.xy)[..., None],
+        yield (FLUX, None, t.w, at_points(exact.f, t.xy)[..., None],
                [(pd, t.fdiv[..., None])], 1.0)
-        yield (SCALAR, t.w, at_points(exact.u, t.xy)[..., None],
+        yield (SCALAR, None, t.w, at_points(exact.u, t.xy)[..., None],
                [(ud, t.sval[..., None])], 1.0)
     else:
-        yield SCALAR, t.w, at_points(exact.grad_u, t.xy), [(ud, t.sgrad)], 1.0
+        yield (SCALAR, None, t.w, at_points(exact.grad_u, t.xy),
+               [(ud, t.sgrad)], 1.0)
     if kind == "hdg_grad":
         # (rho h_K)^{-1} |u - u-hat|^2 on each side
-        yield (SCALAR, t.edge_w, 0.0,
-               [(ud, t.edge_sval[..., None]), (td, -trace)], 1.0 / (rho * h))
+        yield (SCALAR, _inverse_rho, t.edge_w, 0.0,
+               [(ud, t.edge_sval[..., None]), (td, -trace)], 1.0 / h)
     if kind in ("wg_grad", "wg_div"):
         # (rho h_K)^{+-1} |p.n_K - sigma p-hat|^2 = |p.n_e - p-hat|^2 per side
-        yield (FLUX, t.edge_w, 0.0,
+        factor, scale = ((_rho, h) if kind == "wg_grad"
+                         else (_inverse_rho, 1.0 / h))
+        yield (FLUX, factor, t.edge_w, 0.0,
                [(pd, (sign[..., None] * t.flux_n)[..., None]), (td, -trace)],
-               rho * h if kind == "wg_grad" else 1.0 / (rho * h))
+               scale)
     if kind == "hdg_div":
         # rho h_e |u-hat|^2_e, and rho^{-1} h_e^{-1} |P_e[p.n]|^2_e inside
         te = np.flatnonzero(dofs.edge_trace[:, 0] >= 0)
         h_e = mesh.edge_length[te]
         u_e = at_points(exact.u, edge_points(mesh, t.edge.points)[te])
-        yield (SCALAR, np.broadcast_to(t.edge.weights, u_e.shape),
-               u_e[..., None], [(dofs.edge_trace[te], trace)],
-               rho * h_e * h_e)
+        yield (SCALAR, _rho, np.broadcast_to(t.edge.weights, u_e.shape),
+               u_e[..., None], [(dofs.edge_trace[te], trace)], h_e * h_e)
         pn = contract("clqk,clk->clq", at_points(exact.p, t.edge_xy),
                       t.normal)
         yield _jump_term(mesh, FLUX, t.moments(pn), t.moments(t.flux_n), pd,
-                         mesh.interior_edges, rho)
+                         mesh.interior_edges)
     if kind == "wg_grad":
         # rho^{-1} h_e^{-1} |Q_e[u]|^2_e, one-sided on the boundary
         yield _jump_term(mesh, SCALAR,
                          sign * t.moments(at_points(exact.u, t.edge_xy)),
                          sign[..., None] * t.moments(t.edge_sval), ud,
-                         slice(None), rho)
+                         slice(None))
 
 
-def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges, rho):
+def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges):
     """rho^{-1} sum_m mu_m^2 over ``edges``: mu sums the side ``moments``
     (C, 3, m) of the exact field minus those of ``basis_moments``
     (C, 3, m, a) on ``cell_dofs``, over both sides of each edge."""
@@ -129,42 +140,43 @@ def _jump_term(mesh, part, moments, basis_moments, cell_dofs, edges, rho):
     dofs = np.where(cells[..., None] >= 0, cell_dofs[cells], -1)
     samples = edge_sides(mesh, moments, edges).sum(axis=1)[..., None]
     basis = np.concatenate([sides[:, 0], sides[:, 1]], axis=-1)[..., None]
-    return (part, np.ones(samples.shape[:-1]), samples,
-            [(dofs.reshape(len(dofs), -1), basis)], 1.0 / rho)
+    return (part, _inverse_rho, np.ones(samples.shape[:-1]), samples,
+            [(dofs.reshape(len(dofs), -1), basis)], 1.0)
 
 
-def _gram_terms(mesh, dofs, coeff, tables):
-    """Each pair of a norm term's linear parts, as one bilinear term of
-    ``assembly.assemble_terms``."""
-    terms = _norm_terms(mesh, dofs, tables, coeff, ZERO_FIELD)
-    return ((w, scale, test, trial) for _, w, _, linear, scale in terms
-            for test, trial in combinations_with_replacement(
-                [(d, b, None) for d, b in linear], 2))
+def gram_terms(mesh, dofs, tables, coeff):
+    """The Gram of the norm pair of ``dofs.case`` in the groups of
+    ``assembly.FormSums``: each pair of a norm term's linear parts is one
+    bilinear term of its factor's group."""
+    groups = {None: [], _rho: [], _inverse_rho: []}
+    for _, factor, w, _, linear, scale in _norm_terms(mesh, dofs, tables,
+                                                      coeff, ZERO_FIELD):
+        groups[factor] += [(w, scale, test, trial) for test, trial in
+                           combinations_with_replacement(
+                               [(d, b, None) for d, b in linear], 2)]
+    return [(factor, terms) for factor, terms in groups.items() if terms]
 
 
-def gram_pattern(mesh, dofs, tables):
-    """The ``SumPattern`` of the Gram of ``dofs``.  It reads only the DOFs,
-    so it serves every rho on one mesh and space."""
-    return SumPattern(dofs.total, _gram_terms(mesh, dofs, None, tables))
-
-
-def assemble_norm_gram(mesh, dofs, tables, coeff=None, pattern=None):
+def assemble_norm_gram(mesh, dofs, tables, coeff=None, sums=None):
     """Gram matrix N of the norm pair of ``dofs.case``: x'Nx = |x|^2,
-    summed on ``pattern`` (see ``gram_pattern``) if given."""
-    return assemble_terms(dofs.total, _gram_terms(mesh, dofs, coeff, tables),
-                          pattern)
+    made from a sweep's ``FormSums`` of ``gram_terms`` if given."""
+    if sums is None:
+        sums = FormSums(gram_terms, mesh, dofs, coeff, tables)
+    return sums.matrix(gram_terms, dofs, coeff, tables)
 
 
 def compute_error_norm(mesh, dofs, x, exact, tables, coeff=None):
     """Errors ``(err_flux, err_scalar)`` in the norm pair of ``dofs.case``."""
     squares = [0.0, 0.0]
-    for part, w, err, linear, scale in _norm_terms(mesh, dofs, tables, coeff,
-                                                   exact):
+    for part, factor, w, err, linear, scale in _norm_terms(
+            mesh, dofs, tables, coeff, exact):
         for d, b in linear:
             # x on d, broadcast over the group axes that d lacks
             xd = np.where(d >= 0, x[d], 0.0).reshape(
                 d.shape[:-1] + (1,) * (w.ndim - d.ndim) + d.shape[-1:])
             err = err - contract("...qak,...a->...qk", b, xd)
+        if factor is not None:
+            scale = factor(dofs.case) * scale
         squares[part] += _sum_of_squares(per_group(scale, w.ndim) * w, err)
     return float(np.sqrt(squares[FLUX])), float(np.sqrt(squares[SCALAR]))
 
@@ -234,11 +246,12 @@ def consistency_residual(mesh, dofs, exact, tables, coeff=None):
     """
     t = tables.check(mesh, dofs)
     r = -load_vector(dofs, t, exact.f)
-    unit, stabilized, factor = _form_terms(
-        mesh, dofs, t, coeff or CoefficientField.unit(), exact)
-    for w, scale, test, trial in unit + [
-            (w, factor * scale, test, trial)
-            for w, scale, test, trial in stabilized]:
+    terms = [(w, scale if factor is None else factor(dofs.case) * scale,
+              test, trial)
+             for factor, group in form_terms(
+                 mesh, dofs, t, coeff or CoefficientField.unit(), exact)
+             for w, scale, test, trial in group]
+    for w, scale, test, trial in terms:
         g = "ABCD"[:w.ndim - 1]
         for (rows, b, _), (_, _, samples) in (
                 [(test, trial)] if test is trial

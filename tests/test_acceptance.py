@@ -91,11 +91,12 @@ def test_criterion_5_rho_uniform_error_constants():
 
     coeff = CoefficientField(alpha=prob.alpha)
     ratios = []
-    for (method, regime), rhos in sweeps.items():
+    for k, ((method, regime), rhos) in itertools.product((0, 1),
+                                                         sweeps.items()):
         errs = []
-        tables = ElementTables(mesh, SpaceCase(method, regime, 0, rhos[0]))
+        tables = ElementTables(mesh, SpaceCase(method, regime, k, rhos[0]))
         for rho in rhos:
-            case = SpaceCase(method, regime, 0, rho)
+            case = SpaceCase(method, regime, k, rho)
             dofs = build_space_triple(mesh, case)
             x = _solve_case(mesh, dofs, coeff, prob.f, tables)
             ef, es = compute_error_norm(mesh, dofs, x, prob, coeff=coeff,
@@ -103,7 +104,7 @@ def test_criterion_5_rho_uniform_error_constants():
             errs.append(ef + es)
         ratios.append(max(errs) / min(errs))
     _report(5, all(r <= 5.0 for r in ratios),
-            "max/min error over rho sweeps {} <= 5".format(
+            "max/min error over rho sweeps at k = 0, 1 {} <= 5".format(
                 ["{:.2f}".format(r) for r in ratios]))
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,11 @@ from hdgwg.assembly import (
     assemble_primal_conforming,
     assemble_wg,
     FormSums,
+    form_terms,
 )
 from hdgwg.linalg import solve_symmetric_indefinite
 from hdgwg.mesh import Mesh, build_structured_mesh
-from hdgwg.norms import assemble_norm_gram, gram_pattern
+from hdgwg.norms import assemble_norm_gram, gram_terms
 from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
                           primal_dofs)
 
@@ -437,16 +439,16 @@ def test_level_5_assembly_is_deterministic(method, regime):
     ("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"), ("wg", "inv")])
 def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
                                                   mesh_name):
-    # a rho sweep makes every system from the form sums of its first DOF
-    # map, and sums every Gram on its pattern; each must equal the matrix
-    # assembled on its own, to the bit
+    # a rho sweep makes every system and every Gram from the sums of its
+    # first DOF map; each must equal the matrix assembled on its own, to
+    # the bit
     mesh = _conforming_mesh(mesh_name)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     asm = assemble_hdg if method == "hdg" else assemble_wg
     first = build_space_triple(mesh, SpaceCase(method, regime, k, 1.0))
     tables = ElementTables(mesh, first.case)
-    form, norm = (FormSums(mesh, first, coeff, tables),
-                  gram_pattern(mesh, first, tables))
+    form, norm = (FormSums(terms, mesh, first, coeff, tables)
+                  for terms in (form_terms, gram_terms))
     built = []
     for rho in (1.0, 1e-3, 1e-6):
         dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
@@ -454,7 +456,7 @@ def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
             (asm(mesh, dofs, coeff, ONE, tables=tables, sums=form).matrix,
              asm(mesh, dofs, coeff, ONE, ElementTables(mesh, dofs.case)).matrix),
             (assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
-                                pattern=norm),
+                                sums=norm),
              assemble_norm_gram(mesh, dofs, ElementTables(mesh, dofs.case),
                                 coeff=coeff))]
         for shared, one_shot in pairs:
@@ -471,18 +473,23 @@ def test_pattern_rejects_another_dof_map():
     dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 0, 1.0))
     tables = ElementTables(mesh, dofs.case)
     coeff = CoefficientField.unit()
-    form, norm = (FormSums(mesh, dofs, coeff, tables),
-                  gram_pattern(mesh, dofs, tables))
+    form, norm = (FormSums(form_terms, mesh, dofs, coeff, tables),
+                  FormSums(gram_terms, mesh, dofs, None, tables))
+    # the Gram's sums take the coefficient None they were built with
+    assert _bit_identical(assemble_norm_gram(mesh, dofs, tables, sums=norm),
+                          assemble_norm_gram(mesh, dofs, tables))
     # the same mesh and tables with each cell's scalar DOFs reversed, and
     # the same DOF map with another coefficient
     reversed_scalar = dataclasses.replace(dofs, scalar=dofs.scalar[:, ::-1])
     with pytest.raises(ValueError, match="another DOF map"):
         assemble_hdg(mesh, reversed_scalar, coeff, ONE, tables, sums=form)
     with pytest.raises(ValueError, match="another DOF map"):
-        assemble_norm_gram(mesh, reversed_scalar, tables, pattern=norm)
+        assemble_norm_gram(mesh, reversed_scalar, tables, sums=norm)
     with pytest.raises(ValueError, match="coefficient"):
         assemble_hdg(mesh, dofs, CoefficientField.unit(), ONE, tables,
                      sums=form)
+    with pytest.raises(ValueError, match="coefficient"):
+        assemble_norm_gram(mesh, dofs, tables, coeff=coeff, sums=norm)
     # another degree, another mesh size, and the same mesh with each cell's
     # vertices rotated: same DOF count, other local numbering
     rotated = Mesh(mesh.vertices, mesh.cells[:, [1, 2, 0]])
@@ -494,12 +501,12 @@ def test_pattern_rejects_another_dof_map():
         with pytest.raises(ValueError, match="another DOF map"):
             assemble_hdg(other_mesh, other, coeff, ONE, tables, sums=form)
         with pytest.raises(ValueError, match="another DOF map"):
-            assemble_norm_gram(other_mesh, other, tables, pattern=norm)
+            assemble_norm_gram(other_mesh, other, tables, sums=norm)
 
 
 def _sorted_sum(n, terms):
     """Reference sum of bilinear ``terms`` by one sort of all triplets,
-    written apart from ``SumPattern``: the triplets in term order, an
+    written apart from ``FormSums``: the triplets in term order, an
     off-diagonal term's transpose right after it, stably sorted by key and
     each run of equal keys summed by ``np.add.reduceat``."""
     rows, cols, vals = [], [], []
@@ -540,24 +547,38 @@ def _on_structure(values, form, part):
                           part.indices, part.indptr), shape=part.shape)
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_form_sums_memory_peak(k):
+    # the sort's keys, positions and order are freed before the groups are
+    # summed, so building the sums of hdg/inv at level 5 peaks within 2.5
+    # times the bytes they keep: the group sums and the CSR structure
+    mesh = build_structured_mesh(2**5)
+    dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", k, 0.1))
+    tables = ElementTables(mesh, dofs.case)
+    coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
+    tracemalloc.start()
+    try:
+        sums = FormSums(form_terms, mesh, dofs, coeff, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in sums.sums + [sums.indices, sums.indptr])
+    assert peak <= 2.5 * kept, peak / kept
+
+
 @pytest.mark.parametrize("method,regime", [("hdg", "inv"), ("wg", "rho_h")])
 def test_sum_pattern_matches_a_sort_of_all_triplets(method, regime):
     # one-triplet runs are copied and only longer runs summed: the sums of
-    # each scale group of the form, and the Gram, must be those of summing
-    # every run of that group's terms, to the bit
+    # each scale group of the form, and of the Gram, must be those of
+    # summing every run of that group's terms, to the bit
     mesh = build_structured_mesh(16)
     coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
     dofs = build_space_triple(mesh, SpaceCase(method, regime, 1, 1e-3))
     tables = ElementTables(mesh, dofs.case)
-    unit, stabilized, _ = assembly._form_terms(mesh, dofs, tables, coeff)
-    form = FormSums(mesh, dofs, coeff, tables)
-    pairs = [
-        (form.unit, unit),
-        (form.stabilized, stabilized),
-        (assemble_norm_gram(mesh, dofs, tables, coeff=coeff),
-         list(norms._gram_terms(mesh, dofs, coeff, tables)))]
-    for values, terms in pairs:
-        oracle = _sorted_sum(dofs.total, terms)
-        matrix = (values if sp.issparse(values)
-                  else _on_structure(values, form, oracle))
-        assert _bit_identical(matrix, oracle)
+    for terms in (form_terms, gram_terms):
+        sums = FormSums(terms, mesh, dofs, coeff, tables)
+        groups = terms(mesh, dofs, tables, coeff)
+        assert len(sums.sums) == len(groups) > 1
+        for values, (_, group) in zip(sums.sums, groups):
+            oracle = _sorted_sum(dofs.total, group)
+            assert _bit_identical(_on_structure(values, sums, oracle), oracle)

@@ -317,6 +317,15 @@ def test_svg_output(tmp_path):
     assert "polyline" in text
 
 
+def test_svg_drops_a_non_positive_point_whole(tmp_path):
+    # (10, 0) has no logarithm: the pairs around it keep their places, so
+    # (100, 100) is drawn at the right and top margins
+    path = tmp_path / "plot.svg"
+    cli._write_svg(str(path), [(1, 1), (10, 0), (100, 100)], "t")
+    points = re.search(r'points="([^"]*)"', path.read_text()).group(1)
+    assert points.split() == ["40.00,320.00", "440.00,40.00"]
+
+
 def test_check_command(tmp_path, capsys):
     rc = cli.main(["check", "--outdir", str(tmp_path)])
     out = capsys.readouterr().out

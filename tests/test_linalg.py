@@ -16,6 +16,7 @@ from hdgwg.assembly import (
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
+    form_terms,
 )
 from hdgwg import experiments, linalg
 from hdgwg.experiments import manufactured_case, run_infsup_study
@@ -253,7 +254,7 @@ def test_plan_serves_every_matrix_of_its_structure():
     coeff = CoefficientField(alpha=prob.alpha)
     first = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, 1.0))
     tables = ElementTables(mesh, first.case)
-    sums = FormSums(mesh, first, coeff, tables)
+    sums = FormSums(form_terms, mesh, first, coeff, tables)
     plan = linalg.CondensationPlan(sums.structure(), first.cell_blocks)
     for rho in (1.0, 1e-3):
         dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, rho))
