@@ -490,6 +490,8 @@ def test_pattern_rejects_another_dof_map():
                      sums=form)
     with pytest.raises(ValueError, match="coefficient"):
         assemble_norm_gram(mesh, dofs, tables, coeff=coeff, sums=norm)
+    with pytest.raises(ValueError, match="term list"):
+        assemble_norm_gram(mesh, dofs, tables, coeff=coeff, sums=form)
     # another degree, another mesh size, and the same mesh with each cell's
     # vertices rotated: same DOF count, other local numbering
     rotated = Mesh(mesh.vertices, mesh.cells[:, [1, 2, 0]])
