@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from hdgwg import assembly, basis, norms
+from hdgwg import assembly, basis
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
@@ -551,9 +551,9 @@ def _on_structure(values, form, part):
 
 @pytest.mark.parametrize("k", [0, 1])
 def test_form_sums_memory_peak(k):
-    # the sort's keys, positions and order are freed before the groups are
-    # summed, so building the sums of hdg/inv at level 5 peaks within 2.5
-    # times the bytes they keep: the group sums and the CSR structure
+    # the sort's temporaries are freed as soon as they are used, so
+    # building the sums of hdg/inv at level 5 peaks within 2.5 times the
+    # bytes they keep: the group sums and the CSR structure
     mesh = build_structured_mesh(2**5)
     dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", k, 0.1))
     tables = ElementTables(mesh, dofs.case)
