@@ -466,12 +466,6 @@ class FormSums:
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
 
-    def structure(self):
-        """A CSR matrix of zeros on the structure of every matrix of these
-        sums, sharing its index arrays."""
-        return sp.csr_matrix((np.zeros(len(self.indices)), self.indices,
-                              self.indptr), shape=self.shape)
-
 
 def _assemble(method, mesh, dofs, coeff, f, tables, sums=None):
     if dofs.method != method:

@@ -26,7 +26,6 @@ from .assembly import (
     form_terms,
 )
 from .linalg import (
-    CondensationPlan,
     SingularMatrixError,
     min_generalized_singular_value,
     solve_symmetric_indefinite,
@@ -156,25 +155,17 @@ def _assemble(mesh, dofs, coeff, f, tables, sums=None):
     return assemble(mesh, dofs, coeff, f, tables, sums)
 
 
-def _sweep(mesh, dofs, coeff, tables):
-    """The rho-free work of a rho sweep's solves: the ``FormSums`` of its
-    systems, and the ``CondensationPlan`` of their shared structure."""
-    sums = FormSums(form_terms, mesh, dofs, coeff, tables)
-    return sums, CondensationPlan(sums.structure(), dofs.cell_blocks)
-
-
-def _solve_case(mesh, dofs, coeff, f, tables, sweep=None, dump=None):
-    """Solution of the method of ``dofs`` with load ``f``, from a rho
-    sweep's ``_sweep`` if given, its system written as coordinate text if
-    ``dump`` names a file.  The system is dropped on return, so no caller
-    holds it past its solve."""
-    sums, plan = sweep or (None, None)
+def _solve_case(mesh, dofs, coeff, f, tables, sums=None, dump=None):
+    """Solution of the method of ``dofs`` with load ``f``, its system made
+    from a rho sweep's ``FormSums`` if given and written as coordinate text
+    if ``dump`` names a file.  The system is dropped on return, so no
+    caller holds it past its solve."""
     system = _assemble(mesh, dofs, coeff, f, tables, sums)
     if dump:
         with open(dump, "w") as fh:
             write_matrix(system.matrix, fh)
-    return solve_symmetric_indefinite(
-        system.matrix, system.rhs, cell_blocks=dofs.cell_blocks, plan=plan)
+    return solve_symmetric_indefinite(system.matrix, system.rhs,
+                                      cell_blocks=dofs.cell_blocks)
 
 
 @contextmanager
@@ -226,7 +217,7 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
     The limit method (primal for hdg, mixed for wg) has the local spaces of
     the inv regime, so one set of element tables serves both solves and
-    the distances for every rho, and one ``_sweep`` every rho's solve.
+    the distances for every rho, and one ``FormSums`` every rho's system.
     The slope is fitted to log-log distance over rho, so ``rhos`` must hold
     at least two distinct positive values.
     """
@@ -246,12 +237,12 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
     with _failure_at("limit at level {}, {} solve", level, ref_dofs.method):
         y = _solve_case(mesh, ref_dofs, coeff, prob.f, tables)
     rows = []
-    sweep = None
+    sums = None
     for case in cases:
         dofs = build_space_triple(mesh, case)
-        sweep = sweep or _sweep(mesh, dofs, coeff, tables)
+        sums = sums or FormSums(form_terms, mesh, dofs, coeff, tables)
         with _failure_at("limit at level {}, rho = {!r}", level, case.rho):
-            x = _solve_case(mesh, dofs, coeff, prob.f, tables, sweep)
+            x = _solve_case(mesh, dofs, coeff, prob.f, tables, sums)
         if method == "hdg":
             df = flux_distance(mesh, dofs, x, ref_dofs, y, tables)
             ds = broken_h1_distance(mesh, dofs, x, ref_dofs, y, tables)
@@ -279,7 +270,6 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         raise ValueError("empty inf-sup sweep: rhos {}, levels {}".format(
             list(rhos), list(levels)))
     coeff = CoefficientField.unit()
-    zero = lambda xy: np.zeros(len(xy))
     table = InfSupTable()
     previous = {}  # rho -> betas of the levels so far
     for level in levels:
@@ -295,7 +285,7 @@ def run_infsup_study(method, regime, k, rhos, levels=(1, 2, 3),
         guess = None
         for dofs in instances:
             rho = dofs.case.rho
-            system = _assemble(mesh, dofs, coeff, zero, tables, form)
+            system = _assemble(mesh, dofs, coeff, ZERO_FIELD.f, tables, form)
             gram = assemble_norm_gram(mesh, dofs, coeff=coeff, tables=tables,
                                       sums=norm)
             betas = previous.setdefault(rho, [])

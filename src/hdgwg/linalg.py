@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -60,22 +62,21 @@ BRACKET_STEP = 1.05
 BRACKET_RTOL_MIN = 1e-6
 
 
-def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
+def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
 
-    ``cell_blocks`` (C, m) says that the first L = C m DOFs couple only
-    within their own cell, m consecutive per cell: A[:L, :L] is block
-    diagonal with C blocks of size m.  They are eliminated first (static
-    condensation), cell by cell on a ``CondensationPlan``: ``plan`` if
-    given, which must have been built for A's sparsity structure and then
-    gives the cell blocks, else one read from A.  The condensation reads
-    A's first L rows alone and takes K_gl as K_lg^T, so it requires a
-    symmetric A; on any other, the refinement below meets the contract or
-    raises.  The reduced matrix is factored with a sparse LU (pivot-free
-    when its diagonal has one sign, see ``PIVOT_FREE``), and the cell
-    unknowns are recovered by back-substitution.  ``DofMap.cell_blocks``
-    gives the blocks (see ``spaces.build_space_triple``); without them the
-    reduced matrix is A.
+    ``cell_blocks`` (C, m), two non-negative integers, says that the first
+    L = C m DOFs couple only within their own cell, m consecutive per
+    cell: A[:L, :L] is block diagonal with C blocks of size m.  They are
+    eliminated first (static condensation), cell by cell, on a layout of
+    the blocks that each call reads from A's sparsity structure.  The
+    condensation reads A's first L rows alone and takes K_gl as K_lg^T, so
+    it requires a symmetric A; on any other, the refinement below meets
+    the contract or raises.  The reduced matrix is factored with a sparse
+    LU (pivot-free when its diagonal has one sign, see ``PIVOT_FREE``),
+    and the cell unknowns are recovered by back-substitution.
+    ``DofMap.cell_blocks`` gives the blocks (see
+    ``spaces.build_space_triple``); without them the reduced matrix is A.
 
     The solution is refined iteratively against the full A.  Refinement
     stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
@@ -86,18 +87,15 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0), plan=None):
     ||x|| + ||b||), checked on the x where refinement stopped, which is
     attainable in double precision even when the stabilization weights
     inflate the matrix scale.  Failure raises SingularMatrixError naming
-    its stage; cell blocks that couple across cells or exceed A, or a plan
-    built for another structure, raise ValueError.  The arguments are
-    never modified.
+    its stage; cell blocks that are not two non-negative integers, couple
+    across cells or exceed A raise ValueError.  The arguments are never
+    modified.
     """
     A = _canonical(matrix)
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    # the back-substitution needs none of the plan: one built for this
-    # solve alone is freed before the factorization
-    factor, first = _condensed_factor(A, plan or CondensationPlan(
-        A, cell_blocks))
+    factor, first = _condensed_factor(A, cell_blocks)
     try:
         return _refine(A, b, factor(first))
     except SingularMatrixError:
@@ -144,74 +142,14 @@ def _refine(A, b, solve):
     return x
 
 
-class CondensationPlan:
-    """Where the static condensation finds its blocks among the stored
-    entries of one sparsity structure.  It reads the structure alone, so
-    one plan serves every matrix of a rho sweep.
-
-    ``cell_blocks`` (C, m): the first L = C m DOFs couple only within their
-    own cell, m consecutive per cell.  The plan lays out their rows, the
-    cell rows, and A_gg, and nothing of A[L:, :L]: the condensation takes
-    each cell's K_gl as K_lg^T, so it requires a symmetric A, and the
-    refinement against the full A is the only test that it was.  The
-    blocks are laid out on a structure whose cell rows store them in
-    full, as the assembled systems do: each row of cell c's block holds
-    the block's m columns and then the same DOFs beyond L, c's coupled
-    DOFs.  Any other structure is padded to one first (``_padded``):
-    ``padding`` is then the padded size and, for each entry of A that it
-    keeps, its position in A and in the padding; ``outside`` lists the
-    entries it leaves out that couple two cells' blocks, which must be
-    zero.
-
-    Among the (padded) stored entries, ``start`` (C, m) holds the position
-    of the first entry of each row of each cell's block: the row's m block
-    entries, then its g coupled ones, K_ll and K_lg.  ``glob`` holds each
-    cell's coupled DOFs - L, with the absent ones at the padding index
-    n - L.  ``gg`` holds the positions of A_gg's entries, at ``gg_rows``
-    and ``gg_cols`` of the reduced matrix A_gg - sum_c K_gl K_ll^-1 K_lg.
-    """
-
-    def __init__(self, matrix, cell_blocks):
-        A = _canonical(matrix)
-        num_cells, m = self.cell_blocks = tuple(cell_blocks)
-        n, L = A.shape[0], num_cells * m
-        if L > n:
-            raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
-                             "of A".format(num_cells, m, n))
-        self.shape, self.indptr, self.indices = A.shape, A.indptr, A.indices
-        # int32 where it fits: the plan stays resident through a sweep
-        idx = np.int32 if len(A.indices) < 2**31 else np.int64
-        self.padding, self.outside = None, np.zeros(0, dtype=idx)
-        layout = _full_block_layout(A, num_cells, m)
-        if layout is None:
-            A, kept, at, outside = _padded(A, num_cells, m)
-            self.padding = (len(A.indices), kept.astype(idx), at.astype(idx))
-            self.outside = outside.astype(idx)
-            layout = _full_block_layout(A, num_cells, m)
-        coupled, start = layout
-        self.start = start.astype(idx)
-        split = A.indptr[L]
-        at = np.flatnonzero(A.indices[split:] >= L)
-        self.gg = (split + at).astype(idx)
-        self.gg_rows = np.repeat(np.arange(n - L, dtype=idx),
-                                 np.diff(A.indptr[L:]))[at]
-        self.gg_cols = (A.indices[self.gg] - L).astype(idx)
-        self.glob = np.where(coupled >= 0, coupled - L, n - L).astype(idx)
-
-    def check(self, A):
-        """ValueError unless A has the structure of this plan."""
-        if A.shape != self.shape or not (
-                (A.indptr is self.indptr or np.array_equal(A.indptr,
-                                                           self.indptr))
-                and (A.indices is self.indices
-                     or np.array_equal(A.indices, self.indices))):
-            raise ValueError("condensation plan was built for another "
-                             "sparsity structure")
-
-
 def _full_block_layout(A, num_cells, m):
-    """``(coupled, start)`` of ``CondensationPlan`` if the cell rows of A's
-    structure store the cell blocks in full (see there), else None.
+    """``(coupled, start)`` if the cell rows of A's structure, its first
+    L = C m rows, store the cell blocks in full, else None.  They do when
+    each row of cell c's block holds the block's m columns and then the
+    same DOFs beyond L, c's coupled DOFs, as the rows of every assembled
+    system do.  ``start`` (C, m) holds the position, among the stored
+    entries, of the first entry of each row of each cell's block: the
+    row's m block entries, then its g coupled ones, K_ll and K_lg.
     ``coupled`` (C, g) lists each cell's coupled DOFs ascending, as its
     first row does, -1 padded.  Then every position follows from the row
     pointers, and no entry couples two cells' blocks."""
@@ -246,77 +184,50 @@ def _full_block_layout(A, num_cells, m):
 
 
 def _padded(A, num_cells, m):
-    """A's structure, without A[L:, :L] and without the entries that
-    couple two cells' blocks, padded with zeros so that its cell rows
-    store their blocks in full, as a CSR matrix of zeros; and the
-    positions, in A, of the entries it keeps, in the padding, of those
-    entries, and, in A, of the ones that couple two cells' blocks.  Each
-    cell's coupled DOFs are the ones beyond L that its rows reach."""
+    """A copy of A without A[L:, :L], padded with explicit zeros so that
+    its cell rows store their blocks in full.  It holds A's own values:
+    the COO -> CSR sum adds only zeros to them, and keeps the explicit
+    zeros.  The entries that couple two cells' blocks are left out; a
+    nonzero among them raises ValueError.  Each cell's coupled DOFs are
+    the ones beyond L that its rows reach."""
     n, L = A.shape[0], num_cells * m
     row = np.repeat(np.arange(n), np.diff(A.indptr))
     col = A.indices.astype(np.int64)
     cross = (row < L) & (col < L) & (row // m != col // m)
-    kept = np.flatnonzero(~cross & ((row < L) | (col >= L)))
-    lg = (row < L) & (col >= L)
-    cell, dof = np.divmod(np.unique((row[lg] // m) * n + col[lg]), n)
-    block = np.arange(L).reshape(num_cells, 1, m)
-    own = np.broadcast_to(block, (num_cells, m, m))
-    # the entries of A, each valued by its position + 1, and the padding's
-    # zeros: a sum gives each kept entry its position, the others zero
-    padded = sp.csr_matrix((
-        np.concatenate([kept + 1.0, np.zeros(own.size + len(cell) * m)]),
-        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(),
-                         (cell[:, None] * m + np.arange(m)).ravel()]),
-         np.concatenate([col[kept], own.ravel(), np.repeat(dof, m)]))),
-        shape=A.shape)
-    at = np.flatnonzero(padded.data)
-    kept = padded.data[at].astype(np.int64) - 1
-    padded.data[:] = 0.0
-    return padded, kept, at, np.flatnonzero(cross)
-
-
-def _condensed_factor(A, plan):
-    """Condense the leading cell blocks of ``plan`` out of A, reading its
-    cell rows alone: K_gl is K_lg^T.  Returns ``factor``, which maps splu
-    options to a solver r -> A^-1 r, and the options to try first."""
-    plan.check(A)
-    (num_cells, m), g = plan.cell_blocks, plan.glob.shape[1]
-    n, L = A.shape[0], num_cells * m
-    outside = np.count_nonzero(A.data[plan.outside])
+    outside = np.count_nonzero(A.data[cross])
     if outside:
         raise ValueError(
             "cell blocks couple across cells: {} nonzeros of A[:{}, :{}] "
             "lie outside the {} diagonal {}x{} blocks".format(
                 outside, L, L, num_cells, m, m))
-    data = A.data
-    if plan.padding is not None:
-        size, kept, at = plan.padding
-        data = np.zeros(size)
-        data[at] = A.data[kept]
+    kept = ~cross & ((row < L) | (col >= L))
+    lg = (row < L) & (col >= L)
+    cell, dof = np.divmod(np.unique((row[lg] // m) * n + col[lg]), n)
+    block = np.arange(L).reshape(num_cells, 1, m)
+    own = np.broadcast_to(block, (num_cells, m, m))
+    return sp.csr_matrix((
+        np.concatenate([A.data[kept], np.zeros(own.size + len(cell) * m)]),
+        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(),
+                         (cell[:, None] * m + np.arange(m)).ravel()]),
+         np.concatenate([col[kept], own.ravel(), np.repeat(dof, m)]))),
+        shape=A.shape)
 
-    # one block at a time: the gathers need not all live at once.  An
-    # absent DOF's slots read the cell's first entry, and then zero
-    start, absent = plan.start[:, :, None], plan.glob == n - L
-    inv = _invert_cell_blocks(data[start + np.arange(m, dtype=start.dtype)])
-    K_lg = data[np.where(absent[:, None, :], start,
-                         start + m + np.arange(g, dtype=start.dtype))]
-    K_lg[np.broadcast_to(absent[:, None, :], K_lg.shape)] = 0.0
-    W = inv @ K_lg
-    K_gl = np.ascontiguousarray(K_lg.transpose(0, 2, 1))
-    del K_lg
-    # A_gg's entries, then those of each cell's g x g complement: the rows
-    # and columns of absent DOFs are zeros, added to the first entry
-    glob = plan.glob
-    at = np.where(glob < n - L, glob, 0)
-    reduced = sp.coo_matrix(
-        (np.concatenate([data[plan.gg], -(K_gl @ W).ravel()]),
-         (np.concatenate([plan.gg_rows, np.repeat(at, g, axis=1).ravel()]),
-          np.concatenate([plan.gg_cols, np.tile(at, g).ravel()]))),
-        shape=(n - L, n - L)).tocsc()
-    # the sum keeps the exact zeros of A_gg, and the room of the summed
-    # duplicates; the factorization needs neither
-    reduced.eliminate_zeros()
-    reduced = reduced.copy()
+
+def _condensed_factor(A, cell_blocks):
+    """Condense the leading ``cell_blocks`` (C, m) out of A, reading its
+    cell rows alone: K_gl is K_lg^T.  Returns ``factor``, which maps splu
+    options to a solver r -> A^-1 r, and the options to try first."""
+    pair = tuple(cell_blocks)
+    if not (len(pair) == 2 and all(isinstance(v, numbers.Integral)
+                                   and v >= 0 for v in pair)):
+        raise ValueError("cell blocks must be two non-negative integers "
+                         "(C, m), got {!r}".format(pair))
+    num_cells, m = map(int, pair)
+    n, L = A.shape[0], num_cells * m
+    if L > n:
+        raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
+                         "of A".format(num_cells, m, n))
+    inv, K_gl, W, glob, reduced = _reduced(A, num_cells, m)
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 
@@ -339,6 +250,57 @@ def _condensed_factor(A, plan):
         return solve
 
     return factor, PIVOT_FREE if one_sign else PARTIAL_PIVOTING
+
+
+def _reduced(A, num_cells, m):
+    """The condensation of A's leading cell blocks: the inverses of the
+    cell blocks K_ll, each cell's K_gl and K_ll^-1 K_lg, its coupled
+    DOFs - L (an absent one at n - L), and the reduced CSC matrix A_gg -
+    sum_c K_gl K_ll^-1 K_lg without exact zeros.  The blocks are laid out
+    on A's structure, padded first if its cell rows do not store them in
+    full; the layout and the padding are freed on return."""
+    n, L = A.shape[0], num_cells * m
+    layout = _full_block_layout(A, num_cells, m)
+    if layout is None:
+        A = _padded(A, num_cells, m)
+        layout = _full_block_layout(A, num_cells, m)
+    coupled, start = layout
+    g = coupled.shape[1]
+    glob = np.where(coupled >= 0, coupled - L, n - L)
+    # A_gg's entries, and their rows and columns in the reduced matrix
+    split = A.indptr[L]
+    keep = A.indices[split:] >= L
+    gg = A.data[split:][keep]
+    gg_rows = np.repeat(np.arange(n - L, dtype=A.indices.dtype),
+                        np.diff(A.indptr[L:]))[keep]
+    gg_cols = A.indices[split:][keep] - L
+    del keep
+    # one block at a time: the gathers need not all live at once.  An
+    # absent DOF's slots read the cell's first entry, and then zero
+    start, absent = start[:, :, None], glob == n - L
+    inv = _invert_cell_blocks(
+        A.data[start + np.arange(m, dtype=start.dtype)])
+    K_lg = A.data[np.where(absent[:, None, :], start,
+                           start + m + np.arange(g, dtype=start.dtype))]
+    K_lg[np.broadcast_to(absent[:, None, :], K_lg.shape)] = 0.0
+    W = inv @ K_lg
+    K_gl = np.ascontiguousarray(K_lg.transpose(0, 2, 1))
+    del K_lg
+    # then those of each cell's g x g complement: the rows and columns of
+    # absent DOFs are zeros, added to the first entry
+    at = np.where(absent, 0, glob)
+    reduced = sp.coo_matrix(
+        (np.concatenate([gg, -(K_gl @ W).ravel()]),
+         (np.concatenate([gg_rows, np.repeat(at, g, axis=1).ravel()]),
+          np.concatenate([gg_cols, np.tile(at, g).ravel()]))),
+        shape=(n - L, n - L))
+    # the sum holds its own copies: free A_gg's before it converts them
+    del gg, gg_rows, gg_cols
+    reduced = reduced.tocsc()
+    # the sum keeps the exact zeros of A_gg, and the room of the summed
+    # duplicates; the factorization needs neither
+    reduced.eliminate_zeros()
+    return inv, K_gl, W, glob, reduced.copy()
 
 
 def _invert_cell_blocks(blocks):

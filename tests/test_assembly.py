@@ -538,8 +538,8 @@ def _on_structure(values, form, part):
     """The ``values`` on ``form``'s structure as a CSR matrix, checked to
     be zero outside the entries of ``part``, restricted to those
     entries."""
-    whole = form.structure()
-    whole.data[:] = values
+    whole = sp.csr_matrix((values, form.indices, form.indptr),
+                          shape=form.shape)
     inside = part.copy()
     inside.data[:] = 1.0
     outside = whole - whole.multiply(inside)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hdgwg import assembly, cli, experiments, linalg
+from hdgwg import assembly, cli, experiments
 from hdgwg.experiments import (
     manufactured_case,
     run_convergence_study,
@@ -160,18 +160,11 @@ def test_infsup_guess_is_the_previous_level_else_the_previous_rho(
 
 @pytest.mark.parametrize("method", ["hdg", "wg"])
 def test_limit_sweep_does_its_rho_free_work_once(method, monkeypatch):
-    # the conforming limit and the sweep each build one sum structure and
-    # one condensation plan; the sweep sums its unit and stabilization
-    # groups once, and every rho's matrix is then its one-shot assembly, to
-    # the bit, and exactly symmetric
-    counts = {"structure": 0, "sums": 0, "plan": 0}
-
-    def counting(name, fn):
-        def counted(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return counted
-
+    # the conforming limit and the sweep each build one sum structure; the
+    # sweep sums its unit and stabilization groups once, and every rho's
+    # matrix is then its one-shot assembly, to the bit, and exactly
+    # symmetric
+    counts = {"structure": 0, "sums": 0}
     sorted_sums = assembly._sorted_sums
 
     def counted_sums(n, groups):
@@ -181,19 +174,17 @@ def test_limit_sweep_does_its_rho_free_work_once(method, monkeypatch):
         return out
 
     monkeypatch.setattr(assembly, "_sorted_sums", counted_sums)
-    monkeypatch.setattr(linalg.CondensationPlan, "__init__",
-                        counting("plan", linalg.CondensationPlan.__init__))
     solved = []
     solve = experiments.solve_symmetric_indefinite
 
-    def recording(matrix, rhs, cell_blocks, plan):
+    def recording(matrix, rhs, cell_blocks):
         solved.append(matrix)
-        return solve(matrix, rhs, cell_blocks, plan)
+        return solve(matrix, rhs, cell_blocks)
 
     monkeypatch.setattr(experiments, "solve_symmetric_indefinite", recording)
     rhos = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     run_rho_limit_study(method, 1, level=2, rhos=rhos)
-    assert counts == {"structure": 2, "sums": 3, "plan": 2}
+    assert counts == {"structure": 2, "sums": 3}
     mesh = build_structured_mesh(4)
     prob = manufactured_case("sine")
     coeff = assembly.CoefficientField(alpha=prob.alpha)

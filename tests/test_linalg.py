@@ -11,12 +11,10 @@ import scipy.sparse.linalg as spla
 from hdgwg.assembly import (
     CoefficientField,
     ElementTables,
-    FormSums,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
-    form_terms,
 )
 from hdgwg import experiments, linalg
 from hdgwg.experiments import manufactured_case, run_infsup_study
@@ -139,7 +137,7 @@ def _reduced_by_sparse_products(A, cell_blocks):
     return (A[L:, L:] - A[L:, :L] @ (B_inv @ A[:L, L:])).tocsc()
 
 
-def _solver_reduced(A, b, cell_blocks, monkeypatch, plan=None):
+def _solver_reduced(A, b, cell_blocks, monkeypatch):
     """The reduced matrix that the solver factors first."""
     factored = []
     splu = linalg.spla.splu
@@ -150,7 +148,7 @@ def _solver_reduced(A, b, cell_blocks, monkeypatch, plan=None):
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg.spla, "splu", recording)
-        solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks, plan=plan)
+        solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
     return factored[0]
 
 
@@ -169,7 +167,7 @@ REDUCED_INPUTS = [
 def test_cellwise_reduced_matrix_matches_sparse_products(method, regime, k,
                                                          mesh_name, rho,
                                                          monkeypatch):
-    # the per-cell Schur complements summed on the plan give the reduced
+    # the per-cell Schur complements summed on A's structure give the reduced
     # matrix of the sparse products within 1e-14 of its largest entry, or
     # of A_gg's where that is larger: at rho = 1e-2 the wg/inv entries are
     # differences of terms of size 1/(rho h) (measured: 2.4e-13 of the
@@ -210,11 +208,9 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
                                                    monkeypatch):
     # without its exact zeros (the mixed system stores none), and with an
     # explicit zero between two cells' blocks, an assembled system no longer
-    # stores its cell blocks in full: the plan pads it to them and the
-    # reduced matrix is the same, to the bit
+    # stores its cell blocks in full: the solver pads a copy to them, and
+    # the reduced matrix is the same, to the bit
     A, b, dofs = _varcoef_system(method, regime, k, 1e-2, "jittered")
-    full = linalg.CondensationPlan(A, dofs.cell_blocks)
-    assert full.padding is None
     m = dofs.cell_blocks[1]
     L = dofs.cell_blocks[0] * m
     sparse = A.copy()
@@ -223,10 +219,9 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
                                      shape=A.shape)).tocsr()
     sparse[0, m] = sparse[m, 0] = 0.0
     assert sparse[0, m] == 0.0
-    plan = linalg.CondensationPlan(sparse, dofs.cell_blocks)
-    assert plan.padding is not None and len(plan.outside) == 2
+    before = [a.copy() for a in (sparse.data, sparse.indices, sparse.indptr)]
     # an explicit zero in A[L:, :L] whose mirror is not stored: the cell
-    # rows still store their blocks in full, and the plan reads nothing
+    # rows still store their blocks in full, and the solver reads nothing
     # of A[L:, :L]
     row_0 = lambda M: M.indices[M.indptr[0]:M.indptr[1]]
     far = np.setdiff1d(np.arange(L, A.shape[0]), row_0(A))[0]
@@ -236,41 +231,26 @@ def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
                           shape=A.shape)
     assert lower.nnz == A.nnz + 1 and lower[far, 0] == 0.0
     assert np.array_equal(row_0(lower), row_0(A))
-    assert linalg.CondensationPlan(lower, dofs.cell_blocks).padding is None
+    calls = []
+    pad = linalg._padded
+
+    def counted(*args):
+        calls.append(args)
+        return pad(*args)
+
+    monkeypatch.setattr(linalg, "_padded", counted)
     want = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
-    for got in (_solver_reduced(sparse, b, dofs.cell_blocks, monkeypatch,
-                                plan),
-                _solver_reduced(lower, b, dofs.cell_blocks, monkeypatch)):
+    assert len(calls) == 0
+    for matrix, pads in ((sparse, 1), (lower, 0)):
+        del calls[:]
+        got = _solver_reduced(matrix, b, dofs.cell_blocks, monkeypatch)
+        assert len(calls) == pads
         for a, c in ((got.indptr, want.indptr), (got.indices, want.indices),
                      (got.data, want.data)):
             assert np.array_equal(a, c)
-
-
-def test_plan_serves_every_matrix_of_its_structure():
-    # one plan, two rhos of one sweep: the solutions of fresh plans, to the
-    # bit, whatever cell blocks the call names; another structure raises
-    mesh = build_structured_mesh(4)
-    prob = manufactured_case("sine")
-    coeff = CoefficientField(alpha=prob.alpha)
-    first = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, 1.0))
-    tables = ElementTables(mesh, first.case)
-    sums = FormSums(form_terms, mesh, first, coeff, tables)
-    plan = linalg.CondensationPlan(sums.structure(), first.cell_blocks)
-    for rho in (1.0, 1e-3):
-        dofs = build_space_triple(mesh, SpaceCase("hdg", "inv", 1, rho))
-        system = assemble_hdg(mesh, dofs, coeff, prob.f, tables, sums)
-        x = solve_symmetric_indefinite(system.matrix, system.rhs,
-                                       dofs.cell_blocks, plan)
-        fresh = solve_symmetric_indefinite(system.matrix, system.rhs,
-                                           dofs.cell_blocks)
-        assert np.array_equal(x, fresh)
-        assert np.array_equal(x, solve_symmetric_indefinite(
-            system.matrix, system.rhs, (0, 0), plan))
-    other = system.matrix.copy()
-    other.data[0] = 0.0
-    other.eliminate_zeros()
-    with pytest.raises(ValueError, match="another sparsity structure"):
-        solve_symmetric_indefinite(other, system.rhs, dofs.cell_blocks, plan)
+    # the padding works on a copy: the caller's arrays are unchanged
+    for old, new in zip(before, (sparse.data, sparse.indices, sparse.indptr)):
+        assert old.dtype == new.dtype and np.array_equal(old, new)
 
 
 def _record_splu(monkeypatch):
@@ -364,6 +344,12 @@ def test_wg_scalar_is_not_cell_local(regime, k):
 def test_cell_dofs_must_be_cell_local():
     A, b, dofs = _varcoef_system("hdg", "rho_h", 0, 1.0, "structured")
     C, m = dofs.cell_blocks
+    # cell blocks are two non-negative integers
+    for pair in ((-1, 2), (1.5, 2), (C, -m), (C,)):
+        with pytest.raises(ValueError, match=re.escape(
+                "cell blocks must be two non-negative integers (C, m), "
+                "got {!r}".format(pair))):
+            solve_symmetric_indefinite(A, b, cell_blocks=pair)
     # blocks one DOF too wide straddle the cells: each reaches into the next
     with pytest.raises(ValueError, match="couple across cells"):
         solve_symmetric_indefinite(A, b, cell_blocks=(C - 1, m + 1))
@@ -387,10 +373,10 @@ def test_solve_leaves_a_non_canonical_matrix_unchanged():
 
 
 def test_condensation_memory_peak():
-    # the plan keeps int32 positions, and the condensation gathers the cell
-    # blocks once and inverts them in place, so building a plan and
-    # condensing on it peaks within 2.5 times the bytes of A (hdg/inv k = 1,
-    # level 4)
+    # the layout keeps int32 positions, and the condensation gathers the
+    # cell blocks once and inverts them in place, so laying out the blocks
+    # and condensing them peaks within 2.5 times the bytes of A (hdg/inv
+    # k = 1, level 4)
     mesh = build_structured_mesh(2**4)
     case = SpaceCase("hdg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
@@ -400,8 +386,7 @@ def test_condensation_memory_peak():
     nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
-        linalg._condensed_factor(A, linalg.CondensationPlan(
-            A, dofs.cell_blocks))
+        linalg._condensed_factor(A, dofs.cell_blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
