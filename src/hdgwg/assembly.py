@@ -411,21 +411,18 @@ def _sorted_sums(n, groups):
     return indices, indptr, sums
 
 
-class FormSums:
-    """The matrices of one term list on a DOF map, coefficient and set of
-    tables, as f_1 S_1 (+ f_2 S_2) + S_0 at every rho.
+class _GroupSums:
+    """The sums of one term list's groups on a DOF map, coefficient and
+    set of tables, made into f_1 S_1 (+ f_2 S_2) + S_0 at every rho.
 
-    ``terms(mesh, dofs, tables, coeff)`` is ``form_terms`` (the systems of
-    the six methods) or ``norms.gram_terms`` (the Grams of the inf-sup
-    study).  It lists the terms in groups ``(factor, terms)``: first the
-    rho-free group, with factor None, then one group per factor of rho,
-    whose ``factor(case)`` is its f_i at the rho of a ``SpaceCase``.
-    ``sums`` holds S_0, S_1, ..., the groups' sums on the CSR structure
-    ``indices``, ``indptr`` (see ``_sorted_sums``), and ``factors`` the
-    factors of S_1, ....  No sum depends on rho, so a rho sweep builds them
-    once and ``matrix`` makes each rho's matrix by one axpy per factor.
-    One-shot assembly builds them too, so a sweep's matrices are the
-    one-shot ones to the bit, and exactly symmetric, as every S_i is.
+    ``terms(mesh, dofs, tables, coeff)`` lists the terms in groups
+    ``(factor, terms)``: first the rho-free group, with factor None, then
+    one group per factor of rho, whose ``factor(case)`` is its f_i at the
+    rho of a ``SpaceCase``.  ``sums`` holds S_0, S_1, ..., each summed by
+    the subclass's ``_sum``, and ``factors`` the factors of S_1, ....  No
+    sum depends on rho, so a rho sweep builds them once and ``_combined``
+    makes each rho's values by one axpy per factor.  One-shot assembly
+    builds them too, so a sweep's values are the one-shot ones to the bit.
     """
 
     def __init__(self, terms, mesh, dofs, coeff, tables):
@@ -433,15 +430,15 @@ class FormSums:
         self.tables = tables.check(mesh, dofs)
         groups = terms(mesh, dofs, tables, coeff)
         self.factors = [factor for factor, _ in groups[1:]]
-        self.shape = (dofs.total, dofs.total)
-        self.indices, self.indptr, self.sums = _sorted_sums(
-            dofs.total, [group for _, group in groups])
+        self.sums = self._sum(mesh, dofs, [group for _, group in groups])
 
-    def matrix(self, terms, dofs, coeff, tables):
-        """The CSR matrix of ``terms`` on ``dofs``, ``coeff`` and
-        ``tables``: the terms, coefficient and tables these sums were built
-        with, and a map that numbers the DOFs of theirs the same way and
-        may differ from it in rho alone (else ValueError)."""
+    def _combined(self, terms, dofs, coeff, tables, last=False):
+        """f_1 S_1 (+ f_2 S_2) + S_0 for ``terms`` on ``dofs``, ``coeff``
+        and ``tables``: the terms, coefficient and tables these sums were
+        built with, and a map that numbers the DOFs of theirs the same way
+        and may differ from it in rho alone (else ValueError).  If
+        ``last``, the sums are used up: the result is made in place of
+        S_1, with the same bits, and no sum is kept."""
         a, b = dofs, self.dofs
         same_dofs = a is b or (a.method == b.method and a.total == b.total
                                and all(np.array_equal(x, y) for x, y in (
@@ -453,18 +450,110 @@ class FormSums:
             raise ValueError("form sums were built for another DOF map, "
                              "coefficient, tables or term list")
         rho_free, *scaled = self.sums
+        if last:
+            self.sums = None
         if not scaled:
-            data = rho_free.copy()
+            return rho_free if last else rho_free.copy()
+        # f_1 S_1 (+ f_2 S_2) + S_0 in one array; for a system, the bits
+        # of S_0 + f S_1
+        factors = [factor(dofs.case) for factor in self.factors]
+        first, *rest = scaled
+        if last:
+            data = first
+            data *= factors[0]
         else:
-            # f_1 S_1 (+ f_2 S_2) + S_0 in one array; for a system, the
-            # bits of S_0 + f S_1
-            factors = [factor(dofs.case) for factor in self.factors]
-            data = factors[0] * scaled[0]
-            for f, s in zip(factors[1:], scaled[1:]):
-                data += f * s
-            data += rho_free
-        return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),
+            data = factors[0] * first
+        for f, s in zip(factors[1:], rest):
+            data += f * s
+        data += rho_free
+        return data
+
+
+class FormSums(_GroupSums):
+    """The matrices of one term list, ``form_terms`` (the systems of the
+    six methods, for the inf-sup pencils and ``--dump-matrix``) or
+    ``norms.gram_terms`` (the Grams of the inf-sup study), summed on the
+    CSR structure ``indices``, ``indptr`` of ``_sorted_sums``.  Every S_i
+    is exactly symmetric, and so is each rho's ``matrix``."""
+
+    def _sum(self, mesh, dofs, groups):
+        self.shape = (dofs.total, dofs.total)
+        self.indices, self.indptr, sums = _sorted_sums(dofs.total, groups)
+        return sums
+
+    def matrix(self, terms, dofs, coeff, tables):
+        """The CSR matrix of ``terms`` on ``dofs``, ``coeff`` and
+        ``tables`` (see ``_GroupSums._combined``)."""
+        return sp.csr_matrix((self._combined(terms, dofs, coeff, tables),
+                              self.indices.copy(), self.indptr.copy()),
                              shape=self.shape)
+
+
+def cell_dofs(mesh, dofs):
+    """Each cell's local DOF list (C, n_loc): its flux, its scalar, then
+    the trace DOFs of its three sides, side by side; -1 for an eliminated
+    DOF."""
+    trace = dofs.edge_trace[mesh.cell_edges].reshape(mesh.num_cells, -1)
+    return np.concatenate([dofs.flux, dofs.scalar, trace], axis=1)
+
+
+def _slots(dofs, side_dofs):
+    """The positions in ``cell_dofs`` of a term side's DOFs: one slice for
+    the flux or the scalar, one per cell side for the trace."""
+    nf, nu = dofs.flux.shape[1], dofs.scalar.shape[1]
+    if side_dofs is dofs.flux:
+        return [slice(0, nf)]
+    if side_dofs is dofs.scalar:
+        return [slice(nf, nf + nu)]
+    nt = side_dofs.shape[-1]
+    return [slice(nf + nu + side * nt, nf + nu + (side + 1) * nt)
+            for side in range(3)]
+
+
+def _element_stack(dofs, size, terms):
+    """The (C, size, size) element matrices of a term list: each term's
+    blocks added in term order on the slots of its sides, an off-diagonal
+    term's transposed blocks on the mirrored slots, so every element
+    matrix is exactly symmetric."""
+    stack = np.zeros((len(dofs.flux), size, size))
+    for term in terms:
+        test, trial = term[2], term[3]
+        block = _block(*term)
+        rows, cols = _slots(dofs, test[0]), _slots(dofs, trial[0])
+        pairs = [(rows, cols, block)]
+        if test is not trial:
+            pairs.append((cols, rows, np.swapaxes(block, -1, -2)))
+        for rows, cols, block in pairs:
+            if block.ndim == 3:
+                stack[:, rows[0], cols[0]] += block
+                continue
+            # a trace side: one block per cell side
+            for side in range(3):
+                stack[:, rows[side % len(rows)],
+                      cols[side % len(cols)]] += block[:, side]
+    return stack
+
+
+class ElementSums(_GroupSums):
+    """The element matrices of ``form_terms`` on a DOF map, coefficient
+    and tables: per group a (C, n_loc, n_loc) stack on the local DOFs of
+    ``cell_dofs``, and each rho's stack f K_1 + K_0, by the operations of
+    ``FormSums.matrix``.  They are what the studies solve
+    (``linalg.solve_element_system``); scattered on the global DOFs, they
+    sum to the ``FormSums`` matrix up to the order of the additions."""
+
+    def __init__(self, mesh, dofs, coeff, tables):
+        super().__init__(form_terms, mesh, dofs, coeff, tables)
+
+    def _sum(self, mesh, dofs, groups):
+        size = cell_dofs(mesh, dofs).shape[1]
+        return [_element_stack(dofs, size, terms) for terms in groups]
+
+    def stack(self, dofs, coeff, tables, last=False):
+        """The element matrices of the system on ``dofs``, ``coeff`` and
+        ``tables``, made in place of the sums if ``last`` (see
+        ``_GroupSums._combined``)."""
+        return self._combined(form_terms, dofs, coeff, tables, last)
 
 
 def _assemble(method, mesh, dofs, coeff, f, tables, sums=None):

@@ -3,7 +3,7 @@ the self-check.
 
 This is the one layer that builds a discretization: the studies choose
 the meshes, DOF maps and element tables, and every system of the six
-methods is assembled and solved by ``_solve_case``.
+methods is solved from its element matrices by ``_solve_case``.
 """
 
 from __future__ import annotations
@@ -17,17 +17,21 @@ import numpy as np
 
 from .assembly import (
     CoefficientField,
+    ElementSums,
     ElementTables,
     FormSums,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
+    cell_dofs,
     form_terms,
+    load_vector,
 )
 from .linalg import (
     SingularMatrixError,
     min_generalized_singular_value,
+    solve_element_system,
     solve_symmetric_indefinite,
     write_matrix,
 )
@@ -146,9 +150,10 @@ class InfSupTable:
 
 
 def _assemble(mesh, dofs, coeff, f, tables, sums=None):
-    """The system of the method of ``dofs``, any of the six.  The assembler
-    is looked up by name at each call, so a replaced module attribute (a
-    tracer's wrapper, say) is the one that runs."""
+    """The assembled system of the method of ``dofs``, any of the six, for
+    the inf-sup pencils, ``--dump-matrix`` and the self-check.  The
+    assembler is looked up by name at each call, so a replaced module
+    attribute (a tracer's wrapper, say) is the one that runs."""
     assemble = {"hdg": assemble_hdg, "wg": assemble_wg,
                 "primal": assemble_primal_conforming,
                 "mixed": assemble_mixed_conforming}[dofs.method]
@@ -156,16 +161,22 @@ def _assemble(mesh, dofs, coeff, f, tables, sums=None):
 
 
 def _solve_case(mesh, dofs, coeff, f, tables, sums=None, dump=None):
-    """Solution of the method of ``dofs`` with load ``f``, its system made
-    from a rho sweep's ``FormSums`` if given and written as coordinate text
-    if ``dump`` names a file.  The system is dropped on return, so no
-    caller holds it past its solve."""
-    system = _assemble(mesh, dofs, coeff, f, tables, sums)
+    """Solution of the method of ``dofs`` with load ``f``, solved from its
+    element matrices, made from a rho sweep's ``ElementSums`` if given.
+    If ``dump`` names a file, the assembled system is written there as
+    coordinate text; it is assembled for that alone.  A one-shot solve
+    makes its element matrices in place of its sums."""
     if dump:
         with open(dump, "w") as fh:
-            write_matrix(system.matrix, fh)
-    return solve_symmetric_indefinite(system.matrix, system.rhs,
-                                      cell_blocks=dofs.cell_blocks)
+            write_matrix(_assemble(mesh, dofs, coeff, f, tables).matrix, fh)
+    if sums is None:
+        stack = ElementSums(mesh, dofs, coeff, tables).stack(
+            dofs, coeff, tables, last=True)
+    else:
+        stack = sums.stack(dofs, coeff, tables)
+    return solve_element_system(stack, cell_dofs(mesh, dofs),
+                                load_vector(dofs, tables, f),
+                                dofs.cell_blocks)
 
 
 @contextmanager
@@ -184,8 +195,8 @@ def run_convergence_study(method, regime, k, rho, levels=5, case_name="sine",
                           first_level=2, trace_degree=None, dump_matrix=None):
     """Error norms on meshes n = 2^level for level = first_level .. levels.
 
-    If ``dump_matrix`` names a file, the first level's system is written
-    there (``linalg.write_matrix``) as it is solved.
+    If ``dump_matrix`` names a file, the first level's system is assembled
+    and written there (``linalg.write_matrix``); the solve does not use it.
     """
     if levels < first_level + 1:
         raise ValueError("need at least two levels for observed orders")
@@ -217,7 +228,8 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
 
     The limit method (primal for hdg, mixed for wg) has the local spaces of
     the inv regime, so one set of element tables serves both solves and
-    the distances for every rho, and one ``FormSums`` every rho's system.
+    the distances for every rho, and one ``ElementSums`` every rho's
+    system.
     The slope is fitted to log-log distance over rho, so ``rhos`` must hold
     at least two distinct positive values.
     """
@@ -240,7 +252,7 @@ def run_rho_limit_study(method, k, level=3, rhos=None, case_name="sine"):
     sums = None
     for case in cases:
         dofs = build_space_triple(mesh, case)
-        sums = sums or FormSums(form_terms, mesh, dofs, coeff, tables)
+        sums = sums or ElementSums(mesh, dofs, coeff, tables)
         with _failure_at("limit at level {}, rho = {!r}", level, case.rho):
             x = _solve_case(mesh, dofs, coeff, prob.f, tables, sums)
         if method == "hdg":
@@ -307,10 +319,13 @@ def run_self_check(seed):
     as value <= bound, for the four regimes at k = 1, rho = 0.5 on the
     level-2 mesh: the jump/average decomposition of random vectors drawn
     with ``seed``, the consistency of the scheme on the polynomial exact
-    solution, and the Gram matrix against the quadrature norm."""
+    solution, the Gram matrix against the quadrature norm, and the
+    studies' element solve against the matrix solver on the assembled
+    system."""
     rng = np.random.default_rng(seed)
     mesh = build_structured_mesh(4)
     prob = manufactured_case("poly")
+    coeff = CoefficientField(alpha=prob.alpha)
     rows = []
     for method in ("hdg", "wg"):
         for regime in ("rho_h", "inv"):
@@ -332,4 +347,11 @@ def run_self_check(seed):
             via_gram = math.sqrt(x @ (gram @ x))
             rows.append(("gram cross-check " + name,
                          abs(via_quad - via_gram) / via_gram, 1e-11))
+            system = _assemble(mesh, dofs, coeff, prob.f, tables)
+            assembled = solve_symmetric_indefinite(
+                system.matrix, system.rhs, cell_blocks=dofs.cell_blocks)
+            element = _solve_case(mesh, dofs, coeff, prob.f, tables)
+            rows.append(("element solve vs assembled solve " + name,
+                         np.linalg.norm(element - assembled)
+                         / np.linalg.norm(assembled), 1e-10))
     return rows

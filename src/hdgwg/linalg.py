@@ -77,6 +77,8 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     and the cell unknowns are recovered by back-substitution.
     ``DofMap.cell_blocks`` gives the blocks (see
     ``spaces.build_space_triple``); without them the reduced matrix is A.
+    The condensation, factorization and refinement are those of
+    ``solve_element_system``, which starts from element matrices instead.
 
     The solution is refined iteratively against the full A.  Refinement
     stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
@@ -95,13 +97,114 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    factor, first = _condensed_factor(A, cell_blocks)
-    try:
-        return _refine(A, b, factor(first))
-    except SingularMatrixError:
-        if first is PARTIAL_PIVOTING:
-            raise
-    return _refine(A, b, factor(PARTIAL_PIVOTING))
+    return _refined(A, b, *_condensed_factor(A, cell_blocks))
+
+
+def solve_element_system(stacks, cell_dofs, rhs, cell_blocks):
+    """Solve A x = b for the symmetric A = sum_c P_c^T K_c P_c given by its
+    element matrices, without assembling A.
+
+    ``stacks`` (C, k, k) holds each cell's element matrix K_c on its k
+    local DOFs ``cell_dofs`` (C, k): global DOFs, or -1 for one that the
+    space eliminates, whose rows and columns of K_c are left out.
+    ``cell_blocks`` (C, m) are those of ``solve_symmetric_indefinite``:
+    the first L = C m DOFs are the cells' own, m consecutive per cell, and
+    each cell lists its own ones among its local DOFs in that order, at the
+    same local positions in every cell; every other local DOF is at least
+    L (or -1).  K_ll, K_lg and K_gg are gathered from each cell's K_c, the
+    cells are condensed in batch and only the reduced matrix is summed
+    across cells.  The factorization, back-substitution and refinement are
+    those of ``solve_symmetric_indefinite``, against A itself: A x is
+    formed cell by cell, and ||A||_F, which only the backward-error bound
+    reads, exactly, as the squares of the cells' own rows and columns plus
+    those of the summed K_gg.  Inputs that do not fit raise ValueError;
+    the arguments are never modified.
+    """
+    K = np.asarray(stacks, dtype=float)
+    dofs = np.asarray(cell_dofs)
+    b = np.asarray(rhs, dtype=float)
+    n = b.shape[0]
+    num_cells, m = _cell_block_sizes(cell_blocks, n)
+    if not (K.ndim == 3 and dofs.ndim == 2 and K.shape[1] == K.shape[2]
+            and K.shape[:2] == dofs.shape and dofs.max(initial=-1) < n):
+        raise ValueError("element matrices {} do not fit cell DOFs {} of a "
+                         "system of {} DOFs".format(K.shape, dofs.shape, n))
+    L = num_cells * m
+    own = (dofs >= 0) & (dofs < L)
+    local = np.flatnonzero(own[0]) if len(dofs) else np.zeros(0, dtype=int)
+    if m and not (len(dofs) == num_cells and len(local) == m
+                  and np.array_equal(own, np.broadcast_to(own[0], own.shape))
+                  and np.array_equal(dofs[:, local],
+                                     np.arange(L).reshape(num_cells, m))):
+        raise ValueError("cell blocks {!r} are not the cells' own DOFs, m "
+                         "per cell in cell order".format(tuple(cell_blocks)))
+    coupled = np.flatnonzero(~own[0]) if len(dofs) else local
+    A = _ElementMatrix(K, dofs, n, local, coupled)
+    glob = dofs[:, coupled] - L
+    glob[glob < 0] = n - L
+    # K_lg and K_gg are views where the positions run contiguously, as
+    # they do for every method but mixed; K_ll is overwritten, so a copy
+    return _refined(A, b, *_condense(
+        np.array(_gather(K, local, local)), _gather(K, local, coupled), glob,
+        n - L, cell_gg=_gather(K, coupled, coupled)))
+
+
+def _gather(K, rows, cols):
+    """K[:, rows][:, :, cols] for position arrays ``rows`` and ``cols``:
+    a view if each is one contiguous run."""
+    runs = [slice(p[0], p[-1] + 1) if len(p) and p[-1] - p[0] == len(p) - 1
+            else None for p in (rows, cols)]
+    if None in runs:
+        return K[:, rows[:, None], cols]
+    return K[:, runs[0], runs[1]]
+
+
+class _ElementMatrix:
+    """A = sum_c P_c^T K_c P_c of element matrices, for ``_refine``: the
+    product A x and the exact ||A||_F, both cell by cell.  ``local`` and
+    ``coupled`` split the local positions: the cells' own DOFs, which no
+    two cells share, and the others."""
+
+    def __init__(self, stacks, cell_dofs, n, local, coupled):
+        self.stacks, self.n = stacks, n
+        self.local, self.coupled = local, coupled
+        # an eliminated DOF's slot points past the end
+        self.at = np.where(cell_dofs >= 0, cell_dofs, n)
+
+    def __matmul__(self, x):
+        y = self.stacks @ np.append(x, 0.0)[self.at][..., None]
+        return np.bincount(self.at.ravel(), weights=y.ravel(),
+                           minlength=self.n + 1)[:self.n]
+
+    def frobenius_norm(self):
+        """||A||_F: the cells' own rows and columns hold A's entries there,
+        and the rest of the element matrices sums to A_gg."""
+        K, n, local, coupled = self.stacks, self.n, self.local, self.coupled
+        valid = self.at < n
+        own = (np.sum(np.square(K[:, local]), axis=1)[valid].sum()
+               + np.sum(np.square(K[:, coupled[:, None], local]),
+                        axis=2)[valid[:, coupled]].sum())
+        at = self.at[:, coupled]
+        # an eliminated DOF's entries go to row and column n, and are zero
+        gg = np.where(at[:, :, None] < n, K[:, coupled[:, None], coupled], 0.0)
+        A_gg = sp.csr_matrix((gg.ravel(), (
+            np.repeat(at, len(coupled), axis=1).ravel(),
+            np.tile(at, len(coupled)).ravel())), shape=(n + 1, n + 1))
+        return np.sqrt(own + A_gg.data @ A_gg.data)
+
+
+def _cell_block_sizes(cell_blocks, n):
+    """``cell_blocks`` as two ints (C, m) with C m <= n, else ValueError."""
+    pair = tuple(cell_blocks)
+    if not (len(pair) == 2 and all(isinstance(v, numbers.Integral)
+                                   and v >= 0 for v in pair)):
+        raise ValueError("cell blocks must be two non-negative integers "
+                         "(C, m), got {!r}".format(pair))
+    num_cells, m = map(int, pair)
+    if num_cells * m > n:
+        raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
+                         "of A".format(num_cells, m, n))
+    return num_cells, m
 
 
 def _canonical(matrix):
@@ -114,8 +217,21 @@ def _canonical(matrix):
     return A
 
 
+def _refined(A, b, factor, first):
+    """The solution of A x = b by the condensed ``factor`` with the splu
+    options ``first``, refined; a pivot-free factor that fails is redone
+    once with partial pivoting."""
+    try:
+        return _refine(A, b, factor(first))
+    except SingularMatrixError:
+        if first is PARTIAL_PIVOTING:
+            raise
+    return _refine(A, b, factor(PARTIAL_PIVOTING))
+
+
 def _refine(A, b, solve):
-    """x = solve(b), refined against A to the contract above."""
+    """x = solve(b), refined against A to the contract above.  A is a
+    sparse matrix or an ``_ElementMatrix``."""
     x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SingularMatrixError("solution contains non-finite entries")
@@ -131,7 +247,8 @@ def _refine(A, b, solve):
             break
         x = x + solve(r)
         last, steps = residual, steps + 1
-    anorm = np.sqrt(A.data @ A.data)
+    anorm = (A.frobenius_norm() if isinstance(A, _ElementMatrix)
+             else np.sqrt(A.data @ A.data))
     bound = REFINEMENT_RTOL * max(
         anorm * np.linalg.norm(x) + np.linalg.norm(b), 1e-300)
     if not residual <= bound:
@@ -215,19 +332,89 @@ def _padded(A, num_cells, m):
 
 def _condensed_factor(A, cell_blocks):
     """Condense the leading ``cell_blocks`` (C, m) out of A, reading its
-    cell rows alone: K_gl is K_lg^T.  Returns ``factor``, which maps splu
-    options to a solver r -> A^-1 r, and the options to try first."""
-    pair = tuple(cell_blocks)
-    if not (len(pair) == 2 and all(isinstance(v, numbers.Integral)
-                                   and v >= 0 for v in pair)):
-        raise ValueError("cell blocks must be two non-negative integers "
-                         "(C, m), got {!r}".format(pair))
-    num_cells, m = map(int, pair)
+    cell rows alone: K_gl is K_lg^T.  Returns ``factor`` and the options
+    to try first, as ``_condense``."""
+    num_cells, m = _cell_block_sizes(cell_blocks, A.shape[0])
     n, L = A.shape[0], num_cells * m
-    if L > n:
-        raise ValueError("{} cell blocks of {} DOFs exceed the {} DOFs "
-                         "of A".format(num_cells, m, n))
-    inv, K_gl, W, glob, reduced = _reduced(A, num_cells, m)
+    layout = _full_block_layout(A, num_cells, m)
+    if layout is None:
+        A = _padded(A, num_cells, m)
+        layout = _full_block_layout(A, num_cells, m)
+    coupled, start = layout
+    del layout
+    g = coupled.shape[1]
+    glob = np.where(coupled >= 0, coupled - L, n - L)
+    split = A.indptr[L]
+    keep = A.indices[split:] >= L
+    # an absent DOF's slots read the cell's first entry
+    start = start[:, :, None]
+    lg = np.where((glob == n - L)[:, None, :], start,
+                  start + m + np.arange(g, dtype=start.dtype))
+    # the gathers go straight to the condensation, which frees each once
+    # used; A_gg's entries go with their rows and columns in the reduced
+    # matrix
+    return _condense(
+        A.data[start + np.arange(m, dtype=start.dtype)], A.data[lg], glob,
+        n - L,
+        gg=(A.data[split:][keep],
+            np.repeat(np.arange(n - L, dtype=A.indices.dtype),
+                      np.diff(A.indptr[L:]))[keep],
+            A.indices[split:][keep] - L))
+
+
+def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
+    """Condense the cell blocks K_ll ``blocks`` (C, m, m), which are
+    overwritten, out of a system whose other ``size`` DOFs form the
+    reduced one: the first L = C m DOFs are the cells', and each cell's
+    K_lg (C, m, g) couples them to its DOFs ``glob`` (C, g) of the
+    reduced system, numbered from L on; an absent one is ``size``, and
+    its entries, finite, are left out.  The reduced matrix sums the
+    cells' complements K_gg - K_gl K_ll^-1 K_lg, K_gl = K_lg^T, with K_gg
+    each cell's own (C, g, g) ``cell_gg``, or else zero, and the
+    triplets ``gg`` (values, rows, cols) of A_gg if given.
+
+    Returns ``factor``, which maps splu options to a solver r -> A^-1 r,
+    and the options to try first: ``PIVOT_FREE`` if the reduced diagonal
+    has one strict sign, else ``PARTIAL_PIVOTING``.  The caller passes
+    its arrays on, keeping no reference, so each is freed once used."""
+    num_cells, m, g = K_lg.shape
+    L = num_cells * m
+    inv = _invert_cell_blocks(blocks)
+    del blocks
+    # the solve keeps K_ll^-1 and K_lg alone: K_gl is a view of K_lg^T,
+    # and K_ll^-1 K_lg lives only for the complement
+    K_gl = K_lg.transpose(0, 2, 1)
+    complement = K_gl @ (inv @ K_lg)
+    if cell_gg is None:
+        np.negative(complement, out=complement)
+    else:
+        np.subtract(cell_gg, complement, out=complement)
+    del cell_gg
+    # the rows and columns of absent DOFs are zeroed, and added to the
+    # first entry; the solve multiplies their K_lg columns by zero
+    absent = glob == size
+    complement[absent[:, :, None] | absent[:, None, :]] = 0.0
+    idx = np.int32 if size < 2**31 else np.int64
+    at = np.where(absent, 0, glob).astype(idx)
+    del absent
+    values, rows, cols = [complement.ravel()], [np.repeat(
+        at, g, axis=1).ravel()], [np.tile(at, g).ravel()]
+    del complement, at
+    if gg is not None:
+        values.insert(0, gg[0])
+        rows.insert(0, gg[1])
+        cols.insert(0, gg[2])
+        del gg
+    reduced = sp.coo_matrix(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(size, size))
+    # the sum holds its own copies: free the parts before it converts them
+    del values, rows, cols
+    reduced = reduced.tocsc()
+    # the sum keeps the exact zeros of A_gg, and the room of the summed
+    # duplicates; the factorization needs neither
+    reduced.eliminate_zeros()
+    reduced = reduced.copy()
     diag = reduced.diagonal()
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 
@@ -237,70 +424,19 @@ def _condensed_factor(A, cell_blocks):
         except Exception as exc:
             raise SingularMatrixError(
                 "reduced factorization of {} DOFs failed: {}".format(
-                    n - L, exc)) from exc
+                    size, exc)) from exc
 
         def solve(r):
-            y = inv @ r[:L].reshape(num_cells, m, 1)
+            r_l = r[:L].reshape(num_cells, m, 1)
             x_g = lu.solve(r[L:] - np.bincount(
-                glob.ravel(), weights=(K_gl @ y).ravel(),
-                minlength=n - L + 1)[:n - L])
-            x_l = y - W @ np.append(x_g, 0.0)[glob][..., None]
+                glob.ravel(), weights=(K_gl @ (inv @ r_l)).ravel(),
+                minlength=size + 1)[:size])
+            x_l = inv @ (r_l - K_lg @ np.append(x_g, 0.0)[glob][..., None])
             return np.concatenate([x_l.ravel(), x_g])
 
         return solve
 
     return factor, PIVOT_FREE if one_sign else PARTIAL_PIVOTING
-
-
-def _reduced(A, num_cells, m):
-    """The condensation of A's leading cell blocks: the inverses of the
-    cell blocks K_ll, each cell's K_gl and K_ll^-1 K_lg, its coupled
-    DOFs - L (an absent one at n - L), and the reduced CSC matrix A_gg -
-    sum_c K_gl K_ll^-1 K_lg without exact zeros.  The blocks are laid out
-    on A's structure, padded first if its cell rows do not store them in
-    full; the layout and the padding are freed on return."""
-    n, L = A.shape[0], num_cells * m
-    layout = _full_block_layout(A, num_cells, m)
-    if layout is None:
-        A = _padded(A, num_cells, m)
-        layout = _full_block_layout(A, num_cells, m)
-    coupled, start = layout
-    g = coupled.shape[1]
-    glob = np.where(coupled >= 0, coupled - L, n - L)
-    # A_gg's entries, and their rows and columns in the reduced matrix
-    split = A.indptr[L]
-    keep = A.indices[split:] >= L
-    gg = A.data[split:][keep]
-    gg_rows = np.repeat(np.arange(n - L, dtype=A.indices.dtype),
-                        np.diff(A.indptr[L:]))[keep]
-    gg_cols = A.indices[split:][keep] - L
-    del keep
-    # one block at a time: the gathers need not all live at once.  An
-    # absent DOF's slots read the cell's first entry, and then zero
-    start, absent = start[:, :, None], glob == n - L
-    inv = _invert_cell_blocks(
-        A.data[start + np.arange(m, dtype=start.dtype)])
-    K_lg = A.data[np.where(absent[:, None, :], start,
-                           start + m + np.arange(g, dtype=start.dtype))]
-    K_lg[np.broadcast_to(absent[:, None, :], K_lg.shape)] = 0.0
-    W = inv @ K_lg
-    K_gl = np.ascontiguousarray(K_lg.transpose(0, 2, 1))
-    del K_lg
-    # then those of each cell's g x g complement: the rows and columns of
-    # absent DOFs are zeros, added to the first entry
-    at = np.where(absent, 0, glob)
-    reduced = sp.coo_matrix(
-        (np.concatenate([gg, -(K_gl @ W).ravel()]),
-         (np.concatenate([gg_rows, np.repeat(at, g, axis=1).ravel()]),
-          np.concatenate([gg_cols, np.tile(at, g).ravel()]))),
-        shape=(n - L, n - L))
-    # the sum holds its own copies: free A_gg's before it converts them
-    del gg, gg_rows, gg_cols
-    reduced = reduced.tocsc()
-    # the sum keeps the exact zeros of A_gg, and the room of the summed
-    # duplicates; the factorization needs neither
-    reduced.eliminate_zeros()
-    return inv, K_gl, W, glob, reduced.copy()
 
 
 def _invert_cell_blocks(blocks):

@@ -9,12 +9,14 @@ import scipy.sparse as sp
 from hdgwg import assembly, basis
 from hdgwg.assembly import (
     CoefficientField,
+    ElementSums,
     ElementTables,
     assemble_hdg,
     assemble_mixed_conforming,
     assemble_primal_conforming,
     assemble_wg,
     FormSums,
+    cell_dofs,
     form_terms,
 )
 from hdgwg.linalg import solve_symmetric_indefinite
@@ -466,6 +468,60 @@ def test_shared_pattern_matches_one_shot_assembly(method, regime, k,
     # each matrix owns its index arrays
     assert not np.shares_memory(built[0].indices, built[1].indices)
     assert not np.shares_memory(built[0].indptr, built[1].indptr)
+
+
+ELEMENT_METHODS = [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"),
+                   ("wg", "inv"), ("primal", None), ("mixed", None)]
+
+
+def _element_inputs(method, regime, k, rho, mesh):
+    """DOF map and element tables of one of the six methods."""
+    if method == "primal":
+        return primal_dofs(mesh, k), ElementTables(
+            mesh, SpaceCase("hdg", "inv", k, 1.0))
+    if method == "mixed":
+        return mixed_dofs(mesh, k), ElementTables(
+            mesh, SpaceCase("wg", "inv", k, 1.0))
+    dofs = build_space_triple(mesh, SpaceCase(method, regime, k, rho))
+    return dofs, ElementTables(mesh, dofs.case)
+
+
+@pytest.mark.parametrize("mesh_name", ["level-2", "jittered"])
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method,regime", ELEMENT_METHODS)
+def test_element_matrices_sum_to_the_form_sums_matrix(method, regime, k,
+                                                      mesh_name):
+    # scattered on their cells' DOFs, the element matrices sum to the
+    # FormSums matrix within 1e-14 of its largest entry; each is exactly
+    # symmetric, and a sweep's, made from the sums of its first DOF map,
+    # are the one-shot ones to the bit
+    mesh = build_structured_mesh(4) if mesh_name == "level-2" else (
+        jittered_mesh())
+    coeff = CoefficientField(alpha=lambda xy: 1.0 + xy[:, 0] * xy[:, 1])
+    first, tables = _element_inputs(method, regime, k, 1.0, mesh)
+    sweep = ElementSums(mesh, first, coeff, tables)
+    for rho in (1.0, 1e-3):
+        dofs, own_tables = _element_inputs(method, regime, k, rho, mesh)
+        one_shot = ElementSums(mesh, dofs, coeff, own_tables).stack(
+            dofs, coeff, own_tables, last=True)
+        stack = sweep.stack(dofs, coeff, tables)
+        assert np.array_equal(stack, one_shot)
+        assert np.array_equal(stack, stack.transpose(0, 2, 1))
+        matrix = FormSums(form_terms, mesh, dofs, coeff, tables).matrix(
+            form_terms, dofs, coeff, tables)
+        cells = cell_dofs(mesh, dofs)
+        rows = np.broadcast_to(cells[:, :, None], stack.shape)
+        cols = np.broadcast_to(cells[:, None, :], stack.shape)
+        kept = (rows >= 0) & (cols >= 0)
+        summed = sp.csr_matrix((stack[kept], (rows[kept], cols[kept])),
+                               shape=matrix.shape)
+        assert abs(summed - matrix).max() <= 1e-14 * abs(matrix).max()
+    # a sweep's sums serve no other DOF map, coefficient or tables
+    with pytest.raises(ValueError, match="another DOF map"):
+        sweep.stack(dataclasses.replace(first, flux=first.flux[:, ::-1]),
+                    coeff, tables)
+    with pytest.raises(ValueError, match="coefficient"):
+        sweep.stack(first, CoefficientField.unit(), tables)
 
 
 def test_pattern_rejects_another_dof_map():

@@ -1,3 +1,4 @@
+import io
 import os
 import pathlib
 import re
@@ -5,10 +6,17 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hdgwg
 from hdgwg import cli, experiments, linalg
+from hdgwg.assembly import (CoefficientField, ElementTables, FormSums,
+                            form_terms)
+from hdgwg.experiments import manufactured_case
+from hdgwg.mesh import build_structured_mesh
+from hdgwg.spaces import SpaceCase, build_space_triple
 
 from cellwise import read_matrix
 
@@ -238,16 +246,16 @@ REFINEMENT_FAILURE = ("refinement: residual 1.000e+00 exceeds tolerance "
 
 def _failing_solve(monkeypatch, at):
     """Make the ``at``-th solve of a study (0 first) fail in refinement."""
-    solve = experiments.solve_symmetric_indefinite
+    solve = experiments.solve_element_system
     calls = []
 
-    def failing(matrix, rhs, **kwargs):
+    def failing(*args):
         calls.append(None)
         if len(calls) > at:
             raise linalg.SingularMatrixError(REFINEMENT_FAILURE)
-        return solve(matrix, rhs, **kwargs)
+        return solve(*args)
 
-    monkeypatch.setattr(experiments, "solve_symmetric_indefinite", failing)
+    monkeypatch.setattr(experiments, "solve_element_system", failing)
 
 
 @pytest.mark.parametrize("at,stage", [(0, "level 1"), (2, "level 3")])
@@ -278,29 +286,67 @@ def test_limit_failure_names_level_and_rho(tmp_path, capsys, monkeypatch,
     assert not (tmp_path / "limit.csv").exists()
 
 
+def _first_level_matrix(argv):
+    """The assembled system of a converge invocation's first level, by
+    ``FormSums``, and its DOF map."""
+    value = dict(zip(argv[1::2], argv[2::2]))
+    prob = manufactured_case(value.get("--case", "sine"))
+    mesh = build_structured_mesh(2**int(value.get("--first-level", "2")))
+    case = SpaceCase(value["--method"], value["--regime"].replace("-", "_"),
+                     int(value["--k"]), float(value["--rho"]))
+    dofs = build_space_triple(mesh, case)
+    tables = ElementTables(mesh, case)
+    coeff = CoefficientField(alpha=prob.alpha)
+    sums = FormSums(form_terms, mesh, dofs, coeff, tables)
+    return sums.matrix(form_terms, dofs, coeff, tables), dofs
+
+
+DUMPED = ["converge", "--method", "hdg", "--regime", "inv", "--k", "1",
+          "--rho", "0.1", "--levels", "3", "--case", "varcoef"]
+
+
 def test_dump_matrix_round_trips(tmp_path, monkeypatch):
-    # the dumped matrix is the first level's solved system, exactly: the
-    # varcoef case tells the solve's quadrature rule from any other
-    varcoef = ["converge", "--method", "hdg", "--regime", "inv", "--k", "1",
-               "--rho", "0.1", "--levels", "3", "--case", "varcoef"]
-    solve = experiments.solve_symmetric_indefinite
-    for n, argv in enumerate((CONVERGE, varcoef)):
+    # the dumped matrix is the first level's system, exactly, and the
+    # element matrices that level's solve was given sum to it: the varcoef
+    # case tells the solve's quadrature rule from any other
+    solve = experiments.solve_element_system
+    for n, argv in enumerate((CONVERGE, DUMPED)):
         solved = []
 
-        def recording(matrix, rhs, **kwargs):
-            solved.append(matrix)
-            return solve(matrix, rhs, **kwargs)
+        def recording(*args):
+            solved.append(args)
+            return solve(*args)
 
-        monkeypatch.setattr(experiments, "solve_symmetric_indefinite",
-                            recording)
+        monkeypatch.setattr(experiments, "solve_element_system", recording)
         dump = tmp_path / "system{}.txt".format(n)
         rc = cli.main(argv + ["--outdir", str(tmp_path),
                               "--dump-matrix", str(dump)])
         assert rc == 0
         with open(dump) as fh:
             back = read_matrix(fh)
-        assert back.shape == solved[0].shape
-        assert abs(solved[0] - back).max() == 0.0
+        want, dofs = _first_level_matrix(argv)
+        assert back.shape == want.shape
+        assert abs(want - back).max() == 0.0
+        stacks, cell_dofs, _, cell_blocks = solved[0]
+        assert cell_blocks == dofs.cell_blocks
+        rows = np.broadcast_to(cell_dofs[:, :, None], stacks.shape)
+        cols = np.broadcast_to(cell_dofs[:, None, :], stacks.shape)
+        kept = (rows >= 0) & (cols >= 0)
+        summed = sp.csr_matrix((stacks[kept], (rows[kept], cols[kept])),
+                               shape=want.shape)
+        assert abs(summed - want).max() <= 1e-14 * abs(want).max()
+
+
+def test_dump_matrix_is_the_form_sums_matrix_byte_for_byte(tmp_path):
+    # --dump-matrix writes write_matrix of the FormSums matrix of the
+    # first level, the text the assembled solve path wrote before the
+    # studies solved element matrices
+    dump = tmp_path / "dump.txt"
+    assert cli.main(DUMPED + ["--outdir", str(tmp_path),
+                              "--dump-matrix", str(dump)]) == 0
+    want = io.StringIO()
+    linalg.write_matrix(_first_level_matrix(DUMPED)[0], want)
+    assert dump.read_bytes() == want.getvalue().encode()
 
 
 def test_outdir_is_created(tmp_path):

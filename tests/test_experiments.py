@@ -160,44 +160,60 @@ def test_infsup_guess_is_the_previous_level_else_the_previous_rho(
 
 @pytest.mark.parametrize("method", ["hdg", "wg"])
 def test_limit_sweep_does_its_rho_free_work_once(method, monkeypatch):
-    # the conforming limit and the sweep each build one sum structure; the
+    # the conforming limit and the sweep each build one ElementSums; the
     # sweep sums its unit and stabilization groups once, and every rho's
-    # matrix is then its one-shot assembly, to the bit, and exactly
+    # element matrices are then its one-shot ones, to the bit, and exactly
     # symmetric
     counts = {"structure": 0, "sums": 0}
-    sorted_sums = assembly._sorted_sums
+    element_sums = assembly.ElementSums._sum
 
-    def counted_sums(n, groups):
-        out = sorted_sums(n, groups)
+    def counted_sums(self, mesh, dofs, groups):
+        out = element_sums(self, mesh, dofs, groups)
         counts["structure"] += 1
-        counts["sums"] += len(out[2])
+        counts["sums"] += len(out)
         return out
 
-    monkeypatch.setattr(assembly, "_sorted_sums", counted_sums)
+    monkeypatch.setattr(assembly.ElementSums, "_sum", counted_sums)
     solved = []
-    solve = experiments.solve_symmetric_indefinite
+    solve = experiments.solve_element_system
 
-    def recording(matrix, rhs, cell_blocks):
-        solved.append(matrix)
-        return solve(matrix, rhs, cell_blocks)
+    def recording(stacks, cell_dofs, rhs, cell_blocks):
+        solved.append(stacks)
+        return solve(stacks, cell_dofs, rhs, cell_blocks)
 
-    monkeypatch.setattr(experiments, "solve_symmetric_indefinite", recording)
+    monkeypatch.setattr(experiments, "solve_element_system", recording)
     rhos = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     run_rho_limit_study(method, 1, level=2, rhos=rhos)
     assert counts == {"structure": 2, "sums": 3}
     mesh = build_structured_mesh(4)
     prob = manufactured_case("sine")
     coeff = assembly.CoefficientField(alpha=prob.alpha)
-    asm = assembly.assemble_hdg if method == "hdg" else assembly.assemble_wg
     assert len(solved) == 1 + len(rhos)
-    for rho, matrix in zip(rhos, solved[1:]):
+    for rho, stack in zip(rhos, solved[1:]):
         case = SpaceCase(method, "inv", 1, rho)
-        one_shot = asm(mesh, build_space_triple(mesh, case), coeff, prob.f,
-                       assembly.ElementTables(mesh, case)).matrix
-        for other in (one_shot, matrix.T.tocsr()):
-            assert np.array_equal(matrix.indptr, other.indptr)
-            assert np.array_equal(matrix.indices, other.indices)
-            assert np.array_equal(matrix.data, other.data)
+        dofs = build_space_triple(mesh, case)
+        tables = assembly.ElementTables(mesh, case)
+        one_shot = assembly.ElementSums(mesh, dofs, coeff, tables).stack(
+            dofs, coeff, tables, last=True)
+        for other in (one_shot, stack.transpose(0, 2, 1)):
+            assert np.array_equal(stack, other)
+
+
+def test_studies_sort_no_triplets_but_for_a_dump(monkeypatch, tmp_path):
+    # convergence and limit solves start from element matrices: only
+    # --dump-matrix assembles a system, and so sorts its triplets
+    def refused(n, groups):
+        raise AssertionError("triplet sort")
+
+    monkeypatch.setattr(assembly, "_sorted_sums", refused)
+    for method, regime in (("hdg", "rho_h"), ("hdg", "inv"),
+                           ("wg", "rho_h"), ("wg", "inv")):
+        run_convergence_study(method, regime, 1, 0.1, levels=3)
+    for method in ("hdg", "wg"):
+        run_rho_limit_study(method, 1, level=2)
+    with pytest.raises(AssertionError, match="triplet sort"):
+        run_convergence_study("hdg", "inv", 1, 0.1, levels=3,
+                              dump_matrix=str(tmp_path / "a.txt"))
 
 
 def test_one_element_tables_per_mesh_and_space(monkeypatch, tmp_path):

@@ -140,10 +140,14 @@ def _call_sites(name):
 
 
 def test_every_solve_goes_through_one_call_site():
-    # all six methods are solved by experiments._solve_case: a call
-    # elsewhere would be a second pipeline to keep in step with it
-    assert _call_sites("solve_symmetric_indefinite") == [
+    # the studies solve all six methods from their element matrices in
+    # experiments._solve_case, and the matrix solver's one library call is
+    # the self-check's cross-check against it: a call elsewhere would be a
+    # second pipeline to keep in step with them
+    assert _call_sites("solve_element_system") == [
         ("experiments.py", "_solve_case")]
+    assert _call_sites("solve_symmetric_indefinite") == [
+        ("experiments.py", "run_self_check")]
 
 
 def test_factorizations_and_eigensolves_stay_in_linalg():
