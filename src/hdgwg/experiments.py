@@ -176,7 +176,7 @@ def _solve_case(mesh, dofs, coeff, f, tables, sums=None, dump=None):
         stack = sums.stack(dofs, coeff, tables)
     return solve_element_system(stack, cell_dofs(mesh, dofs),
                                 load_vector(dofs, tables, f),
-                                dofs.cell_blocks)
+                                dofs.cell_blocks, mesh.cell_leaf)
 
 
 @contextmanager

@@ -26,12 +26,17 @@ REFINEMENT_RTOL = 1e-10
 
 # splu keyword arguments of the reduced factorization.  A reduced matrix
 # whose diagonal has one strict sign is factored pivot-free in symmetric
-# mode: diagonal pivots on a minimum-degree ordering of A + A^T, i.e. an
-# LDL^T.  The HDG trace and primal systems are such (negative definite).
-# Any other, such as the indefinite WG and mixed systems, gets partial
-# pivoting on a COLAMD ordering.  The refinement contract below is the only
-# acceptance test of either: a one-sign diagonal does not prove definiteness,
-# so a pivot-free factor that misses it is redone once with partial pivoting.
+# mode: diagonal pivots, i.e. an LDL^T.  The HDG trace and primal systems
+# are such (negative definite).  Solved from element matrices, they are
+# built in the nested-dissection order of the mesh's cell bisection and
+# factored in it (``ORDERED_PIVOT_FREE``); an assembled matrix, which
+# carries no mesh, gets a minimum-degree ordering of A + A^T
+# (``PIVOT_FREE``).  Any other, such as the indefinite WG and mixed
+# systems, keeps the caller's numbering and gets partial pivoting on a
+# COLAMD ordering: partial pivoting in the nested-dissection column order
+# fills erratically.  The refinement contract below is the only acceptance
+# test of all of them: a one-sign diagonal does not prove definiteness, so
+# a pivot-free factor that misses it is redone once with partial pivoting.
 PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
 PARTIAL_PIVOTING = {}
@@ -73,12 +78,14 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     condensation reads A's first L rows alone and takes K_gl as K_lg^T, so
     it requires a symmetric A; on any other, the refinement below meets
     the contract or raises.  The reduced matrix is factored with a sparse
-    LU (pivot-free when its diagonal has one sign, see ``PIVOT_FREE``),
-    and the cell unknowns are recovered by back-substitution.
+    LU (pivot-free on a minimum-degree ordering when its diagonal has one
+    sign, see ``PIVOT_FREE``), and the cell unknowns are recovered by
+    back-substitution.
     ``DofMap.cell_blocks`` gives the blocks (see
     ``spaces.build_space_triple``); without them the reduced matrix is A.
     The condensation, factorization and refinement are those of
-    ``solve_element_system``, which starts from element matrices instead.
+    ``solve_element_system``, which starts from element matrices instead,
+    but for the order of a pivot-free factor.
 
     The solution is refined iteratively against the full A.  Refinement
     stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
@@ -100,7 +107,7 @@ def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
     return _refined(A, b, *_condensed_factor(A, cell_blocks))
 
 
-def solve_element_system(stacks, cell_dofs, rhs, cell_blocks):
+def solve_element_system(stacks, cell_dofs, rhs, cell_blocks, cell_leaf):
     """Solve A x = b for the symmetric A = sum_c P_c^T K_c P_c given by its
     element matrices, without assembling A.
 
@@ -117,18 +124,31 @@ def solve_element_system(stacks, cell_dofs, rhs, cell_blocks):
     those of ``solve_symmetric_indefinite``, against A itself: A x is
     formed cell by cell, and ||A||_F, which only the backward-error bound
     reads, exactly, as the squares of the cells' own rows and columns plus
-    those of the summed K_gg.  Inputs that do not fit raise ValueError;
-    the arguments are never modified.
+    those of the summed K_gg.
+
+    ``cell_leaf`` (C,) gives each cell's leaf in a binary tree of the
+    cells, as a path read from the top (``Mesh.cell_leaf``).  When the
+    reduced diagonal has one sign, the reduced matrix is built and factored
+    pivot-free in the tree's nested-dissection order
+    (``_nested_dissection``), not a minimum-degree one; otherwise, and for
+    the refinement, the caller's numbering stands.  Inputs that do not fit
+    raise ValueError; the arguments are never modified.
     """
     K = np.asarray(stacks, dtype=float)
     dofs = np.asarray(cell_dofs)
     b = np.asarray(rhs, dtype=float)
     n = b.shape[0]
     num_cells, m = _cell_block_sizes(cell_blocks, n)
+    leaf = np.asarray(cell_leaf)
     if not (K.ndim == 3 and dofs.ndim == 2 and K.shape[1] == K.shape[2]
             and K.shape[:2] == dofs.shape and dofs.max(initial=-1) < n):
         raise ValueError("element matrices {} do not fit cell DOFs {} of a "
                          "system of {} DOFs".format(K.shape, dofs.shape, n))
+    if not (leaf.shape == dofs.shape[:1] and leaf.dtype.kind in "iu"
+            and leaf.min(initial=0) >= 0):
+        raise ValueError("cell leaves {} of dtype {} do not fit {} cells: "
+                         "one non-negative integer per cell".format(
+                             leaf.shape, leaf.dtype, len(dofs)))
     L = num_cells * m
     own = (dofs >= 0) & (dofs < L)
     local = np.flatnonzero(own[0]) if len(dofs) else np.zeros(0, dtype=int)
@@ -146,7 +166,7 @@ def solve_element_system(stacks, cell_dofs, rhs, cell_blocks):
     # they do for every method but mixed; K_ll is overwritten, so a copy
     return _refined(A, b, *_condense(
         np.array(_gather(K, local, local)), _gather(K, local, coupled), glob,
-        n - L, cell_gg=_gather(K, coupled, coupled)))
+        n - L, cell_gg=_gather(K, coupled, coupled), cell_leaf=leaf))
 
 
 def _gather(K, rows, cols):
@@ -362,7 +382,8 @@ def _condensed_factor(A, cell_blocks):
             A.indices[split:][keep] - L))
 
 
-def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
+def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
+              cell_leaf=None):
     """Condense the cell blocks K_ll ``blocks`` (C, m, m), which are
     overwritten, out of a system whose other ``size`` DOFs form the
     reduced one: the first L = C m DOFs are the cells', and each cell's
@@ -374,9 +395,12 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
     triplets ``gg`` (values, rows, cols) of A_gg if given.
 
     Returns ``factor``, which maps splu options to a solver r -> A^-1 r,
-    and the options to try first: ``PIVOT_FREE`` if the reduced diagonal
-    has one strict sign, else ``PARTIAL_PIVOTING``.  The caller passes
-    its arrays on, keeping no reference, so each is freed once used."""
+    and the options to try first.  If the reduced diagonal has one strict
+    sign they are ``PIVOT_FREE``, or, given the cells' leaves
+    ``cell_leaf``, ``ORDERED_PIVOT_FREE`` on the reduced matrix built in
+    their nested-dissection order; else ``PARTIAL_PIVOTING``.  The caller
+    passes its arrays on, keeping no reference, so each is freed once
+    used."""
     num_cells, m, g = K_lg.shape
     L = num_cells * m
     inv = _invert_cell_blocks(blocks)
@@ -394,6 +418,33 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
     # first entry; the solve multiplies their K_lg columns by zero
     absent = glob == size
     complement[absent[:, :, None] | absent[:, None, :]] = 0.0
+    # the reduced diagonal, summed before the matrix: its sign chooses the
+    # factorization, and so the numbering the matrix is built in
+    at, on = [glob.ravel()], [np.diagonal(complement, axis1=1,
+                                          axis2=2).ravel()]
+    if gg is not None:
+        diagonal = gg[1] == gg[2]
+        at.append(gg[1][diagonal])
+        on.append(gg[0][diagonal])
+    diag = np.bincount(np.concatenate(at), weights=np.concatenate(on),
+                       minlength=size + 1)[:size]
+    del at, on
+    one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
+    del diag
+    first = PIVOT_FREE if one_sign else PARTIAL_PIVOTING
+    # DOF i of the reduced matrix is the caller's reduced DOF order[i], and
+    # the caller's DOF j is its DOF rank[j]; slices keep the caller's
+    # numbering without a copy
+    order = rank = slice(None)
+    if one_sign and cell_leaf is not None:
+        order = _nested_dissection(glob, size, cell_leaf)
+        rank = np.empty(size + 1, dtype=glob.dtype)
+        rank[order] = np.arange(size)
+        rank[size] = size
+        # in place: the caller keeps no other use of its array
+        glob[...] = rank[glob]
+        rank = rank[:size]
+        first = ORDERED_PIVOT_FREE
     idx = np.int32 if size < 2**31 else np.int64
     at = np.where(absent, 0, glob).astype(idx)
     del absent
@@ -415,8 +466,6 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
     # duplicates; the factorization needs neither
     reduced.eliminate_zeros()
     reduced = reduced.copy()
-    diag = reduced.diagonal()
-    one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
 
     def factor(options):
         try:
@@ -428,15 +477,40 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None):
 
         def solve(r):
             r_l = r[:L].reshape(num_cells, m, 1)
-            x_g = lu.solve(r[L:] - np.bincount(
+            x_g = lu.solve(r[L:][order] - np.bincount(
                 glob.ravel(), weights=(K_gl @ (inv @ r_l)).ravel(),
                 minlength=size + 1)[:size])
             x_l = inv @ (r_l - K_lg @ np.append(x_g, 0.0)[glob][..., None])
-            return np.concatenate([x_l.ravel(), x_g])
+            return np.concatenate([x_l.ravel(), x_g[rank]])
 
         return solve
 
-    return factor, PIVOT_FREE if one_sign else PARTIAL_PIVOTING
+    return factor, first
+
+
+def _nested_dissection(glob, size, cell_leaf):
+    """The nested-dissection order (George, SINUM 1973) of the ``size``
+    reduced DOFs that the cells reach by ``glob`` (C, g), ``size`` for
+    none, from each cell's leaf ``cell_leaf`` in a binary tree read as a
+    path from the top: the reduced DOFs in their new order.
+
+    A DOF belongs to the lowest node whose subtree holds all of its
+    cells: the common prefix of the least and greatest leaf among them
+    (the root, for a DOF that no cell reaches).  The nodes come in
+    postorder, by the end of their span of leaves and then their height,
+    so every separator comes after both of its halves; a node's DOFs keep
+    their order."""
+    leaf = np.broadcast_to(cell_leaf[:, None], glob.shape)
+    lo = np.full(size + 1, leaf.max(initial=0))
+    hi = np.zeros(size + 1, dtype=lo.dtype)
+    np.minimum.at(lo, glob, leaf)
+    np.maximum.at(hi, glob, leaf)
+    lo, hi = lo[:size], hi[:size]
+    # the node's height is the bit length of the leaves' first difference
+    height = np.frexp((lo ^ hi).astype(float))[1]
+    end = ((lo >> height) + 1) << height
+    return np.argsort(end * (height.max(initial=0) + 1) + height,
+                      kind="stable")
 
 
 def _invert_cell_blocks(blocks):

@@ -34,6 +34,14 @@ def jittered_mesh():
     return Mesh(v + interior[:, None] * shift, base.cells)
 
 
+def shuffled_mesh():
+    """``build_structured_mesh(8)`` with its cells in a fixed random order,
+    so that no cell index follows the grid."""
+    base = build_structured_mesh(8)
+    order = np.random.default_rng(1).permutation(base.num_cells)
+    return Mesh(base.vertices, base.cells[order])
+
+
 def _geometry(mesh, ci):
     p = mesh.vertices[mesh.cells[ci]]
     A = np.column_stack([p[1] - p[0], p[2] - p[0]])

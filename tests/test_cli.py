@@ -327,7 +327,7 @@ def test_dump_matrix_round_trips(tmp_path, monkeypatch):
         want, dofs = _first_level_matrix(argv)
         assert back.shape == want.shape
         assert abs(want - back).max() == 0.0
-        stacks, cell_dofs, _, cell_blocks = solved[0]
+        stacks, cell_dofs, _, cell_blocks, _ = solved[0]
         assert cell_blocks == dofs.cell_blocks
         rows = np.broadcast_to(cell_dofs[:, :, None], stacks.shape)
         cols = np.broadcast_to(cell_dofs[:, None, :], stacks.shape)

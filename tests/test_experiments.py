@@ -177,9 +177,9 @@ def test_limit_sweep_does_its_rho_free_work_once(method, monkeypatch):
     solved = []
     solve = experiments.solve_element_system
 
-    def recording(stacks, cell_dofs, rhs, cell_blocks):
+    def recording(stacks, cell_dofs, rhs, cell_blocks, cell_leaf):
         solved.append(stacks)
-        return solve(stacks, cell_dofs, rhs, cell_blocks)
+        return solve(stacks, cell_dofs, rhs, cell_blocks, cell_leaf)
 
     monkeypatch.setattr(experiments, "solve_element_system", recording)
     rhos = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]

@@ -36,7 +36,7 @@ from hdgwg.spaces import (SpaceCase, build_space_triple, mixed_dofs,
                           primal_dofs)
 
 import cellwise
-from cellwise import jittered_mesh, read_matrix
+from cellwise import jittered_mesh, read_matrix, shuffled_mesh
 
 MESHES = {"structured": lambda: build_structured_mesh(4),
           "jittered": jittered_mesh}
@@ -295,6 +295,51 @@ def test_factorization_follows_the_reduced_system(method, regime, k, expected,
             assert calls == [expected], (mesh_name, rho)
 
 
+# on the element path the trace and primal systems are built and factored
+# in the mesh's nested-dissection order; WG and mixed keep the matrix path's
+# numbering and factorization
+ELEMENT_FACTOR_CHOICE = [
+    (method, regime, k, linalg.ORDERED_PIVOT_FREE
+     if expected is linalg.PIVOT_FREE else expected)
+    for method, regime, k, expected in FACTOR_CHOICE]
+
+
+@pytest.mark.parametrize("method,regime,k,expected", ELEMENT_FACTOR_CHOICE)
+def test_element_factorization_follows_the_reduced_system(
+        method, regime, k, expected, monkeypatch):
+    calls = _record_splu(monkeypatch)
+    for mesh_name in MESHES:
+        for rho in (1.0, 1e-3):
+            stack, cells, b, dofs, _, leaf = _element_system(
+                method, regime, k, rho, MESHES[mesh_name]())
+            del calls[:]
+            solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
+            assert calls == [expected], (mesh_name, rho)
+
+
+@pytest.mark.parametrize("method", ["hdg", "primal"])
+def test_ordered_factor_falls_back_in_the_callers_numbering(method,
+                                                           monkeypatch):
+    # a nested-dissection factor that fails refinement is redone with
+    # partial pivoting on the same reduced matrix, in its order: the x it
+    # returns is still in the caller's numbering, as the MMD solve's is
+    stack, cells, b, dofs, A, leaf = _element_system(method, "inv", 1, 1e-2,
+                                                     jittered_mesh())
+    x_mmd = solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
+    calls = _record_splu(monkeypatch)
+    refine = linalg._refine
+
+    def failing_first(matrix, rhs, solve):
+        if len(calls) == 1:
+            raise SingularMatrixError("refinement forced to fail")
+        return refine(matrix, rhs, solve)
+
+    monkeypatch.setattr(linalg, "_refine", failing_first)
+    x = solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
+    assert calls == [linalg.ORDERED_PIVOT_FREE, linalg.PARTIAL_PIVOTING]
+    assert np.linalg.norm(x - x_mmd) <= 1e-10 * np.linalg.norm(x_mmd)
+
+
 FALLBACK = [linalg.PIVOT_FREE, linalg.PARTIAL_PIVOTING]
 
 
@@ -381,7 +426,7 @@ def test_solve_leaves_a_non_canonical_matrix_unchanged():
 def _element_system(method, regime, k, rho, mesh):
     """The varcoef system of one input on ``mesh`` as the studies solve
     it: its element matrices, their cell DOFs, the load and the DOF map,
-    and the ``FormSums`` matrix of the same system."""
+    the ``FormSums`` matrix of the same system, and the cells' leaves."""
     prob = manufactured_case("varcoef")
     coeff = CoefficientField(alpha=prob.alpha)
     if method in ("primal", "mixed"):
@@ -396,21 +441,36 @@ def _element_system(method, regime, k, rho, mesh):
     matrix = FormSums(form_terms, mesh, dofs, coeff, tables).matrix(
         form_terms, dofs, coeff, tables)
     return (stack, cell_dofs(mesh, dofs), load_vector(dofs, tables, prob.f),
-            dofs, matrix)
+            dofs, matrix, mesh.cell_leaf)
 
 
-@pytest.mark.parametrize("method,regime,k,rho,mesh_name", CONDENSED_INPUTS)
+# the element solves of all six methods also run on shuffled cells, so
+# that the nested-dissection order is tried where no cell index follows
+# the grid, as on moved vertices
+ELEMENT_MESHES = dict(MESHES, shuffled=shuffled_mesh)
+ELEMENT_INPUTS = CONDENSED_INPUTS + [
+    (method, regime, k, rho, mesh_name)
+    for mesh_name in ("jittered", "shuffled")
+    for method, regime, rho in (("hdg", "rho_h", 1e-2), ("hdg", "inv", 1e-2),
+                                ("wg", "rho_h", 1e-2), ("wg", "inv", 1e-2),
+                                ("primal", None, None), ("mixed", None, None))
+    for k in (0, 1)
+    if (method, regime, k, rho, mesh_name) not in CONDENSED_INPUTS]
+
+
+@pytest.mark.parametrize("method,regime,k,rho,mesh_name", ELEMENT_INPUTS)
 def test_element_solve_matches_the_matrix_solve(method, regime, k, rho,
                                                 mesh_name, monkeypatch):
-    # the element path condenses the same blocks as the matrix solver: the
-    # solutions agree as the condensed and plain matrix solves do, and
-    # without refinement too
-    stack, cells, b, dofs, A = _element_system(method, regime, k, rho,
-                                               MESHES[mesh_name]())
+    # the element path condenses the same blocks as the matrix solver, and
+    # factors the trace and primal systems in nested-dissection order, not
+    # minimum-degree: the solutions agree as the condensed and plain
+    # matrix solves do, and without refinement too
+    stack, cells, b, dofs, A, leaf = _element_system(
+        method, regime, k, rho, ELEMENT_MESHES[mesh_name]())
     x_matrix = solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
     for steps in (linalg.REFINEMENT_STEPS, 0):
         monkeypatch.setattr(linalg, "REFINEMENT_STEPS", steps)
-        x = solve_element_system(stack, cells, b, dofs.cell_blocks)
+        x = solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
         assert (np.linalg.norm(x - x_matrix)
                 <= 1e-10 * np.linalg.norm(x_matrix))
 
@@ -425,8 +485,8 @@ ELEMENT_METHODS = [("hdg", "rho_h"), ("hdg", "inv"), ("wg", "rho_h"),
 def test_element_norm_is_the_assembled_norm(method, regime, k, mesh_name):
     # the backward-error bound reads ||A||_F from the element matrices:
     # the cells' own rows and columns plus the summed K_gg, not a bound
-    stack, cells, b, dofs, A = _element_system(method, regime, k, 1e-3,
-                                               MESHES[mesh_name]())
+    stack, cells, b, dofs, A, _ = _element_system(method, regime, k, 1e-3,
+                                                  MESHES[mesh_name]())
     C, m = dofs.cell_blocks
     own = (cells[0] >= 0) & (cells[0] < C * m)
     norm = linalg._ElementMatrix(stack, cells, dofs.total,
@@ -450,9 +510,9 @@ def test_element_solve_on_the_bound_path_meets_the_contract(method,
         return norms[-1]
 
     monkeypatch.setattr(linalg._ElementMatrix, "frobenius_norm", recorded)
-    stack, cells, b, dofs, A = _element_system(
+    stack, cells, b, dofs, A, leaf = _element_system(
         method, "inv", 1, 1e-5, build_structured_mesh(2**3))
-    x = solve_element_system(stack, cells, b, dofs.cell_blocks)
+    x = solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
     assert len(norms) == 1
     anorm = np.sqrt(A.data @ A.data)
     error = np.linalg.norm(b - A @ x) / (anorm * np.linalg.norm(x)
@@ -461,33 +521,127 @@ def test_element_solve_on_the_bound_path_meets_the_contract(method,
 
 
 def test_element_solve_checks_its_inputs():
-    stack, cells, b, dofs, _ = _element_system("hdg", "inv", 1, 1.0,
-                                               MESHES["structured"]())
+    stack, cells, b, dofs, _, leaf = _element_system(
+        "hdg", "inv", 1, 1.0, MESHES["structured"]())
     C, m = dofs.cell_blocks
     before = [a.copy() for a in (stack, cells, b)]
     with pytest.raises(ValueError, match="cell blocks must be two"):
-        solve_element_system(stack, cells, b, (C, -m))
+        solve_element_system(stack, cells, b, (C, -m), leaf)
     with pytest.raises(ValueError, match="exceed the"):
-        solve_element_system(stack, cells, b, (dofs.total, 2))
+        solve_element_system(stack, cells, b, (dofs.total, 2), leaf)
     # one DOF too few per cell: each cell's own DOFs are not its block
     with pytest.raises(ValueError, match="not the cells' own DOFs"):
-        solve_element_system(stack, cells, b, (C, m - 1))
+        solve_element_system(stack, cells, b, (C, m - 1), leaf)
     with pytest.raises(ValueError, match="do not fit"):
-        solve_element_system(stack[:, :-1], cells, b, dofs.cell_blocks)
+        solve_element_system(stack[:, :-1], cells, b, dofs.cell_blocks, leaf)
     with pytest.raises(ValueError, match="do not fit"):
-        solve_element_system(stack, cells, b[:-1], dofs.cell_blocks)
-    solve_element_system(stack, cells, b, dofs.cell_blocks)
+        solve_element_system(stack, cells, b[:-1], dofs.cell_blocks, leaf)
+    # one leaf per cell, each a non-negative integer
+    for bad in (leaf[:-1], leaf - 1, leaf.astype(float)):
+        with pytest.raises(ValueError, match="cell leaves"):
+            solve_element_system(stack, cells, b, dofs.cell_blocks, bad)
+    solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
     for old, new in zip(before, (stack, cells, b)):
         assert np.array_equal(old, new)
+
+
+def _reduced_dofs(cells, cell_blocks, total):
+    """Each cell's DOFs of the reduced system, numbered from 0, and their
+    count, which stands for an absent one, as the element solve forms
+    them."""
+    C, m = cell_blocks
+    own = (cells[0] >= 0) & (cells[0] < C * m)
+    glob = cells[:, ~own] - C * m
+    glob[glob < 0] = total - C * m
+    return glob, total - C * m
+
+
+def _nodes(glob, size, leaf):
+    """Each tree node (path, height) and its reduced DOFs, ascending, found
+    DOF by DOF: the lowest node whose leaves hold all of the DOF's cells."""
+    cells_of = [[] for _ in range(size)]
+    for c, row in enumerate(glob):
+        for j in row:
+            if j < size:
+                cells_of[j].append(int(leaf[c]))
+    nodes = {}
+    for j, leaves in enumerate(cells_of):
+        height = 0
+        while len({v >> height for v in leaves}) > 1:
+            height += 1
+        nodes.setdefault((leaves[0] >> height, height), []).append(j)
+    return nodes
+
+
+def _postorder(nodes, path, height):
+    """The DOFs of the subtree at (path, height): both halves, then the
+    node's own."""
+    below = [] if height == 0 else (
+        _postorder(nodes, 2 * path, height - 1)
+        + _postorder(nodes, 2 * path + 1, height - 1))
+    return below + nodes.get((path, height), [])
+
+
+@pytest.mark.parametrize("mesh_name", ELEMENT_MESHES)
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("method", ["hdg", "primal"])
+def test_reduced_order_is_the_nested_dissection_of_the_cells(method, k,
+                                                             mesh_name):
+    # the trace DOFs reach one or two cells, the primal vertex DOFs up to
+    # eight: each sits at the lowest node holding all of its cells, and
+    # the nodes come in postorder
+    mesh = ELEMENT_MESHES[mesh_name]()
+    dofs = (build_space_triple(mesh, SpaceCase("hdg", "inv", k, 1.0))
+            if method == "hdg" else primal_dofs(mesh, k))
+    glob, size = _reduced_dofs(cell_dofs(mesh, dofs), dofs.cell_blocks,
+                               dofs.total)
+    order = linalg._nested_dissection(glob, size, mesh.cell_leaf)
+    assert np.array_equal(np.sort(order), np.arange(size))
+    nodes = _nodes(glob, size, mesh.cell_leaf)
+    depth = int(mesh.cell_leaf.max()).bit_length()
+    assert order.tolist() == _postorder(nodes, 0, depth)
+    # every separator comes after both of its halves
+    position = np.empty(size, dtype=int)
+    position[order] = np.arange(size)
+    for (path, height), own in nodes.items():
+        below = [j for (p, h), js in nodes.items()
+                 if h < height and p >> (height - h) == path for j in js]
+        assert not below or position[own].min() > position[below].max()
+
+
+def test_nested_dissection_fills_less_than_minimum_degree(monkeypatch):
+    # hdg/inv k = 1 at level 5: the reduced factor holds 634,704 entries in
+    # the nested-dissection order, 740,202 in MMD's order of the matrix
+    # path.  It stays an LDL^T, and the same solve twice gives the same
+    # count and the same bits
+    stack, cells, b, dofs, A, leaf = _element_system(
+        "hdg", "inv", 1, 0.1, build_structured_mesh(2**5))
+    factors = []
+    splu = linalg.spla.splu
+
+    def recording(matrix, **kwargs):
+        factors.append(splu(matrix, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", recording)
+    xs = [solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
+          for _ in range(2)]
+    solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
+    nd, again, mmd = factors
+    assert np.array_equal(nd.perm_r, nd.perm_c)
+    assert nd.nnz == again.nnz < mmd.nnz
+    assert np.array_equal(xs[0], xs[1])
 
 
 def test_condensation_memory_peak():
     # the element solve copies only the cell blocks K_ll, reads K_lg and
     # K_gg as views of the element matrices, and frees K_ll^-1 K_lg once
     # the complements are summed.  Condensing, factoring and refining
-    # hdg/inv k = 1 at level 4 peaks at 1.14 times the bytes of the element
+    # hdg/inv k = 1 at level 4 peaks at 1.16 times the bytes of the element
     # matrices in numpy's traced memory (SuperLU's own allocations are not
-    # traced), as at level 5; the bound leaves 10 % above that
+    # traced), as at level 5, with the nested-dissection order and its
+    # inverse held for the solves (1.14 without them); the bound leaves
+    # 10 % above 1.14
     mesh = build_structured_mesh(2**4)
     case = SpaceCase("hdg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
@@ -497,9 +651,10 @@ def test_condensation_memory_peak():
     stack = ElementSums(mesh, dofs, coeff, tables).stack(dofs, coeff, tables,
                                                         last=True)
     cells, b = cell_dofs(mesh, dofs), load_vector(dofs, tables, prob.f)
+    leaf = mesh.cell_leaf
     tracemalloc.start()
     try:
-        solve_element_system(stack, cells, b, dofs.cell_blocks)
+        solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from hdgwg.basis import REF_VERTICES
-from hdgwg.mesh import Mesh, build_structured_mesh
+from hdgwg.mesh import LEAF_CELLS, Mesh, build_structured_mesh
 
-from cellwise import jittered_mesh
+from cellwise import jittered_mesh, shuffled_mesh
 
 
 def test_unit_counts():
@@ -130,3 +130,57 @@ def test_mesh_is_immutable():
         m.vertices[0, 0] = 7.0
     with pytest.raises(ValueError):
         m.cells[0, 0] = 5
+
+
+BISECTED = {"n=1": lambda: build_structured_mesh(1),
+            "n=3": lambda: build_structured_mesh(3),
+            "n=5": lambda: build_structured_mesh(5),
+            "n=8": lambda: build_structured_mesh(8),
+            "jittered": jittered_mesh, "shuffled": shuffled_mesh}
+
+
+@pytest.mark.parametrize("name", BISECTED)
+def test_bisection_leaves_are_balanced(name):
+    # every leaf lies at one depth D, the leaves' ids are their D-bit paths,
+    # and at each depth the parts' sizes differ by at most 1, whatever the
+    # cell count and the cells' order
+    mesh = BISECTED[name]()
+    leaf = mesh.cell_leaf
+    depth = int(leaf.max()).bit_length()
+    assert leaf.shape == (mesh.num_cells,) and leaf.min() == 0
+    assert leaf.max() + 1 == 2**depth
+    for d in range(depth + 1):
+        sizes = np.bincount(leaf >> (depth - d), minlength=2**d)
+        assert sizes.max() - sizes.min() <= 1, d
+    # the shallowest depth at which no leaf holds more than LEAF_CELLS
+    assert np.bincount(leaf).max() <= LEAF_CELLS
+    assert depth == 0 or mesh.num_cells > LEAF_CELLS << (depth - 1)
+
+
+@pytest.mark.parametrize("name", BISECTED)
+def test_bisection_splits_at_the_median_along_the_longer_extent(name):
+    # each part's lower half along its longer extent goes to child 0: no
+    # centroid of child 0 lies beyond one of child 1 along that axis
+    mesh = BISECTED[name]()
+    leaf = mesh.cell_leaf
+    depth = int(leaf.max()).bit_length()
+    centroid = mesh.vertices[mesh.cells].mean(axis=1)
+    for d in range(depth):
+        part = leaf >> (depth - d)
+        child = (leaf >> (depth - d - 1)) & 1
+        for p in range(2**d):
+            c = centroid[part == p]
+            axis = np.argmax(c.max(axis=0) - c.min(axis=0))
+            low, high = c[child[part == p] == 0], c[child[part == p] == 1]
+            assert abs(len(low) - len(high)) <= 1 and len(low) <= len(high)
+            assert low[:, axis].max() <= high[:, axis].min()
+
+
+def test_bisection_is_made_on_first_use_and_repeats():
+    # a mesh that no element solve reads never pays for its bisection; two
+    # builds of it give the same read-only array
+    first, second = jittered_mesh(), jittered_mesh()
+    assert "cell_leaf" not in vars(first)
+    assert np.array_equal(first.cell_leaf, second.cell_leaf)
+    assert first.cell_leaf is first.cell_leaf
+    assert not first.cell_leaf.flags.writeable

@@ -150,6 +150,28 @@ def test_every_solve_goes_through_one_call_site():
         ("experiments.py", "run_self_check")]
 
 
+def test_one_builder_of_the_cell_bisection_and_the_reduced_order():
+    # the cells are bisected in hdgwg.mesh alone and the reduced DOFs are
+    # ordered from it in hdgwg.linalg alone, so there is one order
+    # builder: the studies read the bisection only to hand it to the
+    # element solve
+    builders, trees = set(), {}
+    for path in SOURCE.glob("*.py"):
+        tree = trees[path.name] = ast.parse(path.read_text(),
+                                            filename=str(path))
+        builders.update((path.name, node.name) for node in ast.walk(tree)
+                        if isinstance(node, ast.FunctionDef)
+                        and node.name in ("cell_leaf", "_nested_dissection"))
+    assert builders == {("mesh.py", "cell_leaf"),
+                        ("linalg.py", "_nested_dissection")}
+    assert _call_sites("_nested_dissection") == [("linalg.py", "_condense")]
+    readers = {module for module, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("cell_leaf", "LEAF_CELLS")}
+    assert readers == {"experiments.py"}
+
+
 def test_factorizations_and_eigensolves_stay_in_linalg():
     # sparse LU and dense eigensolves run in hdgwg.linalg only, and the
     # inf-sup study asks for beta in one place, so the eigensolve's route
