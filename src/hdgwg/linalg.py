@@ -12,7 +12,7 @@ import scipy.sparse.linalg as spla
 
 class SingularMatrixError(RuntimeError):
     """Raised when a solve cannot meet its accuracy contract.  The message
-    names the failing stage (local elimination, reduced factorization or
+    names the failing stage (local elimination, factorization or
     refinement) and its numbers."""
 
 
@@ -24,23 +24,22 @@ REFINEMENT_STEPS = 5
 # relative residual and backward error that a solve must meet
 REFINEMENT_RTOL = 1e-10
 
-# splu keyword arguments of the reduced factorization.  A reduced matrix
-# whose diagonal has one strict sign is factored pivot-free in symmetric
-# mode: diagonal pivots, i.e. an LDL^T.  The HDG trace and primal systems
-# are such (negative definite).  Solved from element matrices, they are
-# built in the nested-dissection order of the mesh's cell bisection and
-# factored in it (``ORDERED_PIVOT_FREE``); an assembled matrix, which
-# carries no mesh, gets a minimum-degree ordering of A + A^T
-# (``PIVOT_FREE``).  Any other, such as the indefinite WG and mixed
-# systems, keeps the caller's numbering and gets partial pivoting on a
-# COLAMD ordering: partial pivoting in the nested-dissection column order
-# fills erratically.  The refinement contract below is the only acceptance
-# test of all of them: a one-sign diagonal does not prove definiteness, so
-# a pivot-free factor that misses it is redone once with partial pivoting.
+# splu keyword arguments.  A pivot-free factor in symmetric mode takes
+# diagonal pivots, i.e. it is an LDL^T: ``PIVOT_FREE`` on a minimum-degree
+# ordering of A + A^T, as the inf-sup counts use, or ``ORDERED_PIVOT_FREE``
+# on a matrix already in its fill-reducing order.  The element solve
+# factors a reduced matrix whose diagonal has one strict sign, as the HDG
+# trace and primal systems have (negative definite), pivot-free, built in
+# the nested-dissection order of the mesh's cell bisection.  Any other,
+# such as the indefinite WG and mixed systems, keeps the caller's numbering
+# and gets partial pivoting on a COLAMD ordering, as every assembled matrix
+# does: partial pivoting in the nested-dissection column order fills
+# erratically.  The refinement contract below is the only acceptance test
+# of all of them: a one-sign diagonal does not prove definiteness, so a
+# pivot-free factor that misses it is redone once with partial pivoting.
 PIVOT_FREE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                   options=dict(SymmetricMode=True))
 PARTIAL_PIVOTING = {}
-# the pivot-free options on a matrix already in its fill-reducing order
 ORDERED_PIVOT_FREE = dict(PIVOT_FREE, permc_spec="NATURAL")
 
 # pencils of at least this many rows get their inf-sup constant by inertia
@@ -67,44 +66,35 @@ BRACKET_STEP = 1.05
 BRACKET_RTOL_MIN = 1e-6
 
 
-def solve_symmetric_indefinite(matrix, rhs, cell_blocks=(0, 0)):
+def solve_symmetric_indefinite(matrix, rhs):
     """Solve A x = b for symmetric (generally indefinite) sparse A.
 
-    ``cell_blocks`` (C, m), two non-negative integers, says that the first
-    L = C m DOFs couple only within their own cell, m consecutive per
-    cell: A[:L, :L] is block diagonal with C blocks of size m.  They are
-    eliminated first (static condensation), cell by cell, on a layout of
-    the blocks that each call reads from A's sparsity structure.  The
-    condensation reads A's first L rows alone and takes K_gl as K_lg^T, so
-    it requires a symmetric A; on any other, the refinement below meets
-    the contract or raises.  The reduced matrix is factored with a sparse
-    LU (pivot-free on a minimum-degree ordering when its diagonal has one
-    sign, see ``PIVOT_FREE``), and the cell unknowns are recovered by
-    back-substitution.
-    ``DofMap.cell_blocks`` gives the blocks (see
-    ``spaces.build_space_triple``); without them the reduced matrix is A.
-    The condensation, factorization and refinement are those of
-    ``solve_element_system``, which starts from element matrices instead,
-    but for the order of a pivot-free factor.
+    The plain reference solver: one sparse LU of the whole A with partial
+    pivoting on a COLAMD ordering (``PARTIAL_PIVOTING``), no condensation.
+    The studies solve from element matrices (``solve_element_system``);
+    this one solves an assembled matrix, such as the self-check's.
 
-    The solution is refined iteratively against the full A.  Refinement
-    stops as soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``),
-    or when a step fails to halve the residual norm (the stagnation test
-    of LAPACK's xGERFS), or after ``REFINEMENT_STEPS`` steps.  The first
-    test passes when the matrix is well scaled; in general the acceptance
+    The solution is refined iteratively against A.  Refinement stops as
+    soon as ||A x - b|| <= rtol ||b|| (rtol = ``REFINEMENT_RTOL``), or when
+    a step fails to halve the residual norm (the stagnation test of
+    LAPACK's xGERFS), or after ``REFINEMENT_STEPS`` steps.  The first test
+    passes when the matrix is well scaled; in general the acceptance
     criterion is the normwise backward error ||A x - b|| <= rtol (||A||_F
     ||x|| + ||b||), checked on the x where refinement stopped, which is
     attainable in double precision even when the stabilization weights
     inflate the matrix scale.  Failure raises SingularMatrixError naming
-    its stage; cell blocks that are not two non-negative integers, couple
-    across cells or exceed A raise ValueError.  The arguments are never
-    modified.
+    its stage.  The arguments are never modified.
     """
     A = _canonical(matrix)
     b = np.asarray(rhs, dtype=float)
     if A.shape[0] != A.shape[1] or A.shape[0] != b.shape[0]:
         raise ValueError("matrix/rhs shapes do not match")
-    return _refined(A, b, *_condensed_factor(A, cell_blocks))
+    try:
+        lu = spla.splu(A.tocsc(), **PARTIAL_PIVOTING)
+    except RuntimeError as exc:
+        raise SingularMatrixError("factorization of {} DOFs failed: {}".format(
+            A.shape[0], exc)) from exc
+    return _refine(A, b, lu.solve)
 
 
 def solve_element_system(stacks, cell_dofs, rhs, cell_blocks, cell_leaf):
@@ -114,25 +104,32 @@ def solve_element_system(stacks, cell_dofs, rhs, cell_blocks, cell_leaf):
     ``stacks`` (C, k, k) holds each cell's element matrix K_c on its k
     local DOFs ``cell_dofs`` (C, k): global DOFs, or -1 for one that the
     space eliminates, whose rows and columns of K_c are left out.
-    ``cell_blocks`` (C, m) are those of ``solve_symmetric_indefinite``:
-    the first L = C m DOFs are the cells' own, m consecutive per cell, and
-    each cell lists its own ones among its local DOFs in that order, at the
-    same local positions in every cell; every other local DOF is at least
-    L (or -1).  K_ll, K_lg and K_gg are gathered from each cell's K_c, the
-    cells are condensed in batch and only the reduced matrix is summed
-    across cells.  The factorization, back-substitution and refinement are
-    those of ``solve_symmetric_indefinite``, against A itself: A x is
-    formed cell by cell, and ||A||_F, which only the backward-error bound
-    reads, exactly, as the squares of the cells' own rows and columns plus
-    those of the summed K_gg.
+    ``cell_blocks`` (C, m), two non-negative integers
+    (``DofMap.cell_blocks``), says that the first L = C m DOFs are the
+    cells' own, m consecutive per cell, and each cell lists its own ones
+    among its local DOFs in that order, at the same local positions in
+    every cell; every other local DOF is at least L (or -1).  They are
+    eliminated first (static condensation): K_ll, K_lg and K_gg are
+    gathered from each cell's K_c, the cells are condensed in batch with
+    K_gl taken as K_lg^T, and only the reduced matrix is summed across
+    cells.  It is factored by sparse LU, and the cell unknowns are
+    recovered by back-substitution.  On a nonsymmetric K_c the refinement
+    meets the contract or raises.
 
     ``cell_leaf`` (C,) gives each cell's leaf in a binary tree of the
     cells, as a path read from the top (``Mesh.cell_leaf``).  When the
     reduced diagonal has one sign, the reduced matrix is built and factored
     pivot-free in the tree's nested-dissection order
-    (``_nested_dissection``), not a minimum-degree one; otherwise, and for
-    the refinement, the caller's numbering stands.  Inputs that do not fit
-    raise ValueError; the arguments are never modified.
+    (``_nested_dissection``); otherwise, and for the refinement, the
+    caller's numbering stands.
+
+    The solution is refined against A itself to the contract of
+    ``solve_symmetric_indefinite``: A x is formed cell by cell, and
+    ||A||_F, which only the backward-error bound reads, exactly, as the
+    squares of the cells' own rows and columns plus those of the summed
+    K_gg.  Failure raises SingularMatrixError naming its stage (local
+    elimination, reduced factorization or refinement); inputs that do not
+    fit raise ValueError.  The arguments are never modified.
     """
     K = np.asarray(stacks, dtype=float)
     dofs = np.asarray(cell_dofs)
@@ -279,111 +276,7 @@ def _refine(A, b, solve):
     return x
 
 
-def _full_block_layout(A, num_cells, m):
-    """``(coupled, start)`` if the cell rows of A's structure, its first
-    L = C m rows, store the cell blocks in full, else None.  They do when
-    each row of cell c's block holds the block's m columns and then the
-    same DOFs beyond L, c's coupled DOFs, as the rows of every assembled
-    system do.  ``start`` (C, m) holds the position, among the stored
-    entries, of the first entry of each row of each cell's block: the
-    row's m block entries, then its g coupled ones, K_ll and K_lg.
-    ``coupled`` (C, g) lists each cell's coupled DOFs ascending, as its
-    first row does, -1 padded.  Then every position follows from the row
-    pointers, and no entry couples two cells' blocks."""
-    L = num_cells * m
-    indptr, indices = A.indptr, A.indices
-    start = indptr[:L].reshape(num_cells, m)
-    if m == 0:
-        return np.zeros((num_cells, 0), dtype=np.int64), start
-    # entries beyond the block, the same in every row of a cell
-    count = np.diff(indptr[:L + 1]).reshape(num_cells, m) - m
-    if not np.all(count == count[:, :1]) or np.any(count < 0):
-        return None
-    count = count[:, 0]
-    j = np.arange(count.max(initial=0))
-    valid = j < count[:, None]
-    first = np.arange(0, L, m)
-    # each row's coupled entries; an absent DOF's point at the first entry
-    lg = np.where(valid[:, None, :], start[:, :, None] + m + j,
-                  start[:, :1, None])
-    coupled = np.where(valid, indices[lg[:, 0]], -1)
-    # a row's columns are sorted and distinct, so m of them that start at
-    # c m and end at c m + m - 1 are cell c's block
-    if not (np.all(coupled[valid] >= L)
-            and np.array_equal(indices[start], np.broadcast_to(
-                first[:, None], start.shape))
-            and np.array_equal(indices[start + m - 1], np.broadcast_to(
-                first[:, None] + m - 1, start.shape))
-            and np.all((indices[lg] == coupled[:, None, :])
-                       | ~valid[:, None, :])):
-        return None
-    return coupled, start
-
-
-def _padded(A, num_cells, m):
-    """A copy of A without A[L:, :L], padded with explicit zeros so that
-    its cell rows store their blocks in full.  It holds A's own values:
-    the COO -> CSR sum adds only zeros to them, and keeps the explicit
-    zeros.  The entries that couple two cells' blocks are left out; a
-    nonzero among them raises ValueError.  Each cell's coupled DOFs are
-    the ones beyond L that its rows reach."""
-    n, L = A.shape[0], num_cells * m
-    row = np.repeat(np.arange(n), np.diff(A.indptr))
-    col = A.indices.astype(np.int64)
-    cross = (row < L) & (col < L) & (row // m != col // m)
-    outside = np.count_nonzero(A.data[cross])
-    if outside:
-        raise ValueError(
-            "cell blocks couple across cells: {} nonzeros of A[:{}, :{}] "
-            "lie outside the {} diagonal {}x{} blocks".format(
-                outside, L, L, num_cells, m, m))
-    kept = ~cross & ((row < L) | (col >= L))
-    lg = (row < L) & (col >= L)
-    cell, dof = np.divmod(np.unique((row[lg] // m) * n + col[lg]), n)
-    block = np.arange(L).reshape(num_cells, 1, m)
-    own = np.broadcast_to(block, (num_cells, m, m))
-    return sp.csr_matrix((
-        np.concatenate([A.data[kept], np.zeros(own.size + len(cell) * m)]),
-        (np.concatenate([row[kept], own.transpose(0, 2, 1).ravel(),
-                         (cell[:, None] * m + np.arange(m)).ravel()]),
-         np.concatenate([col[kept], own.ravel(), np.repeat(dof, m)]))),
-        shape=A.shape)
-
-
-def _condensed_factor(A, cell_blocks):
-    """Condense the leading ``cell_blocks`` (C, m) out of A, reading its
-    cell rows alone: K_gl is K_lg^T.  Returns ``factor`` and the options
-    to try first, as ``_condense``."""
-    num_cells, m = _cell_block_sizes(cell_blocks, A.shape[0])
-    n, L = A.shape[0], num_cells * m
-    layout = _full_block_layout(A, num_cells, m)
-    if layout is None:
-        A = _padded(A, num_cells, m)
-        layout = _full_block_layout(A, num_cells, m)
-    coupled, start = layout
-    del layout
-    g = coupled.shape[1]
-    glob = np.where(coupled >= 0, coupled - L, n - L)
-    split = A.indptr[L]
-    keep = A.indices[split:] >= L
-    # an absent DOF's slots read the cell's first entry
-    start = start[:, :, None]
-    lg = np.where((glob == n - L)[:, None, :], start,
-                  start + m + np.arange(g, dtype=start.dtype))
-    # the gathers go straight to the condensation, which frees each once
-    # used; A_gg's entries go with their rows and columns in the reduced
-    # matrix
-    return _condense(
-        A.data[start + np.arange(m, dtype=start.dtype)], A.data[lg], glob,
-        n - L,
-        gg=(A.data[split:][keep],
-            np.repeat(np.arange(n - L, dtype=A.indices.dtype),
-                      np.diff(A.indptr[L:]))[keep],
-            A.indices[split:][keep] - L))
-
-
-def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
-              cell_leaf=None):
+def _condense(blocks, K_lg, glob, size, cell_gg, cell_leaf):
     """Condense the cell blocks K_ll ``blocks`` (C, m, m), which are
     overwritten, out of a system whose other ``size`` DOFs form the
     reduced one: the first L = C m DOFs are the cells', and each cell's
@@ -391,16 +284,14 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
     reduced system, numbered from L on; an absent one is ``size``, and
     its entries, finite, are left out.  The reduced matrix sums the
     cells' complements K_gg - K_gl K_ll^-1 K_lg, K_gl = K_lg^T, with K_gg
-    each cell's own (C, g, g) ``cell_gg``, or else zero, and the
-    triplets ``gg`` (values, rows, cols) of A_gg if given.
+    each cell's own (C, g, g) ``cell_gg``.
 
     Returns ``factor``, which maps splu options to a solver r -> A^-1 r,
     and the options to try first.  If the reduced diagonal has one strict
-    sign they are ``PIVOT_FREE``, or, given the cells' leaves
-    ``cell_leaf``, ``ORDERED_PIVOT_FREE`` on the reduced matrix built in
-    their nested-dissection order; else ``PARTIAL_PIVOTING``.  The caller
-    passes its arrays on, keeping no reference, so each is freed once
-    used."""
+    sign they are ``ORDERED_PIVOT_FREE``, on the reduced matrix built in
+    the nested-dissection order of the cells' leaves ``cell_leaf``; else
+    ``PARTIAL_PIVOTING``, in the caller's numbering.  The caller passes
+    its arrays on, keeping no reference, so each is freed once used."""
     num_cells, m, g = K_lg.shape
     L = num_cells * m
     inv = _invert_cell_blocks(blocks)
@@ -409,10 +300,7 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
     # and K_ll^-1 K_lg lives only for the complement
     K_gl = K_lg.transpose(0, 2, 1)
     complement = K_gl @ (inv @ K_lg)
-    if cell_gg is None:
-        np.negative(complement, out=complement)
-    else:
-        np.subtract(cell_gg, complement, out=complement)
+    np.subtract(cell_gg, complement, out=complement)
     del cell_gg
     # the rows and columns of absent DOFs are zeroed, and added to the
     # first entry; the solve multiplies their K_lg columns by zero
@@ -420,23 +308,16 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
     complement[absent[:, :, None] | absent[:, None, :]] = 0.0
     # the reduced diagonal, summed before the matrix: its sign chooses the
     # factorization, and so the numbering the matrix is built in
-    at, on = [glob.ravel()], [np.diagonal(complement, axis1=1,
-                                          axis2=2).ravel()]
-    if gg is not None:
-        diagonal = gg[1] == gg[2]
-        at.append(gg[1][diagonal])
-        on.append(gg[0][diagonal])
-    diag = np.bincount(np.concatenate(at), weights=np.concatenate(on),
-                       minlength=size + 1)[:size]
-    del at, on
+    diag = np.bincount(glob.ravel(), weights=np.diagonal(
+        complement, axis1=1, axis2=2).ravel(), minlength=size + 1)[:size]
     one_sign = np.all(diag < 0.0) or np.all(diag > 0.0)
     del diag
-    first = PIVOT_FREE if one_sign else PARTIAL_PIVOTING
+    first = ORDERED_PIVOT_FREE if one_sign else PARTIAL_PIVOTING
     # DOF i of the reduced matrix is the caller's reduced DOF order[i], and
     # the caller's DOF j is its DOF rank[j]; slices keep the caller's
     # numbering without a copy
     order = rank = slice(None)
-    if one_sign and cell_leaf is not None:
+    if one_sign:
         order = _nested_dissection(glob, size, cell_leaf)
         rank = np.empty(size + 1, dtype=glob.dtype)
         rank[order] = np.arange(size)
@@ -444,26 +325,16 @@ def _condense(blocks, K_lg, glob, size, cell_gg=None, gg=None,
         # in place: the caller keeps no other use of its array
         glob[...] = rank[glob]
         rank = rank[:size]
-        first = ORDERED_PIVOT_FREE
     idx = np.int32 if size < 2**31 else np.int64
     at = np.where(absent, 0, glob).astype(idx)
     del absent
-    values, rows, cols = [complement.ravel()], [np.repeat(
-        at, g, axis=1).ravel()], [np.tile(at, g).ravel()]
-    del complement, at
-    if gg is not None:
-        values.insert(0, gg[0])
-        rows.insert(0, gg[1])
-        cols.insert(0, gg[2])
-        del gg
     reduced = sp.coo_matrix(
-        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(size, size))
-    # the sum holds its own copies: free the parts before it converts them
-    del values, rows, cols
+        (complement.ravel(), (np.repeat(at, g, axis=1).ravel(),
+                              np.tile(at, g).ravel())), shape=(size, size))
+    del complement, at
     reduced = reduced.tocsc()
-    # the sum keeps the exact zeros of A_gg, and the room of the summed
-    # duplicates; the factorization needs neither
+    # the complements hold the exact zeros of the element matrices, and
+    # the sum the room of its duplicates; the factorization needs neither
     reduced.eliminate_zeros()
     reduced = reduced.copy()
 

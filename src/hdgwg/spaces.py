@@ -112,7 +112,7 @@ class DofMap:
     and is None for a broken flux.  ``cell_blocks`` (C, m): the first C m
     DOFs are the ones that couple only within their own cell, m per cell
     in cell order, for the static condensation of
-    ``linalg.solve_symmetric_indefinite``.  ``case`` is the ``SpaceCase``
+    ``linalg.solve_element_system``.  ``case`` is the ``SpaceCase``
     of an HDG or WG map, None for the conforming limits.  The arrays are
     built once and read-only, since every caller shares them.
     """

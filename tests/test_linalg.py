@@ -114,21 +114,6 @@ CONDENSED_INPUTS = [
                          for mesh_name in MESHES]
 
 
-@pytest.mark.parametrize("method,regime,k,rho,mesh_name", CONDENSED_INPUTS)
-def test_condensation_matches_plain_factorization(method, regime, k, rho,
-                                                  mesh_name, monkeypatch):
-    A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
-    cell_blocks = dofs.cell_blocks
-    assert cell_blocks[0] * cell_blocks[1] > 0
-    x_plain = solve_symmetric_indefinite(A, b)
-    x_cond = solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
-    assert np.linalg.norm(x_cond - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
-    # refinement would hide a wrong elimination: the factor alone must pass
-    monkeypatch.setattr(linalg, "REFINEMENT_STEPS", 0)
-    x_once = solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
-    assert np.linalg.norm(x_once - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
-
-
 def _reduced_by_sparse_products(A, cell_blocks):
     """The reduced matrix A_gg - A_gl B^-1 A_lg formed as the solver once
     did, by slicing A and two sparse products with the block-diagonal B^-1
@@ -143,19 +128,31 @@ def _reduced_by_sparse_products(A, cell_blocks):
     return (A[L:, L:] - A[L:, :L] @ (B_inv @ A[:L, L:])).tocsc()
 
 
-def _solver_reduced(A, b, cell_blocks, monkeypatch):
-    """The reduced matrix that the solver factors first."""
+def _in_callers_numbering(reduced, cells, dofs, leaf):
+    """A reduced matrix built in the nested-dissection order of the cells'
+    leaves, in the caller's numbering: R[rank][:, rank]."""
+    rank = np.argsort(linalg._nested_dissection(
+        *_reduced_dofs(cells, dofs.cell_blocks, dofs.total), leaf))
+    return reduced[rank][:, rank]
+
+
+def _solver_reduced(stack, cells, b, dofs, leaf, monkeypatch):
+    """The reduced matrix that the element solve factors first, as it
+    reaches ``splu``, and in the caller's numbering."""
     factored = []
     splu = linalg.spla.splu
 
     def recording(matrix, **kwargs):
-        factored.append(matrix)
+        factored.append((matrix, kwargs))
         return splu(matrix, **kwargs)
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg.spla, "splu", recording)
-        solve_symmetric_indefinite(A, b, cell_blocks=cell_blocks)
-    return factored[0]
+        solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
+    reduced, options = factored[0]
+    if options == linalg.PARTIAL_PIVOTING:
+        return reduced, reduced
+    return reduced, _in_callers_numbering(reduced, cells, dofs, leaf)
 
 
 REDUCED_INPUTS = [
@@ -173,13 +170,15 @@ REDUCED_INPUTS = [
 def test_cellwise_reduced_matrix_matches_sparse_products(method, regime, k,
                                                          mesh_name, rho,
                                                          monkeypatch):
-    # the per-cell Schur complements summed on A's structure give the reduced
-    # matrix of the sparse products within 1e-14 of its largest entry, or
-    # of A_gg's where that is larger: at rho = 1e-2 the wg/inv entries are
-    # differences of terms of size 1/(rho h) (measured: 2.4e-13 of the
-    # reduced matrix's largest entry, 5e-16 of A_gg's)
-    A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
-    reduced = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
+    # the per-cell Schur complements of the element matrices, summed, give
+    # the reduced matrix of the sparse products within 1e-14 of its largest
+    # entry, or of A_gg's where that is larger: at rho = 1e-2 the wg/inv
+    # entries are differences of terms of size 1/(rho h) (measured: up to
+    # 2.9e-13 of the reduced matrix's largest entry, 5e-16 of A_gg's)
+    stack, cells, b, dofs, A, leaf = _element_system(
+        method, regime, k, rho, MESHES[mesh_name]())
+    factored, reduced = _solver_reduced(stack, cells, b, dofs, leaf,
+                                        monkeypatch)
     oracle = _reduced_by_sparse_products(A, dofs.cell_blocks)
     assert reduced.shape == oracle.shape
     L = dofs.cell_blocks[0] * dofs.cell_blocks[1]
@@ -187,76 +186,21 @@ def test_cellwise_reduced_matrix_matches_sparse_products(method, regime, k,
     gap = abs(reduced - oracle).max()
     assert gap <= 1e-14 * scale, gap / scale
     # no exact zeros reach the factorization
-    assert np.all(reduced.data != 0.0)
+    assert np.all(factored.data != 0.0)
 
 
 @pytest.mark.parametrize("method", ["hdg", "wg"])
 def test_reduced_matrix_keeps_no_exact_zeros(method, monkeypatch):
-    # the assembled inv systems store 12-37 % exact zeros; the reduced
-    # matrix keeps as many entries as the sparse products did
-    mesh = build_structured_mesh(2**3)
-    case = SpaceCase(method, "inv", 1, 0.1)
-    dofs = build_space_triple(mesh, case)
-    prob = manufactured_case("sine")
-    system = (assemble_hdg if method == "hdg" else assemble_wg)(
-        mesh, dofs, CoefficientField(alpha=prob.alpha), prob.f,
-        ElementTables(mesh, case))
-    assert np.count_nonzero(system.matrix.data == 0.0) > 0
-    reduced = _solver_reduced(system.matrix, system.rhs, dofs.cell_blocks,
-                              monkeypatch)
-    assert reduced.nnz == _reduced_by_sparse_products(
-        system.matrix, dofs.cell_blocks).nnz
-
-
-@pytest.mark.parametrize("method,regime,k", [
-    ("hdg", "inv", 1), ("wg", "rho_h", 0), ("mixed", None, 1)])
-def test_plan_pads_a_structure_without_full_blocks(method, regime, k,
-                                                   monkeypatch):
-    # without its exact zeros (the mixed system stores none), and with an
-    # explicit zero between two cells' blocks, an assembled system no longer
-    # stores its cell blocks in full: the solver pads a copy to them, and
-    # the reduced matrix is the same, to the bit
-    A, b, dofs = _varcoef_system(method, regime, k, 1e-2, "jittered")
-    m = dofs.cell_blocks[1]
-    L = dofs.cell_blocks[0] * m
-    sparse = A.copy()
-    sparse.eliminate_zeros()
-    sparse = (sparse + sp.csr_matrix(([1.0, 1.0], ([0, m], [m, 0])),
-                                     shape=A.shape)).tocsr()
-    sparse[0, m] = sparse[m, 0] = 0.0
-    assert sparse[0, m] == 0.0
-    before = [a.copy() for a in (sparse.data, sparse.indices, sparse.indptr)]
-    # an explicit zero in A[L:, :L] whose mirror is not stored: the cell
-    # rows still store their blocks in full, and the solver reads nothing
-    # of A[L:, :L]
-    row_0 = lambda M: M.indices[M.indptr[0]:M.indptr[1]]
-    far = np.setdiff1d(np.arange(L, A.shape[0]), row_0(A))[0]
-    coo = A.tocoo()
-    lower = sp.csr_matrix((np.append(coo.data, 0.0),
-                           (np.append(coo.row, far), np.append(coo.col, 0))),
-                          shape=A.shape)
-    assert lower.nnz == A.nnz + 1 and lower[far, 0] == 0.0
-    assert np.array_equal(row_0(lower), row_0(A))
-    calls = []
-    pad = linalg._padded
-
-    def counted(*args):
-        calls.append(args)
-        return pad(*args)
-
-    monkeypatch.setattr(linalg, "_padded", counted)
-    want = _solver_reduced(A, b, dofs.cell_blocks, monkeypatch)
-    assert len(calls) == 0
-    for matrix, pads in ((sparse, 1), (lower, 0)):
-        del calls[:]
-        got = _solver_reduced(matrix, b, dofs.cell_blocks, monkeypatch)
-        assert len(calls) == pads
-        for a, c in ((got.indptr, want.indptr), (got.indices, want.indices),
-                     (got.data, want.data)):
-            assert np.array_equal(a, c)
-    # the padding works on a copy: the caller's arrays are unchanged
-    for old, new in zip(before, (sparse.data, sparse.indices, sparse.indptr)):
-        assert old.dtype == new.dtype and np.array_equal(old, new)
+    # the hdg and wg inv element matrices store 43 % and 22 % exact zeros;
+    # none reaches the factorization, which gets as many entries as the
+    # sparse products keep
+    stack, cells, b, dofs, A, leaf = _element_system(
+        method, "inv", 1, 0.1, build_structured_mesh(2**3))
+    assert np.count_nonzero(stack == 0.0) > 0
+    factored, _ = _solver_reduced(stack, cells, b, dofs, leaf, monkeypatch)
+    assert np.all(factored.data != 0.0)
+    assert factored.nnz == _reduced_by_sparse_products(
+        A, dofs.cell_blocks).nnz
 
 
 def _record_splu(monkeypatch):
@@ -272,36 +216,17 @@ def _record_splu(monkeypatch):
     return calls
 
 
-# the reduced HDG trace and primal systems are negative definite; the WG
-# (scalar plus trace) and mixed systems are indefinite
-FACTOR_CHOICE = (
-    [(method, regime, k, linalg.PIVOT_FREE)
+# the reduced HDG trace and primal systems are negative definite, and are
+# built and factored in the mesh's nested-dissection order; the WG (scalar
+# plus trace) and mixed systems are indefinite, and keep the caller's
+# numbering and partial pivoting
+ELEMENT_FACTOR_CHOICE = (
+    [(method, regime, k, linalg.ORDERED_PIVOT_FREE)
      for method, regime in (("hdg", "rho_h"), ("hdg", "inv"), ("primal", None))
      for k in (0, 1)]
     + [(method, regime, k, linalg.PARTIAL_PIVOTING)
        for method, regime in (("wg", "rho_h"), ("wg", "inv"), ("mixed", None))
        for k in (0, 1)])
-
-
-@pytest.mark.parametrize("method,regime,k,expected", FACTOR_CHOICE)
-def test_factorization_follows_the_reduced_system(method, regime, k, expected,
-                                                  monkeypatch):
-    calls = _record_splu(monkeypatch)
-    for mesh_name in MESHES:
-        for rho in (1.0, 1e-3):
-            A, b, dofs = _varcoef_system(method, regime, k, rho, mesh_name)
-            del calls[:]
-            solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
-            assert calls == [expected], (mesh_name, rho)
-
-
-# on the element path the trace and primal systems are built and factored
-# in the mesh's nested-dissection order; WG and mixed keep the matrix path's
-# numbering and factorization
-ELEMENT_FACTOR_CHOICE = [
-    (method, regime, k, linalg.ORDERED_PIVOT_FREE
-     if expected is linalg.PIVOT_FREE else expected)
-    for method, regime, k, expected in FACTOR_CHOICE]
 
 
 @pytest.mark.parametrize("method,regime,k,expected", ELEMENT_FACTOR_CHOICE)
@@ -322,10 +247,10 @@ def test_ordered_factor_falls_back_in_the_callers_numbering(method,
                                                            monkeypatch):
     # a nested-dissection factor that fails refinement is redone with
     # partial pivoting on the same reduced matrix, in its order: the x it
-    # returns is still in the caller's numbering, as the MMD solve's is
+    # returns is still in the caller's numbering, as the plain LU's is
     stack, cells, b, dofs, A, leaf = _element_system(method, "inv", 1, 1e-2,
                                                      jittered_mesh())
-    x_mmd = solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
+    x_plain = solve_symmetric_indefinite(A, b)
     calls = _record_splu(monkeypatch)
     refine = linalg._refine
 
@@ -337,15 +262,23 @@ def test_ordered_factor_falls_back_in_the_callers_numbering(method,
     monkeypatch.setattr(linalg, "_refine", failing_first)
     x = solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
     assert calls == [linalg.ORDERED_PIVOT_FREE, linalg.PARTIAL_PIVOTING]
-    assert np.linalg.norm(x - x_mmd) <= 1e-10 * np.linalg.norm(x_mmd)
+    assert np.linalg.norm(x - x_plain) <= 1e-10 * np.linalg.norm(x_plain)
 
 
-FALLBACK = [linalg.PIVOT_FREE, linalg.PARTIAL_PIVOTING]
+def _solve_one_element(A, b, cell_blocks=(0, 0)):
+    """The element solve of the dense A held by one element, whose first
+    cell_blocks[1] DOFs are its own."""
+    A = np.asarray(A, dtype=float)
+    return solve_element_system(A[None], np.arange(len(A))[None], b,
+                                cell_blocks, np.zeros(1, dtype=int))
+
+
+FALLBACK = [linalg.ORDERED_PIVOT_FREE, linalg.PARTIAL_PIVOTING]
 
 
 @pytest.mark.parametrize("matrix,stage,expected", [
     # indefinite, one-sign diagonal: the unpivoted factor still passes
-    ([[1e-8, 1.0], [1.0, 1e-8]], None, [linalg.PIVOT_FREE]),
+    ([[1e-8, 1.0], [1.0, 1e-8]], None, [linalg.ORDERED_PIVOT_FREE]),
     # singular: both factorizations meet an exact zero pivot
     ([[1.0, 1.0], [1.0, 1.0]], "reduced factorization of 2 DOFs failed",
      FALLBACK),
@@ -362,52 +295,35 @@ def test_pivot_free_factor_meets_the_contract_or_raises(matrix, stage,
     # replaced once by partial pivoting that passes it or raises, never
     # return a degraded solution
     calls = _record_splu(monkeypatch)
-    A = sp.csr_matrix(np.array(matrix))
+    A = np.array(matrix)
     b = np.random.default_rng(3).standard_normal(A.shape[0])
     if stage is None:
-        x = solve_symmetric_indefinite(A, b)
-        bound = 1e-10 * (np.linalg.norm(A.toarray()) * np.linalg.norm(x)
+        x = _solve_one_element(A, b)
+        bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x)
                          + np.linalg.norm(b))
         assert np.linalg.norm(A @ x - b) <= bound
     else:
         with pytest.raises(SingularMatrixError, match=stage):
-            solve_symmetric_indefinite(A, b)
+            _solve_one_element(A, b)
     assert calls == expected
 
 
 @pytest.mark.parametrize("regime", ["rho_h", "inv"])
 @pytest.mark.parametrize("k", [0, 1])
 def test_wg_scalar_is_not_cell_local(regime, k):
-    # the WG (p, u) cell block is singular on cell constants: renumbered
-    # so that each cell's flux and scalar come first, cell by cell, the
-    # system condenses them and fails in the local elimination
-    A, b, dofs = _varcoef_system("wg", regime, k, 1.0, "structured")
+    # the WG (p, u) cell block is singular on cell constants: numbered so
+    # that each cell's flux and scalar are its own DOFs, cell by cell, the
+    # element solve condenses them and fails in the local elimination
+    stack, cells, b, dofs, _, leaf = _element_system(
+        "wg", regime, k, 1.0, MESHES["structured"]())
     pu = np.concatenate([dofs.flux, dofs.scalar], axis=1)
     order = np.concatenate([pu.ravel(), np.arange(pu.size, dofs.total)])
     C, m = pu.shape
     with pytest.raises(SingularMatrixError,
                        match=r"local elimination: the {0}x{0} block of cell 0 "
                              r"is singular".format(m)):
-        solve_symmetric_indefinite(A[order][:, order], b[order],
-                                   cell_blocks=(C, m))
-
-
-def test_cell_dofs_must_be_cell_local():
-    A, b, dofs = _varcoef_system("hdg", "rho_h", 0, 1.0, "structured")
-    C, m = dofs.cell_blocks
-    # cell blocks are two non-negative integers
-    for pair in ((-1, 2), (1.5, 2), (C, -m), (C,)):
-        with pytest.raises(ValueError, match=re.escape(
-                "cell blocks must be two non-negative integers (C, m), "
-                "got {!r}".format(pair))):
-            solve_symmetric_indefinite(A, b, cell_blocks=pair)
-    # blocks one DOF too wide straddle the cells: each reaches into the next
-    with pytest.raises(ValueError, match="couple across cells"):
-        solve_symmetric_indefinite(A, b, cell_blocks=(C - 1, m + 1))
-    # more condensed DOFs than A has
-    with pytest.raises(ValueError, match="exceed the {} DOFs".format(
-            dofs.total)):
-        solve_symmetric_indefinite(A, b, cell_blocks=(dofs.total, 2))
+        solve_element_system(stack, np.argsort(order)[cells], b[order],
+                             (C, m), leaf)
 
 
 def test_solve_leaves_a_non_canonical_matrix_unchanged():
@@ -461,13 +377,13 @@ ELEMENT_INPUTS = CONDENSED_INPUTS + [
 @pytest.mark.parametrize("method,regime,k,rho,mesh_name", ELEMENT_INPUTS)
 def test_element_solve_matches_the_matrix_solve(method, regime, k, rho,
                                                 mesh_name, monkeypatch):
-    # the element path condenses the same blocks as the matrix solver, and
-    # factors the trace and primal systems in nested-dissection order, not
-    # minimum-degree: the solutions agree as the condensed and plain
-    # matrix solves do, and without refinement too
+    # the element path condenses the cells and factors the trace and primal
+    # systems in nested-dissection order; the plain LU of the assembled
+    # matrix does neither: the solutions agree, and without refinement too
+    # (measured: within 5.4e-12 relative)
     stack, cells, b, dofs, A, leaf = _element_system(
         method, regime, k, rho, ELEMENT_MESHES[mesh_name]())
-    x_matrix = solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
+    x_matrix = solve_symmetric_indefinite(A, b)
     for steps in (linalg.REFINEMENT_STEPS, 0):
         monkeypatch.setattr(linalg, "REFINEMENT_STEPS", steps)
         x = solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
@@ -525,13 +441,21 @@ def test_element_solve_checks_its_inputs():
         "hdg", "inv", 1, 1.0, MESHES["structured"]())
     C, m = dofs.cell_blocks
     before = [a.copy() for a in (stack, cells, b)]
-    with pytest.raises(ValueError, match="cell blocks must be two"):
-        solve_element_system(stack, cells, b, (C, -m), leaf)
-    with pytest.raises(ValueError, match="exceed the"):
+    # cell blocks are two non-negative integers
+    for pair in ((-1, 2), (1.5, 2), (C, -m), (C,)):
+        with pytest.raises(ValueError, match=re.escape(
+                "cell blocks must be two non-negative integers (C, m), "
+                "got {!r}".format(pair))):
+            solve_element_system(stack, cells, b, pair, leaf)
+    # more condensed DOFs than A has
+    with pytest.raises(ValueError, match="exceed the {} DOFs".format(
+            dofs.total)):
         solve_element_system(stack, cells, b, (dofs.total, 2), leaf)
-    # one DOF too few per cell: each cell's own DOFs are not its block
-    with pytest.raises(ValueError, match="not the cells' own DOFs"):
-        solve_element_system(stack, cells, b, (C, m - 1), leaf)
+    # one DOF too few per cell: each cell's own DOFs are not its block; one
+    # too many: the blocks straddle the cells, each reaching into the next
+    for pair in ((C, m - 1), (C - 1, m + 1)):
+        with pytest.raises(ValueError, match="not the cells' own DOFs"):
+            solve_element_system(stack, cells, b, pair, leaf)
     with pytest.raises(ValueError, match="do not fit"):
         solve_element_system(stack[:, :-1], cells, b, dofs.cell_blocks, leaf)
     with pytest.raises(ValueError, match="do not fit"):
@@ -611,23 +535,26 @@ def test_reduced_order_is_the_nested_dissection_of_the_cells(method, k,
 
 def test_nested_dissection_fills_less_than_minimum_degree(monkeypatch):
     # hdg/inv k = 1 at level 5: the reduced factor holds 634,704 entries in
-    # the nested-dissection order, 740,202 in MMD's order of the matrix
-    # path.  It stays an LDL^T, and the same solve twice gives the same
-    # count and the same bits
+    # the nested-dissection order, 740,202 in a minimum-degree order of the
+    # same matrix in the caller's numbering.  (Minimum degree run on the
+    # matrix as the solve numbers it breaks its ties in the nested-dissection
+    # order, so it is no baseline: 618,630 here.)  The factor stays an
+    # LDL^T, and the same solve twice gives the same count and the same bits
     stack, cells, b, dofs, A, leaf = _element_system(
         "hdg", "inv", 1, 0.1, build_structured_mesh(2**5))
     factors = []
     splu = linalg.spla.splu
 
     def recording(matrix, **kwargs):
-        factors.append(splu(matrix, **kwargs))
-        return factors[-1]
+        factors.append((matrix, splu(matrix, **kwargs)))
+        return factors[-1][1]
 
     monkeypatch.setattr(linalg.spla, "splu", recording)
     xs = [solve_element_system(stack, cells, b, dofs.cell_blocks, leaf)
           for _ in range(2)]
-    solve_symmetric_indefinite(A, b, cell_blocks=dofs.cell_blocks)
-    nd, again, mmd = factors
+    (reduced, nd), (_, again) = factors
+    mmd = splu(_in_callers_numbering(reduced, cells, dofs, leaf),
+               **linalg.PIVOT_FREE)
     assert np.array_equal(nd.perm_r, nd.perm_c)
     assert nd.nnz == again.nnz < mmd.nnz
     assert np.array_equal(xs[0], xs[1])
@@ -636,12 +563,12 @@ def test_nested_dissection_fills_less_than_minimum_degree(monkeypatch):
 def test_condensation_memory_peak():
     # the element solve copies only the cell blocks K_ll, reads K_lg and
     # K_gg as views of the element matrices, and frees K_ll^-1 K_lg once
-    # the complements are summed.  Condensing, factoring and refining
-    # hdg/inv k = 1 at level 4 peaks at 1.16 times the bytes of the element
+    # the complements are summed, and the reduced matrix's triplets hold
+    # the complements themselves.  Condensing, factoring and refining
+    # hdg/inv k = 1 at level 4 peaks at 1.14 times the bytes of the element
     # matrices in numpy's traced memory (SuperLU's own allocations are not
     # traced), as at level 5, with the nested-dissection order and its
-    # inverse held for the solves (1.14 without them); the bound leaves
-    # 10 % above 1.14
+    # inverse held for the solves; the bound leaves 10 % above 1.14
     mesh = build_structured_mesh(2**4)
     case = SpaceCase("hdg", "inv", 1, 0.1)
     dofs = build_space_triple(mesh, case)
@@ -661,33 +588,13 @@ def test_condensation_memory_peak():
     assert peak <= 1.25 * stack.nbytes, peak / stack.nbytes
 
 
-def test_matrix_condensation_memory_peak():
-    # the matrix solver's layout keeps int32 positions, and its
-    # condensation gathers the cell blocks once and inverts them in place,
-    # so laying out the blocks and condensing them peaks within 2.5 times
-    # the bytes of A (hdg/inv k = 1, level 4)
-    mesh = build_structured_mesh(2**4)
-    case = SpaceCase("hdg", "inv", 1, 0.1)
-    dofs = build_space_triple(mesh, case)
-    prob = manufactured_case("sine")
-    A = assemble_hdg(mesh, dofs, CoefficientField(alpha=prob.alpha), prob.f,
-                     ElementTables(mesh, case)).matrix
-    nbytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
-    tracemalloc.start()
-    try:
-        linalg._condensed_factor(A, dofs.cell_blocks)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * nbytes, peak / nbytes
-
-
 @pytest.mark.parametrize("skew,outcome", [(1e-3, "pass"), (10.0, "raise")])
 def test_nonsymmetric_input_meets_the_contract_or_raises(skew, outcome):
-    # the condensation reads K_gl as K_lg^T, so on a nonsymmetric A it
-    # factors the symmetric matrix of A's cell rows; the refinement against
-    # A itself then meets the contract on A, or raises, never returns a
-    # wrong x.  Here K_gl = K_lg^T + skew e_0 e_1^T, stored where K_lg is not
+    # the condensation reads K_gl as K_lg^T, so on a nonsymmetric element
+    # matrix it factors the symmetric matrix of the cells' rows; the
+    # refinement against A itself then meets the contract on A, or raises,
+    # never returns a wrong x.  Here K_gl = K_lg^T + skew e_0 e_1^T, stored
+    # where K_lg is not
     A = np.array([[4.0, 1.0, 0.0, 0.0, 1.0, 0.0],
                   [1.0, 3.0, 0.0, 0.0, 0.0, 1.0],
                   [0.0, 0.0, 4.0, 1.0, 1.0, 1.0],
@@ -695,15 +602,24 @@ def test_nonsymmetric_input_meets_the_contract_or_raises(skew, outcome):
                   [1.0, skew, 1.0, 0.0, -2.0, 0.5],
                   [0.0, 1.0, 1.0, 1.0, 0.5, -2.0]])
     b = np.arange(1.0, 7.0)
+    # cell c holds its own DOFs 2c and 2c + 1 and the shared 4 and 5; cell
+    # 0 holds all of A_gg
+    cells = np.array([[0, 1, 4, 5], [2, 3, 4, 5]])
+    stack = A[cells[:, :, None], cells[:, None, :]]
+    stack[1, 2:, 2:] = 0.0
+
+    def solve():
+        return solve_element_system(stack, cells, b, (2, 2), np.arange(2))
+
     if outcome == "pass":
-        x = solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(2, 2))
+        x = solve()
         bound = 1e-10 * (np.linalg.norm(A) * np.linalg.norm(x)
                          + np.linalg.norm(b))
         assert np.linalg.norm(A @ x - b) <= bound
         assert np.allclose(x, np.linalg.solve(A, b), rtol=1e-10, atol=0.0)
     else:
         with pytest.raises(SingularMatrixError, match="^refinement: "):
-            solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(2, 2))
+            solve()
 
 
 def test_failures_name_their_stage(monkeypatch):
@@ -712,13 +628,13 @@ def test_failures_name_their_stage(monkeypatch):
     with pytest.raises(SingularMatrixError,
                        match="local elimination: the 1x1 block of cell 0 "
                              "is non-finite"):
-        solve_symmetric_indefinite(sp.csr_matrix(A), b, cell_blocks=(1, 1))
-    A = sp.csr_matrix(np.array([[2.0, 0.0, 0.0],
-                                [0.0, 1.0, 1.0],
-                                [0.0, 1.0, 1.0]]))
+        _solve_one_element(A, b, cell_blocks=(1, 1))
+    A = np.array([[2.0, 0.0, 0.0],
+                  [0.0, 1.0, 1.0],
+                  [0.0, 1.0, 1.0]])
     with pytest.raises(SingularMatrixError,
                        match="reduced factorization of 2 DOFs failed"):
-        solve_symmetric_indefinite(A, b, cell_blocks=(1, 1))
+        _solve_one_element(A, b, cell_blocks=(1, 1))
     rng = np.random.default_rng(5)
     B = rng.standard_normal((20, 20))
     monkeypatch.setattr(linalg, "REFINEMENT_RTOL", 1e-30)

@@ -2,6 +2,7 @@
 
 import ast
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -141,13 +142,23 @@ def _call_sites(name):
 
 def test_every_solve_goes_through_one_call_site():
     # the studies solve all six methods from their element matrices in
-    # experiments._solve_case, and the matrix solver's one library call is
-    # the self-check's cross-check against it: a call elsewhere would be a
+    # experiments._solve_case, and the plain LU's one library call is the
+    # self-check's cross-check against it: a call elsewhere would be a
     # second pipeline to keep in step with them
     assert _call_sites("solve_element_system") == [
         ("experiments.py", "_solve_case")]
     assert _call_sites("solve_symmetric_indefinite") == [
         ("experiments.py", "run_self_check")]
+
+
+def test_one_static_condensation():
+    # the cells are condensed from element matrices alone; the matrix
+    # solver is a plain LU reference, so a second condensation front end,
+    # one that reads the cell blocks back from an assembled matrix, would
+    # be a second pipeline to keep in step with the first
+    assert _call_sites("_condense") == [("linalg.py", "solve_element_system")]
+    assert list(inspect.signature(
+        hdgwg.solve_symmetric_indefinite).parameters) == ["matrix", "rhs"]
 
 
 def test_one_builder_of_the_cell_bisection_and_the_reduced_order():
