@@ -436,11 +436,10 @@ def test_element_solve_on_the_bound_path_meets_the_contract(method,
     assert error <= linalg.REFINEMENT_RTOL, error
 
 
-def test_element_solve_checks_its_inputs():
+def test_cell_dofs_must_be_cell_local():
     stack, cells, b, dofs, _, leaf = _element_system(
         "hdg", "inv", 1, 1.0, MESHES["structured"]())
     C, m = dofs.cell_blocks
-    before = [a.copy() for a in (stack, cells, b)]
     # cell blocks are two non-negative integers
     for pair in ((-1, 2), (1.5, 2), (C, -m), (C,)):
         with pytest.raises(ValueError, match=re.escape(
@@ -456,6 +455,12 @@ def test_element_solve_checks_its_inputs():
     for pair in ((C, m - 1), (C - 1, m + 1)):
         with pytest.raises(ValueError, match="not the cells' own DOFs"):
             solve_element_system(stack, cells, b, pair, leaf)
+
+
+def test_element_solve_checks_its_inputs():
+    stack, cells, b, dofs, _, leaf = _element_system(
+        "hdg", "inv", 1, 1.0, MESHES["structured"]())
+    before = [a.copy() for a in (stack, cells, b)]
     with pytest.raises(ValueError, match="do not fit"):
         solve_element_system(stack[:, :-1], cells, b, dofs.cell_blocks, leaf)
     with pytest.raises(ValueError, match="do not fit"):
